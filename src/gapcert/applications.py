@@ -23,10 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .enclosures import QuadBound, SymmetricGapResult, hyperbola_excluded, symmetric_gap_strip
-from .errors import ConditionNotApplicable
+from .errors import ConditionNotApplicable, require_int, require_nonneg, require_positive
 from .gap_sequences import GrowthTerm, TailModel
 
 __all__ = [
@@ -48,20 +46,6 @@ __all__ = [
 ]
 
 
-def _positive(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0:
-        raise ValueError(f"{name} must be finite and positive")
-    return value
-
-
-def _nonneg(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value < 0:
-        raise ValueError(f"{name} must be finite and nonnegative")
-    return value
-
-
 @dataclass(frozen=True)
 class DiracSpec:
     """Potential data for the planar massless case: L^p norm and exponent p > 2."""
@@ -70,7 +54,7 @@ class DiracSpec:
     p: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "v_norm", _positive("v_norm", self.v_norm))
+        object.__setattr__(self, "v_norm", require_positive("v_norm", self.v_norm))
         p = float(self.p)
         if not math.isfinite(p) or p <= 2:
             raise ValueError("requires p > 2")
@@ -97,9 +81,9 @@ def dirac2d_constants(
     cp = dirac2d_cp(spec)
     p = spec.p
     if t is not None:
-        t = _positive("t", t)
+        t = require_positive("t", t)
         return QuadBound(cp * t ** (-2.0 / p), cp * t ** ((p - 2.0) / p))
-    b = _positive("b", b)
+    b = require_positive("b", b)
     return QuadBound(cp ** (p / (p - 2.0)) * b ** (-2.0 / (p - 2.0)), b)
 
 
@@ -145,16 +129,17 @@ def dirac2d_envelope(
     sqrt(2/p) the squared abscissa turns negative and the curve is
     clipped to x >= 0 (reported via the clipped flag).
     """
-    if samples < 2:
-        raise ValueError("requires samples >= 2")
+    import numpy as np
+
+    samples = require_int("samples", samples, 2)
     p = spec.p
     cap = _envelope_b_max(p)
     if b_max is None:
         b_max = cap
-    b_max = _positive("b_max", b_max)
+    b_max = require_positive("b_max", b_max)
     if b_min is None:
         b_min = 1e-3 * min(b_max, cap)
-    b_min = _positive("b_min", b_min)
+    b_min = require_positive("b_min", b_min)
     if not b_min < b_max:
         raise ValueError("requires b_min < b_max")
     grid = np.geomspace(b_min, b_max, samples)
@@ -172,34 +157,45 @@ def dirac2d_envelope(
     )
 
 
+def _envelope_b_at(spec: DiracSpec, re: float) -> tuple[float, float]:
+    """Bracket lo <= hi around the b whose envelope abscissa is |Re z| = re.
+
+    x(b) decreases strictly on (0, sqrt(2/p)], so halving from the top
+    finds lo with x(lo) >= re^2; geometric bisection then stops at its
+    fixed point, the first step that leaves (lo, hi) unchanged.
+    """
+    target = re * re
+    hi = _envelope_b_max(spec.p)
+    if target == 0.0:
+        return hi, hi
+    try:
+        # halving ends at the latest when x(lo) overflows or cp / lo divides by zero
+        lo = 0.5 * hi
+        while _envelope_xy(spec, lo)[0] < target:
+            lo *= 0.5
+        for _ in range(200):
+            mid = math.sqrt(lo * hi)
+            if _envelope_xy(spec, mid)[0] >= target:
+                if mid == lo:
+                    break
+                lo = mid
+            else:
+                if mid == hi:
+                    break
+                hi = mid
+    except ArithmeticError:
+        raise ConditionNotApplicable(f"re={re!r} beyond the representable envelope range") from None
+    return lo, hi
+
+
 def envelope_im_at_re(spec: DiracSpec, re: float) -> float:
     """Envelope height |Im z| above a given |Re z|.
 
     Inverts the strictly decreasing map b -> x(b) by bisection and
     evaluates the ordinate there.  re = 0 sits at b = sqrt(2/p).
     """
-    re = _nonneg("re", re)
-    target = re * re
-    p = spec.p
-    hi = _envelope_b_max(p)
-    if target == 0.0:
-        b = hi
-    else:
-        lo = hi
-        for _ in range(2000):
-            lo *= 0.5
-            if _envelope_xy(spec, lo)[0] >= target:
-                break
-        else:
-            raise ConditionNotApplicable(f"re={re!r} beyond the representable envelope range")
-        for _ in range(200):
-            mid = math.sqrt(lo * hi)
-            if _envelope_xy(spec, mid)[0] >= target:
-                lo = mid
-            else:
-                hi = mid
-        b = math.sqrt(lo * hi)
-    return math.sqrt(_envelope_xy(spec, b)[1])
+    lo, hi = _envelope_b_at(spec, require_nonneg("re", re))
+    return math.sqrt(_envelope_xy(spec, math.sqrt(lo * hi))[1])
 
 
 @dataclass(frozen=True)
@@ -211,9 +207,9 @@ class CoulombSpec:
     m: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "c1", _nonneg("c1", self.c1))
-        object.__setattr__(self, "c2", _nonneg("c2", self.c2))
-        object.__setattr__(self, "m", _positive("m", self.m))
+        object.__setattr__(self, "c1", require_nonneg("c1", self.c1))
+        object.__setattr__(self, "c2", require_nonneg("c2", self.c2))
+        object.__setattr__(self, "m", require_positive("m", self.m))
 
 
 @dataclass(frozen=True)
@@ -272,7 +268,7 @@ class ManifoldSpec:
     eps_geom: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "c", _positive("c", self.c))
+        object.__setattr__(self, "c", require_positive("c", self.c))
         p = float(self.p)
         if not math.isfinite(p) or p <= 2:
             raise ValueError("requires p > 2")
@@ -310,9 +306,7 @@ def manifold_relbounds(
     (case 2), with configurable prefactors standing in for the
     unspecified geometry constants.
     """
-    if int(n) != n or n < 2:
-        raise ValueError("requires integer n >= 2")
-    n = int(n)
+    n = require_int("n", n, 2)
     p = spec.p
     kappa = spec.c * (4.0 * math.pi) ** (-1.0 / p)
     a_n = kappa * math.sqrt(1.0 + n * n / (p - 2.0))
@@ -365,17 +359,15 @@ class TwoChannelSpec:
     p2: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if int(self.d) != self.d or self.d < 1:
-            raise ValueError("d must be a positive integer")
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "d", require_int("d", self.d, 1))
         p = float(self.p)
         if not math.isfinite(p) or not (p > self.d / 2.0 and p >= 2.0):
             raise ValueError("requires p > d/2 and p >= 2")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "v12_norm", _nonneg("v12_norm", self.v12_norm))
-        object.__setattr__(self, "p0", _nonneg("p0", self.p0))
-        p1 = tuple(_nonneg("p1 entry", v) for v in self.p1)
-        p2 = tuple(_nonneg("p2 entry", v) for v in self.p2)
+        object.__setattr__(self, "v12_norm", require_nonneg("v12_norm", self.v12_norm))
+        object.__setattr__(self, "p0", require_nonneg("p0", self.p0))
+        p1 = tuple(require_nonneg("p1 entry", v) for v in self.p1)
+        p2 = tuple(require_nonneg("p2 entry", v) for v in self.p2)
         if len(p1) != self.d:
             raise ValueError(f"p1 needs {self.d} entries, got {len(p1)}")
         want = self.d * (self.d + 1) // 2

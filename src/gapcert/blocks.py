@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .enclosures import Gap, QuadBound, StripResult, gap_condition
-from .errors import ConditionNotApplicable
+from .enclosures import Gap, QuadBound, StripResult, _check_b_lt_1, gap_condition
+from .errors import ConditionNotApplicable, require_int, require_nonneg, require_positive
 
 __all__ = [
     "OffDiagBounds",
@@ -41,13 +41,6 @@ __all__ = [
 ]
 
 
-def _nonneg(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value < 0:
-        raise ValueError(f"{name} must be finite and nonnegative")
-    return value
-
-
 @dataclass(frozen=True)
 class OffDiagBounds:
     """Block constants for off-diagonal A: A12 against T22, A21 against T11."""
@@ -59,7 +52,7 @@ class OffDiagBounds:
 
     def __post_init__(self) -> None:
         for name in ("a12", "b12", "a21", "b21"):
-            object.__setattr__(self, name, _nonneg(name, getattr(self, name)))
+            object.__setattr__(self, name, require_nonneg(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -73,7 +66,7 @@ class DiagBounds:
 
     def __post_init__(self) -> None:
         for name in ("a11", "b11", "a22", "b22"):
-            object.__setattr__(self, name, _nonneg(name, getattr(self, name)))
+            object.__setattr__(self, name, require_nonneg(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -99,7 +92,7 @@ class BlockMinima:
 
     def __post_init__(self) -> None:
         for name in ("beta1", "beta2"):
-            object.__setattr__(self, name, _nonneg(name, getattr(self, name)))
+            object.__setattr__(self, name, require_nonneg(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -127,11 +120,8 @@ def almost_gap_eig_bound(
       iv:  sup_w - inf_w < beta - alpha; interval (alpha + sup_w, beta + inf_w).
     Each interval contains at most m eigenvalues of T + A.
     """
-    if int(m) != m or m < 0:
-        raise ValueError("m must be a nonnegative integer")
-    m = int(m)
-    if q.b >= 1.0:
-        raise ConditionNotApplicable(f"requires b < 1, got b={q.b!r}")
+    m = require_int("m", m, 0)
+    _check_b_lt_1(q)
     sa, sb = q.shift(gap.alpha), q.shift(gap.beta)
     if case == "i":
         if not gap_condition(q, gap):
@@ -235,9 +225,7 @@ def odd_symmetric_gap(bounds: DiagBounds, beta: float) -> float:
 
     lies in (0, beta] and {|Re z| < beta_plus} is free of sigma(T + sA), s in [0, 1].
     """
-    beta = float(beta)
-    if not (math.isfinite(beta) and beta > 0):
-        raise ValueError("requires beta > 0")
+    beta = require_positive("beta", beta)
     if not bounds.b11 * bounds.b22 < 1:
         raise ConditionNotApplicable("requires b11 * b22 < 1")
     s1 = math.hypot(bounds.a11, bounds.b11 * beta)

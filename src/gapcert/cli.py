@@ -63,16 +63,6 @@ from .gap_sequences import (
     powerlaw_example,
     ratio_criterion,
 )
-from .matrix_lab import VerifyOptions, run_suite
-from .regions import (
-    Segment,
-    coulomb_boundary,
-    envelope_boundary,
-    hyperbola_boundary,
-    sector_boundary,
-    segments_to_csv,
-    strip_boundary,
-)
 
 __all__ = ["main"]
 
@@ -85,22 +75,28 @@ def _floats(value) -> tuple[float, ...]:
 
 
 def _merge_json(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    src = getattr(args, "json", None)
-    if not src:
-        return
-    try:
-        text = sys.stdin.read() if src == "-" else open(src, "r", encoding="utf-8").read()
-        doc = json.loads(text)
-    except OSError as exc:
-        parser.error(f"cannot read --json input: {exc}")
-    except json.JSONDecodeError as exc:
-        parser.error(f"--json input is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        parser.error("--json input must be a JSON object")
+    """Fill unset flags from --json, then from the subcommand's declared defaults."""
+    src = args.json
+    doc = {}
+    if src:
+        try:
+            text = sys.stdin.read() if src == "-" else open(src, "r", encoding="utf-8").read()
+            doc = json.loads(text)
+        except OSError as exc:
+            parser.error(f"cannot read --json input: {exc}")
+        except json.JSONDecodeError as exc:
+            parser.error(f"--json input is not valid JSON: {exc}")
+        if not isinstance(doc, dict):
+            parser.error("--json input must be a JSON object")
     for key, value in doc.items():
         dest = key.replace("-", "_")
         if not hasattr(args, dest):
             parser.error(f"unknown parameter {key!r} in --json input")
+        if dest in args.int_flags and (isinstance(value, bool) or not isinstance(value, int)):
+            parser.error(f"parameter {key!r} must be an integer, got {value!r}")
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
+    for dest, value in args.fallbacks.items():
         if getattr(args, dest) is None:
             setattr(args, dest, value)
 
@@ -200,7 +196,7 @@ def _cmd_gk_cover(args, parser):
 
 def _cmd_eig_strip(args, parser):
     _need(parser, args, "a", "b", "lam", "alpha", "beta", "mult")
-    spec = IsolatedEigSpec(args.lam, args.alpha, args.beta, int(args.mult))
+    spec = IsolatedEigSpec(args.lam, args.alpha, args.beta, args.mult)
     strip = isolated_eigenvalue_strip(QuadBound(args.a, args.b), spec)
     return {"status": "open", "lo": strip.lo, "hi": strip.hi, "count": strip.count}
 
@@ -211,29 +207,30 @@ def _band_data(args, parser):
         _need(parser, args, "alphas", "betas")
         seq = GapSequence(_floats(args.alphas), _floats(args.betas))
         if args.window is not None:
-            return TailModel("finite-data", seq=seq, window=int(args.window))
+            return TailModel("finite-data", seq=seq, window=args.window)
         return seq
     _need(parser, args, "model")
     if args.model == "power-log":
-        _need(parser, args, "p1", "q1")
-        return TailModel(
-            "power-log",
-            p1=args.p1,
-            p2=args.p2,
-            q1=args.q1,
-            q2=args.q2,
-            length_prefactor=args.length_prefactor if args.length_prefactor is not None else 1.0,
-            width_prefactor=args.width_prefactor if args.width_prefactor is not None else 1.0,
-        )
+        return _power_log(args, parser)
     if args.model == "geometric":
         _need(parser, args, "ratio", "band_ratio")
         return TailModel(
-            "geometric",
-            ratio=args.ratio,
-            band_ratio=args.band_ratio,
-            alpha_scale=args.alpha_scale if args.alpha_scale is not None else 1.0,
+            "geometric", ratio=args.ratio, band_ratio=args.band_ratio, alpha_scale=args.alpha_scale
         )
     parser.error(f"unknown band model {args.model!r}")
+
+
+def _power_log(args, parser) -> TailModel:
+    _need(parser, args, "p1", "q1")
+    return TailModel(
+        "power-log",
+        p1=args.p1,
+        p2=args.p2,
+        q1=args.q1,
+        q2=args.q2,
+        length_prefactor=args.length_prefactor,
+        width_prefactor=args.width_prefactor,
+    )
 
 
 def _cmd_gaps(args, parser):
@@ -249,23 +246,24 @@ def _cmd_gaps(args, parser):
     }
 
 
+def _growth_terms(args) -> tuple[GrowthTerm, GrowthTerm]:
+    """Power-log models of a_n and b_n; a coefficient left unset is 0."""
+    return (
+        GrowthTerm(args.a_coeff or 0.0, 1.0, args.a_power, args.a_log_power),
+        GrowthTerm(args.b_coeff or 0.0, 1.0, args.b_power, args.b_log_power),
+    )
+
+
 def _const_terms(args) -> ConstModel | None:
     if args.a_coeff is None and args.b_coeff is None:
         return None
-    a_term = GrowthTerm(
-        args.a_coeff or 0.0, 1.0, args.a_power or 0.0, args.a_log_power or 0.0
-    )
-    b_term = GrowthTerm(
-        args.b_coeff or 0.0, 1.0, args.b_power or 0.0, args.b_log_power or 0.0
-    )
-    return ConstModel(a_term, b_term)
+    return ConstModel(*_growth_terms(args))
 
 
 def _cmd_kappa(args, parser):
     if args.lengths is not None:
         _need(parser, args, "a_seq", "b_seq")
-        widths = _floats(args.widths) if args.widths is not None else ()
-        bands = BandProfile(_floats(args.lengths), widths)
+        bands = BandProfile(_floats(args.lengths), _floats(args.widths))
         consts = PerGapConstants(_floats(args.a_seq), _floats(args.b_seq))
         return {"status": "ok", "kappa": kappa_s(bands, consts)}
     data = _band_data(args, parser)
@@ -292,19 +290,7 @@ def _cmd_growth_check(args, parser):
 
 
 def _cmd_powerlaw(args, parser):
-    _need(parser, args, "p1", "q1")
-    model = TailModel(
-        "power-log",
-        p1=args.p1,
-        p2=args.p2,
-        q1=args.q1,
-        q2=args.q2,
-        length_prefactor=args.length_prefactor if args.length_prefactor is not None else 1.0,
-        width_prefactor=args.width_prefactor if args.width_prefactor is not None else 1.0,
-    )
-    a_term = GrowthTerm(args.a_coeff or 0.0, 1.0, args.a_power or 0.0, args.a_log_power or 0.0)
-    b_term = GrowthTerm(args.b_coeff or 0.0, 1.0, args.b_power or 0.0, args.b_log_power or 0.0)
-    res = powerlaw_example(model, a_term, b_term)
+    res = powerlaw_example(_power_log(args, parser), *_growth_terms(args))
     return {"status": "ok", "kappa_bound": res.kappa_bound, "eps0": res.eps0}
 
 
@@ -335,9 +321,11 @@ def _cmd_structured(args, parser):
 
 
 def _cmd_dirac_envelope(args, parser):
+    from .regions import Segment, segments_to_csv
+
     _need(parser, args, "p", "vnorm", "samples")
     spec = DiracSpec(args.vnorm, args.p)
-    curve = dirac2d_envelope(spec, int(args.samples), b_min=args.b_min, b_max=args.b_max)
+    curve = dirac2d_envelope(spec, args.samples, b_min=args.b_min, b_max=args.b_max)
     doc = {
         "status": "ok",
         "p": spec.p,
@@ -377,12 +365,9 @@ def _cmd_coulomb(args, parser):
 
 def _cmd_manifold(args, parser):
     _need(parser, args, "c", "p", "case", "n", "eps_geom")
-    spec = ManifoldSpec(args.c, args.p, int(args.case), args.eps_geom)
+    spec = ManifoldSpec(args.c, args.p, args.case, args.eps_geom)
     mb = manifold_relbounds(
-        spec,
-        int(args.n),
-        length_prefactor=args.length_prefactor if args.length_prefactor is not None else 1.0,
-        width_prefactor=args.width_prefactor if args.width_prefactor is not None else 1.0,
+        spec, args.n, length_prefactor=args.length_prefactor, width_prefactor=args.width_prefactor
     )
     doc = {
         "status": "ok",
@@ -405,13 +390,10 @@ def _cmd_manifold(args, parser):
 
 def _cmd_two_channel(args, parser):
     _need(parser, args, "d", "p", "v12", "p0")
-    p1 = _floats(args.p1) if args.p1 is not None else (0.0,) * int(args.d)
-    p2 = (
-        _floats(args.p2)
-        if args.p2 is not None
-        else (0.0,) * (int(args.d) * (int(args.d) + 1) // 2)
-    )
-    spec = TwoChannelSpec(int(args.d), args.p, args.v12, args.p0, p1, p2)
+    # unset (or empty) coefficient lists are all zero
+    p1 = _floats(args.p1) or (0.0,) * args.d
+    p2 = _floats(args.p2) or (0.0,) * (args.d * (args.d + 1) // 2)
+    spec = TwoChannelSpec(args.d, args.p, args.v12, args.p0, p1, p2)
     res = two_channel_bound(spec)
     return {
         "status": "ok",
@@ -423,18 +405,16 @@ def _cmd_two_channel(args, parser):
 
 
 def _cmd_verify(args, parser):
-    if args.suite is not None and args.suite != "standard":
+    from .matrix_lab import VerifyOptions, run_suite
+
+    if args.suite != "standard":
         parser.error(f"unknown suite {args.suite!r}")
-    options = VerifyOptions(
-        s_points=int(args.s_points) if args.s_points is not None else 11,
-        widen=args.widen if args.widen is not None else 0.0,
-    )
     res = run_suite(
-        count=int(args.instances) if args.instances is not None else 500,
-        dim_lo=int(args.dim_lo) if args.dim_lo is not None else 4,
-        dim_hi=int(args.dim_hi) if args.dim_hi is not None else 40,
-        seed=int(args.seed) if args.seed is not None else 20260822,
-        options=options,
+        count=args.instances,
+        dim_lo=args.dim_lo,
+        dim_hi=args.dim_hi,
+        seed=args.seed,
+        options=VerifyOptions(s_points=args.s_points, widen=args.widen),
     )
     if args.csv is not None and _write_csv(args.csv, res.to_csv()) is None:
         return None
@@ -465,8 +445,17 @@ def _clip_value(parser, args, magnitudes) -> float:
 
 
 def _cmd_sample_region(args, parser):
+    from .regions import (
+        coulomb_boundary,
+        envelope_boundary,
+        hyperbola_boundary,
+        sector_boundary,
+        segments_to_csv,
+        strip_boundary,
+    )
+
     _need(parser, args, "kind")
-    resolution = int(args.resolution) if args.resolution is not None else 256
+    resolution = args.resolution
     if args.kind == "hyperbola":
         _need(parser, args, "a", "b")
         clip = _clip_value(parser, args, (args.a, args.b))
@@ -494,14 +483,13 @@ def _cmd_sample_region(args, parser):
     else:
         parser.error(f"unknown region kind {args.kind!r}")
     text = segments_to_csv(segments)
-    target = args.csv if args.csv is not None else "-"
-    if _write_csv(target, text) is None:
+    if _write_csv(args.csv, text) is None:
         return None
     return {
         "status": "ok",
         "segments": len(segments),
         "rows": sum(len(s.re) for s in segments),
-        "csv": target,
+        "csv": args.csv,
     }
 
 
@@ -510,16 +498,27 @@ def _cmd_sample_region(args, parser):
 
 
 def _add(sub, name, func, helptext, flags):
+    """Subcommand from (flag, argparse kwargs[, default]) entries.
+
+    Every flag parses to None when absent, so --json can fill it; a
+    declared default applies after that (see _merge_json).
+    """
     p = sub.add_parser(name, help=helptext)
-    for flag, kwargs in flags:
-        p.add_argument(flag, **kwargs)
+    fallbacks, int_flags = {}, set()
+    for flag, kwargs, *default in flags:
+        dest = p.add_argument(flag, **kwargs).dest
+        if default:
+            fallbacks[dest] = default[0]
+        if kwargs.get("type") is int:
+            int_flags.add(dest)
     p.add_argument("--json", metavar="FILE", help="read parameters from a JSON object ('-' for stdin)")
-    p.set_defaults(func=func)
+    p.set_defaults(func=func, fallbacks=fallbacks, int_flags=int_flags)
     return p
 
 
-_F = {"type": float, "default": None}
-_S = {"default": None}
+_F = {"type": float}
+_I = {"type": int}
+_S = {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -547,64 +546,61 @@ def build_parser() -> argparse.ArgumentParser:
     ])
     _add(sub, "eig-strip", _cmd_eig_strip, "isolated-eigenvalue counting strip", [
         ("--a", _F), ("--b", _F), ("--lam", _F), ("--alpha", _F), ("--beta", _F),
-        ("--mult", _F),
+        ("--mult", _I),
     ])
-    band_flags = [
-        ("--model", {"default": None, "choices": ["power-log", "geometric"]}),
+    prefactor_flags = [("--length-prefactor", _F, 1.0), ("--width-prefactor", _F, 1.0)]
+    band_flags = prefactor_flags + [
+        ("--model", {"choices": ["power-log", "geometric"]}),
         ("--p1", _F), ("--p2", _F), ("--q1", _F), ("--q2", _F),
-        ("--length-prefactor", _F), ("--width-prefactor", _F),
-        ("--ratio", _F), ("--band-ratio", _F), ("--alpha-scale", _F),
-        ("--alphas", _S), ("--betas", _S), ("--window", _F),
+        ("--ratio", _F), ("--band-ratio", _F), ("--alpha-scale", _F, 1.0),
+        ("--alphas", _S), ("--betas", _S), ("--window", _I),
     ]
     const_flags = [
-        ("--a-coeff", _F), ("--a-power", _F), ("--a-log-power", _F),
-        ("--b-coeff", _F), ("--b-power", _F), ("--b-log-power", _F),
+        ("--a-coeff", _F), ("--a-power", _F, 0.0), ("--a-log-power", _F, 0.0),
+        ("--b-coeff", _F), ("--b-power", _F, 0.0), ("--b-log-power", _F, 0.0),
     ]
     _add(sub, "gaps", _cmd_gaps, "endpoint-ratio gap verdict", band_flags + [("--delta-a", _F)])
     _add(sub, "kappa", _cmd_kappa, "limsup per-gap condition number", band_flags + const_flags + [
-        ("--lengths", _S), ("--widths", _S), ("--a-seq", _S), ("--b-seq", _S),
+        ("--lengths", _S), ("--widths", _S, ()), ("--a-seq", _S), ("--b-seq", _S),
     ])
     _add(sub, "growth-check", _cmd_growth_check, "necessary growth screen",
          band_flags + const_flags + [("--delta-a", _F), ("--a-seq", _S), ("--b-seq", _S)])
-    _add(sub, "powerlaw", _cmd_powerlaw, "power-log band scale budget", [
+    _add(sub, "powerlaw", _cmd_powerlaw, "power-log band scale budget", prefactor_flags + [
         ("--p1", _F), ("--p2", _F), ("--q1", _F), ("--q2", _F),
-        ("--length-prefactor", _F), ("--width-prefactor", _F),
     ] + const_flags)
     _add(sub, "structured", _cmd_structured, "block-structured bounds", [
-        ("--shape", {"default": None, "choices": ["offdiag", "even", "odd"]}),
+        ("--shape", {"choices": ["offdiag", "even", "odd"]}),
         ("--a12", _F), ("--b12", _F), ("--a21", _F), ("--b21", _F),
         ("--a11", _F), ("--b11", _F), ("--a22", _F), ("--b22", _F),
         ("--alpha", _F), ("--beta", _F), ("--beta1", _F), ("--beta2", _F),
     ])
     _add(sub, "dirac-envelope", _cmd_dirac_envelope, "planar Dirac envelope curve", [
-        ("--p", _F), ("--vnorm", _F), ("--samples", _F), ("--b-min", _F), ("--b-max", _F),
+        ("--p", _F), ("--vnorm", _F), ("--samples", _I), ("--b-min", _F), ("--b-max", _F),
         ("--re", _F), ("--csv", _S),
     ])
     _add(sub, "coulomb", _cmd_coulomb, "Coulomb-type spectrum region", [
         ("--c1", _F), ("--c2", _F), ("--mass", _F), ("--re", _F), ("--im", _F),
     ])
-    _add(sub, "manifold", _cmd_manifold, "waveguide band relative bounds", [
-        ("--c", _F), ("--p", _F), ("--case", _F), ("--n", _F), ("--eps-geom", _F),
-        ("--length-prefactor", _F), ("--width-prefactor", _F),
+    _add(sub, "manifold", _cmd_manifold, "waveguide band relative bounds", prefactor_flags + [
+        ("--c", _F), ("--p", _F), ("--case", _I), ("--n", _I), ("--eps-geom", _F),
         ("--pipeline", {"action": "store_true"}),
     ])
     _add(sub, "two-channel", _cmd_two_channel, "two-channel lower bound", [
-        ("--d", _F), ("--p", _F), ("--v12", _F), ("--p0", _F),
-        ("--p1", _S), ("--p2", _S),
+        ("--d", _I), ("--p", _F), ("--v12", _F), ("--p0", _F),
+        ("--p1", _S, ()), ("--p2", _S, ()),
     ])
     _add(sub, "verify", _cmd_verify, "run the matrix verification suite", [
-        ("--suite", _S), ("--instances", _F), ("--seed", _F),
-        ("--dim-lo", _F), ("--dim-hi", _F), ("--widen", _F), ("--s-points", _F),
+        ("--suite", _S, "standard"), ("--instances", _I, 500), ("--seed", _I, 20260822),
+        ("--dim-lo", _I, 4), ("--dim-hi", _I, 40), ("--widen", _F, 0.0), ("--s-points", _I, 11),
         ("--csv", _S),
     ])
     _add(sub, "sample-region", _cmd_sample_region, "region boundary polylines as CSV", [
-        ("--kind", {"default": None,
-                    "choices": ["hyperbola", "strip", "sector", "coulomb", "envelope"]}),
-        ("--resolution", _F), ("--clip", _F), ("--csv", _S),
+        ("--kind", {"choices": ["hyperbola", "strip", "sector", "coulomb", "envelope"]}),
+        ("--resolution", _I, 256), ("--clip", _F), ("--csv", _S, "-"),
         ("--a", _F), ("--b", _F), ("--lo", _F), ("--hi", _F),
         ("--r-eps", _F), ("--half-angle", _F),
         ("--c1", _F), ("--c2", _F), ("--mass", _F),
-        ("--p", {"type": float, "action": "append", "default": None}),
+        ("--p", {"type": float, "action": "append"}),
         ("--vnorm", _F),
     ])
     return parser

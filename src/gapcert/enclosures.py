@@ -12,8 +12,11 @@ norm bounds for the resolvent on those regions, and eigenvalue counting
 strips.  No operator enters; every result is a closed-form expression, so
 soundness can be checked against finite-dimensional oracles.
 
-Conventions: all strict inequalities are evaluated exactly in doubles; a
-constant b >= 1 is rejected as not applicable rather than clamped.
+Conventions: strict inequalities and returned endpoints are plain double
+arithmetic, not yet rounded in the safe direction, so within a few ulp of
+a threshold a verdict can differ from exact arithmetic on the same
+inputs; a constant b >= 1 is rejected as not applicable rather than
+clamped.
 """
 
 from __future__ import annotations
@@ -22,7 +25,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .errors import BoundNotValid, ConditionNotApplicable
+from .errors import (
+    BoundNotValid,
+    ConditionNotApplicable,
+    NumericalFailure,
+    require_finite,
+    require_int,
+    require_nonneg,
+    require_positive,
+)
 
 __all__ = [
     "QuadBound",
@@ -52,13 +63,6 @@ __all__ = [
 ]
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class QuadBound:
     """Constants of a quadratic relative bound ||Ax||^2 <= a^2||x||^2 + b^2||Tx||^2."""
@@ -67,10 +71,8 @@ class QuadBound:
     b: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _require_finite("a", self.a))
-        object.__setattr__(self, "b", _require_finite("b", self.b))
-        if self.a < 0 or self.b < 0:
-            raise ValueError("relative-bound constants must be nonnegative")
+        object.__setattr__(self, "a", require_nonneg("a", self.a))
+        object.__setattr__(self, "b", require_nonneg("b", self.b))
 
     def shift(self, x: float) -> float:
         """Vertical half-width sqrt(a^2 + b^2 x^2) of the enclosure at abscissa x."""
@@ -85,10 +87,8 @@ class LinBound:
     b_lin: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a_lin", _require_finite("a_lin", self.a_lin))
-        object.__setattr__(self, "b_lin", _require_finite("b_lin", self.b_lin))
-        if self.a_lin < 0 or self.b_lin < 0:
-            raise ValueError("relative-bound constants must be nonnegative")
+        object.__setattr__(self, "a_lin", require_nonneg("a_lin", self.a_lin))
+        object.__setattr__(self, "b_lin", require_nonneg("b_lin", self.b_lin))
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,8 @@ class Gap:
     beta: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", _require_finite("alpha", self.alpha))
-        object.__setattr__(self, "beta", _require_finite("beta", self.beta))
+        object.__setattr__(self, "alpha", require_finite("alpha", self.alpha))
+        object.__setattr__(self, "beta", require_finite("beta", self.beta))
         if not self.alpha < self.beta:
             raise ValueError("gap requires alpha < beta")
 
@@ -140,9 +140,7 @@ def quad_from_linear(lin: LinBound, eps: float) -> QuadBound:
     For any eps > 0,  (a' + b' t)^2 <= a'^2 (1+eps) + b'^2 (1+1/eps) t^2,
     so (a, b) = (a' sqrt(1+eps), b' sqrt(1+1/eps)) is a valid quadratic pair.
     """
-    eps = _require_finite("eps", eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = require_positive("eps", eps)
     return QuadBound(lin.a_lin * math.sqrt(1.0 + eps), lin.b_lin * math.sqrt(1.0 + 1.0 / eps))
 
 
@@ -152,7 +150,7 @@ def optimal_shift_linear(lin: LinBound, x: float) -> float:
     min over eps > 0 of sqrt(a(eps)^2 + b(eps)^2 x^2) equals a' + b'|x|,
     attained at eps = b'|x|/a' (limiting cases a' = 0 or b'|x| = 0 included).
     """
-    x = _require_finite("x", x)
+    x = require_finite("x", x)
     return lin.a_lin + lin.b_lin * abs(x)
 
 
@@ -262,7 +260,7 @@ def resolvent_bound_strip_refined(q: QuadBound, gap: Gap, z: complex) -> float:
         # the two closed forms of the crossover must agree to rounding
         scale = max(1.0, abs(gap.alpha), abs(gap.beta))
         if abs(zeta - zeta_alt) > 1e-12 * scale:
-            raise AssertionError("crossover forms disagree beyond rounding")
+            raise NumericalFailure("crossover forms disagree beyond rounding")
     else:
         zeta = 0.5 * (gap.alpha + gap.beta)
     mid = 0.5 * (gap.alpha + gap.beta)
@@ -318,9 +316,7 @@ def symmetric_gap_strip(q: QuadBound, beta: float) -> SymmetricGapResult:
     The gap survives when sqrt(a^2 + b^2 beta^2) < beta; the perturbed
     half-width is beta_pert = beta - sqrt(a^2 + b^2 beta^2).
     """
-    beta = _require_finite("beta", beta)
-    if beta <= 0:
-        raise ValueError("symmetric gap requires beta > 0")
+    beta = require_positive("beta", beta)
     _check_b_lt_1(q)
     s = q.shift(beta)
     beta_pert = beta - s
@@ -338,7 +334,7 @@ def semibounded_lower_bound(bound: Union[QuadBound, LinBound], beta: float) -> f
     Quadratic constants give beta - sqrt(a^2 + b^2 beta^2) (requires b < 1);
     linear constants give beta - (a' + b' beta).
     """
-    beta = _require_finite("beta", beta)
+    beta = require_finite("beta", beta)
     if isinstance(bound, QuadBound):
         _check_b_lt_1(bound)
         return beta - bound.shift(beta)
@@ -353,6 +349,13 @@ class GKCover:
 
     r_eps: float
     half_angle: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "r_eps", require_nonneg("r_eps", self.r_eps))
+        half_angle = require_finite("half_angle", self.half_angle)
+        if not 0.0 < half_angle < math.pi / 2:
+            raise ValueError("half_angle must lie in (0, pi/2)")
+        object.__setattr__(self, "half_angle", half_angle)
 
     def contains(self, z: complex) -> bool:
         z = complex(z)
@@ -372,7 +375,7 @@ def gk_sector_cover(family: Callable[[float], QuadBound], eps: float) -> GKCover
     in the ball of radius r_eps, r_eps^2 = r0^2 + (a_eps^2 + b_eps^2 r0^2)/(1 - b_eps^2),
     united with the double sector of half-angle eps.
     """
-    eps = _require_finite("eps", eps)
+    eps = require_finite("eps", eps)
     if not 0.0 < eps < math.pi / 2:
         raise ValueError("eps must lie in (0, pi/2)")
     q = family(eps)
@@ -394,10 +397,8 @@ def subordination_family(c: float, p: float) -> Callable[[float], float]:
     the least constant with c v^p <= a(b) + b v for all v >= 0.  For p = 0
     the family is constant a(b) = c.
     """
-    c = _require_finite("c", c)
-    p = _require_finite("p", p)
-    if c < 0:
-        raise ValueError("c must be nonnegative")
+    c = require_nonneg("c", c)
+    p = require_finite("p", p)
     if not 0.0 <= p < 1.0:
         raise ValueError("p must lie in [0, 1)")
 
@@ -432,12 +433,10 @@ class IsolatedEigSpec:
 
     def __post_init__(self) -> None:
         for name in ("lam", "alpha", "beta"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+            object.__setattr__(self, name, require_finite(name, getattr(self, name)))
         if not (self.alpha < self.lam < self.beta):
             raise ValueError("requires alpha < lam < beta")
-        if int(self.mult) != self.mult or self.mult < 0:
-            raise ValueError("mult must be a nonnegative integer")
-        object.__setattr__(self, "mult", int(self.mult))
+        object.__setattr__(self, "mult", require_int("mult", self.mult, 0))
 
 
 @dataclass(frozen=True)

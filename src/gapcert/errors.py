@@ -1,6 +1,14 @@
-"""Exception types shared across the certification modules."""
+"""Exception types and argument validators shared across the modules.
+
+Each validator returns the checked value as a float (an int for
+require_int) or raises ValueError naming the parameter.
+"""
 
 from __future__ import annotations
+
+from math import inf, isfinite
+
+__all__ = ["ConditionNotApplicable", "BoundNotValid", "NumericalFailure", "NearSingular"]
 
 
 class ConditionNotApplicable(Exception):
@@ -21,3 +29,35 @@ class NumericalFailure(Exception):
 
 class NearSingular(NumericalFailure):
     """Resolvent norm requested within 1e-12 of an eigenvalue."""
+
+
+def require_finite(name: str, value: float) -> float:
+    value = float(value)
+    if not isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def require_nonneg(name: str, value: float) -> float:
+    value = float(value)
+    if not 0.0 <= value < inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+    return value
+
+
+def require_positive(name: str, value: float) -> float:
+    value = float(value)
+    if not 0.0 < value < inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return value
+
+
+def require_int(name: str, value, least: int) -> int:
+    """A whole number >= least; fractional and non-finite values are refused."""
+    try:
+        whole = int(value)
+    except (OverflowError, TypeError, ValueError):
+        whole = None
+    if whole is None or whole != value or whole < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return whole

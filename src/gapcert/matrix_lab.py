@@ -18,7 +18,7 @@ import cmath
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -336,6 +336,32 @@ def _gen_plain(rng, dim, seed, kind, gaps, magnitude, n_gaps, name) -> MatrixIns
     )
 
 
+def _calibrate_pair(rng, layout, blocks, scale, magnitude, t_diag):
+    """Scale t so that t sqrt(s1 s2) = magnitude * scale with t * max(b1, b2) < 0.9.
+
+    Block i is (raw, T block, edge) with shift s_i = hypot(a_i, b_i edge_i).
+    Returns A = t * block(layout), its QuadBound at b = 0.3, and the scaled
+    block constants (a1, b1, a2, b2).
+    """
+    b1 = float(rng.uniform(0.05, 0.45))
+    b2 = float(rng.uniform(0.05, 0.45))
+    (raw1, t1, edge1), (raw2, t2, edge2) = blocks
+    for _ in range(80):
+        a1 = _amin(raw1, t1, b1)
+        a2 = _amin(raw2, t2, b2)
+        s1 = math.hypot(a1, b1 * edge1)
+        s2 = math.hypot(a2, b2 * edge2)
+        t = magnitude * scale / math.sqrt(s1 * s2)
+        if t * max(b1, b2) < 0.9:
+            break
+        b1 *= 0.5
+        b2 *= 0.5
+    else:
+        raise NumericalFailure("failed to calibrate two-block instance")
+    a_mat = t * np.block(layout)
+    return a_mat, QuadBound(_amin(a_mat, t_diag, 0.3), 0.3), (t * a1, t * b1, t * a2, t * b2)
+
+
 def _gen_offdiag(rng, dim, seed, magnitude, name) -> MatrixInstance:
     if dim % 2:
         raise ValueError("offdiag instances need an even dimension")
@@ -350,31 +376,17 @@ def _gen_offdiag(rng, dim, seed, magnitude, name) -> MatrixInstance:
     t_diag = np.concatenate([t1, t2])
     raw12 = _dense(rng, n1)
     raw21 = _dense(rng, n1)
-    b12 = float(rng.uniform(0.05, 0.45))
-    b21 = float(rng.uniform(0.05, 0.45))
-    half = 0.5 * gap.width
-    for _ in range(80):
-        a12 = _amin(raw12, t2, b12)
-        a21 = _amin(raw21, t1, b21)
-        s12 = math.hypot(a12, b12 * gap.beta)
-        s21 = math.hypot(a21, b21 * gap.alpha)
-        t = magnitude * half / math.sqrt(s12 * s21)
-        if t * max(b12, b21) < 0.9:
-            break
-        b12 *= 0.5
-        b21 *= 0.5
-    else:
-        raise NumericalFailure("failed to calibrate off-diagonal instance")
-    a_mat = np.zeros((dim, dim), dtype=complex)
-    a_mat[:n1, n1:] = t * raw12
-    a_mat[n1:, :n1] = t * raw21
-    quad = QuadBound(_amin(a_mat, t_diag, 0.3), 0.3)
+    zero = np.zeros_like(raw12)
+    a_mat, quad, consts = _calibrate_pair(
+        rng, [[zero, raw12], [raw21, zero]], ((raw12, t2, gap.beta), (raw21, t1, gap.alpha)),
+        0.5 * gap.width, magnitude, t_diag,
+    )
     return MatrixInstance(
         name=name, kind="offdiag", structure="offdiag", seed=seed,
         t_diag=t_diag, a_mat=a_mat, quad=quad,
         gaps=(gap,) if gap_condition(quad, gap) else (),
         block_split=n1,
-        off_bounds=OffDiagBounds(t * a12, t * b12, t * a21, t * b21),
+        off_bounds=OffDiagBounds(*consts),
     )
 
 
@@ -391,29 +403,16 @@ def _gen_even(rng, dim, seed, magnitude, name) -> MatrixInstance:
     t_diag = np.concatenate([d1, d2])
     raw12 = _dense(rng, n1)
     raw21 = _dense(rng, n1)
-    b12 = float(rng.uniform(0.05, 0.45))
-    b21 = float(rng.uniform(0.05, 0.45))
-    for _ in range(80):
-        a12 = _amin(raw12, d2, b12)
-        a21 = _amin(raw21, d1, b21)
-        s12 = math.hypot(a12, b12 * beta2)
-        s21 = math.hypot(a21, b21 * beta1)
-        t = magnitude * 0.5 * (beta1 + beta2) / math.sqrt(s12 * s21)
-        if t * max(b12, b21) < 0.9:
-            break
-        b12 *= 0.5
-        b21 *= 0.5
-    else:
-        raise NumericalFailure("failed to calibrate even-structure instance")
-    a_mat = np.zeros((dim, dim), dtype=complex)
-    a_mat[:n1, n1:] = t * raw12
-    a_mat[n1:, :n1] = t * raw21
-    quad = QuadBound(_amin(a_mat, t_diag, 0.3), 0.3)
+    zero = np.zeros_like(raw12)
+    a_mat, quad, consts = _calibrate_pair(
+        rng, [[zero, raw12], [raw21, zero]], ((raw12, d2, beta2), (raw21, d1, beta1)),
+        0.5 * (beta1 + beta2), magnitude, t_diag,
+    )
     return MatrixInstance(
         name=name, kind="even", structure="offdiag", seed=seed,
         t_diag=t_diag, a_mat=a_mat, quad=quad, gaps=(),
         block_split=n1,
-        off_bounds=OffDiagBounds(t * a12, t * b12, t * a21, t * b21),
+        off_bounds=OffDiagBounds(*consts),
         minima=BlockMinima(beta1, beta2),
     )
 
@@ -434,35 +433,17 @@ def _gen_odd(rng, dim, seed, magnitude, name) -> MatrixInstance:
     t_diag = np.concatenate([d, -d])
     raw_p = _dense(rng, n1)
     raw_q = _dense(rng, n1)
-    b11 = float(rng.uniform(0.05, 0.45))
-    b22 = float(rng.uniform(0.05, 0.45))
-    plus = raw_p + raw_q
-    minus = raw_p - raw_q
-    for _ in range(80):
-        a11 = _amin(plus, d, b11)
-        a22 = _amin(minus, d, b22)
-        s1 = math.hypot(a11, b11 * beta)
-        s2 = math.hypot(a22, b22 * beta)
-        t = magnitude * beta / math.sqrt(s1 * s2)
-        if t * max(b11, b22) < 0.9:
-            break
-        b11 *= 0.5
-        b22 *= 0.5
-    else:
-        raise NumericalFailure("failed to calibrate pair-coupled instance")
-    a_mat = np.zeros((dim, dim), dtype=complex)
-    a_mat[:n1, :n1] = t * raw_p
-    a_mat[:n1, n1:] = t * raw_q
-    a_mat[n1:, :n1] = t * raw_q
-    a_mat[n1:, n1:] = t * raw_p
-    quad = QuadBound(_amin(a_mat, t_diag, 0.3), 0.3)
+    a_mat, quad, consts = _calibrate_pair(
+        rng, [[raw_p, raw_q], [raw_q, raw_p]], ((raw_p + raw_q, d, beta), (raw_p - raw_q, d, beta)),
+        beta, magnitude, t_diag,
+    )
     gap = Gap(-beta, beta)
     return MatrixInstance(
         name=name, kind="diag-blocks", structure="diag-blocks", seed=seed,
         t_diag=t_diag, a_mat=a_mat, quad=quad,
         gaps=(gap,) if gap_condition(quad, gap) else (),
         block_split=n1,
-        diag_bounds=DiagBounds(t * a11, t * b11, t * a22, t * b22),
+        diag_bounds=DiagBounds(*consts),
         odd_beta=beta,
     )
 
@@ -571,6 +552,13 @@ def _widened(strip: StripResult, widen: float) -> tuple[float, float]:
     return center - half, center + half
 
 
+def _judged(check: str, worst: tuple[float, str], tol: float, note: str = "") -> CheckResult:
+    """Verdict on the worst (margin, witness): pass when margin >= -tol; failures keep the witness."""
+    margin, witness = worst
+    passed = margin >= -tol
+    return CheckResult(check, margin, passed, witness if not passed else "", note)
+
+
 def _strip_margin(
     eigs: np.ndarray, lo: float, hi: float, scale: float
 ) -> tuple[float, str]:
@@ -578,6 +566,12 @@ def _strip_margin(
     outside = np.maximum(lo - re, re - hi) / scale
     k = int(np.argmin(outside))
     return float(outside[k]), repr(complex(eigs.ravel()[k]))
+
+
+def _floor_margin(values: np.ndarray, claimed: float, scale: float, eigs: np.ndarray) -> tuple[float, str]:
+    """Margin of the least of `values` (one per eigenvalue) above a claimed floor."""
+    k = int(np.argmin(values))
+    return (float(values[k]) - claimed) / scale, repr(complex(eigs.ravel()[k]))
 
 
 def _check_eig_sanity(inst: MatrixInstance, top: np.ndarray) -> CheckResult:
@@ -592,39 +586,36 @@ def _check_eig_sanity(inst: MatrixInstance, top: np.ndarray) -> CheckResult:
         diff = complex(np.sum(np.log(lam))) - complex(logabs, cmath.phase(complex(sign)))
         angle = (diff.imag + math.pi) % (2.0 * math.pi) - math.pi
         err = max(err, abs(complex(diff.real, angle)))
-    margin = tol - err
-    return CheckResult("eig-sanity", margin, margin >= 0.0, note="trace and determinant identities")
+    return _judged("eig-sanity", (tol - err, ""), 0.0, "trace and determinant identities")
 
 
 def _check_hyperbola(inst, s_grid, eigs, opt) -> CheckResult:
-    worst, witness = math.inf, ""
+    worst = (math.inf, "")
     for s, row in zip(s_grid, eigs):
         a, b = s * inst.quad.a, s * inst.quad.b
         bound_sq = (a * a + b * b * row.real**2) / (1.0 - b * b)
         margin = (bound_sq - row.imag**2) / np.maximum(1.0, bound_sq)
         k = int(np.argmin(margin))
-        if margin[k] < worst:
-            worst, witness = float(margin[k]), repr(complex(row[k]))
-    passed = worst >= -opt.rel_margin
-    return CheckResult("hyperbola", worst, passed, witness if not passed else "")
+        if margin[k] < worst[0]:
+            worst = (float(margin[k]), repr(complex(row[k])))
+    return _judged("hyperbola", worst, opt.rel_margin)
 
 
 def _check_strips(inst, eigs, opt) -> CheckResult:
-    worst, witness, notes = math.inf, "", []
+    worst, notes = (math.inf, ""), []
     for gap in inst.gaps:
         strip = perturbed_strip(inst.quad, gap)
         if not strip.open:
             continue
         lo, hi = _widened(strip, opt.widen)
         scale = max(1.0, abs(gap.alpha), abs(gap.beta))
-        m, w = _strip_margin(eigs, lo, hi, scale)
         notes.append(f"({gap.alpha:.3g},{gap.beta:.3g})")
-        if m < worst:
-            worst, witness = m, w
+        found = _strip_margin(eigs, lo, hi, scale)
+        if found[0] < worst[0]:
+            worst = found
     if not notes:
         return CheckResult("strip", 0.0, True, note="no certified strip")
-    passed = worst >= -opt.rel_margin
-    return CheckResult("strip", worst, passed, witness if not passed else "", " ".join(notes))
+    return _judged("strip", worst, opt.rel_margin, " ".join(notes))
 
 
 def _batch_resolvent_norms(m0: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -632,6 +623,24 @@ def _batch_resolvent_norms(m0: np.ndarray, zs: np.ndarray) -> np.ndarray:
     shifted = m0[None, :, :] - zs[:, None, None] * np.eye(n)[None]
     smin = np.linalg.svd(shifted, compute_uv=False)[:, -1]
     return 1.0 / np.maximum(smin, 1e-300)
+
+
+# Im z offsets of the in-strip z-grids, in units of the gap width
+_NU = np.array([0.0, 0.05, -0.05, 0.7, -0.7, 5.0, -5.0])
+
+
+def _zgrid(mu: np.ndarray, width: float, opt) -> np.ndarray:
+    nu = width * _NU[: opt.z_im]
+    return (mu[:, None] + 1j * nu[None, :]).ravel()
+
+
+def _resolvent_worst(m0, zs, bounds, opt, worst=(math.inf, "")) -> tuple[float, str]:
+    """Worst relative margin of certified resolvent bounds over the oracle's norms at zs."""
+    for z, bound, nrm in zip(zs, bounds, _batch_resolvent_norms(m0, zs)):
+        margin = (bound * (1.0 + opt.resolvent_tol) - nrm) / bound
+        if margin < worst[0]:
+            worst = (float(margin), repr(complex(z)))
+    return worst
 
 
 def _check_resolvent_offreal(inst, m0, opt) -> CheckResult:
@@ -646,51 +655,36 @@ def _check_resolvent_offreal(inst, m0, opt) -> CheckResult:
     # a degenerate boundary (a = 0 at re = 0) excludes every im > 0
     im = np.where(boundary[:, None] > 0.0, im, r * fracs[None, :])
     zs = (res[:, None] + 1j * im).ravel()
-    norms = _batch_resolvent_norms(m0, zs)
-    worst, witness = math.inf, ""
-    for z, nrm in zip(zs, norms):
-        bound = resolvent_bound_offreal(q, z)
-        margin = (bound * (1.0 + opt.resolvent_tol) - nrm) / bound
-        if margin < worst:
-            worst, witness = float(margin), repr(complex(z))
-    passed = worst >= -opt.rel_margin
-    return CheckResult("resolvent-offreal", worst, passed, witness if not passed else "")
-
-
-def _strip_zgrid(lo: float, hi: float, width: float, opt) -> np.ndarray:
-    mu = lo + (hi - lo) * np.linspace(opt.inset, 1.0 - opt.inset, opt.z_re)
-    nu = width * np.array([0.0, 0.05, -0.05, 0.7, -0.7, 5.0, -5.0])[: opt.z_im]
-    return (mu[:, None] + 1j * nu[None, :]).ravel()
+    bounds = [resolvent_bound_offreal(q, z) for z in zs]
+    return _judged("resolvent-offreal", _resolvent_worst(m0, zs, bounds, opt), opt.rel_margin)
 
 
 def _check_resolvent_strip(inst, m0, opt) -> tuple[CheckResult, CheckResult]:
-    worst_s, wit_s = math.inf, ""
-    worst_r, wit_r = math.inf, ""
+    q = inst.quad
+    worst_s = worst_r = (math.inf, "")
     any_strip = False
     for gap in inst.gaps:
-        strip = perturbed_strip(inst.quad, gap)
+        strip = perturbed_strip(q, gap)
         if not strip.open:
             continue
         any_strip = True
-        zs = _strip_zgrid(strip.lo, strip.hi, gap.width, opt)
-        norms = _batch_resolvent_norms(m0, zs)
-        for z, nrm in zip(zs, norms):
-            plain = resolvent_bound_strip(inst.quad, gap, z)
-            refined = resolvent_bound_strip_refined(inst.quad, gap, z)
-            m1 = (min(plain, refined) * (1.0 + opt.resolvent_tol) - nrm) / min(plain, refined)
-            if m1 < worst_s:
-                worst_s, wit_s = float(m1), repr(complex(z))
-            m2 = (plain * (1.0 + opt.refined_tol) - refined) / plain
-            if m2 < worst_r:
-                worst_r, wit_r = float(m2), repr(complex(z))
+        mu = strip.lo + (strip.hi - strip.lo) * np.linspace(opt.inset, 1.0 - opt.inset, opt.z_re)
+        zs = _zgrid(mu, gap.width, opt)
+        bounds = []
+        for z in zs:
+            plain = resolvent_bound_strip(q, gap, z)
+            refined = resolvent_bound_strip_refined(q, gap, z)
+            bounds.append(min(plain, refined))
+            margin = (plain * (1.0 + opt.refined_tol) - refined) / plain
+            if margin < worst_r[0]:
+                worst_r = (float(margin), repr(complex(z)))
+        worst_s = _resolvent_worst(m0, zs, bounds, opt, worst_s)
     if not any_strip:
         skip = CheckResult("resolvent-strip", 0.0, True, note="no certified strip")
         return skip, CheckResult("refined-le-plain", 0.0, True, note="no certified strip")
-    ok_s = worst_s >= -opt.rel_margin
-    ok_r = worst_r >= 0.0
     return (
-        CheckResult("resolvent-strip", worst_s, ok_s, wit_s if not ok_s else ""),
-        CheckResult("refined-le-plain", worst_r, ok_r, wit_r if not ok_r else ""),
+        _judged("resolvent-strip", worst_s, opt.rel_margin),
+        _judged("refined-le-plain", worst_r, 0.0),
     )
 
 
@@ -701,135 +695,82 @@ def _check_resolvent_symgap(inst, m0, opt) -> CheckResult | None:
     result = symmetric_gap_strip(inst.quad, gap.beta)
     if not result.strip.open:
         return None
-    bp = result.beta_pert
-    mu = bp * np.linspace(-(1.0 - opt.inset), 1.0 - opt.inset, opt.z_re)
-    nu = gap.beta * np.array([0.0, 0.05, -0.05, 0.7, -0.7, 5.0, -5.0])[: opt.z_im]
-    zs = (mu[:, None] + 1j * nu[None, :]).ravel()
-    norms = _batch_resolvent_norms(m0, zs)
-    worst, witness = math.inf, ""
-    for z, nrm in zip(zs, norms):
-        bound = result.resolvent_bound(z)
-        margin = (bound * (1.0 + opt.resolvent_tol) - nrm) / bound
-        if margin < worst:
-            worst, witness = float(margin), repr(complex(z))
-    passed = worst >= -opt.rel_margin
-    return CheckResult("resolvent-symgap", worst, passed, witness if not passed else "")
+    mu = result.beta_pert * np.linspace(-(1.0 - opt.inset), 1.0 - opt.inset, opt.z_re)
+    zs = _zgrid(mu, gap.beta, opt)
+    bounds = [result.resolvent_bound(z) for z in zs]
+    return _judged("resolvent-symgap", _resolvent_worst(m0, zs, bounds, opt), opt.rel_margin)
 
 
 def _check_balls(inst, s_grid, eigs, opt) -> CheckResult:
-    worst, witness = math.inf, ""
+    worst = (math.inf, "")
     for gap in inst.gaps:
         for s, row in zip(s_grid, eigs):
             q = QuadBound(s * inst.quad.a, s * inst.quad.b)
             for disk in lower_semicont_balls(q, gap):
                 dist = float(np.abs(row - disk.center).min())
                 margin = (disk.radius - dist) / max(1.0, disk.radius)
-                if margin < worst:
-                    worst, witness = margin, f"disk@{disk.center!r}"
-    if math.isinf(worst):
+                if margin < worst[0]:
+                    worst = (margin, f"disk@{disk.center!r}")
+    if math.isinf(worst[0]):
         return CheckResult("balls", 0.0, True, note="no gap data")
-    passed = worst >= -opt.rel_margin
-    return CheckResult("balls", worst, passed, witness if not passed else "")
+    return _judged("balls", worst, opt.rel_margin)
 
 
 def _check_eig_count(inst, eigs, opt) -> CheckResult:
     spec = inst.isolated
     strip = isolated_eigenvalue_strip(inst.quad, spec)
-    lo, hi = strip.lo, strip.hi
-    if opt.widen:
-        center, half = 0.5 * (lo + hi), 0.5 * (hi - lo) * (1.0 + opt.widen)
-        lo, hi = center - half, center + half
-    worst, witness = 0.0, ""
+    lo, hi = _widened(strip, opt.widen) if opt.widen else (strip.lo, strip.hi)
+    worst = (0.0, "")
     for row in eigs:
         count = int(np.sum((row.real > lo) & (row.real < hi)))
-        if abs(count - spec.mult) > abs(worst):
-            worst, witness = float(-(abs(count - spec.mult))), f"count={count}"
-    passed = worst >= -opt.rel_margin
-    return CheckResult(
-        "eig-count", worst, passed, witness if not passed else "",
-        note=f"expect {spec.mult} in ({lo:.6g},{hi:.6g})",
-    )
+        if abs(count - spec.mult) > abs(worst[0]):
+            worst = (float(-(abs(count - spec.mult))), f"count={count}")
+    return _judged("eig-count", worst, opt.rel_margin, f"expect {spec.mult} in ({lo:.6g},{hi:.6g})")
 
 
 def _check_numrange_windows(inst, eigs_full, opt) -> CheckResult:
-    m = inst.almost_inside
-    gap = inst.almost_gap
-    w = inst.almost_w
     applicable = []
-    worst, witness = 0.0, ""
+    worst = (0.0, "")
     for case in ("i", "ii", "iii", "iv"):
         try:
-            out = almost_gap_eig_bound(case, inst.quad, gap, m, w)
+            out = almost_gap_eig_bound(case, inst.quad, inst.almost_gap, inst.almost_inside, inst.almost_w)
         except ConditionNotApplicable:
             continue
         applicable.append(case)
         count = int(np.sum((eigs_full.real > out.lo) & (eigs_full.real < out.hi)))
         excess = float(count - out.max_count)
-        if -excess < worst:
-            worst, witness = -excess, f"case {case}: count={count}"
+        if -excess < worst[0]:
+            worst = (-excess, f"case {case}: count={count}")
     if not applicable:
         return CheckResult("numrange-window", 0.0, True, note="no applicable case")
-    passed = worst >= -opt.rel_margin
-    return CheckResult(
-        "numrange-window", worst, passed, witness if not passed else "",
-        note="cases " + ",".join(applicable),
-    )
+    return _judged("numrange-window", worst, opt.rel_margin, "cases " + ",".join(applicable))
 
 
-def _check_structured(inst, eigs, opt) -> list[CheckResult]:
-    out: list[CheckResult] = []
-    if inst.kind == "offdiag" and inst.off_bounds is not None:
-        # the generating gap is recoverable from the block spectra
-        n1 = inst.block_split
-        gap = Gap(float(inst.t_diag[:n1].max()), float(inst.t_diag[n1:].min()))
-        try:
-            res = offdiag_gap(inst.off_bounds, gap)
-        except ConditionNotApplicable:
-            out.append(CheckResult("structured-offdiag", 0.0, True, note="not applicable"))
-            return out
-        lo, hi = _widened(res.strip, opt.widen)
-        scale = max(1.0, abs(gap.alpha), abs(gap.beta))
-        m, w = _strip_margin(eigs, lo, hi, scale)
-        passed = m >= -opt.rel_margin
-        out.append(CheckResult("structured-offdiag", m, passed, w if not passed else ""))
-    if inst.kind == "even" and inst.minima is not None:
-        try:
+def _check_structured(inst, eigs, opt) -> CheckResult | None:
+    """The block-structure bound of an offdiag, even or diag-blocks instance."""
+    flat = eigs.ravel()
+    try:
+        if inst.kind == "offdiag" and inst.off_bounds is not None:
+            check = "structured-offdiag"
+            # the generating gap is recoverable from the block spectra
+            n1 = inst.block_split
+            gap = Gap(float(inst.t_diag[:n1].max()), float(inst.t_diag[n1:].min()))
+            lo, hi = _widened(offdiag_gap(inst.off_bounds, gap).strip, opt.widen)
+            worst = _strip_margin(eigs, lo, hi, max(1.0, abs(gap.alpha), abs(gap.beta)))
+        elif inst.kind == "even" and inst.minima is not None:
+            check = "structured-even"
             bound = even_lowerbound(inst.off_bounds, inst.minima)
-        except ConditionNotApplicable:
-            out.append(CheckResult("structured-even", 0.0, True, note="not applicable"))
-            return out
-        floor = min(inst.minima.beta1, inst.minima.beta2)
-        claimed = bound + opt.widen * (floor - bound)
-        re = eigs.real.ravel()
-        k = int(np.argmin(re))
-        scale = max(1.0, abs(claimed))
-        m = (float(re[k]) - claimed) / scale
-        passed = m >= -opt.rel_margin
-        out.append(
-            CheckResult(
-                "structured-even", m, passed,
-                repr(complex(eigs.ravel()[k])) if not passed else "",
-            )
-        )
-    if inst.kind == "diag-blocks" and inst.diag_bounds is not None:
-        try:
-            beta_plus = odd_symmetric_gap(inst.diag_bounds, inst.odd_beta)
-        except ConditionNotApplicable:
-            out.append(CheckResult("structured-odd", 0.0, True, note="not applicable"))
-            return out
-        claimed = beta_plus * (1.0 + opt.widen)
-        re_abs = np.abs(eigs.real.ravel())
-        k = int(np.argmin(re_abs))
-        scale = max(1.0, claimed)
-        m = (float(re_abs[k]) - claimed) / scale
-        passed = m >= -opt.rel_margin
-        out.append(
-            CheckResult(
-                "structured-odd", m, passed,
-                repr(complex(eigs.ravel()[k])) if not passed else "",
-            )
-        )
-    return out
+            claimed = bound + opt.widen * (min(inst.minima.beta1, inst.minima.beta2) - bound)
+            worst = _floor_margin(flat.real, claimed, max(1.0, abs(claimed)), flat)
+        elif inst.kind == "diag-blocks" and inst.diag_bounds is not None:
+            check = "structured-odd"
+            claimed = odd_symmetric_gap(inst.diag_bounds, inst.odd_beta) * (1.0 + opt.widen)
+            worst = _floor_margin(np.abs(flat.real), claimed, max(1.0, claimed), flat)
+        else:
+            return None
+    except ConditionNotApplicable:
+        return CheckResult(check, 0.0, True, note="not applicable")
+    return _judged(check, worst, opt.rel_margin)
 
 
 def verify_instance(inst: MatrixInstance, options: VerifyOptions = VerifyOptions()) -> VerificationReport:
@@ -841,24 +782,22 @@ def verify_instance(inst: MatrixInstance, options: VerifyOptions = VerifyOptions
     checks: list[CheckResult] = [
         _check_eig_sanity(inst, eigs[-1]),
         _check_hyperbola(inst, s_grid, eigs, options),
+        _check_strips(inst, eigs, options),
+        _check_resolvent_offreal(inst, m0, options),
+        *_check_resolvent_strip(inst, m0, options),
     ]
-    checks.append(_check_strips(inst, eigs, options))
-    checks.append(_check_resolvent_offreal(inst, m0, options))
-    strip_check, refined_check = _check_resolvent_strip(inst, m0, options)
-    checks.extend((strip_check, refined_check))
-    sym = _check_resolvent_symgap(inst, m0, options)
-    if sym is not None:
-        checks.append(sym)
     hermitian = float(np.abs(inst.a_mat - inst.a_mat.conj().T).max()) <= 1e-14 * max(
         1.0, float(np.abs(inst.a_mat).max())
     )
+    optional = [_check_resolvent_symgap(inst, m0, options)]
     if hermitian and inst.gaps:
-        checks.append(_check_balls(inst, s_grid, eigs, options))
+        optional.append(_check_balls(inst, s_grid, eigs, options))
     if inst.isolated is not None:
-        checks.append(_check_eig_count(inst, eigs, options))
+        optional.append(_check_eig_count(inst, eigs, options))
     if inst.almost_gap is not None and hermitian:
-        checks.append(_check_numrange_windows(inst, eigs[-1], options))
-    checks.extend(_check_structured(inst, eigs, options))
+        optional.append(_check_numrange_windows(inst, eigs[-1], options))
+    optional.append(_check_structured(inst, eigs, options))
+    checks.extend(c for c in optional if c is not None)
     return VerificationReport(
         instance=inst.name, quad=inst.quad, s_points=options.s_points, checks=tuple(checks)
     )

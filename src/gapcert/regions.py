@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .applications import CoulombRegion, DiracSpec, _envelope_b_max, _envelope_xy
+from .applications import CoulombRegion, DiracSpec, _envelope_b_at, _envelope_b_max, _envelope_xy
 from .enclosures import GKCover, QuadBound
-from .errors import ConditionNotApplicable
+from .errors import ConditionNotApplicable, require_int, require_positive
 
 __all__ = [
     "Segment",
@@ -41,21 +41,14 @@ class Segment:
             raise ValueError("re and im must have equal length")
 
 
-def _check_resolution(resolution: int) -> int:
-    if int(resolution) != resolution or resolution < 2:
-        raise ValueError("resolution must be an integer >= 2")
-    return int(resolution)
-
-
-def _check_clip(clip: float) -> float:
-    clip = float(clip)
-    if not math.isfinite(clip) or clip <= 0:
-        raise ValueError("clip must be finite and positive")
-    return clip
-
-
 def _seg(name: str, re: np.ndarray, im: np.ndarray) -> Segment:
     return Segment(name, tuple(float(x) for x in re), tuple(float(y) for y in im))
+
+
+def _hyperbola_height(q: QuadBound, re: np.ndarray) -> np.ndarray:
+    if q.b >= 1.0:
+        raise ConditionNotApplicable("no enclosure for b >= 1: the hyperbola degenerates")
+    return np.sqrt((q.a**2 + q.b**2 * re**2) / (1.0 - q.b**2))
 
 
 def hyperbola_boundary(q: QuadBound, resolution: int, clip: float) -> tuple[Segment, Segment]:
@@ -63,19 +56,17 @@ def hyperbola_boundary(q: QuadBound, resolution: int, clip: float) -> tuple[Segm
 
     With b = 0 the branches degenerate to the horizontal lines Im = +-a.
     """
-    resolution = _check_resolution(resolution)
-    clip = _check_clip(clip)
-    if q.b >= 1.0:
-        raise ConditionNotApplicable("no enclosure for b >= 1: the hyperbola degenerates")
+    resolution = require_int("resolution", resolution, 2)
+    clip = require_positive("clip", clip)
     re = np.linspace(-clip, clip, resolution)
-    im = np.sqrt((q.a**2 + q.b**2 * re**2) / (1.0 - q.b**2))
+    im = _hyperbola_height(q, re)
     return _seg("upper", re, im), _seg("lower", re, -im)
 
 
 def strip_boundary(lo: float, hi: float, resolution: int, clip: float) -> tuple[Segment]:
     """Closed rectangle around the strip (lo, hi) cut at |Im| = clip."""
-    resolution = _check_resolution(resolution)
-    clip = _check_clip(clip)
+    resolution = require_int("resolution", resolution, 2)
+    clip = require_positive("clip", clip)
     lo, hi = float(lo), float(hi)
     if not lo < hi:
         raise ValueError("requires lo < hi")
@@ -92,8 +83,8 @@ def strip_boundary(lo: float, hi: float, resolution: int, clip: float) -> tuple[
 
 def sector_boundary(cover: GKCover, resolution: int, clip: float) -> tuple[Segment, ...]:
     """Ball circle plus the four sector boundary rays, cut at |z| = clip."""
-    resolution = _check_resolution(resolution)
-    clip = _check_clip(clip)
+    resolution = require_int("resolution", resolution, 2)
+    clip = require_positive("clip", clip)
     theta = np.linspace(0.0, 2.0 * math.pi, resolution)
     segments = [_seg("ball", cover.r_eps * np.cos(theta), cover.r_eps * np.sin(theta))]
     r = np.linspace(cover.r_eps, max(clip, cover.r_eps), resolution)
@@ -113,20 +104,13 @@ def coulomb_boundary(region: CoulombRegion, resolution: int, clip: float) -> tup
     Each component {+-Re z >= halfwidth, inside the hyperbola} contributes
     a vertical chord plus upper and lower hyperbola arcs: six segments.
     """
-    resolution = _check_resolution(resolution)
-    clip = _check_clip(clip)
-    q = region.quad
-    if q.b >= 1.0:
-        raise ConditionNotApplicable("no enclosure for b >= 1: the hyperbola degenerates")
+    resolution = require_int("resolution", resolution, 2)
+    clip = require_positive("clip", clip)
     hw = region.halfwidth
-
-    def height(re: np.ndarray) -> np.ndarray:
-        return np.sqrt((q.a**2 + q.b**2 * re**2) / (1.0 - q.b**2))
-
-    h0 = float(height(np.array([hw]))[0])
+    h0 = float(_hyperbola_height(region.quad, np.array([hw]))[0])
     chord_im = np.linspace(-h0, h0, resolution)
     arc_re = np.linspace(hw, max(clip, hw), resolution)
-    arc_im = height(arc_re)
+    arc_im = _hyperbola_height(region.quad, arc_re)
     segments = []
     for side, sign in (("right", 1.0), ("left", -1.0)):
         segments.append(_seg(f"{side}-chord", np.full(resolution, sign * hw), chord_im))
@@ -135,37 +119,15 @@ def coulomb_boundary(region: CoulombRegion, resolution: int, clip: float) -> tup
     return tuple(segments)
 
 
-def _b_at_re(spec: DiracSpec, target: float, b_max: float) -> float:
-    """b with envelope abscissa x(b) = target, found by geometric bisection."""
-    lo = b_max
-    for _ in range(2000):
-        x, _ = _envelope_xy(spec, lo)
-        if x >= target:
-            break
-        lo *= 0.5
-    else:
-        raise ConditionNotApplicable("envelope abscissa never reaches the clipping radius")
-    hi = b_max
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        x, _ = _envelope_xy(spec, mid)
-        if x >= target:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def envelope_boundary(
     spec: DiracSpec, resolution: int, clip: float, name: str | None = None
 ) -> tuple[Segment]:
     """Upper envelope arm from |Re z| = clip in to the real-axis crossing."""
-    resolution = _check_resolution(resolution)
-    clip = _check_clip(clip)
-    b_max = _envelope_b_max(spec.p)
-    b = np.geomspace(_b_at_re(spec, clip, b_max), b_max, resolution)
+    resolution = require_int("resolution", resolution, 2)
+    clip = require_positive("clip", clip)
+    b = np.geomspace(_envelope_b_at(spec, clip)[0], _envelope_b_max(spec.p), resolution)
     x, y = _envelope_xy(spec, b)
-    return (_seg(name or f"p={spec.p:g}", np.maximum(x, 0.0), y),)
+    return (_seg(name or f"p={spec.p:g}", np.sqrt(np.maximum(x, 0.0)), np.sqrt(y)),)
 
 
 def segments_to_csv(segments: tuple[Segment, ...]) -> str:

@@ -26,6 +26,7 @@ from gapcert.blocks import BlockMinima, OffDiagBounds, even_lowerbound
 from gapcert.enclosures import QuadBound, hyperbola_excluded, symmetric_gap_strip
 from gapcert.errors import ConditionNotApplicable
 from gapcert.gap_sequences import powerlaw_example
+from gapcert.regions import envelope_boundary
 
 
 class TestPlanarConstants:
@@ -117,6 +118,25 @@ class TestEnvelope:
         curve = dirac2d_envelope(spec, 25)
         for re, im in zip(curve.re, curve.im):
             assert envelope_im_at_re(spec, re) == pytest.approx(im, rel=1e-9)
+
+    def test_region_boundary_in_re_im(self):
+        """The region sampler emits (Re z, Im z) on the envelope, cut at |Re z| = clip."""
+        spec = DiracSpec(1.0, 5.0)
+        (seg,) = envelope_boundary(spec, 9, 70.0)
+        assert seg.re[-1] == 0.0
+        assert seg.im[-1] == envelope_im_at_re(spec, 0.0)
+        assert seg.im[-1] == pytest.approx(0.6584, abs=1e-4)
+        assert seg.re[0] == pytest.approx(70.0, rel=1e-12)
+        for re, im in zip(seg.re, seg.im):
+            assert envelope_im_at_re(spec, re) == pytest.approx(im, rel=1e-9)
+
+    def test_beyond_representable_range_is_not_applicable(self):
+        """Near p = 2 the envelope abscissa overflows a double before reaching re."""
+        spec = DiracSpec(1.0, 2.01)
+        with pytest.raises(ConditionNotApplicable, match="representable"):
+            envelope_im_at_re(spec, 1e-6)
+        with pytest.raises(ConditionNotApplicable, match="representable"):
+            envelope_boundary(spec, 4, 10.0)
 
     def test_clipping_reported(self):
         spec = DiracSpec(1.0, 5.0)

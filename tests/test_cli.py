@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
@@ -15,7 +18,7 @@ from gapcert import (
     resolvent_bound_strip_refined,
     two_channel_bound,
 )
-from gapcert import cli
+from gapcert import DiracSpec, cli, envelope_im_at_re
 from gapcert.errors import NumericalFailure
 
 
@@ -165,6 +168,15 @@ class TestEnvelopeCommand:
         assert doc["rows"] == 200
 
 
+    def test_near_p_two_is_domain_answer(self):
+        code, out = run_cli("dirac-envelope", "--p", "2.01", "--vnorm", "1",
+                            "--samples", "4", "--re", "1e-6")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["status"] == "not-applicable"
+        assert "representable" in doc["reason"]
+
+
 class TestSampleRegion:
     def test_hyperbola_flat_lines(self):
         code, out = run_cli(
@@ -219,6 +231,29 @@ class TestSampleRegion:
         assert len(lines) == 22
         assert {l.split(",")[0] for l in lines} == {"p=5", "p=7"}
 
+    def test_envelope_rows_are_re_im(self):
+        code, out = run_cli(
+            "sample-region", "--kind", "envelope", "--p", "5", "--vnorm", "1",
+            "--resolution", "11", "--csv", "-",
+        )
+        assert code == 0
+        rows = [l.split(",") for l in out.strip().split("\n")[1:]]
+        at_zero = [float(im) for _, re, im in rows if float(re) == 0.0]
+        assert at_zero == [envelope_im_at_re(DiracSpec(1.0, 5.0), 0.0)]
+        assert at_zero[0] == pytest.approx(0.6584, abs=1e-4)
+
+    def test_envelope_near_p_two_is_domain_answer(self):
+        code, out = run_cli("sample-region", "--kind", "envelope", "--p", "2.01",
+                            "--vnorm", "1", "--resolution", "4")
+        assert code == 0
+        assert json.loads(out)["status"] == "not-applicable"
+
+    def test_invalid_sector_exits_2(self):
+        code, out = run_cli("sample-region", "--kind", "sector", "--r-eps", "2",
+                            "--half-angle", "-1", "--resolution", "5")
+        assert code == 2
+        assert out == ""
+
     def test_unbounded_without_clip_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("sample-region", "--kind", "hyperbola", "--a", "0", "--b", "0",
@@ -253,7 +288,41 @@ class TestVerifyCommand:
         assert exc.value.code == 2
 
 
+class TestIntegerFlags:
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--instances", "2.7"),
+        ("eig-strip", "--a", "0.2", "--b", "0.1", "--lam", "1", "--alpha", "-1",
+         "--beta", "3", "--mult", "1.5"),
+        ("two-channel", "--d", "1.5", "--p", "2.5", "--v12", "1", "--p0", "0.5"),
+        ("dirac-envelope", "--p", "5", "--vnorm", "1", "--samples", "2.9"),
+    ])
+    def test_fractional_value_exits_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+
+    def test_fractional_json_value_exits_2(self, tmp_path):
+        src = tmp_path / "params.json"
+        src.write_text(json.dumps({"a": 0.2, "b": 0.1, "lam": 1, "alpha": -1, "beta": 3, "mult": 1.5}))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("eig-strip", "--json", str(src))
+        assert exc.value.code == 2
+
+    def test_integer_json_value_accepted(self, tmp_path):
+        src = tmp_path / "params.json"
+        src.write_text(json.dumps({"a": 0.2, "b": 0.1, "lam": 1, "alpha": -1, "beta": 3, "mult": 2}))
+        code, out = run_cli("eig-strip", "--json", str(src))
+        assert code == 0
+        assert json.loads(out)["count"] == 2
+
+
 class TestExitCodes:
+    def test_refined_bound_failure_exits_3(self):
+        code, out = run_cli("resolvent", "--a", "8e307", "--b", "0", "--re", "0", "--im", "0",
+                            "--alpha=-1.7e308", "--beta", "1.7e308")
+        assert code == 3
+        assert out == ""
+
     def test_numerical_failure_exits_3(self, monkeypatch):
         def boom(args, parser):
             raise NumericalFailure("synthetic")
@@ -261,3 +330,21 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "_cmd_enclose", boom)
         code, _ = run_cli("enclose", "--a", "1", "--b", "0")
         assert code == 3
+
+
+def test_scalar_commands_never_import_numpy():
+    """strip, coulomb and structured run on the package root without numpy."""
+    script = "\n".join([
+        "import sys",
+        "from gapcert.cli import main",
+        "assert main(['strip', '--a', '1', '--b', '0', '--alpha', '0', '--beta', '3']) == 0",
+        "assert main(['coulomb', '--c1', '0.2', '--c2', '0.1', '--mass', '1']) == 0",
+        "assert main(['structured', '--shape', 'odd', '--a11', '0.3', '--b11', '0.1',"
+        " '--a22', '0.2', '--b22', '0.2', '--beta', '2']) == 0",
+        "assert 'numpy' not in sys.modules, 'numpy was imported'",
+    ])
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from gapcert.enclosures import (
     Disk,
     Gap,
+    GKCover,
     IsolatedEigSpec,
     LinBound,
     QuadBound,
@@ -36,7 +37,7 @@ from gapcert.enclosures import (
     subordination_family,
     symmetric_gap_strip,
 )
-from gapcert.errors import BoundNotValid, ConditionNotApplicable
+from gapcert.errors import BoundNotValid, ConditionNotApplicable, NumericalFailure
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -216,6 +217,14 @@ class TestResolventBounds:
         np.testing.assert_allclose(refined, plain, rtol=1e-9)
 
 
+    def test_refined_overflow_is_numerical_failure(self):
+        """An infinite gap width leaves the two crossover forms at -inf and +inf."""
+        q, g = QuadBound(8e307, 0.0), Gap(-1.7e308, 1.7e308)
+        assert perturbed_strip(q, g).open
+        with pytest.raises(NumericalFailure):
+            resolvent_bound_strip_refined(q, g, 0j)
+
+
 class TestSymmetricGap:
     def test_known_value(self):
         res = symmetric_gap_strip(QuadBound(1.0, 0.1), 2.0)
@@ -261,6 +270,14 @@ class TestSectorCover:
     def test_rejects_large_b(self):
         with pytest.raises(ConditionNotApplicable):
             gk_sector_cover(lambda eps: QuadBound(1.0, 0.9), 0.5)
+
+    @pytest.mark.parametrize(
+        "r_eps, half_angle",
+        [(-1.0, 0.4), (math.nan, 0.4), (2.0, -1.0), (2.0, 0.0), (2.0, math.pi / 2), (2.0, math.inf)],
+    )
+    def test_cover_fields_validated(self, r_eps, half_angle):
+        with pytest.raises(ValueError):
+            GKCover(r_eps, half_angle)
 
     def test_matrix_oracle_containment(self):
         rng = np.random.default_rng(11)
