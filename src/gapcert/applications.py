@@ -127,7 +127,8 @@ def dirac2d_envelope(
 
     Samples a log grid of the relative bound b in (0, sqrt(2/p)]; beyond
     sqrt(2/p) the squared abscissa turns negative and the curve is
-    clipped to x >= 0 (reported via the clipped flag).
+    clipped to x >= 0 (reported via the clipped flag).  A grid on which
+    the curve overflows a double (near p = 2) is not applicable.
     """
     import numpy as np
 
@@ -143,7 +144,11 @@ def dirac2d_envelope(
     if not b_min < b_max:
         raise ValueError("requires b_min < b_max")
     grid = np.geomspace(b_min, b_max, samples)
-    x, y = _envelope_xy(spec, grid)
+    try:
+        with np.errstate(over="raise"):
+            x, y = _envelope_xy(spec, grid)
+    except FloatingPointError:
+        raise ConditionNotApplicable(f"b_min={b_min!r} beyond the representable envelope range") from None
     clipped = bool(np.any(x < 0.0))
     x = np.maximum(x, 0.0)
     coeff = math.sqrt(p / (p - 2.0)) * (4.0 * math.pi) ** (-1.0 / p) * spec.v_norm

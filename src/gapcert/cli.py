@@ -74,6 +74,10 @@ def _floats(value) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
+# the exact JSON type an integer flag or a switch takes in --json input
+_TYPE_NAMES = {int: "an integer", bool: "true or false"}
+
+
 def _merge_json(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Fill unset flags from --json, then from the subcommand's declared defaults."""
     src = args.json
@@ -92,8 +96,9 @@ def _merge_json(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
         dest = key.replace("-", "_")
         if not hasattr(args, dest):
             parser.error(f"unknown parameter {key!r} in --json input")
-        if dest in args.int_flags and (isinstance(value, bool) or not isinstance(value, int)):
-            parser.error(f"parameter {key!r} must be an integer, got {value!r}")
+        want = args.json_types.get(dest)
+        if want is not None and type(value) is not want:
+            parser.error(f"parameter {key!r} must be {_TYPE_NAMES[want]}, got {value!r}")
         if getattr(args, dest) is None:
             setattr(args, dest, value)
     for dest, value in args.fallbacks.items():
@@ -102,9 +107,9 @@ def _merge_json(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
 
 
 def _need(parser: argparse.ArgumentParser, args: argparse.Namespace, *names: str) -> None:
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
+    missing = ["--" + n.replace("_", "-") for n in names if getattr(args, n.replace("-", "_")) is None]
     if missing:
-        parser.error("missing required parameters: " + ", ".join("--" + n for n in missing))
+        parser.error("missing required parameters: " + ", ".join(missing))
 
 
 def _write_csv(path: str, text: str):
@@ -325,6 +330,8 @@ def _cmd_dirac_envelope(args, parser):
 
     _need(parser, args, "p", "vnorm", "samples")
     spec = DiracSpec(args.vnorm, args.p)
+    # --re first, so that its not-applicable reason wins over the curve's
+    im_at_re = envelope_im_at_re(spec, args.re) if args.re is not None else None
     curve = dirac2d_envelope(spec, args.samples, b_min=args.b_min, b_max=args.b_max)
     doc = {
         "status": "ok",
@@ -335,8 +342,8 @@ def _cmd_dirac_envelope(args, parser):
         "asymptote_exponent": curve.asymptote_exponent,
         "clipped": curve.clipped,
     }
-    if args.re is not None:
-        doc["im_at_re"] = envelope_im_at_re(spec, args.re)
+    if im_at_re is not None:
+        doc["im_at_re"] = im_at_re
     if args.csv is not None:
         text = segments_to_csv((Segment(f"p={spec.p:g}", curve.re, curve.im),))
         if _write_csv(args.csv, text) is None:
@@ -504,15 +511,17 @@ def _add(sub, name, func, helptext, flags):
     declared default applies after that (see _merge_json).
     """
     p = sub.add_parser(name, help=helptext)
-    fallbacks, int_flags = {}, set()
+    fallbacks, json_types = {}, {}
     for flag, kwargs, *default in flags:
         dest = p.add_argument(flag, **kwargs).dest
         if default:
             fallbacks[dest] = default[0]
         if kwargs.get("type") is int:
-            int_flags.add(dest)
+            json_types[dest] = int
+        elif kwargs.get("action") == "store_true":
+            json_types[dest] = bool
     p.add_argument("--json", metavar="FILE", help="read parameters from a JSON object ('-' for stdin)")
-    p.set_defaults(func=func, fallbacks=fallbacks, int_flags=int_flags)
+    p.set_defaults(func=func, fallbacks=fallbacks, json_types=json_types)
     return p
 
 
@@ -583,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     ])
     _add(sub, "manifold", _cmd_manifold, "waveguide band relative bounds", prefactor_flags + [
         ("--c", _F), ("--p", _F), ("--case", _I), ("--n", _I), ("--eps-geom", _F),
-        ("--pipeline", {"action": "store_true"}),
+        ("--pipeline", {"action": "store_true", "default": None}, False),
     ])
     _add(sub, "two-channel", _cmd_two_channel, "two-channel lower bound", [
         ("--d", _I), ("--p", _F), ("--v12", _F), ("--p0", _F),

@@ -17,6 +17,8 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass
 
@@ -618,10 +620,77 @@ def _check_strips(inst, eigs, opt) -> CheckResult:
     return _judged("strip", worst, opt.rel_margin, " ".join(notes))
 
 
+# numpy runs a gufunc loop without the GIL only when the loop covers more
+# than 500 elements (batch length x order n for a batched svd); a smaller
+# part of a split batch would hold the GIL and serialize the split.  For
+# the 105-matrix z-grids this splits in two from n = 10 on.
+_GIL_FREE_SIZE = 500
+
+# (thread pool or None, usable CPUs), made when the first batch is split;
+# one per process, since the CPUs are the process's
+_svd_pool = None
+_svd_pool_lock = threading.Lock()
+
+
+def _drop_svd_pool() -> None:
+    # a forked child inherits the pool object but none of its threads
+    global _svd_pool, _svd_pool_lock
+    _svd_pool, _svd_pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_svd_pool)
+
+
+def _svd_workers():
+    global _svd_pool
+    with _svd_pool_lock:
+        if _svd_pool is None:
+            if hasattr(os, "sched_getaffinity"):
+                cpus = len(os.sched_getaffinity(0))
+            else:
+                cpus = os.cpu_count() or 1
+            pool = None
+            if cpus > 1:
+                from concurrent.futures import ThreadPoolExecutor
+
+                pool = ThreadPoolExecutor(cpus - 1, thread_name_prefix="gapcert-svd")
+            _svd_pool = (pool, cpus)
+        return _svd_pool
+
+
+def _smallest_singular_values(stack: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(stack, compute_uv=False)[:, -1]
+
+
+def _split_smallest_singular_values(stack: np.ndarray) -> np.ndarray:
+    """sigma_min of every matrix in the stack, large batches split across the usable CPUs.
+
+    The calling thread computes the first part and gathers the others in
+    order; each matrix goes through the same LAPACK call either way, so
+    the result is bit-identical to one serial batch.
+    """
+    min_part = _GIL_FREE_SIZE // stack.shape[-1] + 1
+    parts = stack.shape[0] // min_part
+    if parts > 1:
+        pool, cpus = _svd_workers()
+        if pool is not None:
+            chunks = np.array_split(stack, min(parts, cpus))
+            futures = [pool.submit(_smallest_singular_values, c) for c in chunks[1:]]
+            try:
+                first = _smallest_singular_values(chunks[0])
+            finally:
+                rest = [f.result() for f in futures]
+            return np.concatenate([first, *rest])
+    return _smallest_singular_values(stack)
+
+
 def _batch_resolvent_norms(m0: np.ndarray, zs: np.ndarray) -> np.ndarray:
     n = m0.shape[0]
-    shifted = m0[None, :, :] - zs[:, None, None] * np.eye(n)[None]
-    smin = np.linalg.svd(shifted, compute_uv=False)[:, -1]
+    shifted = np.repeat(m0[None, :, :], zs.size, axis=0)
+    diag = np.arange(n)
+    shifted[:, diag, diag] -= zs[:, None]
+    smin = _split_smallest_singular_values(shifted)
     return 1.0 / np.maximum(smin, 1e-300)
 
 

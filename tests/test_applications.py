@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,17 @@ class TestEnvelope:
         assert seg.re[0] == pytest.approx(70.0, rel=1e-12)
         for re, im in zip(seg.re, seg.im):
             assert envelope_im_at_re(spec, re) == pytest.approx(im, rel=1e-9)
+
+    def test_overflowing_curve_is_not_applicable(self):
+        """The sampled curve near p = 2 overflows at small b: a domain answer, no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConditionNotApplicable, match="representable"):
+                dirac2d_envelope(DiracSpec(1.0, 2.01), 3)
+            # huge but finite samples are kept as they are
+            curve = dirac2d_envelope(DiracSpec(1.0, 2.05), 3)
+        assert curve.re == (1.196386669002097e+134, 3.781416600447368e+72, 0.0)
+        assert curve.im == (1.1963872671958803e+131, 1.1963872671952845e+71, 119638726719.46994)
 
     def test_beyond_representable_range_is_not_applicable(self):
         """Near p = 2 the envelope abscissa overflows a double before reaching re."""

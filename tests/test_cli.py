@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stdout
 
 import pytest
@@ -62,6 +63,12 @@ class TestStripCommand:
             run_cli("frobnicate")
         assert exc.value.code == 2
 
+    def test_missing_parameter_names_the_dashed_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("manifold", "--c", "1", "--p", "3", "--case", "1", "--n", "2")
+        assert exc.value.code == 2
+        assert "missing required parameters: --eps-geom" in capsys.readouterr().err
+
 
 class TestResolventCommand:
     def test_strip_bounds_match_library(self):
@@ -105,6 +112,23 @@ class TestJsonInput:
         src.write_text(json.dumps({"bogus": 1}))
         with pytest.raises(SystemExit) as exc:
             run_cli("strip", "--json", str(src))
+        assert exc.value.code == 2
+
+    def test_json_switch_matches_flag(self, tmp_path):
+        params = {"c": 1, "p": 3, "case": 1, "n": 2, "eps-geom": 0.1}
+        src = tmp_path / "params.json"
+        src.write_text(json.dumps({**params, "pipeline": True}))
+        code, out = run_cli("manifold", "--json", str(src))
+        assert code == 0
+        flags = [f"--{key}={value}" for key, value in params.items()]
+        assert out == run_cli("manifold", "--pipeline", *flags)[1]
+        doc = json.loads(out)
+        assert "kappa_bound" in doc and "eps0" in doc
+        src.write_text(json.dumps({**params, "pipeline": False}))
+        assert "kappa_bound" not in json.loads(run_cli("manifold", "--json", str(src))[1])
+        src.write_text(json.dumps({**params, "pipeline": "false"}))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("manifold", "--json", str(src))
         assert exc.value.code == 2
 
 
@@ -173,6 +197,15 @@ class TestEnvelopeCommand:
                             "--samples", "4", "--re", "1e-6")
         assert code == 0
         doc = json.loads(out)
+        assert doc["status"] == "not-applicable"
+        assert "representable" in doc["reason"]
+
+    def test_overflowing_curve_is_domain_answer(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli("dirac-envelope", "--p", "2.01", "--vnorm", "1", "--samples", "3")
+        assert code == 0
+        doc = json.loads(out, parse_constant=lambda name: pytest.fail(f"non-JSON {name}"))
         assert doc["status"] == "not-applicable"
         assert "representable" in doc["reason"]
 

@@ -1,14 +1,20 @@
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gapcert import Gap, QuadBound
+from gapcert import Gap, QuadBound, matrix_lab
 from gapcert.errors import NearSingular
 from gapcert.matrix_lab import (
     MatrixInstance,
+    SuiteResult,
     VerifyOptions,
     eig,
     gen_instance,
@@ -250,3 +256,91 @@ class TestSuite:
             name, check, margin, flag = row.split(",")
             float(margin)
             assert flag in ("0", "1")
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+class TestParallelOracle:
+    """Large resolvent batches are split across the usable CPUs; results stay serial."""
+
+    def test_split_batch_matches_scalar_resolvent_norm(self):
+        inst = gen_instance(24, 7)
+        m0 = inst.t_mat + inst.a_mat
+        rng = np.random.default_rng(3)
+        zs = rng.uniform(-4.0, 4.0, 105) + 1j * rng.uniform(0.1, 3.0, 105)
+        norms = matrix_lab._batch_resolvent_norms(m0, zs)
+        if _usable_cpus() > 1:
+            assert matrix_lab._svd_pool[0] is not None
+        assert norms.tolist() == [resolvent_norm(m0, z) for z in zs]
+
+    def test_suite_matches_serial_loop(self, monkeypatch):
+        args = (20, 12, 32, 5)
+        pooled = run_suite(*args).to_csv()
+        monkeypatch.setattr(matrix_lab, "_svd_pool", (None, 1))
+        reports = []
+        for idx, (kind, dim, seed, magnitude, n_gaps) in enumerate(standard_suite_specs(*args)):
+            inst = gen_instance(dim, seed, kind=kind, magnitude=magnitude, n_gaps=n_gaps,
+                                name=f"{kind}-{idx:04d}")
+            reports.append(verify_instance(inst))
+        assert pooled == SuiteResult(tuple(reports), 0.0).to_csv()
+
+    def test_concurrent_callers_match_serial(self, monkeypatch):
+        insts = [gen_instance(16 + 4 * k, 30 + k) for k in range(6)]
+        monkeypatch.setattr(matrix_lab, "_svd_pool", (None, 1))
+        want = [verify_instance(inst).to_json() for inst in insts]
+        # six callers race to create the pool and then share it
+        monkeypatch.setattr(matrix_lab, "_svd_pool", None)
+        got = [None] * len(insts)
+
+        def caller(k):
+            got[k] = [verify_instance(insts[k]).to_json() for _ in range(3)]
+
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(len(insts))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[w] * 3 for w in want]
+        if matrix_lab._svd_pool[0] is not None:
+            matrix_lab._svd_pool[0].shutdown()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_verifies_after_parent_used_pool(self):
+        inst = gen_instance(24, 11)
+        want = verify_instance(inst).to_json()
+
+        def child():
+            sys.exit(0 if verify_instance(inst).to_json() == want else 1)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(60)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+            pytest.fail("forked child hung in verify_instance")
+        assert proc.exitcode == 0
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+    def test_one_cpu_starts_no_thread(self):
+        script = "\n".join([
+            "import os, sys, threading",
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})",
+            "from gapcert.matrix_lab import gen_instance, verify_instance",
+            "assert verify_instance(gen_instance(24, 11)).ok",
+            "print(threading.active_count(), 'concurrent.futures' in sys.modules)",
+        ])
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", "False"]
