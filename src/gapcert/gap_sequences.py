@@ -320,6 +320,13 @@ class RatioResult:
     exact: bool
 
 
+def _finite_data(data: Union[GapSequence, TailModel]) -> tuple[GapSequence, Optional[int]]:
+    """(sequence, tail window) of a GapSequence or a finite-data TailModel."""
+    if isinstance(data, TailModel):
+        return data.seq, data.window
+    return data, None
+
+
 def _endpoint_ratio_stats(data: Union[GapSequence, TailModel]):
     """(liminf, limsup, exact) of beta_n/alpha_n."""
     if isinstance(data, TailModel):
@@ -328,9 +335,7 @@ def _endpoint_ratio_stats(data: Union[GapSequence, TailModel]):
             return 1.0, 1.0, True
         if data.kind == "geometric":
             return data.band_ratio, data.band_ratio, True
-        seq, window = data.seq, data.window
-    else:
-        seq, window = data, None
+    seq, window = _finite_data(data)
     ratios = [b / a for a, b in zip(seq.alphas, seq.betas) if a > 0]
     if not ratios:
         raise ValueError("endpoint ratios need strictly positive alpha_n in the tail")
@@ -478,8 +483,7 @@ def necessary_growth_check(
         elif isinstance(data, TailModel) and data.kind == "geometric":
             liminf, exact = data.ratio, True
         else:
-            seq = data.seq if isinstance(data, TailModel) else data
-            window = data.window if isinstance(data, TailModel) else None
+            seq, window = _finite_data(data)
             ratios = [
                 a2 / a1 for a1, a2 in zip(seq.alphas, seq.alphas[1:]) if a1 > 0
             ]
@@ -506,12 +510,9 @@ def necessary_growth_check(
         limsup = 2.0 * consts.a_term.over(data.length_term()).limit()
         exact = True
     else:
-        if isinstance(data, TailModel):
-            if data.kind != "finite-data":
-                raise ValueError("finite constants require finite band data")
-            seq, window = data.seq, data.window
-        else:
-            seq, window = data, None
+        if isinstance(data, TailModel) and data.kind != "finite-data":
+            raise ValueError("finite constants require finite band data")
+        seq, window = _finite_data(data)
         if len(consts) != len(seq):
             raise ValueError("constants must match the number of gaps")
         vals = [2.0 * a / l for a, l in zip(consts.a_seq, seq.lengths)]

@@ -20,7 +20,7 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -48,7 +48,13 @@ from .enclosures import (
     resolvent_bound_strip_refined,
     symmetric_gap_strip,
 )
-from .errors import ConditionNotApplicable, NearSingular, NumericalFailure
+from .errors import (
+    ConditionNotApplicable,
+    NearSingular,
+    NumericalFailure,
+    require_int,
+    require_nonneg,
+)
 
 __all__ = [
     "MatrixInstance",
@@ -67,39 +73,36 @@ __all__ = [
     "run_suite",
 ]
 
-_STRUCTURES = ("none", "offdiag", "diag-blocks", "symmetric")
+# kinds whose A couples two blocks of T = diag(T1, T2) of equal size
+_BLOCK_KINDS = ("offdiag", "even", "diag-blocks")
 
 
 @dataclass(frozen=True, eq=False)
 class MatrixInstance:
     """One (T, A) pair with measured constants and certification targets.
 
-    T is held as its diagonal; A is dense.  `structure` is the formal
-    block structure (none / offdiag / diag-blocks / symmetric), `kind`
-    the generation recipe that decides which checks apply.
+    T is held as its diagonal; A is dense.  `kind` is the generation
+    recipe and picks the checks; `cert` holds the arguments the kind's
+    own certificate takes besides `quad`:
+
+      isolated      (IsolatedEigSpec,)
+      symmetric     (almost-gap window, eigenvalues of T inside it, NumRangeBounds of A)
+      offdiag       (OffDiagBounds, generating gap)
+      even          (OffDiagBounds, BlockMinima)
+      diag-blocks   (DiagBounds, beta of the gap (-beta, beta))
+      other kinds   ()
     """
 
     name: str
     kind: str
-    structure: str
     seed: int
     t_diag: np.ndarray
     a_mat: np.ndarray
     quad: QuadBound
     gaps: tuple[Gap, ...] = ()
-    block_split: int | None = None
-    off_bounds: OffDiagBounds | None = None
-    diag_bounds: DiagBounds | None = None
-    minima: BlockMinima | None = None
-    odd_beta: float | None = None
-    almost_gap: Gap | None = None
-    almost_inside: int | None = None
-    almost_w: NumRangeBounds | None = None
-    isolated: IsolatedEigSpec | None = None
+    cert: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.structure not in _STRUCTURES:
-            raise ValueError(f"unknown structure {self.structure!r}")
         t = np.asarray(self.t_diag, dtype=float)
         a = np.asarray(self.a_mat, dtype=complex)
         if a.shape != (t.size, t.size):
@@ -151,11 +154,14 @@ def resolvent_norm(m: np.ndarray, z: complex) -> float:
     return 1.0 / smin
 
 
+def _is_hermitian(a: np.ndarray) -> bool:
+    return float(np.abs(a - a.conj().T).max()) <= 1e-14 * max(1.0, float(np.abs(a).max()))
+
+
 def numrange_extremes(inst: MatrixInstance) -> NumRangeBounds:
     """Extreme eigenvalues of a Hermitian perturbation."""
     a = inst.a_mat
-    scale = float(np.abs(a).max()) if a.size else 0.0
-    if float(np.abs(a - a.conj().T).max()) > 1e-14 * max(1.0, scale):
+    if not _is_hermitian(a):
         raise ValueError("numerical-range extremes need a Hermitian A")
     ev = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
     return NumRangeBounds(float(ev[0]), float(ev[-1]))
@@ -204,14 +210,18 @@ def _auto_gaps(rng: np.random.Generator, n_gaps: int) -> tuple[Gap, ...]:
 
 def _calibrate(
     rng: np.random.Generator,
-    measure: "callable[[float], float]",
+    raw: np.ndarray,
+    t_diag: np.ndarray,
     ratio: "callable[[float, float], float]",
     magnitude: float,
 ) -> tuple[float, float, float]:
-    """Find (t, a_raw, b_raw) with ratio(t*a_raw, t*b_raw) = magnitude, t*b_raw < 0.9."""
+    """Find (t, a_raw, b_raw) with ratio(t*a_raw, t*b_raw) = magnitude, t*b_raw < 0.9.
+
+    a_raw is the measured a_min(b_raw) of the unscaled perturbation raw against T.
+    """
     b_raw = float(rng.uniform(0.05, 0.6))
     for _ in range(80):
-        a_raw = measure(b_raw)
+        a_raw = _amin(raw, t_diag, b_raw)
         rho = ratio(a_raw, b_raw)
         if not (math.isfinite(rho) and rho > 0.0):
             raise NumericalFailure("degenerate certification ratio during calibration")
@@ -244,6 +254,7 @@ def gen_instance(
     (A off-diagonal over a gap straddling 0), even (nonnegative T,
     A off-diagonal), diag-blocks (T = diag(D, -D) with pair-coupled A,
     certifying a symmetric strip through the involution splitting).
+    The three block recipes need an even dim and place their own gap.
     """
     if not 2 <= dim <= 64:
         raise ValueError("dim must lie in [2, 64]")
@@ -253,13 +264,14 @@ def gen_instance(
     name = name or f"{kind}-{seed:08d}"
     if kind in ("none", "multi", "symmetric", "probe"):
         return _gen_plain(rng, dim, seed, kind, gaps, magnitude, n_gaps, name)
-    if kind == "offdiag":
-        return _gen_offdiag(rng, dim, seed, magnitude, name)
-    if kind == "even":
-        return _gen_even(rng, dim, seed, magnitude, name)
-    if kind == "diag-blocks":
-        return _gen_odd(rng, dim, seed, magnitude, name)
-    raise ValueError(f"unknown instance kind {kind!r}")
+    if kind not in _BLOCK_KINDS:
+        raise ValueError(f"unknown instance kind {kind!r}")
+    if dim % 2:
+        raise ValueError(f"{kind} instances need an even dimension")
+    if gaps is not None:
+        raise ValueError(f"{kind} instances place their own gap; gaps must be None")
+    gen = {"offdiag": _gen_offdiag, "even": _gen_even, "diag-blocks": _gen_odd}[kind]
+    return gen(rng, dim, seed, magnitude, name)
 
 
 def _gen_plain(rng, dim, seed, kind, gaps, magnitude, n_gaps, name) -> MatrixInstance:
@@ -289,7 +301,7 @@ def _gen_plain(rng, dim, seed, kind, gaps, magnitude, n_gaps, name) -> MatrixIns
         signs[np.argmin(np.abs(t_diag - gap.alpha))] = 1.0
         signs[np.argmin(np.abs(t_diag - gap.beta))] = -1.0
         return MatrixInstance(
-            name=name, kind=kind, structure="symmetric", seed=seed,
+            name=name, kind=kind, seed=seed,
             t_diag=t_diag, a_mat=np.diag(a * signs).astype(complex),
             quad=QuadBound(a, 0.0), gaps=gap_t,
         )
@@ -299,9 +311,6 @@ def _gen_plain(rng, dim, seed, kind, gaps, magnitude, n_gaps, name) -> MatrixIns
         raw = 0.5 * (raw + raw.conj().T)
         w_raw = np.linalg.eigvalsh(raw)
         w_lo, w_hi = float(w_raw[0]), float(w_raw[-1])
-
-    def measure(b: float) -> float:
-        return _amin(raw, t_diag, b)
 
     def ratio(a_min: float, b: float) -> float:
         q = QuadBound(a_min, b)
@@ -320,21 +329,11 @@ def _gen_plain(rng, dim, seed, kind, gaps, magnitude, n_gaps, name) -> MatrixIns
                 rho = max(rho, (sa + sb) / window.width)
         return rho
 
-    t, a_raw, b_raw = _calibrate(rng, measure, ratio, magnitude)
-    a_mat = t * raw
-    quad = QuadBound(t * a_raw, t * b_raw)
-    almost_kwargs = {}
-    cert_gaps = gap_t if not inside else ()
-    if kind == "symmetric":
-        almost_kwargs = dict(
-            almost_gap=window,
-            almost_inside=inside,
-            almost_w=NumRangeBounds(t * w_lo, t * w_hi),
-        )
+    t, a_raw, b_raw = _calibrate(rng, raw, t_diag, ratio, magnitude)
+    cert = (window, inside, NumRangeBounds(t * w_lo, t * w_hi)) if kind == "symmetric" else ()
     return MatrixInstance(
-        name=name, kind=kind, structure="symmetric" if kind == "symmetric" else "none",
-        seed=seed, t_diag=t_diag, a_mat=a_mat, quad=quad, gaps=cert_gaps,
-        **almost_kwargs,
+        name=name, kind=kind, seed=seed, t_diag=t_diag, a_mat=t * raw,
+        quad=QuadBound(t * a_raw, t * b_raw), gaps=gap_t if not inside else (), cert=cert,
     )
 
 
@@ -365,8 +364,6 @@ def _calibrate_pair(rng, layout, blocks, scale, magnitude, t_diag):
 
 
 def _gen_offdiag(rng, dim, seed, magnitude, name) -> MatrixInstance:
-    if dim % 2:
-        raise ValueError("offdiag instances need an even dimension")
     n1 = dim // 2
     gap = Gap(-float(rng.uniform(0.5, 2.5)), float(rng.uniform(0.5, 2.5)))
     # block 1 sits below the gap, block 2 above; A12 maps block-2
@@ -384,17 +381,13 @@ def _gen_offdiag(rng, dim, seed, magnitude, name) -> MatrixInstance:
         0.5 * gap.width, magnitude, t_diag,
     )
     return MatrixInstance(
-        name=name, kind="offdiag", structure="offdiag", seed=seed,
-        t_diag=t_diag, a_mat=a_mat, quad=quad,
+        name=name, kind="offdiag", seed=seed, t_diag=t_diag, a_mat=a_mat, quad=quad,
         gaps=(gap,) if gap_condition(quad, gap) else (),
-        block_split=n1,
-        off_bounds=OffDiagBounds(*consts),
+        cert=(OffDiagBounds(*consts), gap),
     )
 
 
 def _gen_even(rng, dim, seed, magnitude, name) -> MatrixInstance:
-    if dim % 2:
-        raise ValueError("even-structure instances need an even dimension")
     n1 = dim // 2
     beta1 = float(rng.uniform(0.2, 2.0))
     beta2 = float(rng.uniform(0.2, 2.0))
@@ -411,11 +404,8 @@ def _gen_even(rng, dim, seed, magnitude, name) -> MatrixInstance:
         0.5 * (beta1 + beta2), magnitude, t_diag,
     )
     return MatrixInstance(
-        name=name, kind="even", structure="offdiag", seed=seed,
-        t_diag=t_diag, a_mat=a_mat, quad=quad, gaps=(),
-        block_split=n1,
-        off_bounds=OffDiagBounds(*consts),
-        minima=BlockMinima(beta1, beta2),
+        name=name, kind="even", seed=seed, t_diag=t_diag, a_mat=a_mat, quad=quad,
+        cert=(OffDiagBounds(*consts), BlockMinima(beta1, beta2)),
     )
 
 
@@ -426,8 +416,6 @@ def _gen_odd(rng, dim, seed, magnitude, name) -> MatrixInstance:
     eigenbasis T is off-diagonal with T12 = D and A is diag(P+Q, P-Q),
     which is the shape the symmetric-strip block theorem consumes.
     """
-    if dim % 2:
-        raise ValueError("diag-blocks instances need an even dimension")
     n1 = dim // 2
     beta = float(rng.uniform(0.5, 2.0))
     d = np.sort(rng.uniform(beta, beta + 3.0, size=n1))
@@ -441,12 +429,9 @@ def _gen_odd(rng, dim, seed, magnitude, name) -> MatrixInstance:
     )
     gap = Gap(-beta, beta)
     return MatrixInstance(
-        name=name, kind="diag-blocks", structure="diag-blocks", seed=seed,
-        t_diag=t_diag, a_mat=a_mat, quad=quad,
+        name=name, kind="diag-blocks", seed=seed, t_diag=t_diag, a_mat=a_mat, quad=quad,
         gaps=(gap,) if gap_condition(quad, gap) else (),
-        block_split=n1,
-        diag_bounds=DiagBounds(*consts),
-        odd_beta=beta,
+        cert=(DiagBounds(*consts), beta),
     )
 
 
@@ -471,9 +456,6 @@ def gen_isolated_instance(
     t_diag = np.sort(np.concatenate([[alpha, beta], [lam] * mult, below, above]))
     raw = _dense(rng, dim)
 
-    def measure(b: float) -> float:
-        return _amin(raw, t_diag, b)
-
     def ratio(a_min: float, b: float) -> float:
         q = QuadBound(a_min, b)
         return max(
@@ -481,13 +463,12 @@ def gen_isolated_instance(
             (q.shift(lam) + q.shift(beta)) / (beta - lam),
         )
 
-    t, a_raw, b_raw = _calibrate(rng, measure, ratio, magnitude)
+    t, a_raw, b_raw = _calibrate(rng, raw, t_diag, ratio, magnitude)
     return MatrixInstance(
-        name=name or f"isolated-{seed:08d}", kind="isolated", structure="none",
-        seed=seed, t_diag=t_diag, a_mat=t * raw,
-        quad=QuadBound(t * a_raw, t * b_raw),
+        name=name or f"isolated-{seed:08d}", kind="isolated", seed=seed,
+        t_diag=t_diag, a_mat=t * raw, quad=QuadBound(t * a_raw, t * b_raw),
         gaps=(Gap(alpha, lam), Gap(lam, beta)),
-        isolated=IsolatedEigSpec(lam, alpha, beta, mult),
+        cert=(IsolatedEigSpec(lam, alpha, beta, mult),),
     )
 
 
@@ -495,9 +476,17 @@ def gen_isolated_instance(
 # verification
 
 
+# Im z offsets of the in-strip z-grids, in units of the gap width
+_NU = np.array([0.0, 0.05, -0.05, 0.7, -0.7, 5.0, -5.0])
+
+
 @dataclass(frozen=True)
 class VerifyOptions:
-    """Grid densities, tolerances and the mutation knob for one verify run."""
+    """Grid densities, tolerances and the mutation knob for one verify run.
+
+    s_points >= 2 samples the coupling (s = 0 and s = 1 included); the
+    in-strip z-grids take the first z_im of the seven offsets in _NU.
+    """
 
     s_points: int = 11
     z_re: int = 15
@@ -507,6 +496,13 @@ class VerifyOptions:
     resolvent_tol: float = 1e-8
     refined_tol: float = 1e-12
     widen: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name, least in (("s_points", 2), ("z_re", 1), ("z_im", 1)):
+            object.__setattr__(self, name, require_int(name, getattr(self, name), least))
+        if self.z_im > _NU.size:
+            raise ValueError(f"z_im must be at most {_NU.size}, got {self.z_im!r}")
+        object.__setattr__(self, "widen", require_nonneg("widen", self.widen))
 
 
 @dataclass(frozen=True)
@@ -530,22 +526,7 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def to_json(self) -> str:
-        doc = {
-            "instance": self.instance,
-            "quad": {"a": self.quad.a, "b": self.quad.b},
-            "s_points": self.s_points,
-            "checks": [
-                {
-                    "check": c.check,
-                    "margin": c.margin,
-                    "passed": c.passed,
-                    "witness": c.witness,
-                    "note": c.note,
-                }
-                for c in self.checks
-            ],
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
 
 def _widened(strip: StripResult, widen: float) -> tuple[float, float]:
@@ -603,21 +584,18 @@ def _check_hyperbola(inst, s_grid, eigs, opt) -> CheckResult:
     return _judged("hyperbola", worst, opt.rel_margin)
 
 
-def _check_strips(inst, eigs, opt) -> CheckResult:
-    worst, notes = (math.inf, ""), []
-    for gap in inst.gaps:
-        strip = perturbed_strip(inst.quad, gap)
-        if not strip.open:
-            continue
+def _check_strips(strips, eigs, opt) -> CheckResult:
+    """Eigenvalues along s against every open (gap, perturbed strip) pair."""
+    if not strips:
+        return CheckResult("strip", 0.0, True, note="no certified strip")
+    worst = (math.inf, "")
+    for gap, strip in strips:
         lo, hi = _widened(strip, opt.widen)
-        scale = max(1.0, abs(gap.alpha), abs(gap.beta))
-        notes.append(f"({gap.alpha:.3g},{gap.beta:.3g})")
-        found = _strip_margin(eigs, lo, hi, scale)
+        found = _strip_margin(eigs, lo, hi, max(1.0, abs(gap.alpha), abs(gap.beta)))
         if found[0] < worst[0]:
             worst = found
-    if not notes:
-        return CheckResult("strip", 0.0, True, note="no certified strip")
-    return _judged("strip", worst, opt.rel_margin, " ".join(notes))
+    notes = " ".join(f"({gap.alpha:.3g},{gap.beta:.3g})" for gap, _ in strips)
+    return _judged("strip", worst, opt.rel_margin, notes)
 
 
 # numpy runs a gufunc loop without the GIL only when the loop covers more
@@ -694,10 +672,6 @@ def _batch_resolvent_norms(m0: np.ndarray, zs: np.ndarray) -> np.ndarray:
     return 1.0 / np.maximum(smin, 1e-300)
 
 
-# Im z offsets of the in-strip z-grids, in units of the gap width
-_NU = np.array([0.0, 0.05, -0.05, 0.7, -0.7, 5.0, -5.0])
-
-
 def _zgrid(mu: np.ndarray, width: float, opt) -> np.ndarray:
     nu = width * _NU[: opt.z_im]
     return (mu[:, None] + 1j * nu[None, :]).ravel()
@@ -728,15 +702,12 @@ def _check_resolvent_offreal(inst, m0, opt) -> CheckResult:
     return _judged("resolvent-offreal", _resolvent_worst(m0, zs, bounds, opt), opt.rel_margin)
 
 
-def _check_resolvent_strip(inst, m0, opt) -> tuple[CheckResult, CheckResult]:
-    q = inst.quad
+def _check_resolvent_strip(q, strips, m0, opt) -> tuple[CheckResult, CheckResult]:
+    if not strips:
+        skip = CheckResult("resolvent-strip", 0.0, True, note="no certified strip")
+        return skip, CheckResult("refined-le-plain", 0.0, True, note="no certified strip")
     worst_s = worst_r = (math.inf, "")
-    any_strip = False
-    for gap in inst.gaps:
-        strip = perturbed_strip(q, gap)
-        if not strip.open:
-            continue
-        any_strip = True
+    for gap, strip in strips:
         mu = strip.lo + (strip.hi - strip.lo) * np.linspace(opt.inset, 1.0 - opt.inset, opt.z_re)
         zs = _zgrid(mu, gap.width, opt)
         bounds = []
@@ -748,9 +719,6 @@ def _check_resolvent_strip(inst, m0, opt) -> tuple[CheckResult, CheckResult]:
             if margin < worst_r[0]:
                 worst_r = (float(margin), repr(complex(z)))
         worst_s = _resolvent_worst(m0, zs, bounds, opt, worst_s)
-    if not any_strip:
-        skip = CheckResult("resolvent-strip", 0.0, True, note="no certified strip")
-        return skip, CheckResult("refined-le-plain", 0.0, True, note="no certified strip")
     return (
         _judged("resolvent-strip", worst_s, opt.rel_margin),
         _judged("refined-le-plain", worst_r, 0.0),
@@ -786,7 +754,7 @@ def _check_balls(inst, s_grid, eigs, opt) -> CheckResult:
 
 
 def _check_eig_count(inst, eigs, opt) -> CheckResult:
-    spec = inst.isolated
+    (spec,) = inst.cert
     strip = isolated_eigenvalue_strip(inst.quad, spec)
     lo, hi = _widened(strip, opt.widen) if opt.widen else (strip.lo, strip.hi)
     worst = (0.0, "")
@@ -802,7 +770,7 @@ def _check_numrange_windows(inst, eigs_full, opt) -> CheckResult:
     worst = (0.0, "")
     for case in ("i", "ii", "iii", "iv"):
         try:
-            out = almost_gap_eig_bound(case, inst.quad, inst.almost_gap, inst.almost_inside, inst.almost_w)
+            out = almost_gap_eig_bound(case, inst.quad, *inst.cert)
         except ConditionNotApplicable:
             continue
         applicable.append(case)
@@ -815,57 +783,69 @@ def _check_numrange_windows(inst, eigs_full, opt) -> CheckResult:
     return _judged("numrange-window", worst, opt.rel_margin, "cases " + ",".join(applicable))
 
 
-def _check_structured(inst, eigs, opt) -> CheckResult | None:
-    """The block-structure bound of an offdiag, even or diag-blocks instance."""
+def _offdiag_worst(eigs, off, gap, widen) -> tuple[float, str]:
+    lo, hi = _widened(offdiag_gap(off, gap).strip, widen)
+    return _strip_margin(eigs, lo, hi, max(1.0, abs(gap.alpha), abs(gap.beta)))
+
+
+def _even_worst(eigs, off, minima, widen) -> tuple[float, str]:
+    bound = even_lowerbound(off, minima)
+    claimed = bound + widen * (min(minima.beta1, minima.beta2) - bound)
     flat = eigs.ravel()
+    return _floor_margin(flat.real, claimed, max(1.0, abs(claimed)), flat)
+
+
+def _odd_worst(eigs, diag, beta, widen) -> tuple[float, str]:
+    claimed = odd_symmetric_gap(diag, beta) * (1.0 + widen)
+    flat = eigs.ravel()
+    return _floor_margin(np.abs(flat.real), claimed, max(1.0, claimed), flat)
+
+
+# block kind -> (check, worst (margin, witness) of its block-structure bound)
+_STRUCTURED = {
+    "offdiag": ("structured-offdiag", _offdiag_worst),
+    "even": ("structured-even", _even_worst),
+    "diag-blocks": ("structured-odd", _odd_worst),
+}
+
+
+def _check_structured(inst, eigs, opt) -> CheckResult:
+    check, worst_of = _STRUCTURED[inst.kind]
     try:
-        if inst.kind == "offdiag" and inst.off_bounds is not None:
-            check = "structured-offdiag"
-            # the generating gap is recoverable from the block spectra
-            n1 = inst.block_split
-            gap = Gap(float(inst.t_diag[:n1].max()), float(inst.t_diag[n1:].min()))
-            lo, hi = _widened(offdiag_gap(inst.off_bounds, gap).strip, opt.widen)
-            worst = _strip_margin(eigs, lo, hi, max(1.0, abs(gap.alpha), abs(gap.beta)))
-        elif inst.kind == "even" and inst.minima is not None:
-            check = "structured-even"
-            bound = even_lowerbound(inst.off_bounds, inst.minima)
-            claimed = bound + opt.widen * (min(inst.minima.beta1, inst.minima.beta2) - bound)
-            worst = _floor_margin(flat.real, claimed, max(1.0, abs(claimed)), flat)
-        elif inst.kind == "diag-blocks" and inst.diag_bounds is not None:
-            check = "structured-odd"
-            claimed = odd_symmetric_gap(inst.diag_bounds, inst.odd_beta) * (1.0 + opt.widen)
-            worst = _floor_margin(np.abs(flat.real), claimed, max(1.0, claimed), flat)
-        else:
-            return None
+        worst = worst_of(eigs, *inst.cert, opt.widen)
     except ConditionNotApplicable:
         return CheckResult(check, 0.0, True, note="not applicable")
     return _judged(check, worst, opt.rel_margin)
 
 
 def verify_instance(inst: MatrixInstance, options: VerifyOptions = VerifyOptions()) -> VerificationReport:
-    """Run every applicable soundness check; failures are entries, not raises."""
+    """Run every applicable soundness check; failures are entries, not raises.
+
+    Every instance gets the common checks; the kind alone adds its own
+    certificate's check (eig-count, numrange-window or structured-*).
+    """
     s_grid = np.linspace(0.0, 1.0, options.s_points)
     mats = inst.t_mat[None, :, :] + s_grid[:, None, None] * inst.a_mat[None, :, :]
     eigs = np.linalg.eigvals(mats)
     m0 = inst.t_mat + inst.a_mat
+    strips = [(g, strip) for g in inst.gaps if (strip := perturbed_strip(inst.quad, g)).open]
     checks: list[CheckResult] = [
         _check_eig_sanity(inst, eigs[-1]),
         _check_hyperbola(inst, s_grid, eigs, options),
-        _check_strips(inst, eigs, options),
+        _check_strips(strips, eigs, options),
         _check_resolvent_offreal(inst, m0, options),
-        *_check_resolvent_strip(inst, m0, options),
+        *_check_resolvent_strip(inst.quad, strips, m0, options),
     ]
-    hermitian = float(np.abs(inst.a_mat - inst.a_mat.conj().T).max()) <= 1e-14 * max(
-        1.0, float(np.abs(inst.a_mat).max())
-    )
+    hermitian = _is_hermitian(inst.a_mat)
     optional = [_check_resolvent_symgap(inst, m0, options)]
     if hermitian and inst.gaps:
         optional.append(_check_balls(inst, s_grid, eigs, options))
-    if inst.isolated is not None:
+    if inst.kind == "isolated":
         optional.append(_check_eig_count(inst, eigs, options))
-    if inst.almost_gap is not None and hermitian:
+    elif inst.kind == "symmetric" and hermitian:
         optional.append(_check_numrange_windows(inst, eigs[-1], options))
-    optional.append(_check_structured(inst, eigs, options))
+    elif inst.kind in _BLOCK_KINDS:
+        optional.append(_check_structured(inst, eigs, options))
     checks.extend(c for c in optional if c is not None)
     return VerificationReport(
         instance=inst.name, quad=inst.quad, s_points=options.s_points, checks=tuple(checks)
@@ -903,7 +883,7 @@ def standard_suite_specs(
     for i in order:
         kind = kinds[int(i)]
         dim = int(rng.integers(dim_lo, dim_hi + 1))
-        if kind in ("offdiag", "diag-blocks", "even") and dim % 2:
+        if kind in _BLOCK_KINDS and dim % 2:
             dim = dim + 1 if dim + 1 <= dim_hi else dim - 1
         n_gaps = 1
         if kind == "multi":
@@ -942,6 +922,7 @@ def run_suite(
     options: VerifyOptions = VerifyOptions(),
 ) -> SuiteResult:
     """Generate and verify the standard mixed suite."""
+    require_int("count", count, 1)
     t0 = time.perf_counter()
     reports = []
     for idx, (kind, dim, inst_seed, magnitude, n_gaps) in enumerate(

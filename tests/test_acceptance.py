@@ -168,7 +168,7 @@ def test_criterion_4_eigenvalue_counting():
         mult = 1 + i % 3
         dim = 6 + (3 * i) % 30
         inst = gen_isolated_instance(dim, mult, seed=i)
-        strip = isolated_eigenvalue_strip(inst.quad, inst.isolated)
+        strip = isolated_eigenvalue_strip(inst.quad, inst.cert[0])
         for s in S_GRID:
             lam = np.linalg.eigvals(inst.t_mat + s * inst.a_mat)
             inside = int(((lam.real > strip.lo) & (lam.real < strip.hi)).sum())
@@ -182,8 +182,7 @@ def test_criterion_4_eigenvalue_counting():
         for case in ("i", "ii", "iii", "iv"):
             try:
                 window = almost_gap_eig_bound(
-                    case, inst.quad, inst.almost_gap, inst.almost_inside,
-                    inst.almost_w,
+                    case, inst.quad, *inst.cert,
                 )
             except ConditionNotApplicable:
                 continue

@@ -315,6 +315,17 @@ class TestVerifyCommand:
         assert lines[0] == "instance,check,margin,pass"
         assert len(lines) == 1 + doc["checks"]
 
+    @pytest.mark.parametrize("argv, name", [
+        (("--s-points", "0"), "s_points"),
+        (("--s-points", "1"), "s_points"),
+        (("--widen", "nan"), "widen"),
+        (("--instances", "0"), "count"),
+    ])
+    def test_bad_grid_or_count_exits_2(self, argv, name, capsys):
+        code, out = run_cli("verify", "--instances", "3", *argv)
+        assert code == 2 and out == ""
+        assert name in capsys.readouterr().err
+
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("verify", "--suite", "exotic", "--instances", "2")

@@ -30,8 +30,7 @@ from gapcert.matrix_lab import (
 
 def _manual(t_diag, a_mat, quad, **kw):
     return MatrixInstance(
-        name="manual", kind="none", structure=kw.pop("structure", "none"),
-        seed=0, t_diag=np.asarray(t_diag, float),
+        name="manual", kind="none", seed=0, t_diag=np.asarray(t_diag, float),
         a_mat=np.asarray(a_mat, complex), quad=quad, **kw,
     )
 
@@ -176,9 +175,17 @@ class TestGenInstance:
         with pytest.raises(ValueError):
             gen_instance(4, 0, gaps=((-1.0, 1.0), (0.5, 2.0)))
 
+    @pytest.mark.parametrize("kind", ["offdiag", "even", "diag-blocks"])
+    def test_block_kinds_need_even_dim_and_place_their_own_gap(self, kind):
+        with pytest.raises(ValueError, match="even dimension"):
+            gen_instance(7, 0, kind=kind)
+        with pytest.raises(ValueError, match="gaps"):
+            gen_instance(8, 0, kind=kind, gaps=((-10.0, 10.0),))
+        gen_instance(8, 0, kind=kind)
+
     def test_isolated_multiplicity(self):
         inst = gen_isolated_instance(12, 3, 4)
-        assert int(np.sum(inst.t_diag == inst.isolated.lam)) == 3
+        assert int(np.sum(inst.t_diag == inst.cert[0].lam)) == 3
         with pytest.raises(ValueError):
             gen_isolated_instance(4, 3, 0)
 
@@ -188,7 +195,7 @@ class TestVerifyInstance:
         t = np.array([-3.0, -1.0, 1.0, 2.0])
         inst = _manual(
             t, np.zeros((4, 4)), QuadBound(0.0, 0.0),
-            gaps=(Gap(-1.0, 1.0),), structure="symmetric",
+            gaps=(Gap(-1.0, 1.0),),
         )
         rep = verify_instance(inst)
         assert rep.ok
@@ -223,6 +230,25 @@ class TestVerifyInstance:
         assert "numrange-window" in names
         assert "balls" in names or "numrange-window" in names
 
+    def test_check_names_and_order_per_kind(self):
+        # suite CSV rows follow this order; the kind alone adds the last checks
+        common = ("eig-sanity", "hyperbola", "strip", "resolvent-offreal",
+                  "resolvent-strip", "refined-le-plain")
+        want = {
+            "none": common,
+            "symmetric": common + ("numrange-window",),
+            "probe": common + ("balls",),
+            "offdiag": common + ("structured-offdiag",),
+            "even": common + ("structured-even",),
+            "diag-blocks": common + ("resolvent-symgap", "structured-odd"),
+            "multi": common,
+        }
+        for kind, names in want.items():
+            inst = gen_instance(12, 7, kind=kind, n_gaps=2 if kind == "multi" else 1)
+            assert tuple(c.check for c in verify_instance(inst).checks) == names, kind
+        rep = verify_instance(gen_isolated_instance(12, 2, 7))
+        assert tuple(c.check for c in rep.checks) == common + ("eig-count",)
+
     def test_isolated_count_check(self):
         rep = verify_instance(gen_isolated_instance(14, 2, 99))
         count = next(c for c in rep.checks if c.check == "eig-count")
@@ -235,6 +261,33 @@ class TestVerifyInstance:
         assert doc["s_points"] == 11
         assert len(doc["checks"]) == len(rep.checks)
         assert rep.to_json() == verify_instance(gen_instance(8, 1, kind="none")).to_json()
+
+
+class TestVerifyOptions:
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"s_points": 0}, "s_points"),
+        ({"s_points": 1}, "s_points"),
+        ({"s_points": 2.5}, "s_points"),
+        ({"z_re": 0}, "z_re"),
+        ({"z_im": 0}, "z_im"),
+        ({"z_im": 8}, "z_im"),
+        ({"z_im": 9}, "z_im"),
+        ({"widen": float("nan")}, "widen"),
+        ({"widen": float("inf")}, "widen"),
+        ({"widen": -0.1}, "widen"),
+    ])
+    def test_rejects_bad_grid_or_widen(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            VerifyOptions(**kwargs)
+
+    def test_extremes_accepted(self):
+        opt = VerifyOptions(s_points=2, z_re=1, z_im=7, widen=0.0)
+        rep = verify_instance(gen_instance(8, 1, kind="none"), opt)
+        assert rep.s_points == 2 and rep.ok
+
+    def test_suite_count_at_least_one(self):
+        with pytest.raises(ValueError, match="count"):
+            run_suite(0)
 
 
 class TestSuite:
