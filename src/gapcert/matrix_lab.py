@@ -8,13 +8,19 @@ ratio, which keeps the soundness checks honest and non-vacuous.
 
 verify_instance samples the coupling s in [0, 1] and a z-grid per
 certified region and reports signed margins; failures become report
-entries with witnesses, not exceptions.  run_suite drives the standard
-mixed suite used by the acceptance gate.
+entries with witnesses, not exceptions.  It runs in two steps: _observe
+does the linear algebra (eigenvalues along s, resolvent norms on every
+z-grid), _judge turns those arrays into checks under the options'
+tolerances and widen.  run_suite drives the standard mixed suite used by
+the acceptance gate and judges instances its previous call observed on
+that call's arrays.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextvars
+import hashlib
 import json
 import math
 import os
@@ -39,6 +45,7 @@ from .enclosures import (
     IsolatedEigSpec,
     QuadBound,
     StripResult,
+    SymmetricGapResult,
     gap_condition,
     isolated_eigenvalue_strip,
     lower_semicont_balls,
@@ -73,6 +80,8 @@ __all__ = [
     "run_suite",
 ]
 
+# kinds with a diagonal T placed around their gaps
+_PLAIN_KINDS = ("none", "multi", "symmetric", "probe")
 # kinds whose A couples two blocks of T = diag(T1, T2) of equal size
 _BLOCK_KINDS = ("offdiag", "even", "diag-blocks")
 
@@ -260,12 +269,15 @@ def gen_instance(
         raise ValueError("dim must lie in [2, 64]")
     if not 0.0 < magnitude < 1.0:
         raise ValueError("magnitude must lie in (0, 1)")
+    if kind not in _PLAIN_KINDS + _BLOCK_KINDS:
+        raise ValueError(f"unknown instance kind {kind!r}")
+    n_gaps = require_int("n_gaps", n_gaps, 1)
+    if n_gaps != 1 and kind != "multi":
+        raise ValueError(f"{kind} instances have one gap; n_gaps must be 1, got {n_gaps!r}")
     rng = np.random.default_rng(seed)
     name = name or f"{kind}-{seed:08d}"
-    if kind in ("none", "multi", "symmetric", "probe"):
+    if kind in _PLAIN_KINDS:
         return _gen_plain(rng, dim, seed, kind, gaps, magnitude, n_gaps, name)
-    if kind not in _BLOCK_KINDS:
-        raise ValueError(f"unknown instance kind {kind!r}")
     if dim % 2:
         raise ValueError(f"{kind} instances need an even dimension")
     if gaps is not None:
@@ -281,7 +293,7 @@ def _gen_plain(rng, dim, seed, kind, gaps, magnitude, n_gaps, name) -> MatrixIns
             if left.beta > right.alpha:
                 raise ValueError("prescribed gaps overlap")
     else:
-        gap_t = _auto_gaps(rng, n_gaps if kind == "multi" else 1)
+        gap_t = _auto_gaps(rng, n_gaps)
     inside = 0
     if kind == "symmetric":
         inside = int(rng.integers(0, 3))
@@ -557,11 +569,10 @@ def _floor_margin(values: np.ndarray, claimed: float, scale: float, eigs: np.nda
     return (float(values[k]) - claimed) / scale, repr(complex(eigs.ravel()[k]))
 
 
-def _check_eig_sanity(inst: MatrixInstance, top: np.ndarray) -> CheckResult:
-    m = inst.t_mat + inst.a_mat
+def _check_eig_sanity(obs: _Observation) -> CheckResult:
+    top, (trace, sign, logabs) = obs.eigs[-1], obs.trace_slogdet
     tol = 1e-9
-    err = abs(complex(np.sum(top)) - complex(np.trace(m))) / max(1.0, abs(complex(np.trace(m))))
-    sign, logabs = np.linalg.slogdet(m)
+    err = abs(complex(np.sum(top)) - trace) / max(1.0, abs(trace))
     lam = top.astype(complex)
     if sign != 0 and float(np.abs(lam).min()) > 0.0:
         # compare log det = sum log lambda in the log domain; the phase
@@ -677,19 +688,8 @@ def _zgrid(mu: np.ndarray, width: float, opt) -> np.ndarray:
     return (mu[:, None] + 1j * nu[None, :]).ravel()
 
 
-def _resolvent_worst(m0, zs, bounds, opt, worst=(math.inf, "")) -> tuple[float, str]:
-    """Worst relative margin of certified resolvent bounds over the oracle's norms at zs."""
-    for z, bound, nrm in zip(zs, bounds, _batch_resolvent_norms(m0, zs)):
-        margin = (bound * (1.0 + opt.resolvent_tol) - nrm) / bound
-        if margin < worst[0]:
-            worst = (float(margin), repr(complex(z)))
-    return worst
-
-
-def _check_resolvent_offreal(inst, m0, opt) -> CheckResult:
+def _offreal_zgrid(inst, opt) -> np.ndarray:
     q = inst.quad
-    if q.b >= 1.0:
-        return CheckResult("resolvent-offreal", 0.0, True, note="not applicable: b >= 1")
     r = 1.05 * float(np.abs(inst.t_diag).max()) + 1.0
     res = np.linspace(-r, r, opt.z_re)
     fracs = np.geomspace(opt.inset, 10.0, opt.z_im)
@@ -697,19 +697,42 @@ def _check_resolvent_offreal(inst, m0, opt) -> CheckResult:
     im = boundary[:, None] * (1.0 + fracs[None, :])
     # a degenerate boundary (a = 0 at re = 0) excludes every im > 0
     im = np.where(boundary[:, None] > 0.0, im, r * fracs[None, :])
-    zs = (res[:, None] + 1j * im).ravel()
+    return (res[:, None] + 1j * im).ravel()
+
+
+def _strip_zgrid(gap: Gap, strip: StripResult, opt) -> np.ndarray:
+    mu = strip.lo + (strip.hi - strip.lo) * np.linspace(opt.inset, 1.0 - opt.inset, opt.z_re)
+    return _zgrid(mu, gap.width, opt)
+
+
+def _symgap_zgrid(result: SymmetricGapResult, gap: Gap, opt) -> np.ndarray:
+    mu = result.beta_pert * np.linspace(-(1.0 - opt.inset), 1.0 - opt.inset, opt.z_re)
+    return _zgrid(mu, gap.beta, opt)
+
+
+def _resolvent_worst(zs, norms, bounds, opt, worst=(math.inf, "")) -> tuple[float, str]:
+    """Worst relative margin of certified resolvent bounds over the oracle's norms at zs."""
+    for z, bound, nrm in zip(zs, bounds, norms):
+        margin = (bound * (1.0 + opt.resolvent_tol) - nrm) / bound
+        if margin < worst[0]:
+            worst = (float(margin), repr(complex(z)))
+    return worst
+
+
+def _check_resolvent_offreal(q, grid, opt) -> CheckResult:
+    if grid is None:
+        return CheckResult("resolvent-offreal", 0.0, True, note="not applicable: b >= 1")
+    zs, norms = grid
     bounds = [resolvent_bound_offreal(q, z) for z in zs]
-    return _judged("resolvent-offreal", _resolvent_worst(m0, zs, bounds, opt), opt.rel_margin)
+    return _judged("resolvent-offreal", _resolvent_worst(zs, norms, bounds, opt), opt.rel_margin)
 
 
-def _check_resolvent_strip(q, strips, m0, opt) -> tuple[CheckResult, CheckResult]:
+def _check_resolvent_strip(q, strips, opt) -> tuple[CheckResult, CheckResult]:
     if not strips:
         skip = CheckResult("resolvent-strip", 0.0, True, note="no certified strip")
         return skip, CheckResult("refined-le-plain", 0.0, True, note="no certified strip")
     worst_s = worst_r = (math.inf, "")
-    for gap, strip in strips:
-        mu = strip.lo + (strip.hi - strip.lo) * np.linspace(opt.inset, 1.0 - opt.inset, opt.z_re)
-        zs = _zgrid(mu, gap.width, opt)
+    for gap, _, zs, norms in strips:
         bounds = []
         for z in zs:
             plain = resolvent_bound_strip(q, gap, z)
@@ -718,24 +741,19 @@ def _check_resolvent_strip(q, strips, m0, opt) -> tuple[CheckResult, CheckResult
             margin = (plain * (1.0 + opt.refined_tol) - refined) / plain
             if margin < worst_r[0]:
                 worst_r = (float(margin), repr(complex(z)))
-        worst_s = _resolvent_worst(m0, zs, bounds, opt, worst_s)
+        worst_s = _resolvent_worst(zs, norms, bounds, opt, worst_s)
     return (
         _judged("resolvent-strip", worst_s, opt.rel_margin),
         _judged("refined-le-plain", worst_r, 0.0),
     )
 
 
-def _check_resolvent_symgap(inst, m0, opt) -> CheckResult | None:
-    gap = next((g for g in inst.gaps if g.alpha == -g.beta), None)
-    if gap is None:
+def _check_resolvent_symgap(grid, opt) -> CheckResult | None:
+    if grid is None:
         return None
-    result = symmetric_gap_strip(inst.quad, gap.beta)
-    if not result.strip.open:
-        return None
-    mu = result.beta_pert * np.linspace(-(1.0 - opt.inset), 1.0 - opt.inset, opt.z_re)
-    zs = _zgrid(mu, gap.beta, opt)
+    result, zs, norms = grid
     bounds = [result.resolvent_bound(z) for z in zs]
-    return _judged("resolvent-symgap", _resolvent_worst(m0, zs, bounds, opt), opt.rel_margin)
+    return _judged("resolvent-symgap", _resolvent_worst(zs, norms, bounds, opt), opt.rel_margin)
 
 
 def _check_balls(inst, s_grid, eigs, opt) -> CheckResult:
@@ -818,26 +836,75 @@ def _check_structured(inst, eigs, opt) -> CheckResult:
     return _judged(check, worst, opt.rel_margin)
 
 
-def verify_instance(inst: MatrixInstance, options: VerifyOptions = VerifyOptions()) -> VerificationReport:
-    """Run every applicable soundness check; failures are entries, not raises.
+@dataclass(frozen=True, eq=False)
+class _Observation:
+    """What the linear algebra of one verification saw; every array is read-only.
 
-    Every instance gets the common checks; the kind alone adds its own
-    certificate's check (eig-count, numrange-window or structured-*).
+    eigs[i] holds the eigenvalues of T + s_grid[i] A.  Each resolvent grid
+    carries its z-grid `zs` and the oracle's norms ||(T + A - z)^-1|| there:
+    `offreal` is (zs, norms), None when b >= 1; `strips` has one
+    (gap, perturbed strip, zs, norms) per open strip; `symgap` is
+    (SymmetricGapResult, zs, norms) for an open symmetric gap, else None.
     """
+
+    s_grid: np.ndarray
+    eigs: np.ndarray
+    trace_slogdet: tuple[complex, complex, float]
+    offreal: tuple | None
+    strips: tuple
+    symgap: tuple | None
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _observe(inst: MatrixInstance, options: VerifyOptions) -> _Observation:
+    """All the linear algebra of a verification; depends on no tolerance and not on widen."""
     s_grid = np.linspace(0.0, 1.0, options.s_points)
     mats = inst.t_mat[None, :, :] + s_grid[:, None, None] * inst.a_mat[None, :, :]
     eigs = np.linalg.eigvals(mats)
     m0 = inst.t_mat + inst.a_mat
-    strips = [(g, strip) for g in inst.gaps if (strip := perturbed_strip(inst.quad, g)).open]
+    sign, logabs = np.linalg.slogdet(m0)
+
+    def grid(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _read_only(zs, _batch_resolvent_norms(m0, zs))
+
+    q = inst.quad
+    offreal = grid(_offreal_zgrid(inst, options)) if q.b < 1.0 else None
+    strips = tuple(
+        (g, strip, *grid(_strip_zgrid(g, strip, options)))
+        for g in inst.gaps if (strip := perturbed_strip(q, g)).open
+    )
+    symgap = None
+    gap = next((g for g in inst.gaps if g.alpha == -g.beta), None)
+    if gap is not None and (result := symmetric_gap_strip(q, gap.beta)).strip.open:
+        symgap = (result, *grid(_symgap_zgrid(result, gap, options)))
+    return _Observation(
+        *_read_only(s_grid, eigs), (complex(np.trace(m0)), complex(sign), float(logabs)),
+        offreal, strips, symgap,
+    )
+
+
+def _judge(inst: MatrixInstance, obs: _Observation, options: VerifyOptions) -> VerificationReport:
+    """Every applicable check of `inst` under `options`, from the observation alone.
+
+    Every instance gets the common checks; the kind alone adds its own
+    certificate's check (eig-count, numrange-window or structured-*).
+    """
+    s_grid, eigs = obs.s_grid, obs.eigs
+    strips = [(g, strip) for g, strip, _, _ in obs.strips]
     checks: list[CheckResult] = [
-        _check_eig_sanity(inst, eigs[-1]),
+        _check_eig_sanity(obs),
         _check_hyperbola(inst, s_grid, eigs, options),
         _check_strips(strips, eigs, options),
-        _check_resolvent_offreal(inst, m0, options),
-        *_check_resolvent_strip(inst.quad, strips, m0, options),
+        _check_resolvent_offreal(inst.quad, obs.offreal, options),
+        *_check_resolvent_strip(inst.quad, obs.strips, options),
     ]
     hermitian = _is_hermitian(inst.a_mat)
-    optional = [_check_resolvent_symgap(inst, m0, options)]
+    optional = [_check_resolvent_symgap(obs.symgap, options)]
     if hermitian and inst.gaps:
         optional.append(_check_balls(inst, s_grid, eigs, options))
     if inst.kind == "isolated":
@@ -850,6 +917,43 @@ def verify_instance(inst: MatrixInstance, options: VerifyOptions = VerifyOptions
     return VerificationReport(
         instance=inst.name, quad=inst.quad, s_points=options.s_points, checks=tuple(checks)
     )
+
+
+def _observation_key(inst: MatrixInstance, options: VerifyOptions) -> bytes:
+    """Digest of everything an observation depends on: T, A, quad, gaps and the grids."""
+    head = (inst.dim, inst.quad.a, inst.quad.b, [(g.alpha, g.beta) for g in inst.gaps],
+            options.s_points, options.z_re, options.z_im, options.inset)
+    digest = hashlib.sha256(repr(head).encode())
+    digest.update(inst.t_diag.tobytes())
+    digest.update(inst.a_mat.tobytes())
+    return digest.digest()
+
+
+# Observations of the previous run_suite call, by _observation_key.  A
+# running run_suite sets _suite_store to (that store, its own new store);
+# verify_instance reads and records only while it is set, so direct calls
+# leave no trace, and run_suite publishes its store when it returns.
+_previous_observations: dict[bytes, _Observation] = {}
+_suite_store: contextvars.ContextVar = contextvars.ContextVar("gapcert_suite_store", default=None)
+
+
+def verify_instance(inst: MatrixInstance, options: VerifyOptions = VerifyOptions()) -> VerificationReport:
+    """Run every applicable soundness check; failures are entries, not raises.
+
+    Inside run_suite, an instance whose T, A, constants and grids the
+    previous run_suite call already observed is judged on that call's
+    observation (same arrays, so the same report) instead of a new one.
+    """
+    store = _suite_store.get()
+    if store is None:
+        return _judge(inst, _observe(inst, options), options)
+    previous, recorded = store
+    key = _observation_key(inst, options)
+    obs = previous.get(key)
+    if obs is None:
+        obs = _observe(inst, options)
+    recorded[key] = obs
+    return _judge(inst, obs, options)
 
 
 # ---------------------------------------------------------------------------
@@ -871,6 +975,8 @@ def standard_suite_specs(
     count: int = 500, dim_lo: int = 4, dim_hi: int = 40, seed: int = 20260822
 ) -> list[tuple[str, int, int, float, int]]:
     """Deterministic (kind, dim, seed, magnitude, n_gaps) plan for the suite."""
+    if dim_lo > dim_hi:
+        raise ValueError(f"dim_lo must not exceed dim_hi, got dim_lo={dim_lo!r}, dim_hi={dim_hi!r}")
     kinds: list[str] = []
     for kind, frac in _SUITE_MIX:
         kinds.extend([kind] * int(round(frac * count)))
@@ -921,16 +1027,28 @@ def run_suite(
     seed: int = 20260822,
     options: VerifyOptions = VerifyOptions(),
 ) -> SuiteResult:
-    """Generate and verify the standard mixed suite."""
+    """Generate and verify the standard mixed suite.
+
+    Observations the previous call made of the same instances and grids
+    are reused (see verify_instance), so a suite verified again under other
+    tolerances or another widen does no new linear algebra.
+    """
+    global _previous_observations
     require_int("count", count, 1)
     t0 = time.perf_counter()
     reports = []
-    for idx, (kind, dim, inst_seed, magnitude, n_gaps) in enumerate(
-        standard_suite_specs(count, dim_lo, dim_hi, seed)
-    ):
-        inst = gen_instance(
-            dim, inst_seed, kind=kind, magnitude=magnitude, n_gaps=n_gaps,
-            name=f"{kind}-{idx:04d}",
-        )
-        reports.append(verify_instance(inst, options))
+    recorded: dict[bytes, _Observation] = {}
+    token = _suite_store.set((_previous_observations, recorded))
+    try:
+        for idx, (kind, dim, inst_seed, magnitude, n_gaps) in enumerate(
+            standard_suite_specs(count, dim_lo, dim_hi, seed)
+        ):
+            inst = gen_instance(
+                dim, inst_seed, kind=kind, magnitude=magnitude, n_gaps=n_gaps,
+                name=f"{kind}-{idx:04d}",
+            )
+            reports.append(verify_instance(inst, options))
+    finally:
+        _suite_store.reset(token)
+    _previous_observations = recorded
     return SuiteResult(tuple(reports), time.perf_counter() - t0)

@@ -320,6 +320,7 @@ class TestVerifyCommand:
         (("--s-points", "1"), "s_points"),
         (("--widen", "nan"), "widen"),
         (("--instances", "0"), "count"),
+        (("--dim-lo", "10", "--dim-hi", "5"), "dim_lo must not exceed dim_hi"),
     ])
     def test_bad_grid_or_count_exits_2(self, argv, name, capsys):
         code, out = run_cli("verify", "--instances", "3", *argv)

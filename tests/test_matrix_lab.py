@@ -183,6 +183,22 @@ class TestGenInstance:
             gen_instance(8, 0, kind=kind, gaps=((-10.0, 10.0),))
         gen_instance(8, 0, kind=kind)
 
+    @pytest.mark.parametrize("kind, n_gaps", [
+        ("multi", 0), ("multi", -1), ("multi", 2.5), ("none", 0), ("none", 2.5),
+    ])
+    def test_rejects_n_gaps_that_is_no_count(self, kind, n_gaps):
+        with pytest.raises(ValueError, match="n_gaps must be an integer >= 1"):
+            gen_instance(8, 0, kind=kind, n_gaps=n_gaps)
+
+    @pytest.mark.parametrize("kind", ["none", "symmetric", "probe", "offdiag", "even", "diag-blocks"])
+    def test_single_gap_kinds_refuse_n_gaps(self, kind):
+        with pytest.raises(ValueError, match="n_gaps must be 1"):
+            gen_instance(8, 0, kind=kind, n_gaps=3)
+        gen_instance(8, 0, kind=kind, n_gaps=1)
+
+    def test_multi_builds_n_gaps_gaps(self):
+        assert len(gen_instance(12, 0, kind="multi", n_gaps=3).gaps) == 3
+
     def test_isolated_multiplicity(self):
         inst = gen_isolated_instance(12, 3, 4)
         assert int(np.sum(inst.t_diag == inst.cert[0].lam)) == 3
@@ -300,6 +316,13 @@ class TestSuite:
         assert len(res.reports) == 24
         assert res.elapsed > 0.0
 
+    def test_specs_reject_inverted_dimension_range(self):
+        with pytest.raises(ValueError, match="dim_lo.*dim_hi"):
+            standard_suite_specs(4, dim_lo=10, dim_hi=5)
+        with pytest.raises(ValueError, match="dim_lo"):
+            run_suite(2, dim_lo=10, dim_hi=5)
+        assert {spec[1] for spec in standard_suite_specs(20, dim_lo=10, dim_hi=10)} == {10}
+
     def test_csv_shape(self):
         res = run_suite(6, dim_hi=10, seed=2)
         lines = res.to_csv().strip().split("\n")
@@ -397,3 +420,133 @@ class TestParallelOracle:
                               text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["1", "False"]
+
+
+_SMALL = (16, 6, 14, 11)
+_WIDENED = VerifyOptions(widen=0.1)
+
+
+@pytest.fixture
+def empty_store(monkeypatch):
+    monkeypatch.setattr(matrix_lab, "_previous_observations", {})
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """Counts of eigvals, svd and slogdet calls made through numpy.linalg."""
+    calls = {"eigvals": 0, "svd": 0, "slogdet": 0}
+    lock = threading.Lock()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            with lock:
+                calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    return calls
+
+
+def _stored_arrays(obs):
+    arrays = [obs.s_grid, obs.eigs]
+    if obs.offreal is not None:
+        arrays.extend(obs.offreal)
+    for _, _, zs, norms in obs.strips:
+        arrays.extend((zs, norms))
+    if obs.symgap is not None:
+        arrays.extend(obs.symgap[1:])
+    return arrays
+
+
+@pytest.mark.usefixtures("empty_store")
+class TestObservationReuse:
+    """run_suite judges instances the previous call observed on that call's arrays."""
+
+    def test_widened_after_plain_matches_fresh_widened(self):
+        plain = run_suite(*_SMALL).to_csv()
+        reused = run_suite(*_SMALL, options=_WIDENED).to_csv()
+        matrix_lab._previous_observations = {}
+        fresh = run_suite(*_SMALL, options=_WIDENED).to_csv()
+        assert reused == fresh
+        assert fresh != plain
+        assert run_suite(*_SMALL).to_csv() == plain
+
+    def test_second_call_does_no_linear_algebra(self, oracle_calls):
+        run_suite(*_SMALL)
+        assert oracle_calls["eigvals"] == _SMALL[0] and oracle_calls["svd"] > 0
+        for name in oracle_calls:
+            oracle_calls[name] = 0
+        run_suite(*_SMALL, options=VerifyOptions(widen=0.1, rel_margin=1e-6, refined_tol=0.0))
+        assert oracle_calls == {"eigvals": 0, "svd": 0, "slogdet": 0}
+
+    @pytest.mark.parametrize("changed", [{"s_points": 9}, {"inset": 1e-5}, {"z_re": 14}, {"z_im": 5}])
+    def test_changed_grid_observes_again(self, oracle_calls, changed):
+        run_suite(*_SMALL)
+        oracle_calls["eigvals"] = 0
+        run_suite(*_SMALL, options=VerifyOptions(**changed))
+        assert oracle_calls["eigvals"] == _SMALL[0]
+
+    def test_only_the_previous_call_is_kept(self, oracle_calls):
+        run_suite(*_SMALL)
+        run_suite(4, 6, 14, 12)
+        oracle_calls["eigvals"] = 0
+        run_suite(*_SMALL)
+        assert oracle_calls["eigvals"] == _SMALL[0]
+        assert len(matrix_lab._previous_observations) == _SMALL[0]
+
+    def test_direct_calls_leave_the_store_alone(self, oracle_calls):
+        inst = gen_instance(12, 4)
+        first = verify_instance(inst).to_json()
+        assert verify_instance(inst).to_json() == first
+        assert oracle_calls["eigvals"] == 2
+        assert matrix_lab._previous_observations == {}
+        run_suite(*_SMALL)
+        store = dict(matrix_lab._previous_observations)
+        verify_instance(inst)
+        assert matrix_lab._previous_observations == store
+        assert matrix_lab._suite_store.get() is None
+
+    def test_stored_arrays_reject_writes(self):
+        run_suite(*_SMALL)
+        stored = list(matrix_lab._previous_observations.values())
+        assert len(stored) == _SMALL[0]
+        assert any(obs.strips for obs in stored) and any(obs.symgap for obs in stored)
+        for obs in stored:
+            for array in _stored_arrays(obs):
+                with pytest.raises(ValueError, match="read-only"):
+                    array.flat[0] = 0
+
+    def test_concurrent_suites_match_serial(self):
+        plans = [((8, 6, 12, 11), None), ((8, 6, 12, 11), _WIDENED),
+                 ((8, 6, 12, 13), None), ((8, 6, 12, 13), _WIDENED)]
+
+        def run(args, options):
+            return run_suite(*args, **({"options": options} if options else {})).to_csv()
+
+        want = []
+        for plan in plans:
+            matrix_lab._previous_observations = {}
+            want.append(run(*plan))
+        matrix_lab._previous_observations = {}
+        got = [None] * 4
+
+        def caller(k):
+            # more threads than cores, each starting at another plan, so
+            # every call may find the store of any other thread's call
+            order = list(range(k, len(plans))) + list(range(k))
+            got[k] = sorted((i, run(*plans[i])) for i in order)
+
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [list(enumerate(want))] * 4
