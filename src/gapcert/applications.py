@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .enclosures import QuadBound, SymmetricGapResult, hyperbola_excluded, symmetric_gap_strip
 from .errors import ConditionNotApplicable, require_int, require_nonneg, require_positive
-from .gap_sequences import GrowthTerm, TailModel
+from .gap_sequences import GrowthTerm, PowerLogTail
 
 __all__ = [
     "DiracSpec",
@@ -293,7 +293,7 @@ class ManifoldBounds:
     pointwise: QuadBound
     a_model: GrowthTerm
     b_model: GrowthTerm
-    band_model: TailModel
+    band_model: PowerLogTail
 
 
 def manifold_relbounds(
@@ -317,31 +317,12 @@ def manifold_relbounds(
     a_n = kappa * math.sqrt(1.0 + n * n / (p - 2.0))
     b_n = kappa / (n * math.sqrt(p - 2.0))
     slope = kappa / math.sqrt(p - 2.0)
-    if spec.case == 1:
-        band = TailModel(
-            kind="power-log",
-            p1=2.0,
-            p2=0.0,
-            q1=2.0,
-            q2=-spec.eps_geom,
-            length_prefactor=length_prefactor,
-            width_prefactor=width_prefactor,
-        )
-    else:
-        band = TailModel(
-            kind="power-log",
-            p1=2.0,
-            p2=0.0,
-            q1=2.0 - spec.eps_geom,
-            q2=0.0,
-            length_prefactor=length_prefactor,
-            width_prefactor=width_prefactor,
-        )
+    q1, q2 = (2.0, -spec.eps_geom) if spec.case == 1 else (2.0 - spec.eps_geom, 0.0)
     return ManifoldBounds(
         pointwise=QuadBound(a_n, b_n),
         a_model=GrowthTerm(slope, power=1.0),
         b_model=GrowthTerm(slope, power=-1.0),
-        band_model=band,
+        band_model=PowerLogTail(2.0, q1, 0.0, q2, length_prefactor, width_prefactor),
     )
 
 

@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 
 from .applications import (
     CoulombSpec,
@@ -57,6 +58,7 @@ from .gap_sequences import (
     GapSequence,
     GrowthTerm,
     PerGapConstants,
+    PowerLogTail,
     TailModel,
     kappa_s,
     necessary_growth_check,
@@ -84,8 +86,8 @@ def _merge_json(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
     doc = {}
     if src:
         try:
-            text = sys.stdin.read() if src == "-" else open(src, "r", encoding="utf-8").read()
-            doc = json.loads(text)
+            with nullcontext(sys.stdin) if src == "-" else open(src, encoding="utf-8") as fh:
+                doc = json.load(fh)
         except OSError as exc:
             parser.error(f"cannot read --json input: {exc}")
         except json.JSONDecodeError as exc:
@@ -110,6 +112,14 @@ def _need(parser: argparse.ArgumentParser, args: argparse.Namespace, *names: str
     missing = ["--" + n.replace("_", "-") for n in names if getattr(args, n.replace("-", "_")) is None]
     if missing:
         parser.error("missing required parameters: " + ", ".join(missing))
+
+
+def _inf_as_null(doc: dict) -> dict:
+    """doc with each infinite limit as None: strict JSON has no Infinity."""
+    return {
+        key: None if isinstance(value, float) and math.isinf(value) else value
+        for key, value in doc.items()
+    }
 
 
 def _write_csv(path: str, text: str):
@@ -207,25 +217,27 @@ def _cmd_eig_strip(args, parser):
 
 
 def _band_data(args, parser):
-    """TailModel or GapSequence from the band-structure flags."""
+    """Tail model or GapSequence from the band-structure flags."""
     if args.alphas is not None or args.betas is not None:
+        if args.model is not None:
+            parser.error("--model cannot be combined with --alphas/--betas")
         _need(parser, args, "alphas", "betas")
         seq = GapSequence(_floats(args.alphas), _floats(args.betas))
         if args.window is not None:
             return TailModel("finite-data", seq=seq, window=args.window)
         return seq
+    if args.window is not None:
+        parser.error("--window applies only to finite data (--alphas/--betas), not to --model")
     _need(parser, args, "model")
     if args.model == "power-log":
         return _power_log(args, parser)
     if args.model == "geometric":
         _need(parser, args, "ratio", "band_ratio")
-        return TailModel(
-            "geometric", ratio=args.ratio, band_ratio=args.band_ratio, alpha_scale=args.alpha_scale
-        )
+        return TailModel("geometric", ratio=args.ratio, band_ratio=args.band_ratio)
     parser.error(f"unknown band model {args.model!r}")
 
 
-def _power_log(args, parser) -> TailModel:
+def _power_log(args, parser) -> PowerLogTail:
     _need(parser, args, "p1", "q1")
     return TailModel(
         "power-log",
@@ -241,14 +253,14 @@ def _power_log(args, parser) -> TailModel:
 def _cmd_gaps(args, parser):
     _need(parser, args, "delta_a")
     res = ratio_criterion(_band_data(args, parser), args.delta_a)
-    return {
+    return _inf_as_null({
         "status": "ok",
         "verdict": res.verdict.value,
         "liminf": res.liminf,
         "limsup": res.limsup,
         "threshold": res.threshold,
         "exact": res.exact,
-    }
+    })
 
 
 def _growth_terms(args) -> tuple[GrowthTerm, GrowthTerm]:
@@ -270,12 +282,12 @@ def _cmd_kappa(args, parser):
         _need(parser, args, "a_seq", "b_seq")
         bands = BandProfile(_floats(args.lengths), _floats(args.widths))
         consts = PerGapConstants(_floats(args.a_seq), _floats(args.b_seq))
-        return {"status": "ok", "kappa": kappa_s(bands, consts)}
-    data = _band_data(args, parser)
-    consts = _const_terms(args)
-    if not isinstance(data, TailModel) or consts is None:
-        parser.error("analytic kappa needs a power-log band model and constant terms")
-    return {"status": "ok", "kappa": kappa_s(data, consts)}
+    else:
+        bands = _band_data(args, parser)
+        consts = _const_terms(args)
+        if not isinstance(bands, PowerLogTail) or consts is None:
+            parser.error("analytic kappa needs a power-log band model and constant terms")
+    return _inf_as_null({"status": "ok", "kappa": kappa_s(bands, consts)})
 
 
 def _cmd_growth_check(args, parser):
@@ -290,7 +302,7 @@ def _cmd_growth_check(args, parser):
         "status": "ok",
         "ok": diag.ok,
         "failed_condition": diag.failed_condition,
-        "details": diag.details,
+        "details": _inf_as_null(diag.details),
     }
 
 
@@ -560,8 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
     prefactor_flags = [("--length-prefactor", _F, 1.0), ("--width-prefactor", _F, 1.0)]
     band_flags = prefactor_flags + [
         ("--model", {"choices": ["power-log", "geometric"]}),
-        ("--p1", _F), ("--p2", _F), ("--q1", _F), ("--q2", _F),
-        ("--ratio", _F), ("--band-ratio", _F), ("--alpha-scale", _F, 1.0),
+        ("--p1", _F), ("--p2", _F, 0.0), ("--q1", _F), ("--q2", _F, 0.0),
+        ("--ratio", _F), ("--band-ratio", _F),
         ("--alphas", _S), ("--betas", _S), ("--window", _I),
     ]
     const_flags = [
@@ -575,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add(sub, "growth-check", _cmd_growth_check, "necessary growth screen",
          band_flags + const_flags + [("--delta-a", _F), ("--a-seq", _S), ("--b-seq", _S)])
     _add(sub, "powerlaw", _cmd_powerlaw, "power-log band scale budget", prefactor_flags + [
-        ("--p1", _F), ("--p2", _F), ("--q1", _F), ("--q2", _F),
+        ("--p1", _F), ("--p2", _F, 0.0), ("--q1", _F), ("--q2", _F, 0.0),
     ] + const_flags)
     _add(sub, "structured", _cmd_structured, "block-structured bounds", [
         ("--shape", {"choices": ["offdiag", "even", "odd"]}),

@@ -10,9 +10,9 @@ beta_n <= alpha_{n+1}.  Two routes decide how many gaps survive T + A:
   alpha_n) below 1 for infinitely (liminf) or cofinitely (limsup) many n.
 
 Finite data is estimated over a tail window (default the last ceil(N/4)
-terms, max/min); analytic tail models evaluate the limits exactly.  A
-verdict is refused (inconclusive) rather than guessed whenever a finite
-estimate straddles its threshold within 1e-6.
+terms, max/min); the analytic tail models (PowerLogTail, GeometricTail)
+evaluate the limits exactly.  A verdict is refused (inconclusive) rather
+than guessed whenever a finite estimate straddles its threshold within 1e-6.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from enum import Enum
 from typing import Optional, Sequence, Union
 
 from .enclosures import Gap, QuadBound, StripResult, perturbed_strip
-from .errors import ConditionNotApplicable
+from .errors import ConditionNotApplicable, NumericalFailure
+from .errors import require_finite, require_int, require_nonneg, require_positive
 
 __all__ = [
     "Verdict",
@@ -32,6 +33,9 @@ __all__ = [
     "BandProfile",
     "PerGapConstants",
     "ConstModel",
+    "PowerLogTail",
+    "GeometricTail",
+    "FiniteTail",
     "TailModel",
     "RatioResult",
     "PerGapResult",
@@ -63,14 +67,14 @@ class GrowthTerm:
     log_power: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.coeff) and self.coeff >= 0):
-            raise ValueError("coeff must be finite and nonnegative")
-        if not (math.isfinite(self.base) and self.base > 0):
-            raise ValueError("base must be finite and positive")
+        object.__setattr__(self, "coeff", require_nonneg("coeff", self.coeff))
+        object.__setattr__(self, "base", require_positive("base", self.base))
+        for name in ("power", "log_power"):
+            object.__setattr__(self, name, require_finite(name, getattr(self, name)))
 
     def value(self, n: int) -> float:
-        if n < 2:
-            raise ValueError("growth terms are evaluated for n >= 2")
+        """The term at n >= 2, where log(n) > 0."""
+        n = require_int("n", n, 2)
         return self.coeff * self.base**n * float(n) ** self.power * math.log(n) ** self.log_power
 
     def times(self, other: "GrowthTerm") -> "GrowthTerm":
@@ -123,14 +127,14 @@ class GapSequence:
     betas: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        alphas = tuple(float(x) for x in self.alphas)
-        betas = tuple(float(x) for x in self.betas)
+        alphas = tuple(require_finite("alpha_n", x) for x in self.alphas)
+        betas = tuple(require_finite("beta_n", x) for x in self.betas)
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "betas", betas)
         if len(alphas) != len(betas) or not alphas:
             raise ValueError("alphas and betas must be nonempty and equally long")
         for a, b in zip(alphas, betas):
-            if not (math.isfinite(a) and math.isfinite(b) and a < b):
+            if not a < b:
                 raise ValueError("each gap requires finite alpha_n < beta_n")
         for b, a_next in zip(betas, alphas[1:]):
             if b > a_next:
@@ -154,6 +158,21 @@ class GapSequence:
     def gaps(self) -> tuple[Gap, ...]:
         return tuple(Gap(a, b) for a, b in zip(self.alphas, self.betas))
 
+    def ratio_limits(self, window: Optional[int] = None) -> tuple[float, float, bool]:
+        """Tail-window (liminf, limsup, exact) estimate of beta_n/alpha_n."""
+        ratios = [b / a for a, b in zip(self.alphas, self.betas) if a > 0]
+        if not ratios:
+            raise ValueError("endpoint ratios need strictly positive alpha_n in the tail")
+        tail = _tail(ratios, window)
+        return min(tail), max(tail), False
+
+    def growth_limits(self, window: Optional[int] = None) -> tuple[float, bool]:
+        """Tail-window (liminf, exact) estimate of alpha_{n+1}/alpha_n."""
+        ratios = [a2 / a1 for a1, a2 in zip(self.alphas, self.alphas[1:]) if a1 > 0]
+        if not ratios:
+            raise ValueError("endpoint ratios need strictly positive alpha_n")
+        return min(_tail(ratios, window)), False
+
 
 @dataclass(frozen=True)
 class BandProfile:
@@ -163,18 +182,14 @@ class BandProfile:
     widths: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        lengths = tuple(float(x) for x in self.lengths)
-        widths = tuple(float(x) for x in self.widths)
+        lengths = tuple(require_positive("gap length", x) for x in self.lengths)
+        widths = tuple(require_nonneg("band width", x) for x in self.widths)
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "widths", widths)
         if not lengths:
             raise ValueError("at least one gap length required")
         if len(widths) not in (len(lengths) - 1, len(lengths)):
             raise ValueError("widths must number len(lengths)-1 (trailing width optional)")
-        if any(not math.isfinite(l) or l <= 0 for l in lengths):
-            raise ValueError("gap lengths must be positive")
-        if any(not math.isfinite(w) or w < 0 for w in widths):
-            raise ValueError("band widths must be nonnegative")
 
     def to_sequence(self, alpha1: float) -> GapSequence:
         alphas, betas = [], []
@@ -195,15 +210,13 @@ class PerGapConstants:
     b_seq: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        a_seq = tuple(float(x) for x in self.a_seq)
-        b_seq = tuple(float(x) for x in self.b_seq)
+        a_seq = tuple(require_nonneg("a_n", x) for x in self.a_seq)
+        b_seq = tuple(require_nonneg("b_n", x) for x in self.b_seq)
         object.__setattr__(self, "a_seq", a_seq)
         object.__setattr__(self, "b_seq", b_seq)
         if len(a_seq) != len(b_seq) or not a_seq:
             raise ValueError("a_seq and b_seq must be nonempty and equally long")
-        if any(not math.isfinite(a) or a < 0 for a in a_seq):
-            raise ValueError("a_n must be nonnegative")
-        if any(not math.isfinite(b) or not 0 <= b < 1 for b in b_seq):
+        if any(b >= 1 for b in b_seq):
             raise ValueError("b_n must lie in [0, 1)")
 
     def __len__(self) -> int:
@@ -223,67 +236,94 @@ class ConstModel:
 
 
 @dataclass(frozen=True)
-class TailModel:
-    """Tail behavior of the band structure.
+class PowerLogTail:
+    """Power-log bands: l_n = length_prefactor * n**p1 * log(n)**p2 and
+    w_n = width_prefactor * n**q1 * log(n)**q2."""
 
-    kind "power-log":   l_n = length_prefactor * n**p1 * log(n)**p2,
-                        w_n = width_prefactor * n**q1 * log(n)**q2.
-    kind "geometric":   alpha_n = alpha_scale * ratio**n,
-                        beta_n = band_ratio * alpha_n  (1 < band_ratio <= ratio).
-    kind "finite-data": wraps a GapSequence; limits are tail-window estimates.
-    """
-
-    kind: str
-    p1: Optional[float] = None
-    p2: Optional[float] = None
-    q1: Optional[float] = None
-    q2: Optional[float] = None
+    p1: float
+    q1: float
+    p2: float = 0.0
+    q2: float = 0.0
     length_prefactor: float = 1.0
     width_prefactor: float = 1.0
-    ratio: Optional[float] = None
-    alpha_scale: float = 1.0
-    band_ratio: Optional[float] = None
-    seq: Optional[GapSequence] = None
-    window: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.kind == "power-log":
-            if self.p1 is None or self.q1 is None:
-                raise ValueError("power-log model requires p1 and q1")
-            object.__setattr__(self, "p2", 0.0 if self.p2 is None else float(self.p2))
-            object.__setattr__(self, "q2", 0.0 if self.q2 is None else float(self.q2))
-            if self.p1 < 0 or self.q1 < 0:
-                raise ValueError("power-log exponents p1, q1 must be nonnegative")
-            if self.length_prefactor <= 0:
-                raise ValueError("length prefactor must be positive")
-            if self.width_prefactor < 0:
-                raise ValueError("width prefactor must be nonnegative")
-        elif self.kind == "geometric":
-            if self.ratio is None or self.band_ratio is None:
-                raise ValueError("geometric model requires ratio and band_ratio")
-            if not self.ratio > 1:
-                raise ValueError("geometric endpoint growth requires ratio > 1")
-            if not 1 < self.band_ratio <= self.ratio:
-                raise ValueError("requires 1 < band_ratio <= ratio")
-            if self.alpha_scale <= 0:
-                raise ValueError("alpha_scale must be positive")
-        elif self.kind == "finite-data":
-            if self.seq is None:
-                raise ValueError("finite-data model requires a GapSequence")
-            if self.window is not None and self.window < 1:
-                raise ValueError("window must be a positive length")
-        else:
-            raise ValueError(f"unknown tail model kind {self.kind!r}")
+        for name in ("p1", "q1", "width_prefactor"):
+            object.__setattr__(self, name, require_nonneg(name, getattr(self, name)))
+        for name in ("p2", "q2"):
+            object.__setattr__(self, name, require_finite(name, getattr(self, name)))
+        prefactor = require_positive("length_prefactor", self.length_prefactor)
+        object.__setattr__(self, "length_prefactor", prefactor)
+
+    def ratio_limits(self) -> tuple[float, float, bool]:
+        # alpha_n grows one power faster than l_n, so the ratio tends to 1
+        return 1.0, 1.0, True
+
+    def growth_limits(self) -> tuple[float, bool]:
+        return 1.0, True
 
     def length_term(self) -> GrowthTerm:
-        if self.kind != "power-log":
-            raise ValueError("length term defined for power-log models only")
         return GrowthTerm(self.length_prefactor, 1.0, self.p1, self.p2)
 
     def width_term(self) -> GrowthTerm:
-        if self.kind != "power-log":
-            raise ValueError("width term defined for power-log models only")
         return GrowthTerm(self.width_prefactor, 1.0, self.q1, self.q2)
+
+
+@dataclass(frozen=True)
+class GeometricTail:
+    """Geometric bands: alpha_n ~ ratio**n and beta_n = band_ratio * alpha_n,
+    with 1 < band_ratio <= ratio.  The criteria read ratios only, so the
+    scale of alpha_n is left open."""
+
+    ratio: float
+    band_ratio: float
+
+    def __post_init__(self) -> None:
+        for name in ("ratio", "band_ratio"):
+            object.__setattr__(self, name, require_finite(name, getattr(self, name)))
+        if self.ratio <= 1:
+            raise ValueError("geometric endpoint growth requires ratio > 1")
+        if not 1 < self.band_ratio <= self.ratio:
+            raise ValueError("requires 1 < band_ratio <= ratio")
+
+    def ratio_limits(self) -> tuple[float, float, bool]:
+        return self.band_ratio, self.band_ratio, True
+
+    def growth_limits(self) -> tuple[float, bool]:
+        return self.ratio, True
+
+
+@dataclass(frozen=True)
+class FiniteTail:
+    """A GapSequence whose limits are estimated over the last `window` terms
+    (default ceil(N/4))."""
+
+    seq: GapSequence
+    window: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.seq, GapSequence):
+            raise TypeError("finite-data model requires a GapSequence")
+        if self.window is not None:
+            object.__setattr__(self, "window", require_int("window", self.window, 1))
+
+    def ratio_limits(self) -> tuple[float, float, bool]:
+        return self.seq.ratio_limits(self.window)
+
+    def growth_limits(self) -> tuple[float, bool]:
+        return self.seq.growth_limits(self.window)
+
+
+Tail = Union[PowerLogTail, GeometricTail, FiniteTail]
+_TAIL_KINDS = {"power-log": PowerLogTail, "geometric": GeometricTail, "finite-data": FiniteTail}
+
+
+def TailModel(kind: str, **fields) -> Tail:
+    """The tail model of the named kind ("power-log", "geometric" or
+    "finite-data"), built from that class's fields."""
+    if kind not in _TAIL_KINDS:
+        raise ValueError(f"unknown tail model kind {kind!r}")
+    return _TAIL_KINDS[kind](**fields)
 
 
 def _tail(values: Sequence[float], window: Optional[int] = None) -> Sequence[float]:
@@ -320,43 +360,18 @@ class RatioResult:
     exact: bool
 
 
-def _finite_data(data: Union[GapSequence, TailModel]) -> tuple[GapSequence, Optional[int]]:
-    """(sequence, tail window) of a GapSequence or a finite-data TailModel."""
-    if isinstance(data, TailModel):
-        return data.seq, data.window
-    return data, None
-
-
-def _endpoint_ratio_stats(data: Union[GapSequence, TailModel]):
-    """(liminf, limsup, exact) of beta_n/alpha_n."""
-    if isinstance(data, TailModel):
-        if data.kind == "power-log":
-            # alpha_n grows one power faster than l_n, so the ratio tends to 1
-            return 1.0, 1.0, True
-        if data.kind == "geometric":
-            return data.band_ratio, data.band_ratio, True
-    seq, window = _finite_data(data)
-    ratios = [b / a for a, b in zip(seq.alphas, seq.betas) if a > 0]
-    if not ratios:
-        raise ValueError("endpoint ratios need strictly positive alpha_n in the tail")
-    tail = _tail(ratios, window)
-    return min(tail), max(tail), False
-
-
-def ratio_criterion(data: Union[GapSequence, TailModel], delta_a: float) -> RatioResult:
+def ratio_criterion(data: Union[GapSequence, Tail], delta_a: float) -> RatioResult:
     """Endpoint-ratio gap test against the threshold (1 + delta)/(1 - delta).
 
     limsup beta_n/alpha_n above the threshold keeps infinitely many gaps
     open, liminf above keeps cofinitely many.  delta_a is the T-bound of
     the perturbation; delta_a >= 1 admits no conclusion.
     """
-    delta_a = float(delta_a)
-    if not 0 <= delta_a:
-        raise ValueError("delta_a must be nonnegative")
+    delta_a = require_nonneg("delta_a", delta_a)
     if delta_a >= 1:
         raise ConditionNotApplicable("T-bound delta_a >= 1 admits no gap conclusion")
     threshold = (1.0 + delta_a) / (1.0 - delta_a)
-    liminf, limsup, exact = _endpoint_ratio_stats(data)
+    liminf, limsup, exact = data.ratio_limits()
     if _decide(liminf, threshold, exact, want_greater=True) == 1:
         verdict = Verdict.COFINITELY_MANY
     elif _decide(limsup, threshold, exact, want_greater=True) == 1:
@@ -411,7 +426,7 @@ def _sum_limits(*parts: float) -> float:
 
 
 def kappa_s(
-    bands: Union[BandProfile, TailModel],
+    bands: Union[BandProfile, PowerLogTail],
     consts: Union[PerGapConstants, ConstModel],
 ) -> float:
     """limsup of kappa_n = b_n + (2/l_n) (a_n + b_n sum_{j<n} (l_j + w_j)).
@@ -432,10 +447,12 @@ def kappa_s(
             values.append(consts.b_seq[i] + (2.0 / l) * (consts.a_seq[i] + consts.b_seq[i] * cum))
             if i < n - 1:
                 cum += l + widths[i]
-        return max(_tail(values))
-    if isinstance(bands, TailModel) and isinstance(consts, ConstModel):
-        if bands.kind != "power-log":
-            raise ValueError("analytic kappa_s requires a power-log band model")
+        tail = _tail(values)
+        # only b_n = 0 against an overflowed partial sum (0 * inf) is NaN
+        if math.isnan(sum(tail)):
+            raise NumericalFailure("kappa_n is NaN: the partial sums of l_j + w_j overflow")
+        return max(tail)
+    if isinstance(bands, PowerLogTail) and isinstance(consts, ConstModel):
         l_term = bands.length_term()
         w_term = bands.width_term()
         a_term, b_term = consts.a_term, consts.b_term
@@ -443,13 +460,11 @@ def kappa_s(
         part_b = b_term.limit()
         part_a = 2.0 * a_term.over(l_term).limit()
         part_l = (2.0 / (bands.p1 + 1.0)) * b_term.times(GrowthTerm(1.0, 1.0, 1.0)).limit()
-        if w_term.coeff == 0:
-            part_w = 0.0
-        else:
-            sum_w = GrowthTerm(w_term.coeff / (bands.q1 + 1.0), 1.0, bands.q1 + 1.0, bands.q2)
-            part_w = 2.0 * b_term.times(sum_w).over(l_term).limit()
+        # a zero width prefactor gives a zero coefficient, whose limit is 0
+        sum_w = GrowthTerm(w_term.coeff / (bands.q1 + 1.0), 1.0, bands.q1 + 1.0, bands.q2)
+        part_w = 2.0 * b_term.times(sum_w).over(l_term).limit()
         return _sum_limits(part_b, part_a, part_l, part_w)
-    raise TypeError("kappa_s takes (BandProfile, PerGapConstants) or (TailModel, ConstModel)")
+    raise TypeError("kappa_s takes (BandProfile, PerGapConstants) or (PowerLogTail, ConstModel)")
 
 
 @dataclass(frozen=True)
@@ -462,7 +477,7 @@ class GrowthDiagnostic:
 
 
 def necessary_growth_check(
-    data: Union[GapSequence, TailModel],
+    data: Union[GapSequence, Tail],
     delta_a: float,
     consts: Union[PerGapConstants, ConstModel, None] = None,
 ) -> GrowthDiagnostic:
@@ -473,25 +488,14 @@ def necessary_growth_check(
     For delta_a = 0 with an unbounded perturbation (constants supplied) the
     gap lengths must outgrow the constants: limsup 2 a_n / l_n < 1.
     """
-    delta_a = float(delta_a)
-    if not 0 <= delta_a < 1:
+    delta_a = require_nonneg("delta_a", delta_a)
+    if delta_a >= 1:
         raise ValueError("delta_a must lie in [0, 1)")
     if delta_a > 0:
         threshold = (1.0 + delta_a) / (1.0 - delta_a)
-        if isinstance(data, TailModel) and data.kind == "power-log":
-            liminf, exact = 1.0, True
-        elif isinstance(data, TailModel) and data.kind == "geometric":
-            liminf, exact = data.ratio, True
-        else:
-            seq, window = _finite_data(data)
-            ratios = [
-                a2 / a1 for a1, a2 in zip(seq.alphas, seq.alphas[1:]) if a1 > 0
-            ]
-            if not ratios:
-                raise ValueError("endpoint ratios need strictly positive alpha_n")
-            liminf, exact = min(_tail(ratios, window)), False
+        liminf, exact = data.growth_limits()
         # necessary condition is non-strict, so only a clear shortfall fails
-        failed = (liminf < threshold) if exact else (liminf < threshold - _STRADDLE_TOL * threshold)
+        failed = _decide(liminf, threshold, exact, want_greater=False) == 1
         return GrowthDiagnostic(
             ok=not failed,
             failed_condition="endpoint-ratio-growth" if failed else None,
@@ -505,19 +509,21 @@ def necessary_growth_check(
             details={"note": "no constants supplied; bounded perturbations need no growth"},
         )
     if isinstance(consts, ConstModel):
-        if not (isinstance(data, TailModel) and data.kind == "power-log"):
+        if not isinstance(data, PowerLogTail):
             raise ValueError("analytic constants require a power-log band model")
         limsup = 2.0 * consts.a_term.over(data.length_term()).limit()
         exact = True
     else:
-        if isinstance(data, TailModel) and data.kind != "finite-data":
+        window = None
+        if isinstance(data, FiniteTail):
+            data, window = data.seq, data.window
+        if not isinstance(data, GapSequence):
             raise ValueError("finite constants require finite band data")
-        seq, window = _finite_data(data)
-        if len(consts) != len(seq):
+        if len(consts) != len(data):
             raise ValueError("constants must match the number of gaps")
-        vals = [2.0 * a / l for a, l in zip(consts.a_seq, seq.lengths)]
+        vals = [2.0 * a / l for a, l in zip(consts.a_seq, data.lengths)]
         limsup, exact = max(_tail(vals, window)), False
-    failed = (limsup >= 1.0) if exact else (limsup >= 1.0 - _STRADDLE_TOL)
+    failed = _decide(limsup, 1.0, exact, want_greater=False) != 1
     return GrowthDiagnostic(
         ok=not failed,
         failed_condition="gap-length-growth" if failed else None,
@@ -534,7 +540,7 @@ class PowerlawBound:
 
 
 def powerlaw_example(
-    model: TailModel, a_model: GrowthTerm, b_model: GrowthTerm
+    model: PowerLogTail, a_model: GrowthTerm, b_model: GrowthTerm
 ) -> PowerlawBound:
     """Closed kappa bound for power-log bands with power-log constants.
 
@@ -547,7 +553,7 @@ def powerlaw_example(
     with band prefactors P_l, P_w, and the scaled family eps*(a_n, b_n)
     keeps cofinitely many gaps open for every eps < eps0 = (1 - 1e-6)/kappa_bound.
     """
-    if model.kind != "power-log":
+    if not isinstance(model, PowerLogTail):
         raise ValueError("requires a power-log band model")
     if a_model.base != 1.0 or b_model.base != 1.0:
         raise ValueError("constant models must be power-log (base 1)")
@@ -567,11 +573,9 @@ def powerlaw_example(
     term_a = a_model.over(model.length_term()).limit()
     term_half = GrowthTerm(0.5 * b_model.coeff, 1.0, b_model.power, b_model.log_power).limit()
     term_n = b_model.times(GrowthTerm(1.0, 1.0, 1.0)).limit()
-    ratio_wl = model.width_term().over(model.length_term()) if model.width_prefactor > 0 else None
-    if ratio_wl is None:
-        term_w = 0.0
-    else:
-        term_w = b_model.times(ratio_wl).times(GrowthTerm(1.0, 1.0, 1.0)).limit()
+    # a zero width prefactor gives a zero coefficient, whose limit is 0
+    ratio_wl = model.width_term().over(model.length_term())
+    term_w = b_model.times(ratio_wl).times(GrowthTerm(1.0, 1.0, 1.0)).limit()
     kappa_bound = 2.0 * _sum_limits(term_a, term_half, term_n, term_w)
     if kappa_bound == 0.0:
         eps0 = math.inf

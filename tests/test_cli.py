@@ -1,12 +1,17 @@
+import gc
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import warnings
-from contextlib import redirect_stdout
+from unittest import mock
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapcert import (
     Gap,
@@ -131,6 +136,16 @@ class TestJsonInput:
             run_cli("manifold", "--json", str(src))
         assert exc.value.code == 2
 
+    def test_json_file_is_closed(self, tmp_path):
+        src = tmp_path / "params.json"
+        src.write_text(json.dumps({"a": 1, "b": 0, "alpha": 0, "beta": 3}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _ = run_cli("strip", "--json", str(src))
+            gc.collect()
+        assert code == 0
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
 
 class TestEigStripCommand:
     def test_matches_library(self):
@@ -172,6 +187,184 @@ class TestGapsCommand:
         )
         assert code == 0
         assert json.loads(out)["status"] == "not-applicable"
+
+
+INFINITY = object()
+
+
+def strict_json(text: str, allow=()):
+    """Parse text, refusing NaN and Infinity unless named in allow (read as INFINITY)."""
+    def constant(token):
+        if token in allow:
+            return INFINITY
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(text, parse_constant=constant)
+
+
+class TestBandModelCommands:
+    @pytest.mark.parametrize("argv", [
+        ("gaps", "--model", "power-log", "--p1", "nan", "--q1", "0", "--delta-a", "0.1"),
+        ("gaps", "--model", "power-log", "--p1", "1", "--q1", "0", "--p2", "nan", "--delta-a", "0.1"),
+        ("gaps", "--model", "power-log", "--p1", "1", "--q1", "0", "--length-prefactor", "nan",
+         "--delta-a", "0.1"),
+        ("gaps", "--model", "geometric", "--ratio", "inf", "--band-ratio", "inf", "--delta-a", "0.1"),
+        ("gaps", "--model", "geometric", "--ratio", "2", "--band-ratio", "2", "--delta-a", "inf"),
+        ("kappa", "--model", "power-log", "--p1", "0", "--q1", "inf", "--a-coeff", "1"),
+        ("kappa", "--model", "power-log", "--p1", "1", "--q1", "1", "--a-coeff", "1", "--a-power", "nan"),
+        ("powerlaw", "--p1", "2", "--q1", "2", "--a-coeff", "1", "--a-power", "nan"),
+        ("manifold", "--c", "1", "--p", "3", "--case", "1", "--n", "5", "--eps-geom", "0.5",
+         "--length-prefactor", "nan"),
+    ])
+    def test_non_finite_input_exits_2(self, argv, capsys):
+        code, out = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, flags", [
+        (("--model", "power-log", "--p1", "1", "--q1", "1", "--window", "3"), ("--window", "--model")),
+        (("--model", "power-log", "--p1", "1", "--q1", "1", "--alphas", "1,2", "--betas", "1.5,3"),
+         ("--model", "--alphas")),
+    ])
+    def test_conflicting_band_flags_exit_2(self, extra, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("gaps", "--delta-a", "0.1", *extra)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in flags)
+
+    def test_alpha_scale_flag_removed(self):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("gaps", "--model", "geometric", "--ratio", "2", "--band-ratio", "2",
+                    "--alpha-scale", "3", "--delta-a", "0.2")
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, key", [
+        (("gaps", "--alphas", "5e-324,1", "--betas", "1,2", "--window", "2", "--delta-a", "0.1"),
+         "limsup"),
+        (("kappa", "--model", "power-log", "--p1", "0", "--q1", "0", "--a-coeff", "1",
+          "--a-power", "2"), "kappa"),
+    ])
+    def test_infinite_limit_prints_null(self, argv, key):
+        code, out = run_cli(*argv)
+        assert code == 0
+        assert strict_json(out)[key] is None
+
+    def test_infinite_growth_limit_prints_null(self):
+        code, out = run_cli("growth-check", "--model", "power-log", "--p1", "0", "--q1", "0",
+                            "--a-coeff", "1", "--a-power", "2", "--delta-a", "0")
+        assert code == 0
+        doc = strict_json(out)
+        assert doc["details"] == {"limsup_2a_over_l": None, "exact": True}
+        assert doc["ok"] is False
+
+    def test_nan_kappa_exits_3(self):
+        code, out = run_cli("kappa", "--lengths", "1e308,1e308,1", "--widths", "1e308,1e308",
+                            "--a-seq", "0,0,0", "--b-seq", "0,0,0")
+        assert (code, out) == (3, "")
+
+    def test_finite_data_window(self):
+        argv = ("gaps", "--alphas", "1,1.1,2.2,4.4", "--betas", "1.05,1.98,3.96,5.28",
+                "--delta-a", "0.2")
+        narrow = strict_json(run_cli(*argv)[1])
+        wide = strict_json(run_cli(*argv, "--window", "4")[1])
+        assert narrow["limsup"] == pytest.approx(1.2) and narrow["verdict"] == "inconclusive"
+        assert wide["limsup"] == pytest.approx(1.8) and wide["verdict"] == "infinitely_many"
+
+
+# two draws in three are ordinary inputs, one is an edge case or any float
+_NUMBERS = st.one_of(
+    st.sampled_from([0.0, 0.2, 0.5, 1.0, 2.0, 3.0]),
+    st.floats(0.0, 4.0),
+    st.sampled_from([-1.0, 1e308, 5e-324, math.nan, math.inf, -math.inf]) | st.floats(),
+)
+_VALUES = _NUMBERS.map(repr)
+_LISTS = st.lists(_VALUES, min_size=1, max_size=4).map(",".join)
+# increasing positive endpoints, alternately alpha_n and beta_n
+_FINITE_DATA = st.lists(st.floats(5e-324, 1e308), min_size=2, max_size=8, unique=True).map(sorted).map(
+    lambda e: {"--alphas": ",".join(map(repr, e[0:-1:2])), "--betas": ",".join(map(repr, e[1::2]))}
+)
+_BAND_MODES = [
+    st.fixed_dictionaries({"--model": st.just("power-log"), "--p1": _VALUES, "--q1": _VALUES}),
+    st.fixed_dictionaries({"--model": st.just("geometric"), "--ratio": _VALUES, "--band-ratio": _VALUES}),
+    _FINITE_DATA,
+]
+_BAND_FLAGS = {
+    "--model": st.sampled_from(["power-log", "geometric"]),
+    "--p1": _VALUES, "--p2": _VALUES, "--q1": _VALUES, "--q2": _VALUES,
+    "--length-prefactor": _VALUES, "--width-prefactor": _VALUES,
+    "--ratio": _VALUES, "--band-ratio": _VALUES,
+    "--alphas": _LISTS, "--betas": _LISTS, "--window": st.sampled_from(["-1", "0", "1", "2", "1.5"]),
+}
+_CONST_FLAGS = {
+    f"--{c}-{part}": _VALUES for c in "ab" for part in ("coeff", "power", "log-power")
+}
+_POWER_FLAGS = ("--p1", "--p2", "--q1", "--q2", "--length-prefactor", "--width-prefactor")
+_DELTA = {"--delta-a": _VALUES}
+# per subcommand: the flag sets that can make a complete call, and the
+# flags that may be added to them
+_FUZZ_MODES = {
+    "gaps": [st.tuples(mode, st.fixed_dictionaries(_DELTA)) for mode in _BAND_MODES],
+    "growth-check": [st.tuples(mode, st.fixed_dictionaries(_DELTA)) for mode in _BAND_MODES],
+    "kappa": [
+        st.tuples(_BAND_MODES[0], st.fixed_dictionaries({"--a-coeff": _VALUES})),
+        st.tuples(st.fixed_dictionaries(
+            {"--lengths": _LISTS, "--widths": _LISTS, "--a-seq": _LISTS, "--b-seq": _LISTS}
+        ), st.just({})),
+    ],
+    "powerlaw": [st.tuples(st.fixed_dictionaries({"--p1": _VALUES, "--q1": _VALUES}), st.just({}))],
+}
+_FUZZ_EXTRAS = {
+    "gaps": {**_BAND_FLAGS, **_DELTA},
+    "kappa": {**_BAND_FLAGS, **_CONST_FLAGS, "--lengths": _LISTS, "--widths": _LISTS,
+              "--a-seq": _LISTS, "--b-seq": _LISTS},
+    "growth-check": {**_BAND_FLAGS, **_CONST_FLAGS, **_DELTA, "--a-seq": _LISTS, "--b-seq": _LISTS},
+    "powerlaw": {**{flag: _BAND_FLAGS[flag] for flag in _POWER_FLAGS}, **_CONST_FLAGS},
+}
+
+
+def _fuzz_argv(cmd):
+    extras = _FUZZ_EXTRAS[cmd]
+    added = st.lists(st.sampled_from(sorted(extras)), max_size=2, unique=True).flatmap(
+        lambda keys: st.fixed_dictionaries({key: extras[key] for key in keys})
+    )
+    return st.tuples(st.one_of(_FUZZ_MODES[cmd]), added).map(
+        lambda parts: [cmd] + [f"{flag}={value}" for flag, value in
+                               {**parts[0][0], **parts[0][1], **parts[1]}.items()]
+    )
+
+
+_PARSER = cli.build_parser()
+
+
+@pytest.mark.parametrize("cmd", sorted(_FUZZ_MODES))
+@given(data=st.data())
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+def test_band_model_commands_fuzz(cmd, data):
+    """Exit 0, 2 or 3 without a traceback; stdout is strict JSON.
+
+    The one known exception: powerlaw prints eps0 as Infinity when its
+    kappa_bound is 0.  One parser serves every example, as building it
+    costs more than a call.
+    """
+    argv = data.draw(_fuzz_argv(cmd))
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "build_parser", lambda: _PARSER), redirect_stdout(out), \
+            redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert out.getvalue() == ""
+        return
+    allow = ("Infinity",) if argv[0] == "powerlaw" else ()
+    doc = strict_json(out.getvalue(), allow)
+    if doc.get("eps0") is INFINITY:
+        assert doc["kappa_bound"] == 0.0
+    assert all(value is not INFINITY for key, value in doc.items() if key != "eps0")
 
 
 class TestEnvelopeCommand:

@@ -284,3 +284,135 @@ class TestPowerlawExample:
             PerGapConstants(tuple(a_seq), tuple(b_seq)),
         )
         assert kappa_est < 1.0
+
+
+class TestTailModels:
+    """TailModel(kind, ...) builds one small class per kind."""
+
+    def test_constructor_by_name(self):
+        import gapcert.gap_sequences as gs
+
+        power = TailModel("power-log", p1=1, q1=2)
+        assert type(power) is gs.PowerLogTail
+        assert (power.p2, power.q2) == (0.0, 0.0)
+        assert type(power.p1) is float and type(power.q2) is float
+        assert type(TailModel("geometric", ratio=3.0, band_ratio=2.0)) is gs.GeometricTail
+        finite = TailModel("finite-data", seq=linear_endpoints(4), window=2)
+        assert type(finite) is gs.FiniteTail
+        with pytest.raises(ValueError, match="unknown tail model kind"):
+            TailModel("exponential", ratio=2.0)
+        with pytest.raises(TypeError):
+            TailModel("geometric", ratio=2.0, band_ratio=2.0, alpha_scale=1.0)
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("power-log", {"p1": math.nan, "q1": 0.0}),
+        ("power-log", {"p1": 1.0, "q1": math.inf}),
+        ("power-log", {"p1": 1.0, "q1": 0.0, "p2": math.nan}),
+        ("power-log", {"p1": 1.0, "q1": 0.0, "q2": -math.inf}),
+        ("power-log", {"p1": 1.0, "q1": 0.0, "length_prefactor": math.nan}),
+        ("power-log", {"p1": 1.0, "q1": 0.0, "width_prefactor": math.inf}),
+        ("geometric", {"ratio": math.inf, "band_ratio": math.inf}),
+        ("geometric", {"ratio": math.nan, "band_ratio": 2.0}),
+        ("finite-data", {"seq": linear_endpoints(4), "window": math.nan}),
+        ("finite-data", {"seq": linear_endpoints(4), "window": 1.5}),
+        ("finite-data", {"seq": linear_endpoints(4), "window": 0}),
+    ])
+    def test_non_finite_and_out_of_range_fields_rejected(self, kind, fields):
+        with pytest.raises(ValueError):
+            TailModel(kind, **fields)
+
+    @pytest.mark.parametrize("fields", [
+        {"coeff": 1.0, "power": math.nan},
+        {"coeff": 1.0, "log_power": math.inf},
+        {"coeff": math.nan},
+    ])
+    def test_growth_term_rejects_non_finite(self, fields):
+        with pytest.raises(ValueError):
+            GrowthTerm(**fields)
+
+    @pytest.mark.parametrize("delta_a", [math.nan, math.inf])
+    def test_non_finite_delta_rejected(self, delta_a):
+        model = TailModel("geometric", ratio=2.0, band_ratio=2.0)
+        with pytest.raises(ValueError):
+            ratio_criterion(model, delta_a)
+        with pytest.raises(ValueError):
+            necessary_growth_check(model, delta_a)
+
+
+class TestFiniteDataWindow:
+    # alpha_{n+1}/alpha_n is 1.1 once, then 2; beta_n/alpha_n is 1.05 and
+    # 1.8 early, then 1.2, so only a wide window sees the early terms
+    ALPHAS = (1.0, 1.1, 2.2, 4.4, 8.8, 17.6, 35.2, 70.4)
+    BETAS = (1.05, 1.98, 3.96, 5.28, 10.56, 21.12, 42.24, 84.48)
+
+    def model(self, window=None):
+        return TailModel("finite-data", seq=GapSequence(self.ALPHAS, self.BETAS), window=window)
+
+    def test_window_changes_ratio_estimates(self):
+        default = ratio_criterion(self.model(), 0.2)
+        assert default == ratio_criterion(GapSequence(self.ALPHAS, self.BETAS), 0.2)
+        assert (default.liminf, default.limsup) == pytest.approx((1.2, 1.2))
+        assert default.verdict is Verdict.INCONCLUSIVE
+        wide = ratio_criterion(self.model(window=8), 0.2)
+        assert (wide.liminf, wide.limsup) == pytest.approx((1.05, 1.8))
+        assert not wide.exact
+        assert wide.verdict is Verdict.INFINITELY_MANY
+
+    def test_window_changes_growth_estimate(self):
+        default = necessary_growth_check(self.model(), 0.3)
+        assert default.ok and default.details["liminf"] == pytest.approx(2.0)
+        wide = necessary_growth_check(self.model(window=7), 0.3)
+        assert not wide.ok and wide.details["liminf"] == pytest.approx(1.1)
+        assert wide.failed_condition == "endpoint-ratio-growth"
+
+    def test_window_changes_length_estimate(self):
+        seq = GapSequence(self.ALPHAS, self.BETAS)
+        consts = PerGapConstants((1.0,) + (0.0,) * 7, (0.0,) * 8)
+        assert necessary_growth_check(TailModel("finite-data", seq=seq), 0.0, consts).ok
+        wide = necessary_growth_check(TailModel("finite-data", seq=seq, window=8), 0.0, consts)
+        assert not wide.ok and wide.details["limsup_2a_over_l"] == pytest.approx(40.0)
+
+
+class TestGrowthCheckBoundary:
+    """The necessary condition is non-strict: equality at the threshold passes."""
+
+    @pytest.mark.parametrize("delta_a", [0.2, 1.0 / 3.0, 0.5])
+    def test_geometric_ratio_at_threshold(self, delta_a):
+        threshold = (1.0 + delta_a) / (1.0 - delta_a)
+        at = TailModel("geometric", ratio=threshold, band_ratio=threshold)
+        assert necessary_growth_check(at, delta_a).ok
+        below = math.nextafter(threshold, 0.0)
+        assert not necessary_growth_check(TailModel("geometric", ratio=below, band_ratio=below), delta_a).ok
+
+    def test_finite_ratio_at_straddle_edge(self):
+        # an estimate fails only below threshold - 1e-6 * threshold
+        threshold = (1.0 + 0.2) / (1.0 - 0.2)
+        edge = threshold - 1e-6 * threshold
+        for ratio, ok in ((edge, True), (math.nextafter(edge, 0.0), False)):
+            seq = GapSequence((1.0, ratio), (1.0 + 1e-9, ratio + 1.0))
+            assert necessary_growth_check(seq, 0.2).ok is ok
+
+    def test_analytic_length_ratio_at_one(self):
+        # 2 a_n / l_n = 2 * n**2 / (2 n**2) is exactly 1: the limsup condition fails
+        bands = TailModel("power-log", p1=2.0, q1=2.0, length_prefactor=2.0)
+        at = ConstModel(GrowthTerm(1.0, 1.0, 2.0), GrowthTerm(0.0))
+        diag = necessary_growth_check(bands, 0.0, at)
+        assert diag.details == {"limsup_2a_over_l": 1.0, "exact": True}
+        assert not diag.ok
+        below = ConstModel(GrowthTerm(math.nextafter(1.0, 0.0), 1.0, 2.0), GrowthTerm(0.0))
+        assert necessary_growth_check(bands, 0.0, below).ok
+
+    def test_finite_length_ratio_at_straddle_edge(self):
+        seq = BandProfile((2.0,) * 4, (1.0,) * 3).to_sequence(0.0)
+        edge = 1.0 - 1e-6
+        for a, ok in ((edge, False), (math.nextafter(edge, 0.0), True)):
+            consts = PerGapConstants((a,) * 4, (0.0,) * 4)
+            assert necessary_growth_check(seq, 0.0, consts).ok is ok
+
+
+def test_kappa_nan_from_overflowed_partial_sum_is_a_numerical_failure():
+    from gapcert.errors import NumericalFailure
+
+    bands = BandProfile((1e308, 1e308, 1.0), (1e308, 1e308))
+    with pytest.raises(NumericalFailure):
+        kappa_s(bands, PerGapConstants((0.0,) * 3, (0.0,) * 3))
