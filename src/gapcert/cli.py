@@ -51,7 +51,7 @@ from .enclosures import (
     symmetric_gap_strip,
 )
 from .enclosures import gk_sector_cover as _gk_cover
-from .errors import ConditionNotApplicable, NumericalFailure
+from .errors import ConditionNotApplicable, NumericalFailure, require_finite, require_nonneg
 from .gap_sequences import (
     BandProfile,
     ConstModel,
@@ -112,6 +112,16 @@ def _need(parser: argparse.ArgumentParser, args: argparse.Namespace, *names: str
     missing = ["--" + n.replace("_", "-") for n in names if getattr(args, n.replace("-", "_")) is None]
     if missing:
         parser.error("missing required parameters: " + ", ".join(missing))
+
+
+def _exclusive(parser, args, first: tuple[str, ...], second: tuple[str, ...]) -> None:
+    """Exit 2 when flags of both groups are set, since the handler would ignore the second group."""
+    def given(names):
+        return ["--" + n.replace("_", "-") for n in names if getattr(args, n) is not None]
+
+    used, ignored = given(first), given(second)
+    if used and ignored:
+        parser.error(f"{', '.join(used)} cannot be combined with {', '.join(ignored)}")
 
 
 def _inf_as_null(doc: dict) -> dict:
@@ -265,9 +275,14 @@ def _cmd_gaps(args, parser):
 
 def _growth_terms(args) -> tuple[GrowthTerm, GrowthTerm]:
     """Power-log models of a_n and b_n; a coefficient left unset is 0."""
-    return (
-        GrowthTerm(args.a_coeff or 0.0, 1.0, args.a_power, args.a_log_power),
-        GrowthTerm(args.b_coeff or 0.0, 1.0, args.b_power, args.b_log_power),
+    return tuple(
+        GrowthTerm(
+            require_nonneg(f"--{side}-coeff", getattr(args, f"{side}_coeff") or 0.0),
+            1.0,
+            require_finite(f"--{side}-power", getattr(args, f"{side}_power")),
+            require_finite(f"--{side}-log-power", getattr(args, f"{side}_log_power")),
+        )
+        for side in ("a", "b")
     )
 
 
@@ -278,11 +293,15 @@ def _const_terms(args) -> ConstModel | None:
 
 
 def _cmd_kappa(args, parser):
+    _exclusive(parser, args, ("lengths",), ("model", "p1", "q1", "ratio", "band_ratio",
+                                            "alphas", "betas", "window", "a_coeff", "b_coeff"))
     if args.lengths is not None:
         _need(parser, args, "a_seq", "b_seq")
         bands = BandProfile(_floats(args.lengths), _floats(args.widths))
         consts = PerGapConstants(_floats(args.a_seq), _floats(args.b_seq))
     else:
+        if args.a_seq is not None or args.b_seq is not None:
+            parser.error("--a-seq/--b-seq apply only with --lengths")
         bands = _band_data(args, parser)
         consts = _const_terms(args)
         if not isinstance(bands, PowerLogTail) or consts is None:
@@ -292,6 +311,7 @@ def _cmd_kappa(args, parser):
 
 def _cmd_growth_check(args, parser):
     _need(parser, args, "delta_a")
+    _exclusive(parser, args, ("a_coeff", "b_coeff"), ("a_seq", "b_seq"))
     data = _band_data(args, parser)
     consts: ConstModel | PerGapConstants | None = _const_terms(args)
     if consts is None and args.a_seq is not None:

@@ -213,23 +213,15 @@ def resolvent_bound_offreal(q: QuadBound, z: complex) -> float:
     return 1.0 / (abs(z.imag) - q.shift(abs(z)))
 
 
-def _strip_data(q: QuadBound, gap: Gap, z: complex):
-    strip = perturbed_strip(q, gap)
-    z = complex(z)
+def _inside(strip: StripResult, z: complex) -> complex:
     if not strip.open:
         raise BoundNotValid("gap condition fails; no certified strip")
     if not (strip.lo < z.real < strip.hi):
         raise BoundNotValid(f"Re z={z.real!r} outside certified strip ({strip.lo!r}, {strip.hi!r})")
-    return strip, z
+    return z
 
 
-def resolvent_bound_strip(q: QuadBound, gap: Gap, z: complex) -> float:
-    """Resolvent norm bound inside the certified strip of a survived gap.
-
-    bound = 1 / (sqrt(min{Re z - alpha, beta - Re z}^2 + (Im z)^2)
-                 * (1 - max{b, shift(alpha)/(Re z - alpha), shift(beta)/(beta - Re z)}))
-    """
-    strip, z = _strip_data(q, gap, z)
+def _plain_bound(q: QuadBound, gap: Gap, strip: StripResult, z: complex) -> float:
     mu, nu = z.real, z.imag
     dist = math.hypot(min(mu - gap.alpha, gap.beta - mu), nu)
     # 1 - max{b, s_a/(mu-alpha), s_b/(beta-mu)} evaluated in the
@@ -242,29 +234,24 @@ def resolvent_bound_strip(q: QuadBound, gap: Gap, z: complex) -> float:
     return 1.0 / (dist * comp)
 
 
-def resolvent_bound_strip_refined(q: QuadBound, gap: Gap, z: complex) -> float:
-    """Piecewise form of the strip bound with explicit crossover abscissae.
-
-    The distance factor switches endpoint at the gap midpoint; the ratio
-    factor switches at the abscissa where the two endpoint ratios coincide,
-        zeta = alpha + (beta - alpha) * s_alpha / (s_alpha + s_beta).
-    Never exceeds resolvent_bound_strip beyond rounding.
-    """
-    strip, z = _strip_data(q, gap, z)
-    mu, nu = z.real, z.imag
+def _crossover(q: QuadBound, gap: Gap) -> float:
+    """Abscissa zeta where the two endpoint ratios of the refined bound coincide."""
     sa = q.shift(gap.alpha)
     sb = q.shift(gap.beta)
-    if sa + sb > 0:
-        zeta = gap.alpha + gap.width * (sa / (sa + sb))
-        zeta_alt = gap.beta - gap.width * (sb / (sa + sb))
-        # the two closed forms of the crossover must agree to rounding
-        scale = max(1.0, abs(gap.alpha), abs(gap.beta))
-        if abs(zeta - zeta_alt) > 1e-12 * scale:
-            raise NumericalFailure("crossover forms disagree beyond rounding")
-    else:
-        zeta = 0.5 * (gap.alpha + gap.beta)
-    mid = 0.5 * (gap.alpha + gap.beta)
+    if not sa + sb > 0:
+        return 0.5 * (gap.alpha + gap.beta)
+    zeta = gap.alpha + gap.width * (sa / (sa + sb))
+    zeta_alt = gap.beta - gap.width * (sb / (sa + sb))
+    # the two closed forms of the crossover must agree to rounding
+    scale = max(1.0, abs(gap.alpha), abs(gap.beta))
+    if abs(zeta - zeta_alt) > 1e-12 * scale:
+        raise NumericalFailure("crossover forms disagree beyond rounding")
+    return zeta
 
+
+def _refined_bound(gap: Gap, strip: StripResult, zeta: float, z: complex) -> float:
+    mu, nu = z.real, z.imag
+    mid = 0.5 * (gap.alpha + gap.beta)
     if abs(gap.alpha) <= abs(gap.beta):
         # zeta <= mid: alpha-side ratio up to zeta, alpha-side distance up to mid
         if mu <= zeta:
@@ -288,6 +275,46 @@ def resolvent_bound_strip_refined(q: QuadBound, gap: Gap, z: complex) -> float:
             dist = math.hypot(gap.beta - mu, nu)
             ratio = (gap.beta - mu) / (strip.hi - mu)
     return ratio / dist
+
+
+def resolvent_bound_strip(q: QuadBound, gap: Gap, z: complex) -> float:
+    """Resolvent norm bound inside the certified strip of a survived gap.
+
+    bound = 1 / (sqrt(min{Re z - alpha, beta - Re z}^2 + (Im z)^2)
+                 * (1 - max{b, shift(alpha)/(Re z - alpha), shift(beta)/(beta - Re z)}))
+    """
+    strip = perturbed_strip(q, gap)
+    return _plain_bound(q, gap, strip, _inside(strip, complex(z)))
+
+
+def resolvent_bound_strip_refined(q: QuadBound, gap: Gap, z: complex) -> float:
+    """Piecewise form of the strip bound with explicit crossover abscissae.
+
+    The distance factor switches endpoint at the gap midpoint; the ratio
+    factor switches at the abscissa where the two endpoint ratios coincide,
+        zeta = alpha + (beta - alpha) * s_alpha / (s_alpha + s_beta).
+    Never exceeds resolvent_bound_strip beyond rounding.
+    """
+    strip = perturbed_strip(q, gap)
+    z = _inside(strip, complex(z))
+    return _refined_bound(gap, strip, _crossover(q, gap), z)
+
+
+def _strip_bound_pairs(q: QuadBound, gap: Gap, strip: StripResult, zs) -> list[tuple[float, float]]:
+    """(plain, refined) strip bounds at every z of a grid, given perturbed_strip(q, gap).
+
+    Each pair equals (resolvent_bound_strip, resolvent_bound_strip_refined)
+    at that z bit for bit, and raises as they do; the strip and the
+    crossover are computed once per grid instead of once per bound.
+    """
+    pairs = []
+    zeta = None
+    for z in zs:
+        z = _inside(strip, complex(z))
+        if zeta is None:
+            zeta = _crossover(q, gap)
+        pairs.append((_plain_bound(q, gap, strip, z), _refined_bound(gap, strip, zeta, z)))
+    return pairs
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,16 @@ ratio, which keeps the soundness checks honest and non-vacuous.
 verify_instance samples the coupling s in [0, 1] and a z-grid per
 certified region and reports signed margins; failures become report
 entries with witnesses, not exceptions.  It runs in two steps: _observe
-does the linear algebra (eigenvalues along s, resolvent norms on every
-z-grid), _judge turns those arrays into checks under the options'
-tolerances and widen.  run_suite drives the standard mixed suite used by
-the acceptance gate and judges instances its previous call observed on
-that call's arrays.
+does the linear algebra (eigenvalues along s, resolvent norms on the
+z-grids) and computes every grid's certified bounds once, _judge turns
+those arrays into checks under the options' tolerances and widen.  Each
+resolvent grid holds its points, their bounds, a mask of the points
+evaluated exactly, and at the other points a proven upper bracket of the
+norm: the oracle prunes a point by Weyl's bound sigma_min(M - z) >=
+sigma_min(M - z0) - |z - z0| once it provably cannot be its check's
+worst, so reports equal those of a full-grid evaluation.  run_suite
+drives the standard mixed suite used by the acceptance gate and judges
+instances its previous call observed on that call's arrays.
 """
 
 from __future__ import annotations
@@ -51,8 +56,8 @@ from .enclosures import (
     lower_semicont_balls,
     perturbed_strip,
     resolvent_bound_offreal,
-    resolvent_bound_strip,
-    resolvent_bound_strip_refined,
+    _strip_bound_pairs,
+    resolvent_bound_strip,  # noqa: F401  (perfbench's self-test traces it through this module)
     symmetric_gap_strip,
 )
 from .errors import (
@@ -683,6 +688,81 @@ def _batch_resolvent_norms(m0: np.ndarray, zs: np.ndarray) -> np.ndarray:
     return 1.0 / np.maximum(smin, 1e-300)
 
 
+_EPS = float(np.finfo(float).eps)
+# A point is pruned only when its upper bracket of norm/bound lies below its
+# check's best exact ratio r by more than _TIE_ULPS * eps * (1 + r): far
+# above the rounding of the judge's margin formula for any tolerance below 1.
+_TIE_ULPS = 16.0
+
+
+def _round_size(n: int, pending: int) -> int:
+    """Points per oracle round at order n with `pending` points unresolved.
+
+    The least batch the split gives every usable CPU a GIL-free part of,
+    but at most a quarter of the pending points, so that at small orders no
+    single round evaluates most of a grid.
+    """
+    _, cpus = _svd_workers()
+    return min(max(2, cpus) * (_GIL_FREE_SIZE // n + 1), pending // 4 + 1)
+
+
+def _bracketed_grids(m0: np.ndarray, eigs: np.ndarray, grids) -> list[_Grid]:
+    """Oracle norms on every (check, zs, bounds) grid, exact only where a point could be its check's worst.
+
+    sigma_min(M - z) is 1-Lipschitz in z (Weyl), so each exact
+    sigma_min(M - z0) brackets every other point of every grid:
+    sigma_min(M - z) >= sigma_min(M - z0) - |z - z0| - slack, the slack
+    covering the SVD error.  Each round takes, per check, the unevaluated
+    points with the highest upper bracket of norm/bound, ties (as in the
+    first round) going to the higher lower estimate 1/(dist(z, eigs) bound),
+    and evaluates them in one batch.  Points whose upper bracket falls below
+    their check's best exact ratio (see _TIE_ULPS) are pruned and keep that
+    upper bracket as their norm, so the judge finds the full grid's first
+    worst point with the same margin whatever the round schedule.
+    """
+    sizes = [g[1].size for g in grids]
+    # the grids of one check are adjacent: owner numbers the checks in order
+    firsts = [i == 0 or g[0] != grids[i - 1][0] for i, g in enumerate(grids)]
+    owner = np.repeat(np.cumsum(firsts) - 1, sizes)
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    zs = np.concatenate([g[1] for g in grids])
+    bounds = np.concatenate([g[2] for g in grids])
+    n = m0.shape[0]
+    slack = 8.0 * n * _EPS * (float(np.linalg.norm(m0)) + float(np.abs(zs).max()))
+    with np.errstate(divide="ignore"):
+        hint = 1.0 / (np.abs(zs[:, None] - eigs[None, :]).min(axis=1) * bounds)
+    norms = np.full(zs.size, np.inf)
+    exact = np.zeros(zs.size, dtype=bool)
+    floor = np.full(zs.size, -np.inf)  # proven lower bracket of sigma_min(M - z)
+    while True:
+        with np.errstate(divide="ignore", over="ignore"):
+            upper = np.where(floor > 0.0, 1.0 / floor, np.inf)
+        ratio = np.where(exact, norms, upper) / bounds
+        best = np.maximum.reduceat(np.where(exact, ratio, 0.0), starts)
+        pending = ~exact & (ratio >= (best - _TIE_ULPS * _EPS * (1.0 + best))[owner])
+        if not pending.any():
+            break
+        active = np.unique(owner[pending])
+        quota = -(-_round_size(n, int(pending.sum())) // active.size)
+        new = []
+        for check in active:
+            idx = np.flatnonzero(pending & (owner == check))
+            new.append(idx[np.lexsort((-hint[idx], -ratio[idx]))[:quota]])
+        new = np.concatenate(new)
+        norms[new] = _batch_resolvent_norms(m0, zs[new])
+        exact[new] = True
+        rest = np.flatnonzero(~exact)
+        if rest.size:
+            reach = (1.0 / norms[new])[None, :] - np.abs(zs[rest, None] - zs[None, new])
+            floor[rest] = np.maximum(floor[rest], reach.max(axis=1) - slack)
+    norms = np.where(exact, norms, upper)
+    cuts = np.cumsum(sizes)[:-1]
+    return [
+        _Grid(*_read_only(g[1], g[2], nrm, ex))
+        for g, nrm, ex in zip(grids, np.split(norms, cuts), np.split(exact, cuts))
+    ]
+
+
 def _zgrid(mu: np.ndarray, width: float, opt) -> np.ndarray:
     nu = width * _NU[: opt.z_im]
     return (mu[:, None] + 1j * nu[None, :]).ravel()
@@ -710,38 +790,33 @@ def _symgap_zgrid(result: SymmetricGapResult, gap: Gap, opt) -> np.ndarray:
     return _zgrid(mu, gap.beta, opt)
 
 
-def _resolvent_worst(zs, norms, bounds, opt, worst=(math.inf, "")) -> tuple[float, str]:
-    """Worst relative margin of certified resolvent bounds over the oracle's norms at zs."""
-    for z, bound, nrm in zip(zs, bounds, norms):
-        margin = (bound * (1.0 + opt.resolvent_tol) - nrm) / bound
-        if margin < worst[0]:
-            worst = (float(margin), repr(complex(z)))
+def _first_worst(zs, margins, worst) -> tuple[float, str]:
+    """(margin, witness) of the first least margin, unless `worst` is already lower."""
+    k = int(np.argmin(margins))
+    if margins[k] < worst[0]:
+        worst = (float(margins[k]), repr(complex(zs[k])))
     return worst
 
 
-def _check_resolvent_offreal(q, grid, opt) -> CheckResult:
+def _resolvent_worst(grid: _Grid, tol: float, worst=(math.inf, "")) -> tuple[float, str]:
+    """Worst relative margin of a grid's certified bounds over its oracle norms."""
+    return _first_worst(grid.zs, (grid.bounds * (1.0 + tol) - grid.norms) / grid.bounds, worst)
+
+
+def _check_resolvent_offreal(grid, opt) -> CheckResult:
     if grid is None:
         return CheckResult("resolvent-offreal", 0.0, True, note="not applicable: b >= 1")
-    zs, norms = grid
-    bounds = [resolvent_bound_offreal(q, z) for z in zs]
-    return _judged("resolvent-offreal", _resolvent_worst(zs, norms, bounds, opt), opt.rel_margin)
+    return _judged("resolvent-offreal", _resolvent_worst(grid, opt.resolvent_tol), opt.rel_margin)
 
 
-def _check_resolvent_strip(q, strips, opt) -> tuple[CheckResult, CheckResult]:
+def _check_resolvent_strip(strips, opt) -> tuple[CheckResult, CheckResult]:
     if not strips:
         skip = CheckResult("resolvent-strip", 0.0, True, note="no certified strip")
         return skip, CheckResult("refined-le-plain", 0.0, True, note="no certified strip")
     worst_s = worst_r = (math.inf, "")
-    for gap, _, zs, norms in strips:
-        bounds = []
-        for z in zs:
-            plain = resolvent_bound_strip(q, gap, z)
-            refined = resolvent_bound_strip_refined(q, gap, z)
-            bounds.append(min(plain, refined))
-            margin = (plain * (1.0 + opt.refined_tol) - refined) / plain
-            if margin < worst_r[0]:
-                worst_r = (float(margin), repr(complex(z)))
-        worst_s = _resolvent_worst(zs, norms, bounds, opt, worst_s)
+    for _, _, grid, plain, refined in strips:
+        worst_s = _resolvent_worst(grid, opt.resolvent_tol, worst_s)
+        worst_r = _first_worst(grid.zs, (plain * (1.0 + opt.refined_tol) - refined) / plain, worst_r)
     return (
         _judged("resolvent-strip", worst_s, opt.rel_margin),
         _judged("refined-le-plain", worst_r, 0.0),
@@ -751,9 +826,7 @@ def _check_resolvent_strip(q, strips, opt) -> tuple[CheckResult, CheckResult]:
 def _check_resolvent_symgap(grid, opt) -> CheckResult | None:
     if grid is None:
         return None
-    result, zs, norms = grid
-    bounds = [result.resolvent_bound(z) for z in zs]
-    return _judged("resolvent-symgap", _resolvent_worst(zs, norms, bounds, opt), opt.rel_margin)
+    return _judged("resolvent-symgap", _resolvent_worst(grid, opt.resolvent_tol), opt.rel_margin)
 
 
 def _check_balls(inst, s_grid, eigs, opt) -> CheckResult:
@@ -837,22 +910,39 @@ def _check_structured(inst, eigs, opt) -> CheckResult:
 
 
 @dataclass(frozen=True, eq=False)
+class _Grid:
+    """One resolvent z-grid of M = T + A; every array is read-only.
+
+    bounds[i] is the check's certified bound at zs[i].  Where exact[i],
+    norms[i] is the oracle's ||(M - zs[i])^-1||; elsewhere the oracle
+    pruned zs[i] and norms[i] is the Weyl upper bracket that proved zs[i]
+    cannot be the check's worst point, never below the norm itself.
+    """
+
+    zs: np.ndarray
+    bounds: np.ndarray
+    norms: np.ndarray
+    exact: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class _Observation:
     """What the linear algebra of one verification saw; every array is read-only.
 
-    eigs[i] holds the eigenvalues of T + s_grid[i] A.  Each resolvent grid
-    carries its z-grid `zs` and the oracle's norms ||(T + A - z)^-1|| there:
-    `offreal` is (zs, norms), None when b >= 1; `strips` has one
-    (gap, perturbed strip, zs, norms) per open strip; `symgap` is
-    (SymmetricGapResult, zs, norms) for an open symmetric gap, else None.
+    eigs[i] holds the eigenvalues of T + s_grid[i] A.  Each resolvent check
+    carries its _Grid (points, bounds, exact/pruned mask, norms and upper
+    brackets): `offreal` is a _Grid, None when b >= 1; `strips` has one
+    (gap, perturbed strip, _Grid, plain bounds, refined bounds) per open
+    strip, the grid's bounds being the lesser of the two; `symgap` is the
+    _Grid of an open symmetric gap, else None.
     """
 
     s_grid: np.ndarray
     eigs: np.ndarray
     trace_slogdet: tuple[complex, complex, float]
-    offreal: tuple | None
+    offreal: _Grid | None
     strips: tuple
-    symgap: tuple | None
+    symgap: _Grid | None
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -862,29 +952,40 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _observe(inst: MatrixInstance, options: VerifyOptions) -> _Observation:
-    """All the linear algebra of a verification; depends on no tolerance and not on widen."""
+    """All the linear algebra of a verification, and every certified bound it is judged against.
+
+    Depends on no tolerance and not on widen.
+    """
     s_grid = np.linspace(0.0, 1.0, options.s_points)
     mats = inst.t_mat[None, :, :] + s_grid[:, None, None] * inst.a_mat[None, :, :]
     eigs = np.linalg.eigvals(mats)
     m0 = inst.t_mat + inst.a_mat
     sign, logabs = np.linalg.slogdet(m0)
 
-    def grid(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _read_only(zs, _batch_resolvent_norms(m0, zs))
-
     q = inst.quad
-    offreal = grid(_offreal_zgrid(inst, options)) if q.b < 1.0 else None
-    strips = tuple(
-        (g, strip, *grid(_strip_zgrid(g, strip, options)))
-        for g in inst.gaps if (strip := perturbed_strip(q, g)).open
-    )
-    symgap = None
+    # (check, zs, bounds) per z-grid; the open strips share one check
+    grids = []
+    if q.b < 1.0:
+        zs = _offreal_zgrid(inst, options)
+        grids.append(("offreal", zs, np.array([resolvent_bound_offreal(q, z) for z in zs])))
+    strips = []
+    for g in inst.gaps:
+        if (strip := perturbed_strip(q, g)).open:
+            zs = _strip_zgrid(g, strip, options)
+            plain, refined = (np.array(col) for col in zip(*_strip_bound_pairs(q, g, strip, zs)))
+            strips.append((g, strip, *_read_only(plain, refined)))
+            grids.append(("strip", zs, np.minimum(plain, refined)))
     gap = next((g for g in inst.gaps if g.alpha == -g.beta), None)
     if gap is not None and (result := symmetric_gap_strip(q, gap.beta)).strip.open:
-        symgap = (result, *grid(_symgap_zgrid(result, gap, options)))
+        zs = _symgap_zgrid(result, gap, options)
+        grids.append(("symgap", zs, np.array([result.resolvent_bound(z) for z in zs])))
+    # the bracketed grids, in the order listed above
+    done = iter(_bracketed_grids(m0, eigs[-1], grids) if grids else ())
     return _Observation(
         *_read_only(s_grid, eigs), (complex(np.trace(m0)), complex(sign), float(logabs)),
-        offreal, strips, symgap,
+        next(done) if q.b < 1.0 else None,
+        tuple((g, strip, next(done), plain, refined) for g, strip, plain, refined in strips),
+        next(done, None),
     )
 
 
@@ -895,13 +996,13 @@ def _judge(inst: MatrixInstance, obs: _Observation, options: VerifyOptions) -> V
     certificate's check (eig-count, numrange-window or structured-*).
     """
     s_grid, eigs = obs.s_grid, obs.eigs
-    strips = [(g, strip) for g, strip, _, _ in obs.strips]
+    strips = [(g, strip) for g, strip, *_ in obs.strips]
     checks: list[CheckResult] = [
         _check_eig_sanity(obs),
         _check_hyperbola(inst, s_grid, eigs, options),
         _check_strips(strips, eigs, options),
-        _check_resolvent_offreal(inst.quad, obs.offreal, options),
-        *_check_resolvent_strip(inst.quad, obs.strips, options),
+        _check_resolvent_offreal(obs.offreal, options),
+        *_check_resolvent_strip(obs.strips, options),
     ]
     hermitian = _is_hermitian(inst.a_mat)
     optional = [_check_resolvent_symgap(obs.symgap, options)]
@@ -974,7 +1075,16 @@ _SUITE_MIX = (
 def standard_suite_specs(
     count: int = 500, dim_lo: int = 4, dim_hi: int = 40, seed: int = 20260822
 ) -> list[tuple[str, int, int, float, int]]:
-    """Deterministic (kind, dim, seed, magnitude, n_gaps) plan for the suite."""
+    """Deterministic (kind, dim, seed, magnitude, n_gaps) plan for the suite.
+
+    Dimensions are drawn from [dim_lo, dim_hi], which must lie in [2, 64];
+    a block kind drawn an odd dim moves to an even neighbour, and a multi
+    instance to dim 8 at least.
+    """
+    dim_lo = require_int("dim_lo", dim_lo, 2)
+    dim_hi = require_int("dim_hi", dim_hi, 2)
+    if dim_hi > 64:
+        raise ValueError(f"dim_hi must be at most 64, got {dim_hi!r}")
     if dim_lo > dim_hi:
         raise ValueError(f"dim_lo must not exceed dim_hi, got dim_lo={dim_lo!r}, dim_hi={dim_hi!r}")
     kinds: list[str] = []

@@ -213,6 +213,7 @@ class TestBandModelCommands:
         ("kappa", "--model", "power-log", "--p1", "0", "--q1", "inf", "--a-coeff", "1"),
         ("kappa", "--model", "power-log", "--p1", "1", "--q1", "1", "--a-coeff", "1", "--a-power", "nan"),
         ("powerlaw", "--p1", "2", "--q1", "2", "--a-coeff", "1", "--a-power", "nan"),
+        ("powerlaw", "--p1", "2", "--q1", "2", "--b-coeff", "1", "--b-power", "nan"),
         ("manifold", "--c", "1", "--p", "3", "--case", "1", "--n", "5", "--eps-geom", "0.5",
          "--length-prefactor", "nan"),
     ])
@@ -232,6 +233,45 @@ class TestBandModelCommands:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert all(flag in err for flag in flags)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("powerlaw", "--p1", "2", "--q1", "2", "--b-coeff", "1", "--b-power", "nan"), "--b-power"),
+        (("powerlaw", "--p1", "2", "--q1", "2", "--a-coeff", "1", "--a-log-power", "inf"),
+         "--a-log-power"),
+        (("powerlaw", "--p1", "2", "--q1", "2", "--a-coeff", "nan"), "--a-coeff"),
+        (("kappa", "--model", "power-log", "--p1", "1", "--q1", "1", "--b-coeff", "1",
+          "--b-log-power", "nan"), "--b-log-power"),
+    ])
+    def test_bad_growth_term_names_its_flag(self, argv, flag, capsys):
+        code, out = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert f"error: {flag} must be finite" in capsys.readouterr().err
+
+    _LENGTHS = ("kappa", "--lengths", "1,2", "--widths", "1", "--a-seq", "0,0", "--b-seq", "0,0")
+
+    @pytest.mark.parametrize("argv, flags", [
+        (_LENGTHS + ("--model", "power-log"), ("--lengths", "--model")),
+        (_LENGTHS + ("--alphas", "1,2"), ("--lengths", "--alphas")),
+        (_LENGTHS + ("--betas", "1.5,3"), ("--lengths", "--betas")),
+        (_LENGTHS + ("--window", "3"), ("--lengths", "--window")),
+        (("growth-check", "--model", "geometric", "--ratio", "2", "--band-ratio", "2",
+          "--delta-a", "0.1", "--a-coeff", "1", "--a-seq", "1,2", "--b-seq", "0,0"),
+         ("--a-coeff", "--a-seq", "--b-seq")),
+        (("growth-check", "--model", "geometric", "--ratio", "2", "--band-ratio", "2",
+          "--delta-a", "0.1", "--b-coeff", "1", "--a-seq", "1,2"), ("--b-coeff", "--a-seq")),
+        (("kappa", "--model", "power-log", "--p1", "1", "--q1", "1", "--a-coeff", "1",
+          "--b-seq", "1,1"), ("--b-seq", "--lengths")),
+    ])
+    def test_ignored_flags_exit_2(self, argv, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in flags)
+
+    def test_lengths_alone_still_runs(self):
+        code, out = run_cli(*self._LENGTHS)
+        assert code == 0 and strict_json(out)["status"] == "ok"
 
     def test_alpha_scale_flag_removed(self):
         with pytest.raises(SystemExit) as exc:
@@ -514,6 +554,8 @@ class TestVerifyCommand:
         (("--widen", "nan"), "widen"),
         (("--instances", "0"), "count"),
         (("--dim-lo", "10", "--dim-hi", "5"), "dim_lo must not exceed dim_hi"),
+        (("--dim-lo", "1", "--dim-hi", "3"), "dim_lo"),
+        (("--dim-hi", "65"), "dim_hi"),
     ])
     def test_bad_grid_or_count_exits_2(self, argv, name, capsys):
         code, out = run_cli("verify", "--instances", "3", *argv)

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gapcert.enclosures import (
+    _strip_bound_pairs,
     Disk,
     Gap,
     GKCover,
@@ -212,6 +213,8 @@ class TestResolventBounds:
             return
         plain = resolvent_bound_strip(q, g, z)
         refined = resolvent_bound_strip_refined(q, g, z)
+        # the grid path gives both bounds bit for bit
+        assert _strip_bound_pairs(q, g, strip, [z, z]) == [(plain, refined)] * 2
         assert refined <= plain * (1 + 1e-12)
         # the piecewise form agrees with the plain one up to rounding
         np.testing.assert_allclose(refined, plain, rtol=1e-9)
@@ -223,6 +226,17 @@ class TestResolventBounds:
         assert perturbed_strip(q, g).open
         with pytest.raises(NumericalFailure):
             resolvent_bound_strip_refined(q, g, 0j)
+        with pytest.raises(NumericalFailure):
+            _strip_bound_pairs(q, g, perturbed_strip(q, g), [0j])
+
+    def test_grid_path_refuses_as_the_scalar_bounds_do(self):
+        q, g = QuadBound(1.0, 0.0), Gap(0.0, 3.0)
+        with pytest.raises(BoundNotValid, match="outside certified strip"):
+            _strip_bound_pairs(q, g, perturbed_strip(q, g), [1.5 + 0j, 2.5 + 0j])
+        closed = QuadBound(2.0, 0.0)
+        with pytest.raises(BoundNotValid, match="no certified strip"):
+            _strip_bound_pairs(closed, g, perturbed_strip(closed, g), [1.5 + 0j])
+        assert _strip_bound_pairs(q, g, perturbed_strip(q, g), []) == []
 
 
 class TestSymmetricGap:

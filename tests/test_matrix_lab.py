@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -323,6 +324,20 @@ class TestSuite:
             run_suite(2, dim_lo=10, dim_hi=5)
         assert {spec[1] for spec in standard_suite_specs(20, dim_lo=10, dim_hi=10)} == {10}
 
+    @pytest.mark.parametrize("dims, name", [
+        ((1, 3), "dim_lo"), ((0, 40), "dim_lo"), ((4, 65), "dim_hi"), ((4, 1), "dim_hi"),
+        ((2.5, 10), "dim_lo"),
+    ])
+    def test_specs_reject_dimensions_outside_2_to_64(self, dims, name):
+        with pytest.raises(ValueError, match=name):
+            standard_suite_specs(3, *dims)
+        with pytest.raises(ValueError, match=name):
+            run_suite(3, *dims)
+
+    def test_specs_accept_the_ends_of_the_range(self):
+        assert {spec[1] for spec in standard_suite_specs(30, 2, 2)} <= {2, 8}
+        assert max(spec[1] for spec in standard_suite_specs(30, 60, 64)) <= 64
+
     def test_csv_shape(self):
         res = run_suite(6, dim_hi=10, seed=2)
         lines = res.to_csv().strip().split("\n")
@@ -449,14 +464,19 @@ def oracle_calls(monkeypatch):
     return calls
 
 
+def _grids(obs):
+    """Every resolvent grid of an observation, in the order offreal, strips, symgap."""
+    grids = [] if obs.offreal is None else [obs.offreal]
+    grids.extend(grid for _, _, grid, _, _ in obs.strips)
+    return grids + ([] if obs.symgap is None else [obs.symgap])
+
+
 def _stored_arrays(obs):
     arrays = [obs.s_grid, obs.eigs]
-    if obs.offreal is not None:
-        arrays.extend(obs.offreal)
-    for _, _, zs, norms in obs.strips:
-        arrays.extend((zs, norms))
-    if obs.symgap is not None:
-        arrays.extend(obs.symgap[1:])
+    for grid in _grids(obs):
+        arrays.extend((grid.zs, grid.bounds, grid.norms, grid.exact))
+    for _, _, _, plain, refined in obs.strips:
+        arrays.extend((plain, refined))
     return arrays
 
 
@@ -550,3 +570,62 @@ class TestObservationReuse:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert got == [list(enumerate(want))] * 4
+
+
+_PRUNE_KINDS = [kind for kind, _ in matrix_lab._SUITE_MIX] + ["isolated"]
+
+
+def _prune_instance(kind, dim, seed, magnitude):
+    if kind == "isolated":
+        return gen_isolated_instance(dim, min(2, dim - 2), seed, magnitude=magnitude)
+    n_gaps = 2 if kind == "multi" else 1
+    return gen_instance(dim, seed, kind=kind, magnitude=magnitude, n_gaps=n_gaps)
+
+
+def _full_grid(grid, m0):
+    """The grid with every norm evaluated by one batch over all of its points."""
+    full = matrix_lab._batch_resolvent_norms(m0, grid.zs)
+    return dataclasses.replace(grid, norms=full, exact=np.ones(full.size, dtype=bool))
+
+
+class TestPrunedOracle:
+    """Weyl-bracket pruning skips SVDs but changes no report, whatever the round schedule."""
+
+    @pytest.mark.parametrize("dim, magnitude", [(4, 0.9), (10, 0.5), (22, 0.9), (40, 0.5)])
+    @pytest.mark.parametrize("kind", _PRUNE_KINDS)
+    def test_pruning_changes_no_report(self, kind, dim, magnitude, monkeypatch):
+        inst = _prune_instance(kind, dim, dim, magnitude)
+        m0 = inst.t_mat + inst.a_mat
+        observed = [matrix_lab._observe(inst, VerifyOptions())]
+        # the serial oracle, then rounds of one point per check
+        with monkeypatch.context() as patch:
+            patch.setattr(matrix_lab, "_svd_pool", (None, 1))
+            observed.append(matrix_lab._observe(inst, VerifyOptions()))
+            patch.setattr(matrix_lab, "_round_size", lambda n, pending: 1)
+            observed.append(matrix_lab._observe(inst, VerifyOptions()))
+        obs = observed[0]
+        full = dataclasses.replace(
+            obs,
+            offreal=obs.offreal and _full_grid(obs.offreal, m0),
+            strips=tuple((g, s, _full_grid(grid, m0), p, r) for g, s, grid, p, r in obs.strips),
+            symgap=obs.symgap and _full_grid(obs.symgap, m0),
+        )
+        want = [matrix_lab._judge(inst, full, o).to_json() for o in (VerifyOptions(), _WIDENED)]
+        for obs in observed:
+            assert _grids(obs)
+            for grid, reference in zip(_grids(obs), _grids(full)):
+                exact, norms = grid.exact, reference.norms
+                assert grid.norms[exact].tolist() == norms[exact].tolist()
+                assert np.all(grid.norms[~exact] >= norms[~exact])
+            got = [matrix_lab._judge(inst, obs, o).to_json() for o in (VerifyOptions(), _WIDENED)]
+            assert got == want
+
+    @pytest.mark.parametrize("dim", [22, 40])
+    def test_most_points_are_pruned(self, dim):
+        exact = total = 0
+        for kind in _PRUNE_KINDS:
+            obs = matrix_lab._observe(_prune_instance(kind, dim, 3, 0.7), VerifyOptions())
+            for grid in _grids(obs):
+                exact += int(grid.exact.sum())
+                total += grid.exact.size
+        assert exact < total / 2
