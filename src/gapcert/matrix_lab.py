@@ -11,14 +11,14 @@ certified region and reports signed margins; failures become report
 entries with witnesses, not exceptions.  It runs in two steps: _observe
 does the linear algebra (eigenvalues along s, resolvent norms on the
 z-grids) and computes every grid's certified bounds once, _judge turns
-those arrays into checks under the options' tolerances and widen.  Each
-resolvent grid holds its points, their bounds, a mask of the points
-evaluated exactly, and at the other points a proven upper bracket of the
-norm: the oracle prunes a point by Weyl's bound sigma_min(M - z) >=
-sigma_min(M - z0) - |z - z0| once it provably cannot be its check's
-worst, so reports equal those of a full-grid evaluation.  run_suite
-drives the standard mixed suite used by the acceptance gate and judges
-instances its previous call observed on that call's arrays.
+those arrays into checks under the module's tolerances and the options'
+widen.  Each resolvent grid holds its check, its points, their bounds, a
+mask of the points evaluated exactly, and at the other points a proven
+upper bracket of the norm: the oracle prunes a point by Weyl's bound
+sigma_min(M - z) >= sigma_min(M - z0) - |z - z0| once it provably cannot
+be its check's worst, so reports equal those of a full-grid evaluation.
+run_suite drives the standard mixed suite used by the acceptance gate and
+judges instances its previous call observed on that call's arrays.
 """
 
 from __future__ import annotations
@@ -495,30 +495,35 @@ def gen_isolated_instance(
 
 # Im z offsets of the in-strip z-grids, in units of the gap width
 _NU = np.array([0.0, 0.05, -0.05, 0.7, -0.7, 5.0, -5.0])
+# z-grid shape: _Z_RE real parts by _Z_IM imaginary parts (the first _Z_IM
+# offsets of _NU in a strip, _Z_IM geometric steps off the real axis), kept
+# _INSET (relative) inside the certified strips and outside the enclosure
+_Z_RE = 15
+_Z_IM = 7
+_INSET = 1e-6
+# tolerances: a location margin passes at >= -_REL_MARGIN, a resolvent norm
+# may exceed its bound by the factor 1 + _RESOLVENT_TOL, a refined bound the
+# plain one by 1 + _REFINED_TOL
+_REL_MARGIN = 1e-9
+_RESOLVENT_TOL = 1e-8
+_REFINED_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class VerifyOptions:
-    """Grid densities, tolerances and the mutation knob for one verify run.
+    """Coupling samples and the mutation knob for one verify run.
 
-    s_points >= 2 samples the coupling (s = 0 and s = 1 included); the
-    in-strip z-grids take the first z_im of the seven offsets in _NU.
+    s_points >= 2 samples the coupling (s = 0 and s = 1 included); widen >= 0
+    widens every claimed strip and floor by that fraction, so that a sound
+    certificate should fail.  Grid shape and tolerances are the module
+    constants above.
     """
 
     s_points: int = 11
-    z_re: int = 15
-    z_im: int = 7
-    inset: float = 1e-6
-    rel_margin: float = 1e-9
-    resolvent_tol: float = 1e-8
-    refined_tol: float = 1e-12
     widen: float = 0.0
 
     def __post_init__(self) -> None:
-        for name, least in (("s_points", 2), ("z_re", 1), ("z_im", 1)):
-            object.__setattr__(self, name, require_int(name, getattr(self, name), least))
-        if self.z_im > _NU.size:
-            raise ValueError(f"z_im must be at most {_NU.size}, got {self.z_im!r}")
+        object.__setattr__(self, "s_points", require_int("s_points", self.s_points, 2))
         object.__setattr__(self, "widen", require_nonneg("widen", self.widen))
 
 
@@ -560,12 +565,11 @@ def _judged(check: str, worst: tuple[float, str], tol: float, note: str = "") ->
 
 
 def _strip_margin(
-    eigs: np.ndarray, lo: float, hi: float, scale: float
+    eigs: np.ndarray, lo: float, hi: float, scale: float, worst=(math.inf, "")
 ) -> tuple[float, str]:
+    """(margin, witness) of the eigenvalue least outside lo < Re z < hi, unless `worst` is already lower."""
     re = eigs.real.ravel()
-    outside = np.maximum(lo - re, re - hi) / scale
-    k = int(np.argmin(outside))
-    return float(outside[k]), repr(complex(eigs.ravel()[k]))
+    return _first_worst(eigs.ravel(), np.maximum(lo - re, re - hi) / scale, worst)
 
 
 def _floor_margin(values: np.ndarray, claimed: float, scale: float, eigs: np.ndarray) -> tuple[float, str]:
@@ -588,30 +592,23 @@ def _check_eig_sanity(obs: _Observation) -> CheckResult:
     return _judged("eig-sanity", (tol - err, ""), 0.0, "trace and determinant identities")
 
 
-def _check_hyperbola(inst, s_grid, eigs, opt) -> CheckResult:
-    worst = (math.inf, "")
-    for s, row in zip(s_grid, eigs):
-        a, b = s * inst.quad.a, s * inst.quad.b
-        bound_sq = (a * a + b * b * row.real**2) / (1.0 - b * b)
-        margin = (bound_sq - row.imag**2) / np.maximum(1.0, bound_sq)
-        k = int(np.argmin(margin))
-        if margin[k] < worst[0]:
-            worst = (float(margin[k]), repr(complex(row[k])))
-    return _judged("hyperbola", worst, opt.rel_margin)
+def _check_hyperbola(inst, s_grid, eigs) -> CheckResult:
+    a, b = s_grid[:, None] * inst.quad.a, s_grid[:, None] * inst.quad.b
+    bound_sq = (a * a + b * b * eigs.real**2) / (1.0 - b * b)
+    margin = (bound_sq - eigs.imag**2) / np.maximum(1.0, bound_sq)
+    return _judged("hyperbola", _first_worst(eigs.ravel(), margin.ravel()), _REL_MARGIN)
 
 
-def _check_strips(strips, eigs, opt) -> CheckResult:
+def _check_strips(strips, eigs, widen) -> CheckResult:
     """Eigenvalues along s against every open (gap, perturbed strip) pair."""
     if not strips:
         return CheckResult("strip", 0.0, True, note="no certified strip")
     worst = (math.inf, "")
-    for gap, strip in strips:
-        lo, hi = _widened(strip, opt.widen)
-        found = _strip_margin(eigs, lo, hi, max(1.0, abs(gap.alpha), abs(gap.beta)))
-        if found[0] < worst[0]:
-            worst = found
-    notes = " ".join(f"({gap.alpha:.3g},{gap.beta:.3g})" for gap, _ in strips)
-    return _judged("strip", worst, opt.rel_margin, notes)
+    for gap, strip, *_ in strips:
+        lo, hi = _widened(strip, widen)
+        worst = _strip_margin(eigs, lo, hi, max(1.0, abs(gap.alpha), abs(gap.beta)), worst)
+    notes = " ".join(f"({gap.alpha:.3g},{gap.beta:.3g})" for gap, *_ in strips)
+    return _judged("strip", worst, _REL_MARGIN, notes)
 
 
 # numpy runs a gufunc loop without the GIL only when the loop covers more
@@ -706,8 +703,8 @@ def _round_size(n: int, pending: int) -> int:
     return min(max(2, cpus) * (_GIL_FREE_SIZE // n + 1), pending // 4 + 1)
 
 
-def _bracketed_grids(m0: np.ndarray, eigs: np.ndarray, grids) -> list[_Grid]:
-    """Oracle norms on every (check, zs, bounds) grid, exact only where a point could be its check's worst.
+def _bracketed_grids(m0: np.ndarray, eigs: np.ndarray, grids) -> tuple[_Grid, ...]:
+    """The _Grid of every (check, zs, bounds), its norms exact only where a point could be its check's worst.
 
     sigma_min(M - z) is 1-Lipschitz in z (Weyl), so each exact
     sigma_min(M - z0) brackets every other point of every grid:
@@ -720,13 +717,14 @@ def _bracketed_grids(m0: np.ndarray, eigs: np.ndarray, grids) -> list[_Grid]:
     upper bracket as their norm, so the judge finds the full grid's first
     worst point with the same margin whatever the round schedule.
     """
-    sizes = [g[1].size for g in grids]
+    checks = [check for check, _, _ in grids]
+    sizes = [zs.size for _, zs, _ in grids]
     # the grids of one check are adjacent: owner numbers the checks in order
-    firsts = [i == 0 or g[0] != grids[i - 1][0] for i, g in enumerate(grids)]
+    firsts = [i == 0 or check != checks[i - 1] for i, check in enumerate(checks)]
     owner = np.repeat(np.cumsum(firsts) - 1, sizes)
     starts = np.flatnonzero(np.diff(owner, prepend=-1))
-    zs = np.concatenate([g[1] for g in grids])
-    bounds = np.concatenate([g[2] for g in grids])
+    zs = np.concatenate([zs for _, zs, _ in grids])
+    bounds = np.concatenate([bounds for _, _, bounds in grids])
     n = m0.shape[0]
     slack = 8.0 * n * _EPS * (float(np.linalg.norm(m0)) + float(np.abs(zs).max()))
     with np.errstate(divide="ignore"):
@@ -757,22 +755,22 @@ def _bracketed_grids(m0: np.ndarray, eigs: np.ndarray, grids) -> list[_Grid]:
             floor[rest] = np.maximum(floor[rest], reach.max(axis=1) - slack)
     norms = np.where(exact, norms, upper)
     cuts = np.cumsum(sizes)[:-1]
-    return [
-        _Grid(*_read_only(g[1], g[2], nrm, ex))
-        for g, nrm, ex in zip(grids, np.split(norms, cuts), np.split(exact, cuts))
-    ]
+    return tuple(
+        _Grid(check, *_read_only(zs, bounds, nrm, ex))
+        for (check, zs, bounds), nrm, ex in zip(grids, np.split(norms, cuts), np.split(exact, cuts))
+    )
 
 
-def _zgrid(mu: np.ndarray, width: float, opt) -> np.ndarray:
-    nu = width * _NU[: opt.z_im]
+def _zgrid(mu: np.ndarray, width: float) -> np.ndarray:
+    nu = width * _NU[:_Z_IM]
     return (mu[:, None] + 1j * nu[None, :]).ravel()
 
 
-def _offreal_zgrid(inst, opt) -> np.ndarray:
+def _offreal_zgrid(inst) -> np.ndarray:
     q = inst.quad
     r = 1.05 * float(np.abs(inst.t_diag).max()) + 1.0
-    res = np.linspace(-r, r, opt.z_re)
-    fracs = np.geomspace(opt.inset, 10.0, opt.z_im)
+    res = np.linspace(-r, r, _Z_RE)
+    fracs = np.geomspace(_INSET, 10.0, _Z_IM)
     boundary = np.sqrt((q.a**2 + q.b**2 * res**2) / (1.0 - q.b**2))
     im = boundary[:, None] * (1.0 + fracs[None, :])
     # a degenerate boundary (a = 0 at re = 0) excludes every im > 0
@@ -780,17 +778,17 @@ def _offreal_zgrid(inst, opt) -> np.ndarray:
     return (res[:, None] + 1j * im).ravel()
 
 
-def _strip_zgrid(gap: Gap, strip: StripResult, opt) -> np.ndarray:
-    mu = strip.lo + (strip.hi - strip.lo) * np.linspace(opt.inset, 1.0 - opt.inset, opt.z_re)
-    return _zgrid(mu, gap.width, opt)
+def _strip_zgrid(gap: Gap, strip: StripResult) -> np.ndarray:
+    mu = strip.lo + (strip.hi - strip.lo) * np.linspace(_INSET, 1.0 - _INSET, _Z_RE)
+    return _zgrid(mu, gap.width)
 
 
-def _symgap_zgrid(result: SymmetricGapResult, gap: Gap, opt) -> np.ndarray:
-    mu = result.beta_pert * np.linspace(-(1.0 - opt.inset), 1.0 - opt.inset, opt.z_re)
-    return _zgrid(mu, gap.beta, opt)
+def _symgap_zgrid(result: SymmetricGapResult, gap: Gap) -> np.ndarray:
+    mu = result.beta_pert * np.linspace(-(1.0 - _INSET), 1.0 - _INSET, _Z_RE)
+    return _zgrid(mu, gap.beta)
 
 
-def _first_worst(zs, margins, worst) -> tuple[float, str]:
+def _first_worst(zs, margins, worst=(math.inf, "")) -> tuple[float, str]:
     """(margin, witness) of the first least margin, unless `worst` is already lower."""
     k = int(np.argmin(margins))
     if margins[k] < worst[0]:
@@ -798,38 +796,36 @@ def _first_worst(zs, margins, worst) -> tuple[float, str]:
     return worst
 
 
-def _resolvent_worst(grid: _Grid, tol: float, worst=(math.inf, "")) -> tuple[float, str]:
-    """Worst relative margin of a grid's certified bounds over its oracle norms."""
-    return _first_worst(grid.zs, (grid.bounds * (1.0 + tol) - grid.norms) / grid.bounds, worst)
+# resolvent check -> its outcome on an observation without a grid of it (None: no check)
+_NO_GRID = {
+    "resolvent-offreal": CheckResult("resolvent-offreal", 0.0, True, note="not applicable: b >= 1"),
+    "resolvent-strip": CheckResult("resolvent-strip", 0.0, True, note="no certified strip"),
+    "resolvent-symgap": None,
+}
 
 
-def _check_resolvent_offreal(grid, opt) -> CheckResult:
-    if grid is None:
-        return CheckResult("resolvent-offreal", 0.0, True, note="not applicable: b >= 1")
-    return _judged("resolvent-offreal", _resolvent_worst(grid, opt.resolvent_tol), opt.rel_margin)
+def _check_resolvent(check: str, grids) -> CheckResult | None:
+    """Worst relative margin of the check's certified bounds over the oracle norms on its grids."""
+    mine = [grid for grid in grids if grid.check == check]
+    if not mine:
+        return _NO_GRID[check]
+    worst = (math.inf, "")
+    for g in mine:
+        worst = _first_worst(g.zs, (g.bounds * (1.0 + _RESOLVENT_TOL) - g.norms) / g.bounds, worst)
+    return _judged(check, worst, _REL_MARGIN)
 
 
-def _check_resolvent_strip(strips, opt) -> tuple[CheckResult, CheckResult]:
+def _check_refined_le_plain(strips) -> CheckResult:
+    """The refined strip bound against the plain one on every strip grid."""
     if not strips:
-        skip = CheckResult("resolvent-strip", 0.0, True, note="no certified strip")
-        return skip, CheckResult("refined-le-plain", 0.0, True, note="no certified strip")
-    worst_s = worst_r = (math.inf, "")
-    for _, _, grid, plain, refined in strips:
-        worst_s = _resolvent_worst(grid, opt.resolvent_tol, worst_s)
-        worst_r = _first_worst(grid.zs, (plain * (1.0 + opt.refined_tol) - refined) / plain, worst_r)
-    return (
-        _judged("resolvent-strip", worst_s, opt.rel_margin),
-        _judged("refined-le-plain", worst_r, 0.0),
-    )
+        return CheckResult("refined-le-plain", 0.0, True, note="no certified strip")
+    worst = (math.inf, "")
+    for _, _, zs, plain, refined in strips:
+        worst = _first_worst(zs, (plain * (1.0 + _REFINED_TOL) - refined) / plain, worst)
+    return _judged("refined-le-plain", worst, 0.0)
 
 
-def _check_resolvent_symgap(grid, opt) -> CheckResult | None:
-    if grid is None:
-        return None
-    return _judged("resolvent-symgap", _resolvent_worst(grid, opt.resolvent_tol), opt.rel_margin)
-
-
-def _check_balls(inst, s_grid, eigs, opt) -> CheckResult:
+def _check_balls(inst, s_grid, eigs) -> CheckResult:
     worst = (math.inf, "")
     for gap in inst.gaps:
         for s, row in zip(s_grid, eigs):
@@ -841,22 +837,22 @@ def _check_balls(inst, s_grid, eigs, opt) -> CheckResult:
                     worst = (margin, f"disk@{disk.center!r}")
     if math.isinf(worst[0]):
         return CheckResult("balls", 0.0, True, note="no gap data")
-    return _judged("balls", worst, opt.rel_margin)
+    return _judged("balls", worst, _REL_MARGIN)
 
 
-def _check_eig_count(inst, eigs, opt) -> CheckResult:
+def _check_eig_count(inst, eigs, widen) -> CheckResult:
     (spec,) = inst.cert
     strip = isolated_eigenvalue_strip(inst.quad, spec)
-    lo, hi = _widened(strip, opt.widen) if opt.widen else (strip.lo, strip.hi)
+    lo, hi = _widened(strip, widen) if widen else (strip.lo, strip.hi)
     worst = (0.0, "")
     for row in eigs:
         count = int(np.sum((row.real > lo) & (row.real < hi)))
         if abs(count - spec.mult) > abs(worst[0]):
             worst = (float(-(abs(count - spec.mult))), f"count={count}")
-    return _judged("eig-count", worst, opt.rel_margin, f"expect {spec.mult} in ({lo:.6g},{hi:.6g})")
+    return _judged("eig-count", worst, _REL_MARGIN, f"expect {spec.mult} in ({lo:.6g},{hi:.6g})")
 
 
-def _check_numrange_windows(inst, eigs_full, opt) -> CheckResult:
+def _check_numrange_windows(inst, eigs_full) -> CheckResult:
     applicable = []
     worst = (0.0, "")
     for case in ("i", "ii", "iii", "iv"):
@@ -871,7 +867,7 @@ def _check_numrange_windows(inst, eigs_full, opt) -> CheckResult:
             worst = (-excess, f"case {case}: count={count}")
     if not applicable:
         return CheckResult("numrange-window", 0.0, True, note="no applicable case")
-    return _judged("numrange-window", worst, opt.rel_margin, "cases " + ",".join(applicable))
+    return _judged("numrange-window", worst, _REL_MARGIN, "cases " + ",".join(applicable))
 
 
 def _offdiag_worst(eigs, off, gap, widen) -> tuple[float, str]:
@@ -900,18 +896,18 @@ _STRUCTURED = {
 }
 
 
-def _check_structured(inst, eigs, opt) -> CheckResult:
+def _check_structured(inst, eigs, widen) -> CheckResult:
     check, worst_of = _STRUCTURED[inst.kind]
     try:
-        worst = worst_of(eigs, *inst.cert, opt.widen)
+        worst = worst_of(eigs, *inst.cert, widen)
     except ConditionNotApplicable:
         return CheckResult(check, 0.0, True, note="not applicable")
-    return _judged(check, worst, opt.rel_margin)
+    return _judged(check, worst, _REL_MARGIN)
 
 
 @dataclass(frozen=True, eq=False)
 class _Grid:
-    """One resolvent z-grid of M = T + A; every array is read-only.
+    """One resolvent z-grid of M = T + A for `check`; every array is read-only.
 
     bounds[i] is the check's certified bound at zs[i].  Where exact[i],
     norms[i] is the oracle's ||(M - zs[i])^-1||; elsewhere the oracle
@@ -919,6 +915,7 @@ class _Grid:
     cannot be the check's worst point, never below the norm itself.
     """
 
+    check: str
     zs: np.ndarray
     bounds: np.ndarray
     norms: np.ndarray
@@ -929,20 +926,18 @@ class _Grid:
 class _Observation:
     """What the linear algebra of one verification saw; every array is read-only.
 
-    eigs[i] holds the eigenvalues of T + s_grid[i] A.  Each resolvent check
-    carries its _Grid (points, bounds, exact/pruned mask, norms and upper
-    brackets): `offreal` is a _Grid, None when b >= 1; `strips` has one
-    (gap, perturbed strip, _Grid, plain bounds, refined bounds) per open
-    strip, the grid's bounds being the lesser of the two; `symgap` is the
-    _Grid of an open symmetric gap, else None.
+    eigs[i] holds the eigenvalues of T + s_grid[i] A.  `strips` has one
+    (gap, perturbed strip, zs, plain bounds, refined bounds) per open strip;
+    `grids` holds every resolvent _Grid in check order: resolvent-offreal
+    unless b >= 1, one resolvent-strip per open strip (same zs, bounds the
+    lesser of plain and refined), resolvent-symgap for an open symmetric gap.
     """
 
     s_grid: np.ndarray
     eigs: np.ndarray
     trace_slogdet: tuple[complex, complex, float]
-    offreal: _Grid | None
     strips: tuple
-    symgap: _Grid | None
+    grids: tuple[_Grid, ...]
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -963,29 +958,25 @@ def _observe(inst: MatrixInstance, options: VerifyOptions) -> _Observation:
     sign, logabs = np.linalg.slogdet(m0)
 
     q = inst.quad
-    # (check, zs, bounds) per z-grid; the open strips share one check
+    # (check, zs, bounds) per z-grid, in check order; the open strips share one check
     grids = []
     if q.b < 1.0:
-        zs = _offreal_zgrid(inst, options)
-        grids.append(("offreal", zs, np.array([resolvent_bound_offreal(q, z) for z in zs])))
+        zs = _offreal_zgrid(inst)
+        grids.append(("resolvent-offreal", zs, np.array([resolvent_bound_offreal(q, z) for z in zs])))
     strips = []
     for g in inst.gaps:
         if (strip := perturbed_strip(q, g)).open:
-            zs = _strip_zgrid(g, strip, options)
+            zs = _strip_zgrid(g, strip)
             plain, refined = (np.array(col) for col in zip(*_strip_bound_pairs(q, g, strip, zs)))
-            strips.append((g, strip, *_read_only(plain, refined)))
-            grids.append(("strip", zs, np.minimum(plain, refined)))
+            strips.append((g, strip, zs, *_read_only(plain, refined)))
+            grids.append(("resolvent-strip", zs, np.minimum(plain, refined)))
     gap = next((g for g in inst.gaps if g.alpha == -g.beta), None)
     if gap is not None and (result := symmetric_gap_strip(q, gap.beta)).strip.open:
-        zs = _symgap_zgrid(result, gap, options)
-        grids.append(("symgap", zs, np.array([result.resolvent_bound(z) for z in zs])))
-    # the bracketed grids, in the order listed above
-    done = iter(_bracketed_grids(m0, eigs[-1], grids) if grids else ())
+        zs = _symgap_zgrid(result, gap)
+        grids.append(("resolvent-symgap", zs, np.array([result.resolvent_bound(z) for z in zs])))
     return _Observation(
         *_read_only(s_grid, eigs), (complex(np.trace(m0)), complex(sign), float(logabs)),
-        next(done) if q.b < 1.0 else None,
-        tuple((g, strip, next(done), plain, refined) for g, strip, plain, refined in strips),
-        next(done, None),
+        tuple(strips), _bracketed_grids(m0, eigs[-1], grids) if grids else (),
     )
 
 
@@ -995,25 +986,25 @@ def _judge(inst: MatrixInstance, obs: _Observation, options: VerifyOptions) -> V
     Every instance gets the common checks; the kind alone adds its own
     certificate's check (eig-count, numrange-window or structured-*).
     """
-    s_grid, eigs = obs.s_grid, obs.eigs
-    strips = [(g, strip) for g, strip, *_ in obs.strips]
+    s_grid, eigs, widen = obs.s_grid, obs.eigs, options.widen
     checks: list[CheckResult] = [
         _check_eig_sanity(obs),
-        _check_hyperbola(inst, s_grid, eigs, options),
-        _check_strips(strips, eigs, options),
-        _check_resolvent_offreal(obs.offreal, options),
-        *_check_resolvent_strip(obs.strips, options),
+        _check_hyperbola(inst, s_grid, eigs),
+        _check_strips(obs.strips, eigs, widen),
+        _check_resolvent("resolvent-offreal", obs.grids),
+        _check_resolvent("resolvent-strip", obs.grids),
+        _check_refined_le_plain(obs.strips),
     ]
     hermitian = _is_hermitian(inst.a_mat)
-    optional = [_check_resolvent_symgap(obs.symgap, options)]
+    optional = [_check_resolvent("resolvent-symgap", obs.grids)]
     if hermitian and inst.gaps:
-        optional.append(_check_balls(inst, s_grid, eigs, options))
+        optional.append(_check_balls(inst, s_grid, eigs))
     if inst.kind == "isolated":
-        optional.append(_check_eig_count(inst, eigs, options))
+        optional.append(_check_eig_count(inst, eigs, widen))
     elif inst.kind == "symmetric" and hermitian:
-        optional.append(_check_numrange_windows(inst, eigs[-1], options))
+        optional.append(_check_numrange_windows(inst, eigs[-1]))
     elif inst.kind in _BLOCK_KINDS:
-        optional.append(_check_structured(inst, eigs, options))
+        optional.append(_check_structured(inst, eigs, widen))
     checks.extend(c for c in optional if c is not None)
     return VerificationReport(
         instance=inst.name, quad=inst.quad, s_points=options.s_points, checks=tuple(checks)
@@ -1023,7 +1014,7 @@ def _judge(inst: MatrixInstance, obs: _Observation, options: VerifyOptions) -> V
 def _observation_key(inst: MatrixInstance, options: VerifyOptions) -> bytes:
     """Digest of everything an observation depends on: T, A, quad, gaps and the grids."""
     head = (inst.dim, inst.quad.a, inst.quad.b, [(g.alpha, g.beta) for g in inst.gaps],
-            options.s_points, options.z_re, options.z_im, options.inset)
+            options.s_points, _Z_RE, _Z_IM, _INSET)
     digest = hashlib.sha256(repr(head).encode())
     digest.update(inst.t_diag.tobytes())
     digest.update(inst.a_mat.tobytes())
@@ -1140,8 +1131,8 @@ def run_suite(
     """Generate and verify the standard mixed suite.
 
     Observations the previous call made of the same instances and grids
-    are reused (see verify_instance), so a suite verified again under other
-    tolerances or another widen does no new linear algebra.
+    are reused (see verify_instance), so a suite verified again under
+    another widen does no new linear algebra.
     """
     global _previous_observations
     require_int("count", count, 1)

@@ -47,6 +47,7 @@ from gapcert import (
     symmetric_gap_strip,
     two_channel_bound,
 )
+from gapcert import matrix_lab
 from gapcert.blocks import almost_gap_eig_bound
 from gapcert.errors import ConditionNotApplicable
 
@@ -94,8 +95,7 @@ def test_criterion_1_enclosure_soundness(standard_suite):
 
 
 def test_criterion_2_resolvent_soundness(standard_suite):
-    opts = VerifyOptions()
-    assert opts.resolvent_tol == 1e-8 and opts.refined_tol == 1e-12
+    assert matrix_lab._RESOLVENT_TOL == 1e-8 and matrix_lab._REFINED_TOL == 1e-12
     names = ("resolvent-offreal", "resolvent-strip", "resolvent-symgap",
              "refined-le-plain")
     seen = {n: 0 for n in names}

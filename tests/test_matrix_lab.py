@@ -285,10 +285,6 @@ class TestVerifyOptions:
         ({"s_points": 0}, "s_points"),
         ({"s_points": 1}, "s_points"),
         ({"s_points": 2.5}, "s_points"),
-        ({"z_re": 0}, "z_re"),
-        ({"z_im": 0}, "z_im"),
-        ({"z_im": 8}, "z_im"),
-        ({"z_im": 9}, "z_im"),
         ({"widen": float("nan")}, "widen"),
         ({"widen": float("inf")}, "widen"),
         ({"widen": -0.1}, "widen"),
@@ -297,8 +293,15 @@ class TestVerifyOptions:
         with pytest.raises(ValueError, match=name):
             VerifyOptions(**kwargs)
 
-    def test_extremes_accepted(self):
-        opt = VerifyOptions(s_points=2, z_re=1, z_im=7, widen=0.0)
+    @pytest.mark.parametrize("name", ["z_re", "z_im", "inset", "rel_margin", "resolvent_tol",
+                                      "refined_tol"])
+    def test_grid_shape_and_tolerances_are_not_options(self, name):
+        with pytest.raises(TypeError, match=name):
+            VerifyOptions(**{name: getattr(matrix_lab, "_" + name.upper())})
+
+    def test_extremes_accepted(self, monkeypatch):
+        monkeypatch.setattr(matrix_lab, "_Z_RE", 1)
+        opt = VerifyOptions(s_points=2, widen=0.0)
         rep = verify_instance(gen_instance(8, 1, kind="none"), opt)
         assert rep.s_points == 2 and rep.ok
 
@@ -464,19 +467,12 @@ def oracle_calls(monkeypatch):
     return calls
 
 
-def _grids(obs):
-    """Every resolvent grid of an observation, in the order offreal, strips, symgap."""
-    grids = [] if obs.offreal is None else [obs.offreal]
-    grids.extend(grid for _, _, grid, _, _ in obs.strips)
-    return grids + ([] if obs.symgap is None else [obs.symgap])
-
-
 def _stored_arrays(obs):
     arrays = [obs.s_grid, obs.eigs]
-    for grid in _grids(obs):
+    for grid in obs.grids:
         arrays.extend((grid.zs, grid.bounds, grid.norms, grid.exact))
-    for _, _, _, plain, refined in obs.strips:
-        arrays.extend((plain, refined))
+    for _, _, zs, plain, refined in obs.strips:
+        arrays.extend((zs, plain, refined))
     return arrays
 
 
@@ -493,19 +489,27 @@ class TestObservationReuse:
         assert fresh != plain
         assert run_suite(*_SMALL).to_csv() == plain
 
-    def test_second_call_does_no_linear_algebra(self, oracle_calls):
+    def test_second_call_does_no_linear_algebra(self, oracle_calls, monkeypatch):
         run_suite(*_SMALL)
         assert oracle_calls["eigvals"] == _SMALL[0] and oracle_calls["svd"] > 0
         for name in oracle_calls:
             oracle_calls[name] = 0
-        run_suite(*_SMALL, options=VerifyOptions(widen=0.1, rel_margin=1e-6, refined_tol=0.0))
+        monkeypatch.setattr(matrix_lab, "_REL_MARGIN", 1e-6)
+        monkeypatch.setattr(matrix_lab, "_REFINED_TOL", 0.0)
+        run_suite(*_SMALL, options=_WIDENED)
         assert oracle_calls == {"eigvals": 0, "svd": 0, "slogdet": 0}
 
-    @pytest.mark.parametrize("changed", [{"s_points": 9}, {"inset": 1e-5}, {"z_re": 14}, {"z_im": 5}])
-    def test_changed_grid_observes_again(self, oracle_calls, changed):
+    @pytest.mark.parametrize("changed", [("s_points", 9), ("_INSET", 1e-5), ("_Z_RE", 14), ("_Z_IM", 5)])
+    def test_changed_grid_observes_again(self, oracle_calls, monkeypatch, changed):
         run_suite(*_SMALL)
         oracle_calls["eigvals"] = 0
-        run_suite(*_SMALL, options=VerifyOptions(**changed))
+        name, value = changed
+        if name == "s_points":
+            options = VerifyOptions(s_points=value)
+        else:
+            monkeypatch.setattr(matrix_lab, name, value)
+            options = VerifyOptions()
+        run_suite(*_SMALL, options=options)
         assert oracle_calls["eigvals"] == _SMALL[0]
 
     def test_only_the_previous_call_is_kept(self, oracle_calls):
@@ -532,7 +536,8 @@ class TestObservationReuse:
         run_suite(*_SMALL)
         stored = list(matrix_lab._previous_observations.values())
         assert len(stored) == _SMALL[0]
-        assert any(obs.strips for obs in stored) and any(obs.symgap for obs in stored)
+        assert any(obs.strips for obs in stored)
+        assert any(g.check == "resolvent-symgap" for obs in stored for g in obs.grids)
         for obs in stored:
             for array in _stored_arrays(obs):
                 with pytest.raises(ValueError, match="read-only"):
@@ -604,16 +609,11 @@ class TestPrunedOracle:
             patch.setattr(matrix_lab, "_round_size", lambda n, pending: 1)
             observed.append(matrix_lab._observe(inst, VerifyOptions()))
         obs = observed[0]
-        full = dataclasses.replace(
-            obs,
-            offreal=obs.offreal and _full_grid(obs.offreal, m0),
-            strips=tuple((g, s, _full_grid(grid, m0), p, r) for g, s, grid, p, r in obs.strips),
-            symgap=obs.symgap and _full_grid(obs.symgap, m0),
-        )
+        full = dataclasses.replace(obs, grids=tuple(_full_grid(grid, m0) for grid in obs.grids))
         want = [matrix_lab._judge(inst, full, o).to_json() for o in (VerifyOptions(), _WIDENED)]
         for obs in observed:
-            assert _grids(obs)
-            for grid, reference in zip(_grids(obs), _grids(full)):
+            assert obs.grids
+            for grid, reference in zip(obs.grids, full.grids):
                 exact, norms = grid.exact, reference.norms
                 assert grid.norms[exact].tolist() == norms[exact].tolist()
                 assert np.all(grid.norms[~exact] >= norms[~exact])
@@ -625,7 +625,7 @@ class TestPrunedOracle:
         exact = total = 0
         for kind in _PRUNE_KINDS:
             obs = matrix_lab._observe(_prune_instance(kind, dim, 3, 0.7), VerifyOptions())
-            for grid in _grids(obs):
+            for grid in obs.grids:
                 exact += int(grid.exact.sum())
                 total += grid.exact.size
         assert exact < total / 2
