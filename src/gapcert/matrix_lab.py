@@ -552,6 +552,9 @@ class VerificationReport:
 
 
 def _widened(strip: StripResult, widen: float) -> tuple[float, float]:
+    """The strip's ends moved apart by widen times its width; unwidened, the certificate's own ends."""
+    if not widen:
+        return strip.lo, strip.hi
     center = 0.5 * (strip.lo + strip.hi)
     half = 0.5 * (strip.hi - strip.lo) * (1.0 + widen)
     return center - half, center + half
@@ -843,7 +846,7 @@ def _check_balls(inst, s_grid, eigs) -> CheckResult:
 def _check_eig_count(inst, eigs, widen) -> CheckResult:
     (spec,) = inst.cert
     strip = isolated_eigenvalue_strip(inst.quad, spec)
-    lo, hi = _widened(strip, widen) if widen else (strip.lo, strip.hi)
+    lo, hi = _widened(strip, widen)
     worst = (0.0, "")
     for row in eigs:
         count = int(np.sum((row.real > lo) & (row.real < hi)))

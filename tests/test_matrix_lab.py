@@ -224,6 +224,12 @@ class TestVerifyInstance:
         assert strip.passed
         assert abs(strip.margin) <= 1e-15
 
+    def test_unwidened_strip_tests_the_certificate_ends(self):
+        # the certificate's ends, not center -/+ half (which moves them by an ulp)
+        rep = verify_instance(gen_instance(29, 335288494, kind="probe", magnitude=0.3147028161939025))
+        strip = next(c for c in rep.checks if c.check == "strip")
+        assert strip.margin == 0.0 and strip.passed
+
     def test_widening_produces_witness(self):
         rep = verify_instance(gen_instance(10, 3, kind="probe"), VerifyOptions(widen=0.1))
         bad = [c for c in rep.checks if not c.passed]
