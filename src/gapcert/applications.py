@@ -143,12 +143,12 @@ def dirac2d_envelope(
     b_min = require_positive("b_min", b_min)
     if not b_min < b_max:
         raise ValueError("requires b_min < b_max")
-    grid = np.geomspace(b_min, b_max, samples)
     try:
         with np.errstate(over="raise"):
+            grid = np.geomspace(b_min, b_max, samples)
             x, y = _envelope_xy(spec, grid)
     except FloatingPointError:
-        raise ConditionNotApplicable(f"b_min={b_min!r} beyond the representable envelope range") from None
+        raise ConditionNotApplicable(f"b in [{b_min!r}, {b_max!r}] leaves the representable range") from None
     clipped = bool(np.any(x < 0.0))
     x = np.maximum(x, 0.0)
     coeff = math.sqrt(p / (p - 2.0)) * (4.0 * math.pi) ** (-1.0 / p) * spec.v_norm

@@ -4,7 +4,8 @@ Every numeric in the output serializes in round-trip form, so piping a
 result back into a test compares bit-for-bit with the library call.
 Conditional results carry a status field (open / closed / not-applicable);
 a failed applicability condition is a domain answer, not an error exit.
-Parameter problems exit 2, numerical failures exit 3.
+Parameter problems exit 2, numerical failures (float overflow or division
+by zero among them) exit 3.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import math
 import sys
 from contextlib import nullcontext
+from dataclasses import asdict
 
 from .applications import (
     CoulombSpec,
@@ -124,12 +126,31 @@ def _exclusive(parser, args, first: tuple[str, ...], second: tuple[str, ...]) ->
         parser.error(f"{', '.join(used)} cannot be combined with {', '.join(ignored)}")
 
 
+def _point(parser, args) -> complex | None:
+    """z = --re + i --im, None when neither is given; exit 2 when only one is."""
+    if (args.re is None) != (args.im is None):
+        parser.error("--re and --im must be given together")
+    if args.re is None:
+        return None
+    return complex(require_finite("--re", args.re), require_finite("--im", args.im))
+
+
 def _inf_as_null(doc: dict) -> dict:
     """doc with each infinite limit as None: strict JSON has no Infinity."""
     return {
         key: None if isinstance(value, float) and math.isinf(value) else value
         for key, value in doc.items()
     }
+
+
+def _json_text(doc: dict) -> str:
+    """doc as JSON; a NaN or infinity is a numerical failure, bar eps0 = Infinity at kappa_bound 0."""
+    documented = doc.get("eps0") == math.inf and doc.get("kappa_bound") == 0.0
+    try:
+        json.dumps({**doc, "eps0": None} if documented else doc, allow_nan=False)
+    except ValueError:
+        raise NumericalFailure("a result overflowed or is undefined in floating point") from None
+    return json.dumps(doc)
 
 
 def _write_csv(path: str, text: str):
@@ -147,39 +168,29 @@ def _write_csv(path: str, text: str):
 
 def _cmd_enclose(args, parser):
     _need(parser, args, "a", "b")
+    z = _point(parser, args)
     q = QuadBound(args.a, args.b)
     if q.b >= 1.0:
         raise ConditionNotApplicable("b >= 1 excludes nothing: the enclosure is the whole plane")
     denom = math.sqrt(1.0 - q.b * q.b)
-    doc = {
-        "status": "open",
-        "a": q.a,
-        "b": q.b,
-        "intercept": q.a / denom,
-        "slope": q.b / denom,
-    }
-    if args.re is not None and args.im is not None:
-        doc["excluded"] = hyperbola_excluded(q, complex(args.re, args.im))
+    doc = {"status": "open", **asdict(q), "intercept": q.a / denom, "slope": q.b / denom}
+    if z is not None:
+        doc["excluded"] = hyperbola_excluded(q, z)
     return doc
 
 
 def _cmd_strip(args, parser):
     _need(parser, args, "a", "b", "alpha", "beta")
     res = perturbed_strip(QuadBound(args.a, args.b), Gap(args.alpha, args.beta))
-    return {
-        "status": "open" if res.open else "closed",
-        "lo": res.lo,
-        "hi": res.hi,
-        "open": res.open,
-    }
+    return {"status": "open" if res.open else "closed", **asdict(res)}
 
 
 def _cmd_resolvent(args, parser):
     _need(parser, args, "a", "b", "re", "im")
     if (args.alpha is None) != (args.beta is None):
         parser.error("--alpha and --beta must be given together")
+    z = _point(parser, args)
     q = QuadBound(args.a, args.b)
-    z = complex(args.re, args.im)
     if args.alpha is None:
         return {"status": "open", "bound": resolvent_bound_offreal(q, z)}
     gap = Gap(args.alpha, args.beta)
@@ -192,6 +203,7 @@ def _cmd_resolvent(args, parser):
 
 def _cmd_symmetric_gap(args, parser):
     _need(parser, args, "a", "b", "beta")
+    z = _point(parser, args)
     res = symmetric_gap_strip(QuadBound(args.a, args.b), args.beta)
     doc = {
         "status": "open" if res.strip.open else "closed",
@@ -200,30 +212,30 @@ def _cmd_symmetric_gap(args, parser):
         "beta_pert": res.beta_pert,
         "shift": res.shift,
     }
-    if args.re is not None and args.im is not None:
-        doc["bound"] = res.resolvent_bound(complex(args.re, args.im))
+    if z is not None:
+        doc["bound"] = res.resolvent_bound(z)
     return doc
 
 
 def _cmd_gk_cover(args, parser):
     _need(parser, args, "c", "p", "eps")
-    b = args.b if args.b is not None else 0.5 * args.eps / math.sqrt(2.0 + args.eps**2)
-    a_val = subordination_family(args.c, args.p)(b)
-    cover = _gk_cover(lambda _eps: QuadBound(a_val, b), args.eps)
-    return {
-        "status": "ok",
-        "r_eps": cover.r_eps,
-        "half_angle": cover.half_angle,
-        "a_eps": a_val,
-        "b_eps": float(b),
-    }
+    a_of_b = subordination_family(args.c, args.p)
+
+    def bound_at(eps: float) -> QuadBound:
+        # unset, b_eps is half the largest b the cover admits at eps (eps checked first)
+        b = args.b if args.b is not None else 0.5 * eps / math.sqrt(2.0 + eps**2)
+        return QuadBound(a_of_b(b), b)
+
+    cover = _gk_cover(bound_at, args.eps)
+    q = bound_at(cover.half_angle)
+    return {"status": "ok", **asdict(cover), "a_eps": q.a, "b_eps": q.b}
 
 
 def _cmd_eig_strip(args, parser):
     _need(parser, args, "a", "b", "lam", "alpha", "beta", "mult")
     spec = IsolatedEigSpec(args.lam, args.alpha, args.beta, args.mult)
     strip = isolated_eigenvalue_strip(QuadBound(args.a, args.b), spec)
-    return {"status": "open", "lo": strip.lo, "hi": strip.hi, "count": strip.count}
+    return {"status": "open", **asdict(strip)}
 
 
 def _band_data(args, parser):
@@ -263,14 +275,8 @@ def _power_log(args, parser) -> PowerLogTail:
 def _cmd_gaps(args, parser):
     _need(parser, args, "delta_a")
     res = ratio_criterion(_band_data(args, parser), args.delta_a)
-    return _inf_as_null({
-        "status": "ok",
-        "verdict": res.verdict.value,
-        "liminf": res.liminf,
-        "limsup": res.limsup,
-        "threshold": res.threshold,
-        "exact": res.exact,
-    })
+    # Verdict is a str enum, so it serializes as its value
+    return _inf_as_null({"status": "ok", **asdict(res)})
 
 
 def _growth_terms(args) -> tuple[GrowthTerm, GrowthTerm]:
@@ -318,17 +324,12 @@ def _cmd_growth_check(args, parser):
         _need(parser, args, "b_seq")
         consts = PerGapConstants(_floats(args.a_seq), _floats(args.b_seq))
     diag = necessary_growth_check(data, args.delta_a, consts)
-    return {
-        "status": "ok",
-        "ok": diag.ok,
-        "failed_condition": diag.failed_condition,
-        "details": _inf_as_null(diag.details),
-    }
+    return {"status": "ok", **asdict(diag), "details": _inf_as_null(diag.details)}
 
 
 def _cmd_powerlaw(args, parser):
     res = powerlaw_example(_power_log(args, parser), *_growth_terms(args))
-    return {"status": "ok", "kappa_bound": res.kappa_bound, "eps0": res.eps0}
+    return {"status": "ok", **asdict(res)}
 
 
 def _cmd_structured(args, parser):
@@ -389,6 +390,7 @@ def _cmd_dirac_envelope(args, parser):
 
 def _cmd_coulomb(args, parser):
     _need(parser, args, "c1", "c2", "mass")
+    z = _point(parser, args)
     region = dirac3d_coulomb(CoulombSpec(args.c1, args.c2, args.mass))
     doc = {
         "status": "open" if region.gap.strip.open else "closed",
@@ -397,8 +399,8 @@ def _cmd_coulomb(args, parser):
         "hi": region.gap.strip.hi,
         "bisectorial": region.bisectorial,
     }
-    if args.re is not None and args.im is not None:
-        doc["certified_free"] = region.certified_free(complex(args.re, args.im))
+    if z is not None:
+        doc["certified_free"] = region.certified_free(z)
     return doc
 
 
@@ -413,12 +415,7 @@ def _cmd_manifold(args, parser):
         "a_n": mb.pointwise.a,
         "b_n": mb.pointwise.b,
         "slope": mb.a_model.coeff,
-        "band": {
-            "p1": mb.band_model.p1,
-            "p2": mb.band_model.p2,
-            "q1": mb.band_model.q1,
-            "q2": mb.band_model.q2,
-        },
+        "band": {key: getattr(mb.band_model, key) for key in ("p1", "p2", "q1", "q2")},
     }
     if args.pipeline:
         res = powerlaw_example(mb.band_model, mb.a_model, mb.b_model)
@@ -433,14 +430,7 @@ def _cmd_two_channel(args, parser):
     p1 = _floats(args.p1) or (0.0,) * args.d
     p2 = _floats(args.p2) or (0.0,) * (args.d * (args.d + 1) // 2)
     spec = TwoChannelSpec(args.d, args.p, args.v12, args.p0, p1, p2)
-    res = two_channel_bound(spec)
-    return {
-        "status": "ok",
-        "b21": res.b21,
-        "c_p": res.c_p,
-        "coupling": res.coupling,
-        "lower_bound": res.lower_bound,
-    }
+    return {"status": "ok", **asdict(two_channel_bound(spec))}
 
 
 def _cmd_verify(args, parser):
@@ -653,17 +643,18 @@ def main(argv: list[str] | None = None) -> int:
     _merge_json(parser, args)
     try:
         doc = args.func(args, parser)
+        text = None if doc is None else _json_text(doc)
     except ConditionNotApplicable as exc:
         print(json.dumps({"status": "not-applicable", "reason": str(exc)}))
         return 0
-    except NumericalFailure as exc:
+    except (NumericalFailure, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if doc is not None:
-        print(json.dumps(doc))
+    if text is not None:
+        print(text)
     return 0
 
 

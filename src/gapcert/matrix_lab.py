@@ -847,11 +847,10 @@ def _check_eig_count(inst, eigs, widen) -> CheckResult:
     (spec,) = inst.cert
     strip = isolated_eigenvalue_strip(inst.quad, spec)
     lo, hi = _widened(strip, widen)
-    worst = (0.0, "")
-    for row in eigs:
-        count = int(np.sum((row.real > lo) & (row.real < hi)))
-        if abs(count - spec.mult) > abs(worst[0]):
-            worst = (float(-(abs(count - spec.mult))), f"count={count}")
+    counts = np.sum((eigs.real > lo) & (eigs.real < hi), axis=1)
+    k = int(np.argmax(np.abs(counts - spec.mult)))  # the first row farthest off
+    off = abs(int(counts[k]) - spec.mult)
+    worst = (float(-off), f"count={counts[k]}" if off else "")
     return _judged("eig-count", worst, _REL_MARGIN, f"expect {spec.mult} in ({lo:.6g},{hi:.6g})")
 
 

@@ -41,6 +41,11 @@ class Segment:
             raise ValueError("re and im must have equal length")
 
 
+# a boundary whose samples leave the doubles has no polyline: in the samplers an
+# overflow or invalid operation raises FloatingPointError (the CLI exits 3)
+_in_doubles = np.errstate(over="raise", invalid="raise", divide="raise")
+
+
 def _seg(name: str, re: np.ndarray, im: np.ndarray) -> Segment:
     return Segment(name, tuple(float(x) for x in re), tuple(float(y) for y in im))
 
@@ -51,6 +56,7 @@ def _hyperbola_height(q: QuadBound, re: np.ndarray) -> np.ndarray:
     return np.sqrt((q.a**2 + q.b**2 * re**2) / (1.0 - q.b**2))
 
 
+@_in_doubles
 def hyperbola_boundary(q: QuadBound, resolution: int, clip: float) -> tuple[Segment, Segment]:
     """Upper and lower branch of |Im z|^2 = (a^2 + b^2 Re^2)/(1 - b^2).
 
@@ -63,6 +69,7 @@ def hyperbola_boundary(q: QuadBound, resolution: int, clip: float) -> tuple[Segm
     return _seg("upper", re, im), _seg("lower", re, -im)
 
 
+@_in_doubles
 def strip_boundary(lo: float, hi: float, resolution: int, clip: float) -> tuple[Segment]:
     """Closed rectangle around the strip (lo, hi) cut at |Im| = clip."""
     resolution = require_int("resolution", resolution, 2)
@@ -81,6 +88,7 @@ def strip_boundary(lo: float, hi: float, resolution: int, clip: float) -> tuple[
     return (_seg("rectangle", re, im),)
 
 
+@_in_doubles
 def sector_boundary(cover: GKCover, resolution: int, clip: float) -> tuple[Segment, ...]:
     """Ball circle plus the four sector boundary rays, cut at |z| = clip."""
     resolution = require_int("resolution", resolution, 2)
@@ -98,6 +106,7 @@ def sector_boundary(cover: GKCover, resolution: int, clip: float) -> tuple[Segme
     return tuple(segments)
 
 
+@_in_doubles
 def coulomb_boundary(region: CoulombRegion, resolution: int, clip: float) -> tuple[Segment, ...]:
     """Boundary of the two lens-shaped components the spectrum may occupy.
 
@@ -119,6 +128,7 @@ def coulomb_boundary(region: CoulombRegion, resolution: int, clip: float) -> tup
     return tuple(segments)
 
 
+@_in_doubles
 def envelope_boundary(
     spec: DiracSpec, resolution: int, clip: float, name: str | None = None
 ) -> tuple[Segment]:

@@ -341,9 +341,71 @@ _CONST_FLAGS = {
 }
 _POWER_FLAGS = ("--p1", "--p2", "--q1", "--q2", "--length-prefactor", "--width-prefactor")
 _DELTA = {"--delta-a": _VALUES}
+# integer flags that set no size: small, huge (beyond a double) and fractional
+_INTS = st.one_of(st.integers(-2, 8), st.sampled_from([2**31, 10**200]), st.integers()).map(str) | \
+    st.just("1.5")
+
+
+def _near(lo, hi):
+    """Half the draws in [lo, hi], where a call tends to get past its checks; half any value."""
+    return st.floats(lo, hi).map(repr) | _VALUES
+
+
+def _sizes(lo, hi):
+    """A size flag: at most hi, so that every example stays fast, often at least lo."""
+    return st.integers(lo, hi).map(str) | st.integers(-1, hi).map(str) | st.just("1.5")
+
+
+_A, _B = _near(0.0, 1.0), _near(0.0, 0.9)
+_BELOW, _ABOVE = _near(-3.0, -0.5), _near(0.5, 3.0)
+_POINT = {"--re": _near(-3.0, 3.0), "--im": _near(-3.0, 3.0)}
+_STRUCTURED = {
+    "offdiag": {"--a12": _A, "--b12": _B, "--a21": _A, "--b21": _B, "--alpha": _BELOW, "--beta": _ABOVE},
+    "even": {"--a12": _A, "--b12": _B, "--a21": _A, "--b21": _B, "--beta1": _ABOVE, "--beta2": _ABOVE},
+    "odd": {"--a11": _A, "--b11": _B, "--a22": _A, "--b22": _B, "--beta": _ABOVE},
+}
+_REGIONS = {
+    "hyperbola": {"--a": _A, "--b": _B},
+    "strip": {"--lo": _BELOW, "--hi": _ABOVE},
+    "sector": {"--r-eps": _ABOVE, "--half-angle": _near(0.01, 1.5)},
+    "coulomb": {"--c1": _near(0.0, 0.5), "--c2": _near(0.0, 0.5), "--mass": _ABOVE},
+    "envelope": {"--p": st.lists(_near(2.1, 10.0), min_size=1, max_size=3), "--vnorm": _ABOVE},
+}
+# verify draws at most 3 instances of order at most 12 on at most 16 coupling
+# samples; sample-region and dirac-envelope at most 64 points per segment;
+# two-channel a dimension of at most 6
+_ENVELOPE = {"--p": _near(2.1, 10.0), "--vnorm": _ABOVE, "--samples": _sizes(2, 64)}
+_MANIFOLD = {"--c": _ABOVE, "--p": _near(2.1, 10.0), "--case": st.sampled_from("12") | _INTS,
+             "--n": st.integers(2, 10**6).map(str) | _INTS, "--eps-geom": _near(0.01, 0.99)}
+_TWO_CHANNEL = {"--d": _sizes(1, 6), "--p": _near(2.0, 8.0), "--v12": _A, "--p0": _A}
+_VERIFY = {"--instances": _sizes(1, 3), "--dim-hi": _sizes(4, 12), "--csv": st.just("-")}
+
+
+def _mode(flags, **fixed):
+    """A complete call: these flags, with `fixed` (a dash spelled _) set as given."""
+    fixed = {"--" + k.replace("_", "-"): st.just(v) for k, v in fixed.items()}
+    return st.tuples(st.fixed_dictionaries({**fixed, **flags}), st.just({}))
+
+
+def _any(*names):
+    return {name: _VALUES for name in names}
+
+
 # per subcommand: the flag sets that can make a complete call, and the
-# flags that may be added to them
+# flags that may be added to them; a value is a string, a list of strings
+# (the flag repeated) or None (a switch)
 _FUZZ_MODES = {
+    "enclose": [_mode({"--a": _A, "--b": _B}), _mode({"--a": _A, "--b": _B, **_POINT})],
+    "strip": [_mode({"--a": _A, "--b": _B, "--alpha": _BELOW, "--beta": _ABOVE})],
+    "resolvent": [_mode({"--a": _A, "--b": _B, **_POINT}),
+                  _mode({"--a": _A, "--b": _B, "--alpha": _BELOW, "--beta": _ABOVE, **_POINT})],
+    "symmetric-gap": [_mode({"--a": _A, "--b": _B, "--beta": _ABOVE}),
+                      _mode({"--a": _A, "--b": _B, "--beta": _ABOVE, **_POINT})],
+    "gk-cover": [_mode({"--c": _ABOVE, "--p": _near(0.0, 0.95), "--eps": _near(0.01, 1.5)}),
+                 _mode({"--c": _ABOVE, "--p": _near(0.0, 0.95), "--eps": _near(0.01, 1.5),
+                        "--b": _near(0.0, 0.5)})],
+    "eig-strip": [_mode({"--a": _near(0.0, 0.3), "--b": _near(0.0, 0.3), "--lam": _near(-0.5, 0.5),
+                         "--alpha": _BELOW, "--beta": _ABOVE, "--mult": _INTS})],
     "gaps": [st.tuples(mode, st.fixed_dictionaries(_DELTA)) for mode in _BAND_MODES],
     "growth-check": [st.tuples(mode, st.fixed_dictionaries(_DELTA)) for mode in _BAND_MODES],
     "kappa": [
@@ -353,13 +415,44 @@ _FUZZ_MODES = {
         ), st.just({})),
     ],
     "powerlaw": [st.tuples(st.fixed_dictionaries({"--p1": _VALUES, "--q1": _VALUES}), st.just({}))],
+    "structured": [_mode(flags, shape=shape) for shape, flags in _STRUCTURED.items()],
+    "dirac-envelope": [_mode(_ENVELOPE), _mode({**_ENVELOPE, "--re": _near(-3.0, 3.0)}),
+                       _mode({**_ENVELOPE, "--b-min": _near(0.01, 1.0), "--b-max": _near(1.0, 10.0)},
+                             csv="-")],
+    "coulomb": [_mode(_REGIONS["coulomb"]), _mode({**_REGIONS["coulomb"], **_POINT})],
+    "manifold": [_mode(_MANIFOLD), _mode({**_MANIFOLD, "--pipeline": st.none()})],
+    "two-channel": [_mode(_TWO_CHANNEL), _mode({**_TWO_CHANNEL, "--p1": _LISTS, "--p2": _LISTS})],
+    "verify": [_mode({k: _VERIFY[k] for k in ("--instances", "--dim-hi")}), _mode(_VERIFY)],
+    "sample-region": [_mode({**flags, "--resolution": _sizes(2, 64)}, kind=kind)
+                      for kind, flags in _REGIONS.items()],
 }
 _FUZZ_EXTRAS = {
+    "enclose": _any("--a", "--b", "--re", "--im"),
+    "strip": _any("--a", "--b", "--alpha", "--beta"),
+    "resolvent": _any("--a", "--b", "--re", "--im", "--alpha", "--beta"),
+    "symmetric-gap": _any("--a", "--b", "--beta", "--re", "--im"),
+    "gk-cover": _any("--c", "--p", "--eps", "--b"),
+    "eig-strip": {**_any("--a", "--b", "--lam", "--alpha", "--beta"), "--mult": _INTS},
     "gaps": {**_BAND_FLAGS, **_DELTA},
     "kappa": {**_BAND_FLAGS, **_CONST_FLAGS, "--lengths": _LISTS, "--widths": _LISTS,
               "--a-seq": _LISTS, "--b-seq": _LISTS},
     "growth-check": {**_BAND_FLAGS, **_CONST_FLAGS, **_DELTA, "--a-seq": _LISTS, "--b-seq": _LISTS},
     "powerlaw": {**{flag: _BAND_FLAGS[flag] for flag in _POWER_FLAGS}, **_CONST_FLAGS},
+    "structured": {"--shape": st.sampled_from(sorted(_STRUCTURED)),
+                   **_any(*{flag for flags in _STRUCTURED.values() for flag in flags})},
+    "dirac-envelope": {**_any("--p", "--vnorm", "--b-min", "--b-max", "--re"),
+                       "--samples": _sizes(2, 64), "--csv": st.just("-")},
+    "coulomb": _any("--c1", "--c2", "--mass", "--re", "--im"),
+    "manifold": {**_any("--c", "--p", "--eps-geom", "--length-prefactor", "--width-prefactor"),
+                 "--case": _INTS, "--n": _INTS, "--pipeline": st.none()},
+    "two-channel": {**_any("--p", "--v12", "--p0"), "--d": _sizes(1, 6), "--p1": _LISTS,
+                    "--p2": _LISTS},
+    "verify": {"--instances": _sizes(1, 3), "--dim-hi": _sizes(4, 12), "--dim-lo": _sizes(2, 12),
+               "--s-points": _sizes(2, 16), "--seed": _INTS, "--widen": _VALUES,
+               "--suite": st.sampled_from(["standard", "other"]), "--csv": st.just("-")},
+    "sample-region": {"--kind": st.sampled_from(sorted(_REGIONS)), "--resolution": _sizes(2, 64),
+                      "--clip": _VALUES, "--p": _VALUES,
+                      **_any(*{flag for flags in _REGIONS.values() for flag in flags} - {"--p"})},
 }
 
 
@@ -368,24 +461,62 @@ def _fuzz_argv(cmd):
     added = st.lists(st.sampled_from(sorted(extras)), max_size=2, unique=True).flatmap(
         lambda keys: st.fixed_dictionaries({key: extras[key] for key in keys})
     )
-    return st.tuples(st.one_of(_FUZZ_MODES[cmd]), added).map(
-        lambda parts: [cmd] + [f"{flag}={value}" for flag, value in
-                               {**parts[0][0], **parts[0][1], **parts[1]}.items()]
-    )
+
+    def argv(parts):
+        out = [cmd]
+        for flag, value in {**parts[0][0], **parts[0][1], **parts[1]}.items():
+            if value is None:
+                out.append(flag)
+            else:
+                out.extend(f"{flag}={v}" for v in (value if isinstance(value, list) else [value]))
+        return out
+
+    return st.tuples(st.one_of(_FUZZ_MODES[cmd]), added).map(argv)
 
 
 _PARSER = cli.build_parser()
+# stdout of a call that writes CSV to stdout instead of a JSON document
+_CSV_HEADERS = {"dirac-envelope": "segment,re,im", "sample-region": "segment,re,im",
+                "verify": "instance,check,margin,pass"}
+
+
+def _flag_value(argv, flag, default):
+    values = [a.split("=", 1)[1] for a in argv if a.startswith(flag + "=")]
+    return values[-1] if values else default
+
+
+def _check_csv(argv, text):
+    """A CSV of the documented shape: region rows per segment, one suite row per check."""
+    lines = text.splitlines()
+    assert lines[0] == _CSV_HEADERS[argv[0]], lines[:1]
+    rows = [line.split(",") for line in lines[1:]]
+    assert rows and all(len(row) == len(lines[0].split(",")) for row in rows)
+    if argv[0] == "verify":
+        assert all(flag in ("0", "1") and float(margin) == float(margin) for _, _, margin, flag in rows)
+        instances = int(_flag_value(argv, "--instances", "500"))
+        assert len({name for name, *_ in rows}) == instances
+        return
+    per_segment = int(_flag_value(argv, "--samples" if argv[0] == "dirac-envelope" else "--resolution",
+                                  "256"))
+    # segments may share a name (sample-region --p 3 --p 3): count runs of rows
+    runs = [[rows[0][0], 0]]
+    for name, re, im in rows:
+        assert math.isfinite(float(re)) and math.isfinite(float(im)), (name, re, im)
+        if name != runs[-1][0]:
+            runs.append([name, 0])
+        runs[-1][1] += 1
+    assert all(count % per_segment == 0 for _, count in runs), runs
 
 
 @pytest.mark.parametrize("cmd", sorted(_FUZZ_MODES))
 @given(data=st.data())
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
-def test_band_model_commands_fuzz(cmd, data):
-    """Exit 0, 2 or 3 without a traceback; stdout is strict JSON.
+def test_subcommand_fuzz(cmd, data):
+    """Exit 0, 2 or 3 without a traceback; stdout is strict JSON or the documented CSV.
 
-    The one known exception: powerlaw prints eps0 as Infinity when its
-    kappa_bound is 0.  One parser serves every example, as building it
-    costs more than a call.
+    The one known JSON exception: powerlaw and manifold --pipeline print
+    eps0 as Infinity when their kappa_bound is 0.  One parser serves every
+    example, as building it costs more than a call.
     """
     argv = data.draw(_fuzz_argv(cmd))
     out, err = io.StringIO(), io.StringIO()
@@ -400,8 +531,12 @@ def test_band_model_commands_fuzz(cmd, data):
     if code != 0:
         assert out.getvalue() == ""
         return
-    allow = ("Infinity",) if argv[0] == "powerlaw" else ()
-    doc = strict_json(out.getvalue(), allow)
+    text = out.getvalue()
+    if cmd in _CSV_HEADERS and not text.startswith("{"):
+        _check_csv(argv, text)
+        return
+    allow = ("Infinity",) if cmd in ("powerlaw", "manifold") else ()
+    doc = strict_json(text, allow)
     if doc.get("eps0") is INFINITY:
         assert doc["kappa_bound"] == 0.0
     assert all(value is not INFINITY for key, value in doc.items() if key != "eps0")
@@ -596,12 +731,60 @@ class TestIntegerFlags:
         assert json.loads(out)["count"] == 2
 
 
+class TestPointFlags:
+    @pytest.mark.parametrize("argv", [
+        ("enclose", "--a", "1", "--b", "0.5", "--re", "3"),
+        ("symmetric-gap", "--a", "0.2", "--b", "0.1", "--beta", "2", "--im", "2"),
+        ("coulomb", "--c1", "0.2", "--c2", "0.1", "--mass", "1", "--re", "0.2"),
+    ])
+    def test_half_given_point_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert "--re and --im must be given together" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", [
+        ("symmetric-gap", "--a", "0", "--b", "0", "--beta", "1"),
+        ("resolvent", "--a", "1", "--b", "0"),
+    ])
+    def test_non_finite_point_exits_2(self, cmd, capsys):
+        code, out = run_cli(*cmd, "--re", "nan", "--im", "1")
+        assert (code, out) == (2, "")
+        assert "--re must be finite" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_refined_bound_failure_exits_3(self):
         code, out = run_cli("resolvent", "--a", "8e307", "--b", "0", "--re", "0", "--im", "0",
                             "--alpha=-1.7e308", "--beta", "1.7e308")
         assert code == 3
         assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        # math.pow overflows in the subordination family
+        ("gk-cover", "--c", "1e308", "--p", "0.5", "--eps", "1"),
+        # the strip's ends overflow to -inf and inf
+        ("structured", "--shape", "offdiag", "--a12", "0", "--b12", "0", "--a21", "0", "--b21", "0",
+         "--alpha", "-1", "--beta", "1e308"),
+        # a nonzero kappa_bound so small that eps0 overflows
+        ("powerlaw", "--p1", "1", "--q1", "0.2", "--a-power", "1", "--a-coeff", "5e-324"),
+        ("symmetric-gap", "--a", "0", "--b", "0", "--beta", "1e-235", "--re", "0", "--im", "0"),
+        ("two-channel", "--d", "1", "--p", "2", "--v12", "0", "--p0", "1e308"),
+        # the default clip, ten times the largest input, squares past the largest double
+        ("sample-region", "--kind", "coulomb", "--c1", "0", "--c2", "0",
+         "--mass", "1.3407807929942598e+153", "--resolution", "2"),
+        ("sample-region", "--kind", "strip", "--lo=-6.703903964971299e+152", "--hi", "1",
+         "--resolution", "2"),
+    ])
+    def test_overflow_exits_3(self, argv, capsys):
+        code, out = run_cli(*argv)
+        assert (code, out) == (3, "")
+        assert capsys.readouterr().err.startswith("numerical failure")
+
+    def test_huge_eps_is_a_bad_parameter(self, capsys):
+        code, out = run_cli("gk-cover", "--c", "0", "--p", "0", "--eps", "1.3407807929942597e+154")
+        assert (code, out) == (2, "")
+        assert "eps must lie in (0, pi/2)" in capsys.readouterr().err
 
     def test_numerical_failure_exits_3(self, monkeypatch):
         def boom(args, parser):
