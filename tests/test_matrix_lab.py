@@ -635,3 +635,57 @@ class TestPrunedOracle:
                 exact += int(grid.exact.sum())
                 total += grid.exact.size
         assert exact < total / 2
+
+
+def _hyperbola_rows(inst, s_grid, eigs):
+    """Reference: the per-row loop that _check_hyperbola's one reduction replaced."""
+    worst = (math.inf, "")
+    for s, row in zip(s_grid, eigs):
+        a, b = s * inst.quad.a, s * inst.quad.b
+        bound_sq = (a * a + b * b * row.real**2) / (1.0 - b * b)
+        margin = (bound_sq - row.imag**2) / np.maximum(1.0, bound_sq)
+        k = int(np.argmin(margin))
+        if margin[k] < worst[0]:
+            worst = (float(margin[k]), repr(complex(row[k])))
+    return worst
+
+
+def _eig_count_rows(eigs, lo, hi, mult):
+    """Reference: the per-row loop that _check_eig_count's one reduction replaced."""
+    worst = (0.0, "")
+    for row in eigs:
+        count = int(np.sum((row.real > lo) & (row.real < hi)))
+        if abs(count - mult) > abs(worst[0]):
+            worst = (float(-(abs(count - mult))), f"count={count}")
+    return worst
+
+
+class TestRowReductions:
+    """The hyperbola and eig-count checks reduce all rows at once, with the loops' exact results."""
+
+    @pytest.mark.parametrize("kind", _PRUNE_KINDS)
+    def test_hyperbola_matches_row_loop(self, kind):
+        inst = _prune_instance(kind, 12, 5, 0.8)
+        obs = matrix_lab._observe(inst, VerifyOptions())
+        # the observed eigenvalues, then ones pushed off the real axis in proportion
+        # to s, so that the worst point lies in a row with s > 0, each next to its
+        # conjugate: a tie whose first point is the witness
+        pushed = obs.eigs + 1j * np.outer(obs.s_grid, np.linspace(0.5, 3.0, obs.eigs.shape[-1]))
+        pushed = np.concatenate([pushed, pushed.conj()], axis=1)
+        for eigs in (obs.eigs, pushed):
+            margin, witness = _hyperbola_rows(inst, obs.s_grid, eigs)
+            got = matrix_lab._check_hyperbola(inst, obs.s_grid, eigs)
+            assert got.margin == margin
+            assert got.witness == ("" if got.passed else witness)
+
+    @pytest.mark.parametrize("widen", [0.0, 0.5, 2.0, 5.0])
+    def test_eig_count_matches_row_loop(self, widen):
+        for seed in range(4):
+            inst = gen_isolated_instance(12, 2, seed)
+            eigs = matrix_lab._observe(inst, VerifyOptions()).eigs
+            (spec,) = inst.cert
+            lo, hi = matrix_lab._widened(matrix_lab.isolated_eigenvalue_strip(inst.quad, spec), widen)
+            margin, witness = _eig_count_rows(eigs, lo, hi, spec.mult)
+            got = matrix_lab._check_eig_count(inst, eigs, widen)
+            assert got.margin == margin
+            assert got.witness == ("" if got.passed else witness)
