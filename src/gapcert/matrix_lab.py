@@ -552,7 +552,7 @@ class VerificationReport:
 
 
 def _widened(strip: StripResult, widen: float) -> tuple[float, float]:
-    """The strip's ends moved apart by widen times its width; unwidened, the certificate's own ends."""
+    """The strip's ends, its width scaled by 1 + widen about its center; unwidened, the certificate's own."""
     if not widen:
         return strip.lo, strip.hi
     center = 0.5 * (strip.lo + strip.hi)
