@@ -506,9 +506,14 @@ def _cmd_sample_region(args, parser):
         _need(parser, args, "p", "vnorm")
         ps = args.p if isinstance(args.p, list) else [args.p]
         clip = _clip_value(parser, args, list(ps) + [args.vnorm])
+        specs = [DiracSpec(args.vnorm, float(p)) for p in ps]
+        # each segment is named after its p, so that the CSV splits back into polylines
+        names = [f"p={spec.p:g}" for spec in specs]
+        if len(set(names)) < len(names):
+            parser.error(f"--p values must give distinct segment names, got {', '.join(names)}")
         segments = ()
-        for p in ps:
-            segments += envelope_boundary(DiracSpec(args.vnorm, float(p)), resolution, clip)
+        for spec, name in zip(specs, names):
+            segments += envelope_boundary(spec, resolution, clip, name)
     else:
         parser.error(f"unknown region kind {args.kind!r}")
     text = segments_to_csv(segments)

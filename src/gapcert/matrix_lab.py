@@ -18,7 +18,10 @@ upper bracket of the norm: the oracle prunes a point by Weyl's bound
 sigma_min(M - z) >= sigma_min(M - z0) - |z - z0| once it provably cannot
 be its check's worst, so reports equal those of a full-grid evaluation.
 run_suite drives the standard mixed suite used by the acceptance gate and
-judges instances its previous call observed on that call's arrays.
+judges instances its previous call observed on that call's arrays.  It
+sweeps the coupling s for the others in batches of instances of one
+order, each batch one eigvals call split across the usable CPUs as the
+SVD rounds are; a direct verify_instance sweeps a batch of one.
 """
 
 from __future__ import annotations
@@ -615,13 +618,17 @@ def _check_strips(strips, eigs, widen) -> CheckResult:
 
 
 # numpy runs a gufunc loop without the GIL only when the loop covers more
-# than 500 elements (batch length x order n for a batched svd); a smaller
-# part of a split batch would hold the GIL and serialize the split.  For
-# the 105-matrix z-grids this splits in two from n = 10 on.
+# than 500 elements (batch length x order n for a batched svd or eigvals);
+# a smaller part of a split batch would hold the GIL and serialize the
+# split.  For the 105-matrix z-grids this splits in two from n = 10 on.
+# One instance's s-sweep (11 matrices) never reaches it for n <= 40, so
+# run_suite sweeps instances of one order in batches of _gil_free_batch
+# matrices.
 _GIL_FREE_SIZE = 500
 
-# (thread pool or None, usable CPUs), made when the first batch is split;
-# one per process, since the CPUs are the process's
+# (thread pool or None, usable CPUs), made when the first batch is sized or
+# split, SVD or eigvals alike; one per process, since the CPUs are the
+# process's
 _svd_pool = None
 _svd_pool_lock = threading.Lock()
 
@@ -653,12 +660,14 @@ def _svd_workers():
         return _svd_pool
 
 
-def _smallest_singular_values(stack: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(stack, compute_uv=False)[:, -1]
+def _gil_free_batch(n: int) -> int:
+    """The least number of order-n matrices _split_batch gives every usable CPU a GIL-free part of."""
+    _, cpus = _svd_workers()
+    return max(2, cpus) * (_GIL_FREE_SIZE // n + 1)
 
 
-def _split_smallest_singular_values(stack: np.ndarray) -> np.ndarray:
-    """sigma_min of every matrix in the stack, large batches split across the usable CPUs.
+def _split_batch(lapack, stack: np.ndarray) -> np.ndarray:
+    """lapack(stack), one result per matrix, large stacks split across the usable CPUs.
 
     The calling thread computes the first part and gathers the others in
     order; each matrix goes through the same LAPACK call either way, so
@@ -670,13 +679,17 @@ def _split_smallest_singular_values(stack: np.ndarray) -> np.ndarray:
         pool, cpus = _svd_workers()
         if pool is not None:
             chunks = np.array_split(stack, min(parts, cpus))
-            futures = [pool.submit(_smallest_singular_values, c) for c in chunks[1:]]
+            futures = [pool.submit(lapack, c) for c in chunks[1:]]
             try:
-                first = _smallest_singular_values(chunks[0])
+                first = lapack(chunks[0])
             finally:
                 rest = [f.result() for f in futures]
             return np.concatenate([first, *rest])
-    return _smallest_singular_values(stack)
+    return lapack(stack)
+
+
+def _smallest_singular_values(stack: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(stack, compute_uv=False)[:, -1]
 
 
 def _batch_resolvent_norms(m0: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -684,8 +697,24 @@ def _batch_resolvent_norms(m0: np.ndarray, zs: np.ndarray) -> np.ndarray:
     shifted = np.repeat(m0[None, :, :], zs.size, axis=0)
     diag = np.arange(n)
     shifted[:, diag, diag] -= zs[:, None]
-    smin = _split_smallest_singular_values(shifted)
+    smin = _split_batch(_smallest_singular_values, shifted)
     return 1.0 / np.maximum(smin, 1e-300)
+
+
+def _sweep(insts, s_grid: np.ndarray) -> np.ndarray:
+    """Eigenvalues of T + s A for every instance (all of one order) and s in s_grid.
+
+    One eigvals batch of shape (len(insts), s_grid.size, n), split as the
+    SVD rounds are.  The stack is built in place by the IEEE operations of
+    T + s A, so every eigenvalue is bit-identical to eigvals(T + s A).
+    """
+    k = s_grid.size
+    stack = np.empty((len(insts) * k, insts[0].dim, insts[0].dim), dtype=complex)
+    for i, inst in enumerate(insts):
+        block = stack[i * k:(i + 1) * k]
+        np.multiply(s_grid[:, None, None], inst.a_mat, out=block)
+        block += inst.t_mat
+    return _split_batch(np.linalg.eigvals, stack).reshape(len(insts), k, -1)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -702,8 +731,7 @@ def _round_size(n: int, pending: int) -> int:
     but at most a quarter of the pending points, so that at small orders no
     single round evaluates most of a grid.
     """
-    _, cpus = _svd_workers()
-    return min(max(2, cpus) * (_GIL_FREE_SIZE // n + 1), pending // 4 + 1)
+    return min(_gil_free_batch(n), pending // 4 + 1)
 
 
 def _bracketed_grids(m0: np.ndarray, eigs: np.ndarray, grids) -> tuple[_Grid, ...]:
@@ -948,14 +976,20 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _observe(inst: MatrixInstance, options: VerifyOptions) -> _Observation:
+def _s_grid(options: VerifyOptions) -> np.ndarray:
+    return np.linspace(0.0, 1.0, options.s_points)
+
+
+def _observe(inst: MatrixInstance, options: VerifyOptions, eigs: np.ndarray | None = None) -> _Observation:
     """All the linear algebra of a verification, and every certified bound it is judged against.
 
-    Depends on no tolerance and not on widen.
+    eigs is the instance's row of a _sweep over _s_grid(options); without
+    it the instance is swept alone.  Depends on no tolerance and not on
+    widen.
     """
-    s_grid = np.linspace(0.0, 1.0, options.s_points)
-    mats = inst.t_mat[None, :, :] + s_grid[:, None, None] * inst.a_mat[None, :, :]
-    eigs = np.linalg.eigvals(mats)
+    s_grid = _s_grid(options)
+    if eigs is None:
+        eigs = _sweep([inst], s_grid)[0]
     m0 = inst.t_mat + inst.a_mat
     sign, logabs = np.linalg.slogdet(m0)
 
@@ -1024,9 +1058,10 @@ def _observation_key(inst: MatrixInstance, options: VerifyOptions) -> bytes:
 
 
 # Observations of the previous run_suite call, by _observation_key.  A
-# running run_suite sets _suite_store to (that store, its own new store);
-# verify_instance reads and records only while it is set, so direct calls
-# leave no trace, and run_suite publishes its store when it returns.
+# running run_suite sets _suite_store to (that store, its own new store,
+# its sweeps: instance -> (key, eigs or None when that store holds the
+# key)); verify_instance reads and records only while it is set, so direct
+# calls leave no trace, and run_suite publishes its store when it returns.
 _previous_observations: dict[bytes, _Observation] = {}
 _suite_store: contextvars.ContextVar = contextvars.ContextVar("gapcert_suite_store", default=None)
 
@@ -1036,16 +1071,17 @@ def verify_instance(inst: MatrixInstance, options: VerifyOptions = VerifyOptions
 
     Inside run_suite, an instance whose T, A, constants and grids the
     previous run_suite call already observed is judged on that call's
-    observation (same arrays, so the same report) instead of a new one.
+    observation (same arrays, so the same report) instead of a new one,
+    and any other on the s-sweep run_suite batched it into.
     """
     store = _suite_store.get()
     if store is None:
         return _judge(inst, _observe(inst, options), options)
-    previous, recorded = store
-    key = _observation_key(inst, options)
+    previous, recorded, sweeps = store
+    key, eigs = sweeps.pop(inst)
     obs = previous.get(key)
     if obs is None:
-        obs = _observe(inst, options)
+        obs = _observe(inst, options, eigs)
     recorded[key] = obs
     return _judge(inst, obs, options)
 
@@ -1130,27 +1166,47 @@ def run_suite(
     seed: int = 20260822,
     options: VerifyOptions = VerifyOptions(),
 ) -> SuiteResult:
-    """Generate and verify the standard mixed suite.
+    """Generate and verify the standard mixed suite; reports keep spec order.
 
     Observations the previous call made of the same instances and grids
     are reused (see verify_instance), so a suite verified again under
-    another widen does no new linear algebra.
+    another widen does no new linear algebra.  The others wait, per order,
+    until they fill one GIL-free eigvals batch (_gil_free_batch) for their
+    s-sweep; the last batches of each order go at the end.
     """
     global _previous_observations
     require_int("count", count, 1)
     t0 = time.perf_counter()
-    reports = []
-    recorded: dict[bytes, _Observation] = {}
-    token = _suite_store.set((_previous_observations, recorded))
+    specs = standard_suite_specs(count, dim_lo, dim_hi, seed)
+    s_grid = _s_grid(options)
+    previous, recorded, sweeps = _previous_observations, {}, {}
+    reports: list[VerificationReport | None] = [None] * len(specs)
+    waiting: dict[int, list] = {}  # order -> [(index, instance, key)] not yet swept
+
+    def verify(batch) -> None:
+        eigs = _sweep([inst for _, inst, _ in batch], s_grid)
+        for (idx, inst, key), inst_eigs in zip(batch, eigs):
+            sweeps[inst] = (key, inst_eigs)
+            reports[idx] = verify_instance(inst, options)
+
+    token = _suite_store.set((previous, recorded, sweeps))
     try:
-        for idx, (kind, dim, inst_seed, magnitude, n_gaps) in enumerate(
-            standard_suite_specs(count, dim_lo, dim_hi, seed)
-        ):
+        for idx, (kind, dim, inst_seed, magnitude, n_gaps) in enumerate(specs):
             inst = gen_instance(
                 dim, inst_seed, kind=kind, magnitude=magnitude, n_gaps=n_gaps,
                 name=f"{kind}-{idx:04d}",
             )
-            reports.append(verify_instance(inst, options))
+            key = _observation_key(inst, options)
+            if key in previous:
+                sweeps[inst] = (key, None)
+                reports[idx] = verify_instance(inst, options)
+                continue
+            batch = waiting.setdefault(inst.dim, [])
+            batch.append((idx, inst, key))
+            if len(batch) * s_grid.size >= _gil_free_batch(inst.dim):
+                verify(waiting.pop(inst.dim))
+        for batch in waiting.values():
+            verify(batch)
     finally:
         _suite_store.reset(token)
     _previous_observations = recorded

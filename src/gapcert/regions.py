@@ -80,7 +80,8 @@ def strip_boundary(lo: float, hi: float, resolution: int, clip: float) -> tuple[
     corners = np.array(
         [(lo, -clip), (hi, -clip), (hi, clip), (lo, clip), (lo, -clip)], dtype=float
     )
-    lengths = np.linalg.norm(np.diff(corners, axis=0), axis=1)
+    # every side is axis-aligned, so hypot is its exact length and squares nothing
+    lengths = np.hypot(*np.diff(corners, axis=0).T)
     cum = np.concatenate([[0.0], np.cumsum(lengths)])
     t = np.linspace(0.0, cum[-1], resolution)
     re = np.interp(t, cum, corners[:, 0])

@@ -498,14 +498,15 @@ def _check_csv(argv, text):
         return
     per_segment = int(_flag_value(argv, "--samples" if argv[0] == "dirac-envelope" else "--resolution",
                                   "256"))
-    # segments may share a name (sample-region --p 3 --p 3): count runs of rows
+    # each segment is one run of rows under a name no other segment has
     runs = [[rows[0][0], 0]]
     for name, re, im in rows:
         assert math.isfinite(float(re)) and math.isfinite(float(im)), (name, re, im)
         if name != runs[-1][0]:
             runs.append([name, 0])
         runs[-1][1] += 1
-    assert all(count % per_segment == 0 for _, count in runs), runs
+    assert len({name for name, _ in runs}) == len(runs), runs
+    assert all(count == per_segment for _, count in runs), runs
 
 
 @pytest.mark.parametrize("cmd", sorted(_FUZZ_MODES))
@@ -603,6 +604,16 @@ class TestSampleRegion:
         first, last = lines[0].split(","), lines[-1].split(",")
         assert (first[1], first[2]) == (last[1], last[2])
 
+    def test_strip_with_huge_ends_stays_finite(self):
+        # the default clip is 6.7e153: squaring the rectangle's sides would overflow
+        code, out = run_cli(
+            "sample-region", "--kind", "strip", "--lo=-6.703903964971299e+152", "--hi", "1",
+            "--resolution", "2", "--csv", "-",
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert rows == [["rectangle", "-6.703903964971299e+152", "-6.703903964971299e+153"]] * 2
+
     def test_coulomb_six_segments(self, tmp_path):
         out_csv = tmp_path / "cl.csv"
         code, out = run_cli(
@@ -631,6 +642,15 @@ class TestSampleRegion:
         lines = out.strip().split("\n")[1:]
         assert len(lines) == 22
         assert {l.split(",")[0] for l in lines} == {"p=5", "p=7"}
+
+    def test_envelope_repeated_segment_name_exits_2(self, capsys):
+        # 3 and 3.0000001 print alike under the segment name's %g
+        for second in ("3", "3.0000001"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli("sample-region", "--kind", "envelope", "--p", "3", "--p", second,
+                        "--vnorm", "1", "--resolution", "2")
+            assert exc.value.code == 2
+            assert "--p values must give distinct segment names" in capsys.readouterr().err
 
     def test_envelope_rows_are_re_im(self):
         code, out = run_cli(
@@ -773,8 +793,6 @@ class TestExitCodes:
         # the default clip, ten times the largest input, squares past the largest double
         ("sample-region", "--kind", "coulomb", "--c1", "0", "--c2", "0",
          "--mass", "1.3407807929942598e+153", "--resolution", "2"),
-        ("sample-region", "--kind", "strip", "--lo=-6.703903964971299e+152", "--hi", "1",
-         "--resolution", "2"),
     ])
     def test_overflow_exits_3(self, argv, capsys):
         code, out = run_cli(*argv)

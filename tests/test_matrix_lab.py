@@ -15,7 +15,6 @@ from gapcert import Gap, QuadBound, matrix_lab
 from gapcert.errors import NearSingular
 from gapcert.matrix_lab import (
     MatrixInstance,
-    SuiteResult,
     VerifyOptions,
     eig,
     gen_instance,
@@ -375,16 +374,19 @@ class TestParallelOracle:
             assert matrix_lab._svd_pool[0] is not None
         assert norms.tolist() == [resolvent_norm(m0, z) for z in zs]
 
+    @pytest.mark.usefixtures("empty_store")
     def test_suite_matches_serial_loop(self, monkeypatch):
-        args = (20, 12, 32, 5)
-        pooled = run_suite(*args).to_csv()
+        # orders 4 to 40 mixed, so that run_suite holds back and batches
+        # the s-sweeps of several orders at once, and splits some of them
+        args = (60, 4, 40)
+        pooled = run_suite(*args).reports
         monkeypatch.setattr(matrix_lab, "_svd_pool", (None, 1))
         reports = []
         for idx, (kind, dim, seed, magnitude, n_gaps) in enumerate(standard_suite_specs(*args)):
             inst = gen_instance(dim, seed, kind=kind, magnitude=magnitude, n_gaps=n_gaps,
                                 name=f"{kind}-{idx:04d}")
             reports.append(verify_instance(inst))
-        assert pooled == SuiteResult(tuple(reports), 0.0).to_csv()
+        assert [r.to_json() for r in pooled] == [r.to_json() for r in reports]
 
     def test_concurrent_callers_match_serial(self, monkeypatch):
         insts = [gen_instance(16 + 4 * k, 30 + k) for k in range(6)]
@@ -457,18 +459,20 @@ def empty_store(monkeypatch):
 
 @pytest.fixture
 def oracle_calls(monkeypatch):
-    """Counts of eigvals, svd and slogdet calls made through numpy.linalg."""
-    calls = {"eigvals": 0, "svd": 0, "slogdet": 0}
+    """Counts of eigvals, svd and slogdet calls made through numpy.linalg, and of matrices swept by eigvals."""
+    calls = {"eigvals": 0, "svd": 0, "slogdet": 0, "swept": 0}
     lock = threading.Lock()
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
             with lock:
                 calls[name] += 1
+                if name == "eigvals":
+                    calls["swept"] += args[0].shape[0]
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in calls:
+    for name in ("eigvals", "svd", "slogdet"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     return calls
 
@@ -497,18 +501,18 @@ class TestObservationReuse:
 
     def test_second_call_does_no_linear_algebra(self, oracle_calls, monkeypatch):
         run_suite(*_SMALL)
-        assert oracle_calls["eigvals"] == _SMALL[0] and oracle_calls["svd"] > 0
+        assert oracle_calls["swept"] == _SMALL[0] * 11 and oracle_calls["svd"] > 0
         for name in oracle_calls:
             oracle_calls[name] = 0
         monkeypatch.setattr(matrix_lab, "_REL_MARGIN", 1e-6)
         monkeypatch.setattr(matrix_lab, "_REFINED_TOL", 0.0)
         run_suite(*_SMALL, options=_WIDENED)
-        assert oracle_calls == {"eigvals": 0, "svd": 0, "slogdet": 0}
+        assert oracle_calls == {"eigvals": 0, "svd": 0, "slogdet": 0, "swept": 0}
 
     @pytest.mark.parametrize("changed", [("s_points", 9), ("_INSET", 1e-5), ("_Z_RE", 14), ("_Z_IM", 5)])
     def test_changed_grid_observes_again(self, oracle_calls, monkeypatch, changed):
         run_suite(*_SMALL)
-        oracle_calls["eigvals"] = 0
+        oracle_calls["swept"] = 0
         name, value = changed
         if name == "s_points":
             options = VerifyOptions(s_points=value)
@@ -516,14 +520,14 @@ class TestObservationReuse:
             monkeypatch.setattr(matrix_lab, name, value)
             options = VerifyOptions()
         run_suite(*_SMALL, options=options)
-        assert oracle_calls["eigvals"] == _SMALL[0]
+        assert oracle_calls["swept"] == _SMALL[0] * options.s_points
 
     def test_only_the_previous_call_is_kept(self, oracle_calls):
         run_suite(*_SMALL)
         run_suite(4, 6, 14, 12)
-        oracle_calls["eigvals"] = 0
+        oracle_calls["swept"] = 0
         run_suite(*_SMALL)
-        assert oracle_calls["eigvals"] == _SMALL[0]
+        assert oracle_calls["swept"] == _SMALL[0] * 11
         assert len(matrix_lab._previous_observations) == _SMALL[0]
 
     def test_direct_calls_leave_the_store_alone(self, oracle_calls):
@@ -635,6 +639,34 @@ class TestPrunedOracle:
                 exact += int(grid.exact.sum())
                 total += grid.exact.size
         assert exact < total / 2
+
+
+def _per_matrix_eigvals(inst, s_grid):
+    """Reference: one eigvals call per matrix T + s A."""
+    return np.array([np.linalg.eigvals(inst.t_mat + s * inst.a_mat) for s in s_grid])
+
+
+class TestBatchedSweep:
+    """The s-sweep runs in batches of same-order instances; every eigenvalue stays that of its own matrix."""
+
+    @pytest.mark.parametrize("dim", [4, 10, 22, 40])
+    @pytest.mark.parametrize("kind", _PRUNE_KINDS)
+    def test_observed_eigs_match_per_matrix_eigvals(self, kind, dim, monkeypatch):
+        options = VerifyOptions()
+        s_grid = matrix_lab._s_grid(options)
+        # the fewest instances whose sweep the split gives every usable CPU a part of
+        count = -(-matrix_lab._gil_free_batch(dim) // s_grid.size)
+        assert count * s_grid.size // (matrix_lab._GIL_FREE_SIZE // dim + 1) >= 2
+        insts = [_prune_instance(kind, dim, seed, 0.7) for seed in range(count)]
+        want = [_per_matrix_eigvals(inst, s_grid).tobytes() for inst in insts]
+        assert [eigs.tobytes() for eigs in matrix_lab._sweep(insts, s_grid)] == want
+        if _usable_cpus() > 1:
+            assert matrix_lab._svd_pool[0] is not None
+        with monkeypatch.context() as patch:
+            patch.setattr(matrix_lab, "_svd_pool", (None, 1))
+            assert [eigs.tobytes() for eigs in matrix_lab._sweep(insts, s_grid)] == want
+        # a direct verification sweeps its instance alone
+        assert matrix_lab._observe(insts[0], options).eigs.tobytes() == want[0]
 
 
 def _hyperbola_rows(inst, s_grid, eigs):
