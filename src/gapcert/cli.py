@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict
@@ -531,13 +532,20 @@ def _cmd_sample_region(args, parser):
 # parser
 
 
+# Values argparse would otherwise take for flags ("-1e-3", "-inf", "-3,1,4");
+# no gapcert flag starts with "-" and a digit, ".", inf or nan
+_NEGATIVE_VALUE = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def _add(sub, name, func, helptext, flags):
     """Subcommand from (flag, argparse kwargs[, default]) entries.
 
     Every flag parses to None when absent, so --json can fill it; a
-    declared default applies after that (see _merge_json).
+    declared default applies after that (see _merge_json).  A negative
+    value may follow its flag as the next argument or after "=".
     """
     p = sub.add_parser(name, help=helptext)
+    p._negative_number_matcher = _NEGATIVE_VALUE
     fallbacks, json_types = {}, {}
     for flag, kwargs, *default in flags:
         dest = p.add_argument(flag, **kwargs).dest

@@ -388,8 +388,6 @@ class GKCover:
         z = complex(z)
         if abs(z) <= self.r_eps:
             return True
-        if z == 0:
-            return True
         arg = abs(math.atan2(z.imag, z.real))
         return arg <= self.half_angle or (math.pi - arg) <= self.half_angle
 

@@ -17,18 +17,18 @@ mask of the points evaluated exactly, and at the other points a proven
 upper bracket of the norm: the oracle prunes a point by Weyl's bound
 sigma_min(M - z) >= sigma_min(M - z0) - |z - z0| once it provably cannot
 be its check's worst, so reports equal those of a full-grid evaluation.
-run_suite drives the standard mixed suite used by the acceptance gate and
-judges instances its previous call observed on that call's arrays.  It
-sweeps the coupling s for the others in batches of instances of one
-order, each batch one eigvals call split across the usable CPUs as the
-SVD rounds are; a direct verify_instance sweeps a batch of one.
+verify_instance observes only when it is given no observation, sweeping
+a batch of one.  run_suite drives the standard mixed suite used by the
+acceptance gate and hands verify_instance each observation: a call with
+its previous call's specs, s_points and grid constants reuses that call's;
+any other sweeps the coupling s in batches of instances of one order,
+each batch one eigvals call split across the usable CPUs as the SVD
+rounds are.
 """
 
 from __future__ import annotations
 
 import cmath
-import contextvars
-import hashlib
 import json
 import math
 import os
@@ -1047,43 +1047,25 @@ def _judge(inst: MatrixInstance, obs: _Observation, options: VerifyOptions) -> V
     )
 
 
-def _observation_key(inst: MatrixInstance, options: VerifyOptions) -> bytes:
-    """Digest of everything an observation depends on: T, A, quad, gaps and the grids."""
-    head = (inst.dim, inst.quad.a, inst.quad.b, [(g.alpha, g.beta) for g in inst.gaps],
-            options.s_points, _Z_RE, _Z_IM, _INSET)
-    digest = hashlib.sha256(repr(head).encode())
-    digest.update(inst.t_diag.tobytes())
-    digest.update(inst.a_mat.tobytes())
-    return digest.digest()
+# (plan, observations in spec order) of the previous run_suite call, where
+# plan = (specs, s_points, _Z_RE, _Z_IM, _INSET): a call with the same plan
+# regenerates the same instances and judges them on these observations.
+_previous_suite: tuple = (None, ())
 
 
-# Observations of the previous run_suite call, by _observation_key.  A
-# running run_suite sets _suite_store to (that store, its own new store,
-# its sweeps: instance -> (key, eigs or None when that store holds the
-# key)); verify_instance reads and records only while it is set, so direct
-# calls leave no trace, and run_suite publishes its store when it returns.
-_previous_observations: dict[bytes, _Observation] = {}
-_suite_store: contextvars.ContextVar = contextvars.ContextVar("gapcert_suite_store", default=None)
-
-
-def verify_instance(inst: MatrixInstance, options: VerifyOptions = VerifyOptions()) -> VerificationReport:
+def verify_instance(
+    inst: MatrixInstance, options: VerifyOptions = VerifyOptions(), observation: _Observation | None = None
+) -> VerificationReport:
     """Run every applicable soundness check; failures are entries, not raises.
 
-    Inside run_suite, an instance whose T, A, constants and grids the
-    previous run_suite call already observed is judged on that call's
-    observation (same arrays, so the same report) instead of a new one,
-    and any other on the s-sweep run_suite batched it into.
+    observation, when given, is what _observe(inst, options) returns; it is
+    judged as is (the same report), and without it the instance is
+    observed here first.  run_suite passes each instance the observation
+    it made from its batched s-sweep, or the one its previous call made.
     """
-    store = _suite_store.get()
-    if store is None:
-        return _judge(inst, _observe(inst, options), options)
-    previous, recorded, sweeps = store
-    key, eigs = sweeps.pop(inst)
-    obs = previous.get(key)
-    if obs is None:
-        obs = _observe(inst, options, eigs)
-    recorded[key] = obs
-    return _judge(inst, obs, options)
+    if observation is None:
+        observation = _observe(inst, options)
+    return _judge(inst, observation, options)
 
 
 # ---------------------------------------------------------------------------
@@ -1168,46 +1150,45 @@ def run_suite(
 ) -> SuiteResult:
     """Generate and verify the standard mixed suite; reports keep spec order.
 
-    Observations the previous call made of the same instances and grids
-    are reused (see verify_instance), so a suite verified again under
-    another widen does no new linear algebra.  The others wait, per order,
-    until they fill one GIL-free eigvals batch (_gil_free_batch) for their
-    s-sweep; the last batches of each order go at the end.
+    A call with the previous call's specs, s_points and grid constants
+    judges its instances on that call's observations, so a suite verified
+    again under another widen does no new linear algebra.  Any other call
+    observes every instance: instances wait, per order, until they fill
+    one GIL-free eigvals batch (_gil_free_batch) for their s-sweep; the
+    last batches of each order go at the end.
     """
-    global _previous_observations
+    global _previous_suite
     require_int("count", count, 1)
     t0 = time.perf_counter()
     specs = standard_suite_specs(count, dim_lo, dim_hi, seed)
     s_grid = _s_grid(options)
-    previous, recorded, sweeps = _previous_observations, {}, {}
+    plan = (tuple(specs), options.s_points, _Z_RE, _Z_IM, _INSET)
+    previous_plan, observations = _previous_suite
+    reuse = previous_plan == plan
+    if not reuse:
+        observations = [None] * len(specs)
     reports: list[VerificationReport | None] = [None] * len(specs)
-    waiting: dict[int, list] = {}  # order -> [(index, instance, key)] not yet swept
+    waiting: dict[int, list] = {}  # order -> [(index, instance)] not yet swept
 
     def verify(batch) -> None:
-        eigs = _sweep([inst for _, inst, _ in batch], s_grid)
-        for (idx, inst, key), inst_eigs in zip(batch, eigs):
-            sweeps[inst] = (key, inst_eigs)
-            reports[idx] = verify_instance(inst, options)
+        eigs = _sweep([inst for _, inst in batch], s_grid)
+        for (idx, inst), inst_eigs in zip(batch, eigs):
+            observations[idx] = _observe(inst, options, inst_eigs)
+            reports[idx] = verify_instance(inst, options, observations[idx])
 
-    token = _suite_store.set((previous, recorded, sweeps))
-    try:
-        for idx, (kind, dim, inst_seed, magnitude, n_gaps) in enumerate(specs):
-            inst = gen_instance(
-                dim, inst_seed, kind=kind, magnitude=magnitude, n_gaps=n_gaps,
-                name=f"{kind}-{idx:04d}",
-            )
-            key = _observation_key(inst, options)
-            if key in previous:
-                sweeps[inst] = (key, None)
-                reports[idx] = verify_instance(inst, options)
-                continue
-            batch = waiting.setdefault(inst.dim, [])
-            batch.append((idx, inst, key))
-            if len(batch) * s_grid.size >= _gil_free_batch(inst.dim):
-                verify(waiting.pop(inst.dim))
-        for batch in waiting.values():
-            verify(batch)
-    finally:
-        _suite_store.reset(token)
-    _previous_observations = recorded
+    for idx, (kind, dim, inst_seed, magnitude, n_gaps) in enumerate(specs):
+        inst = gen_instance(
+            dim, inst_seed, kind=kind, magnitude=magnitude, n_gaps=n_gaps,
+            name=f"{kind}-{idx:04d}",
+        )
+        if reuse:
+            reports[idx] = verify_instance(inst, options, observations[idx])
+            continue
+        batch = waiting.setdefault(inst.dim, [])
+        batch.append((idx, inst))
+        if len(batch) * s_grid.size >= _gil_free_batch(inst.dim):
+            verify(waiting.pop(inst.dim))
+    for batch in waiting.values():
+        verify(batch)
+    _previous_suite = (plan, tuple(observations))
     return SuiteResult(tuple(reports), time.perf_counter() - t0)

@@ -773,6 +773,29 @@ class TestPointFlags:
         assert "--re must be finite" in capsys.readouterr().err
 
 
+class TestNegativeValues:
+    """A negative value parses the same after its flag as after "=" (repr writes -1e-05, -6.7e+152)."""
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (("strip", "--a", "0", "--b", "0.5", "--beta", "1"), "--alpha", "-1e-3"),
+        (("enclose", "--a", "1", "--b", "0.1", "--im", "3"), "--re", "-1E2"),
+        (("gaps", "--betas", "-2,2,8", "--delta-a", "0.1"), "--alphas", "-3,1,4"),
+        (("gaps", "--alphas=-3,1,4", "--delta-a", "0.1"), "--betas", "-2,2,8"),
+        (("strip", "--a", "0", "--b", "0.5", "--beta", "1"), "--alpha", "-.5"),
+        (("sample-region", "--kind", "strip", "--hi", "1", "--resolution", "2"), "--lo",
+         "-6.703903964971299e+152"),
+    ])
+    def test_separate_value_matches_equals_form(self, argv, flag, value):
+        joined = run_cli(*argv, f"{flag}={value}")
+        assert joined[0] == 0
+        assert run_cli(*argv, flag, value) == joined
+
+    def test_minus_inf_exits_2_naming_the_flag(self, capsys):
+        code, out = run_cli("strip", "--a", "0", "--b", "0.5", "--alpha", "-inf", "--beta", "1")
+        assert (code, out) == (2, "")
+        assert "alpha" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_refined_bound_failure_exits_3(self):
         code, out = run_cli("resolvent", "--a", "8e307", "--b", "0", "--re", "0", "--im", "0",

@@ -454,7 +454,7 @@ _WIDENED = VerifyOptions(widen=0.1)
 
 @pytest.fixture
 def empty_store(monkeypatch):
-    monkeypatch.setattr(matrix_lab, "_previous_observations", {})
+    monkeypatch.setattr(matrix_lab, "_previous_suite", (None, ()))
 
 
 @pytest.fixture
@@ -493,7 +493,7 @@ class TestObservationReuse:
     def test_widened_after_plain_matches_fresh_widened(self):
         plain = run_suite(*_SMALL).to_csv()
         reused = run_suite(*_SMALL, options=_WIDENED).to_csv()
-        matrix_lab._previous_observations = {}
+        matrix_lab._previous_suite = (None, ())
         fresh = run_suite(*_SMALL, options=_WIDENED).to_csv()
         assert reused == fresh
         assert fresh != plain
@@ -528,23 +528,33 @@ class TestObservationReuse:
         oracle_calls["swept"] = 0
         run_suite(*_SMALL)
         assert oracle_calls["swept"] == _SMALL[0] * 11
-        assert len(matrix_lab._previous_observations) == _SMALL[0]
+        assert len(matrix_lab._previous_suite[1]) == _SMALL[0]
 
     def test_direct_calls_leave_the_store_alone(self, oracle_calls):
         inst = gen_instance(12, 4)
         first = verify_instance(inst).to_json()
         assert verify_instance(inst).to_json() == first
         assert oracle_calls["eigvals"] == 2
-        assert matrix_lab._previous_observations == {}
+        assert matrix_lab._previous_suite == (None, ())
         run_suite(*_SMALL)
-        store = dict(matrix_lab._previous_observations)
+        store = matrix_lab._previous_suite
         verify_instance(inst)
-        assert matrix_lab._previous_observations == store
-        assert matrix_lab._suite_store.get() is None
+        assert matrix_lab._previous_suite == store
+
+    @pytest.mark.parametrize("kind", [kind for kind, _ in matrix_lab._SUITE_MIX])
+    def test_given_observation_is_judged_as_is(self, oracle_calls, kind):
+        inst = gen_instance(12, 5, kind=kind, n_gaps=2 if kind == "multi" else 1)
+        for options in (VerifyOptions(), _WIDENED):
+            want = verify_instance(inst, options).to_json()
+            obs = matrix_lab._observe(inst, options)
+            for name in oracle_calls:
+                oracle_calls[name] = 0
+            assert verify_instance(inst, options, observation=obs).to_json() == want
+            assert oracle_calls == {"eigvals": 0, "svd": 0, "slogdet": 0, "swept": 0}
 
     def test_stored_arrays_reject_writes(self):
         run_suite(*_SMALL)
-        stored = list(matrix_lab._previous_observations.values())
+        stored = list(matrix_lab._previous_suite[1])
         assert len(stored) == _SMALL[0]
         assert any(obs.strips for obs in stored)
         assert any(g.check == "resolvent-symgap" for obs in stored for g in obs.grids)
@@ -562,9 +572,9 @@ class TestObservationReuse:
 
         want = []
         for plan in plans:
-            matrix_lab._previous_observations = {}
+            matrix_lab._previous_suite = (None, ())
             want.append(run(*plan))
-        matrix_lab._previous_observations = {}
+        matrix_lab._previous_suite = (None, ())
         got = [None] * 4
 
         def caller(k):
