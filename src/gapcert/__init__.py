@@ -1,28 +1,32 @@
 """Certified spectral enclosures for relatively bounded perturbations.
 
-The package root re-exports the public names (each module's ``__all__``)
-of the certificate modules.  Those modules need no numpy and load with
-the package, so code that rebinds their functions module by module (such
-as perfbench/tracer.py) finds every one of them loaded.  matrix_lab needs
-numpy; its names are looked up on first use (PEP 562), so the scalar
-certificates and the CLI commands built on them never import numpy.
+The package root loads none of its modules.  A submodule name imports
+that submodule alone; any other public name (each module's ``__all__``)
+is looked up on first use (PEP 562) in the module that exports it, so
+``from gapcert import perturbed_strip`` loads enclosures and errors only;
+numpy loads with matrix_lab or regions.  The root keeps no copies: a
+lookup returns the module's current binding, so code that rebinds a
+module's functions (such as perfbench/tracer.py) is seen through it too.
 """
 
-import importlib
-
-from .applications import *  # noqa: F401,F403
-from .blocks import *  # noqa: F401,F403
-from .enclosures import *  # noqa: F401,F403
-from .errors import *  # noqa: F401,F403
-from .gap_sequences import *  # noqa: F401,F403
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
+# modules whose __all__ the root exports, cheapest first: a name lookup
+# imports them in this order until one exports the name
+_EXPORTERS = ("errors", "enclosures", "gap_sequences", "blocks", "applications", "matrix_lab")
+_SUBMODULES = frozenset(_EXPORTERS + ("cli", "regions"))
+
 
 def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return _import_module(f"{__name__}.{name}")
+    exporters = (_import_module(f"{__name__}.{module}") for module in _EXPORTERS)
+    if name == "__all__":
+        return [public for module in exporters for public in module.__all__]
     if not name.startswith("_"):
-        matrix_lab = importlib.import_module(".matrix_lab", __name__)
-        if name in matrix_lab.__all__:
-            value = globals()[name] = getattr(matrix_lab, name)
-            return value
+        for module in exporters:
+            if name in module.__all__:
+                return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,7 +5,8 @@ result back into a test compares bit-for-bit with the library call.
 Conditional results carry a status field (open / closed / not-applicable);
 a failed applicability condition is a domain answer, not an error exit.
 Parameter problems exit 2, numerical failures (float overflow or division
-by zero among them) exit 3.
+by zero among them) exit 3.  A process imports only the modules its
+subcommand calls, and builds the flags of that subcommand alone.
 """
 
 from __future__ import annotations
@@ -18,56 +19,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import asdict
 
-from .applications import (
-    CoulombSpec,
-    DiracSpec,
-    ManifoldSpec,
-    TwoChannelSpec,
-    dirac2d_cp,
-    dirac2d_envelope,
-    dirac3d_coulomb,
-    envelope_im_at_re,
-    manifold_relbounds,
-    two_channel_bound,
-)
-from .blocks import (
-    BlockMinima,
-    DiagBounds,
-    OffDiagBounds,
-    even_lowerbound,
-    even_lowerbound_quadratic,
-    odd_symmetric_gap,
-    offdiag_gap,
-)
-from .enclosures import (
-    Gap,
-    GKCover,
-    IsolatedEigSpec,
-    QuadBound,
-    hyperbola_excluded,
-    isolated_eigenvalue_strip,
-    perturbed_strip,
-    resolvent_bound_offreal,
-    resolvent_bound_strip,
-    resolvent_bound_strip_refined,
-    subordination_family,
-    symmetric_gap_strip,
-)
-from .enclosures import gk_sector_cover as _gk_cover
 from .errors import ConditionNotApplicable, NumericalFailure, require_finite, require_nonneg
-from .gap_sequences import (
-    BandProfile,
-    ConstModel,
-    GapSequence,
-    GrowthTerm,
-    PerGapConstants,
-    PowerLogTail,
-    TailModel,
-    kappa_s,
-    necessary_growth_check,
-    powerlaw_example,
-    ratio_criterion,
-)
 
 __all__ = ["main"]
 
@@ -168,6 +120,8 @@ def _write_csv(path: str, text: str):
 
 
 def _cmd_enclose(args, parser):
+    from .enclosures import QuadBound, hyperbola_excluded
+
     _need(parser, args, "a", "b")
     z = _point(parser, args)
     q = QuadBound(args.a, args.b)
@@ -181,12 +135,17 @@ def _cmd_enclose(args, parser):
 
 
 def _cmd_strip(args, parser):
+    from .enclosures import Gap, QuadBound, perturbed_strip
+
     _need(parser, args, "a", "b", "alpha", "beta")
     res = perturbed_strip(QuadBound(args.a, args.b), Gap(args.alpha, args.beta))
     return {"status": "open" if res.open else "closed", **asdict(res)}
 
 
 def _cmd_resolvent(args, parser):
+    from .enclosures import Gap, QuadBound, resolvent_bound_offreal, resolvent_bound_strip
+    from .enclosures import resolvent_bound_strip_refined
+
     _need(parser, args, "a", "b", "re", "im")
     if (args.alpha is None) != (args.beta is None):
         parser.error("--alpha and --beta must be given together")
@@ -203,6 +162,8 @@ def _cmd_resolvent(args, parser):
 
 
 def _cmd_symmetric_gap(args, parser):
+    from .enclosures import QuadBound, symmetric_gap_strip
+
     _need(parser, args, "a", "b", "beta")
     z = _point(parser, args)
     res = symmetric_gap_strip(QuadBound(args.a, args.b), args.beta)
@@ -219,6 +180,8 @@ def _cmd_symmetric_gap(args, parser):
 
 
 def _cmd_gk_cover(args, parser):
+    from .enclosures import QuadBound, gk_sector_cover, subordination_family
+
     _need(parser, args, "c", "p", "eps")
     a_of_b = subordination_family(args.c, args.p)
 
@@ -227,12 +190,14 @@ def _cmd_gk_cover(args, parser):
         b = args.b if args.b is not None else 0.5 * eps / math.sqrt(2.0 + eps**2)
         return QuadBound(a_of_b(b), b)
 
-    cover = _gk_cover(bound_at, args.eps)
+    cover = gk_sector_cover(bound_at, args.eps)
     q = bound_at(cover.half_angle)
     return {"status": "ok", **asdict(cover), "a_eps": q.a, "b_eps": q.b}
 
 
 def _cmd_eig_strip(args, parser):
+    from .enclosures import IsolatedEigSpec, QuadBound, isolated_eigenvalue_strip
+
     _need(parser, args, "a", "b", "lam", "alpha", "beta", "mult")
     spec = IsolatedEigSpec(args.lam, args.alpha, args.beta, args.mult)
     strip = isolated_eigenvalue_strip(QuadBound(args.a, args.b), spec)
@@ -241,6 +206,8 @@ def _cmd_eig_strip(args, parser):
 
 def _band_data(args, parser):
     """Tail model or GapSequence from the band-structure flags."""
+    from .gap_sequences import GapSequence, TailModel
+
     if args.alphas is not None or args.betas is not None:
         if args.model is not None:
             parser.error("--model cannot be combined with --alphas/--betas")
@@ -261,6 +228,8 @@ def _band_data(args, parser):
 
 
 def _power_log(args, parser) -> PowerLogTail:
+    from .gap_sequences import TailModel
+
     _need(parser, args, "p1", "q1")
     return TailModel(
         "power-log",
@@ -274,6 +243,8 @@ def _power_log(args, parser) -> PowerLogTail:
 
 
 def _cmd_gaps(args, parser):
+    from .gap_sequences import ratio_criterion
+
     _need(parser, args, "delta_a")
     res = ratio_criterion(_band_data(args, parser), args.delta_a)
     # Verdict is a str enum, so it serializes as its value
@@ -282,6 +253,8 @@ def _cmd_gaps(args, parser):
 
 def _growth_terms(args) -> tuple[GrowthTerm, GrowthTerm]:
     """Power-log models of a_n and b_n; a coefficient left unset is 0."""
+    from .gap_sequences import GrowthTerm
+
     return tuple(
         GrowthTerm(
             require_nonneg(f"--{side}-coeff", getattr(args, f"{side}_coeff") or 0.0),
@@ -294,12 +267,16 @@ def _growth_terms(args) -> tuple[GrowthTerm, GrowthTerm]:
 
 
 def _const_terms(args) -> ConstModel | None:
+    from .gap_sequences import ConstModel
+
     if args.a_coeff is None and args.b_coeff is None:
         return None
     return ConstModel(*_growth_terms(args))
 
 
 def _cmd_kappa(args, parser):
+    from .gap_sequences import BandProfile, PerGapConstants, PowerLogTail, kappa_s
+
     _exclusive(parser, args, ("lengths",), ("model", "p1", "q1", "ratio", "band_ratio",
                                             "alphas", "betas", "window", "a_coeff", "b_coeff"))
     if args.lengths is not None:
@@ -317,6 +294,8 @@ def _cmd_kappa(args, parser):
 
 
 def _cmd_growth_check(args, parser):
+    from .gap_sequences import PerGapConstants, necessary_growth_check
+
     _need(parser, args, "delta_a")
     _exclusive(parser, args, ("a_coeff", "b_coeff"), ("a_seq", "b_seq"))
     data = _band_data(args, parser)
@@ -329,11 +308,17 @@ def _cmd_growth_check(args, parser):
 
 
 def _cmd_powerlaw(args, parser):
+    from .gap_sequences import powerlaw_example
+
     res = powerlaw_example(_power_log(args, parser), *_growth_terms(args))
     return {"status": "ok", **asdict(res)}
 
 
 def _cmd_structured(args, parser):
+    from .blocks import BlockMinima, DiagBounds, OffDiagBounds, even_lowerbound, offdiag_gap
+    from .blocks import even_lowerbound_quadratic, odd_symmetric_gap
+    from .enclosures import Gap
+
     if args.shape == "offdiag":
         _need(parser, args, "a12", "b12", "a21", "b21", "alpha", "beta")
         res = offdiag_gap(
@@ -360,7 +345,7 @@ def _cmd_structured(args, parser):
 
 
 def _cmd_dirac_envelope(args, parser):
-    from .regions import Segment, segments_to_csv
+    from .applications import DiracSpec, dirac2d_cp, dirac2d_envelope, envelope_im_at_re
 
     _need(parser, args, "p", "vnorm", "samples")
     spec = DiracSpec(args.vnorm, args.p)
@@ -379,6 +364,8 @@ def _cmd_dirac_envelope(args, parser):
     if im_at_re is not None:
         doc["im_at_re"] = im_at_re
     if args.csv is not None:
+        from .regions import Segment, segments_to_csv
+
         text = segments_to_csv((Segment(f"p={spec.p:g}", curve.re, curve.im),))
         if _write_csv(args.csv, text) is None:
             return None
@@ -390,6 +377,8 @@ def _cmd_dirac_envelope(args, parser):
 
 
 def _cmd_coulomb(args, parser):
+    from .applications import CoulombSpec, dirac3d_coulomb
+
     _need(parser, args, "c1", "c2", "mass")
     z = _point(parser, args)
     region = dirac3d_coulomb(CoulombSpec(args.c1, args.c2, args.mass))
@@ -406,6 +395,9 @@ def _cmd_coulomb(args, parser):
 
 
 def _cmd_manifold(args, parser):
+    from .applications import ManifoldSpec, manifold_relbounds
+    from .gap_sequences import powerlaw_example
+
     _need(parser, args, "c", "p", "case", "n", "eps_geom")
     spec = ManifoldSpec(args.c, args.p, args.case, args.eps_geom)
     mb = manifold_relbounds(
@@ -426,6 +418,8 @@ def _cmd_manifold(args, parser):
 
 
 def _cmd_two_channel(args, parser):
+    from .applications import TwoChannelSpec, two_channel_bound
+
     _need(parser, args, "d", "p", "v12", "p0")
     # unset (or empty) coefficient lists are all zero
     p1 = _floats(args.p1) or (0.0,) * args.d
@@ -475,6 +469,8 @@ def _clip_value(parser, args, magnitudes) -> float:
 
 
 def _cmd_sample_region(args, parser):
+    from .applications import CoulombSpec, DiracSpec, dirac3d_coulomb
+    from .enclosures import GKCover, QuadBound
     from .regions import (
         coulomb_boundary,
         envelope_boundary,
@@ -537,27 +533,44 @@ def _cmd_sample_region(args, parser):
 _NEGATIVE_VALUE = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
-def _add(sub, name, func, helptext, flags):
-    """Subcommand from (flag, argparse kwargs[, default]) entries.
+class _Subcommand(argparse.ArgumentParser):
+    """Subcommand whose (flag, argparse kwargs[, default]) entries are added when it first parses.
 
-    Every flag parses to None when absent, so --json can fill it; a
-    declared default applies after that (see _merge_json).  A negative
-    value may follow its flag as the next argument or after "=".
+    So a call builds only the flags of the subcommand it runs.  Every flag
+    parses to None when absent, so --json can fill it; a declared default
+    applies after that (see _merge_json).  A negative value may follow its
+    flag as the next argument or after "=".
     """
-    p = sub.add_parser(name, help=helptext)
-    p._negative_number_matcher = _NEGATIVE_VALUE
-    fallbacks, json_types = {}, {}
-    for flag, kwargs, *default in flags:
-        dest = p.add_argument(flag, **kwargs).dest
-        if default:
-            fallbacks[dest] = default[0]
-        if kwargs.get("type") is int:
-            json_types[dest] = int
-        elif kwargs.get("action") == "store_true":
-            json_types[dest] = bool
-    p.add_argument("--json", metavar="FILE", help="read parameters from a JSON object ('-' for stdin)")
-    p.set_defaults(func=func, fallbacks=fallbacks, json_types=json_types)
-    return p
+
+    def __init__(self, *args, func, flags, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_VALUE
+        self._unbuilt = (func, flags)
+
+    def build(self) -> None:
+        """Add the flags, unless they are added already."""
+        if self._unbuilt is None:
+            return
+        (func, flags), self._unbuilt = self._unbuilt, None
+        fallbacks, json_types = {}, {}
+        for flag, kwargs, *default in flags:
+            dest = self.add_argument(flag, **kwargs).dest
+            if default:
+                fallbacks[dest] = default[0]
+            if kwargs.get("type") is int:
+                json_types[dest] = int
+            elif kwargs.get("action") == "store_true":
+                json_types[dest] = bool
+        self.add_argument("--json", metavar="FILE", help="read parameters from a JSON object ('-' for stdin)")
+        self.set_defaults(func=func, fallbacks=fallbacks, json_types=json_types)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.build()
+        return super().parse_known_args(args, namespace)
+
+
+def _add(sub, name, func, helptext, flags):
+    return sub.add_parser(name, help=helptext, func=func, flags=flags)
 
 
 _F = {"type": float}
@@ -570,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gapcert",
         description="certified spectral enclosures for relatively bounded perturbations",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
     _add(sub, "enclose", _cmd_enclose, "hyperbola enclosure parameters", [
         ("--a", _F), ("--b", _F), ("--re", _F), ("--im", _F),

@@ -24,6 +24,12 @@ its previous call's specs, s_points and grid constants reuses that call's;
 any other sweeps the coupling s in batches of instances of one order,
 each batch one eigvals call split across the usable CPUs as the SVD
 rounds are.
+
+Importing this module loads every certificate module, applications and
+gap_sequences among them although the oracle calls neither: code that
+rebinds the certificate functions module by module in an oracle process
+(such as perfbench/tracer.py) then finds them all loaded, since the
+package root loads none of them.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import applications, gap_sequences  # noqa: F401  (loaded for tracers; see above)
 from .blocks import (
     BlockMinima,
     DiagBounds,
@@ -65,7 +72,6 @@ from .enclosures import (
 )
 from .errors import (
     ConditionNotApplicable,
-    NearSingular,
     NumericalFailure,
     require_int,
     require_nonneg,
@@ -80,9 +86,6 @@ __all__ = [
     "gen_instance",
     "gen_isolated_instance",
     "measure_quad_bound",
-    "eig",
-    "resolvent_norm",
-    "numrange_extremes",
     "verify_instance",
     "standard_suite_specs",
     "run_suite",
@@ -150,38 +153,8 @@ def measure_quad_bound(inst: MatrixInstance, b: float) -> float:
     return _amin(inst.a_mat, inst.t_diag, b)
 
 
-def eig(m: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a square dense matrix, algebraic multiplicity kept."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("requires a square matrix")
-    try:
-        return np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK hiccup
-        raise NumericalFailure(f"eigenvalue iteration failed: {exc}") from exc
-
-
-def resolvent_norm(m: np.ndarray, z: complex) -> float:
-    """1/sigma_min(M - zI); refuses z within 1e-12 of being singular."""
-    m = np.asarray(m, dtype=complex)
-    shifted = m - complex(z) * np.eye(m.shape[0])
-    smin = float(np.linalg.svd(shifted, compute_uv=False)[-1])
-    if smin < 1e-12:
-        raise NearSingular(f"z={z!r} is within {smin:.3e} of the spectrum")
-    return 1.0 / smin
-
-
 def _is_hermitian(a: np.ndarray) -> bool:
     return float(np.abs(a - a.conj().T).max()) <= 1e-14 * max(1.0, float(np.abs(a).max()))
-
-
-def numrange_extremes(inst: MatrixInstance) -> NumRangeBounds:
-    """Extreme eigenvalues of a Hermitian perturbation."""
-    a = inst.a_mat
-    if not _is_hermitian(a):
-        raise ValueError("numerical-range extremes need a Hermitian A")
-    ev = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
-    return NumRangeBounds(float(ev[0]), float(ev[-1]))
 
 
 # ---------------------------------------------------------------------------

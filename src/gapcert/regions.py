@@ -53,7 +53,16 @@ def _seg(name: str, re: np.ndarray, im: np.ndarray) -> Segment:
 def _hyperbola_height(q: QuadBound, re: np.ndarray) -> np.ndarray:
     if q.b >= 1.0:
         raise ConditionNotApplicable("no enclosure for b >= 1: the hyperbola degenerates")
-    return np.sqrt((q.a**2 + q.b**2 * re**2) / (1.0 - q.b**2))
+    try:
+        a2 = q.a**2
+    except OverflowError:
+        a2 = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        height = np.sqrt((a2 + q.b**2 * re**2) / (1.0 - q.b**2))
+    # where a square overflows (or 0 * inf is NaN), hypot gives the height without squares
+    wide = ~np.isfinite(height)
+    height[wide] = np.hypot(q.a, q.b * re[wide]) / math.sqrt(1.0 - q.b**2)
+    return height
 
 
 @_in_doubles

@@ -27,6 +27,7 @@ from gapcert.blocks import BlockMinima, OffDiagBounds, even_lowerbound
 from gapcert.enclosures import QuadBound, hyperbola_excluded, symmetric_gap_strip
 from gapcert.errors import ConditionNotApplicable
 from gapcert.gap_sequences import powerlaw_example
+from gapcert import regions
 from gapcert.regions import envelope_boundary
 
 
@@ -203,6 +204,21 @@ class TestCoulomb:
         assert region.certified_free(complex(2.0, 100.0))
         assert not region.certified_free(complex(1.0, 0.0))
         assert not region.certified_free(complex(-1.2, 0.05))
+
+
+class TestHyperbolaHeight:
+    @given(a=st.floats(0.0, 1e150), b=st.floats(0.0, 0.99), re=st.floats(-1e300, 1e300))
+    @settings(max_examples=300, deadline=None)
+    def test_formula_bits_where_finite_and_finite_where_it_overflows(self, a, b, re):
+        re_arr = np.array([re])
+        with np.errstate(over="ignore", invalid="ignore"):
+            formula = float(np.sqrt((a**2 + b**2 * re_arr**2) / (1.0 - b**2))[0])
+        with np.errstate(over="raise", invalid="raise"):
+            height = float(regions._hyperbola_height(QuadBound(a, b), re_arr)[0])
+        if math.isfinite(formula):
+            assert height == formula
+        else:
+            assert height == pytest.approx(math.hypot(a, b * re) / math.sqrt(1.0 - b * b), rel=1e-15)
 
 
 class TestManifold:

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import io
 import json
@@ -543,6 +544,57 @@ def test_subcommand_fuzz(cmd, data):
     assert all(value is not INFINITY for key, value in doc.items() if key != "eps0")
 
 
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _full_parser(build_parser=cli.build_parser):
+    """The parser with the flags of every subcommand built, not just the one a call runs."""
+    parser = build_parser()
+    for sub in _subcommands(parser).values():
+        sub.build()
+    return parser
+
+
+def _flag_spec(sub):
+    return [(a.option_strings, a.dest, a.type, a.default, a.nargs, a.choices, a.const, a.metavar,
+             a.help, type(a)) for a in sub._actions]
+
+
+class TestParserParity:
+    """A call builds the flags of its own subcommand only; nothing it parses or prints changes."""
+
+    @pytest.mark.parametrize("cmd", sorted(_FUZZ_MODES))
+    def test_one_subcommand_matches_the_full_parser(self, cmd):
+        parser = cli.build_parser()
+        parser.parse_known_args([cmd])
+        built = {name for name, sub in _subcommands(parser).items() if sub._unbuilt is None}
+        assert built == {cmd}
+        alone, full = _subcommands(parser)[cmd], _subcommands(_full_parser())[cmd]
+        assert alone.format_help() == full.format_help()
+        assert _flag_spec(alone) == _flag_spec(full)
+        assert alone._defaults == full._defaults
+        assert set(alone._defaults) == {"func", "fallbacks", "json_types"}
+
+    @pytest.mark.parametrize("argv", [["--help"], [], ["no-such-command"], ["-1", "strip"],
+                                      ["strip", "--help"], ["strip", "--no-such-flag"]])
+    def test_top_level_output_matches_the_full_parser(self, argv):
+        def call(build):
+            out, err = io.StringIO(), io.StringIO()
+            with mock.patch.object(cli, "build_parser", build), redirect_stdout(out), \
+                    redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            return code, out.getvalue(), err.getvalue()
+
+        lazy = call(cli.build_parser)
+        assert lazy == call(_full_parser)
+        assert lazy[0] in (0, 2)
+
+
 class TestEnvelopeCommand:
     def test_csv_row_count(self, tmp_path):
         out_csv = tmp_path / "env.csv"
@@ -613,6 +665,32 @@ class TestSampleRegion:
         assert code == 0
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         assert rows == [["rectangle", "-6.703903964971299e+152", "-6.703903964971299e+153"]] * 2
+
+    def test_coulomb_with_huge_mass_stays_finite(self):
+        # the default clip, ten times the largest input, squares past the largest double
+        code, out = run_cli(
+            "sample-region", "--kind", "coulomb", "--c1", "0", "--c2", "0",
+            "--mass", "1.3407807929942598e+153", "--resolution", "2",
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        hw, clip = "1.3407807929942598e+153", "1.3407807929942597e+154"
+        assert [(name, re) for name, re, _ in rows] == [
+            (f"{side}-{part}", sign + re)
+            for side, sign in (("right", ""), ("left", "-"))
+            for part, ends in (("chord", (hw, hw)), ("upper", (hw, clip)), ("lower", (hw, clip)))
+            for re in ends
+        ]
+        assert all(float(im) == 0.0 for *_, im in rows)
+
+    def test_hyperbola_with_huge_a_stays_finite(self):
+        # a**2 overflows; with a small clip b re is negligible, so hypot gives
+        # the height a / sqrt(1 - b^2) to the last bit
+        code, out = run_cli("sample-region", "--kind", "hyperbola", "--a", "1e200", "--b", "0.5",
+                            "--resolution", "3", "--clip", "1e10")
+        assert code == 0
+        heights = {float(line.split(",")[2]) for line in out.strip().split("\n")[1:]}
+        assert heights == {1e200 / math.sqrt(0.75), -1e200 / math.sqrt(0.75)}
 
     def test_coulomb_six_segments(self, tmp_path):
         out_csv = tmp_path / "cl.csv"
@@ -813,9 +891,6 @@ class TestExitCodes:
         ("powerlaw", "--p1", "1", "--q1", "0.2", "--a-power", "1", "--a-coeff", "5e-324"),
         ("symmetric-gap", "--a", "0", "--b", "0", "--beta", "1e-235", "--re", "0", "--im", "0"),
         ("two-channel", "--d", "1", "--p", "2", "--v12", "0", "--p0", "1e308"),
-        # the default clip, ten times the largest input, squares past the largest double
-        ("sample-region", "--kind", "coulomb", "--c1", "0", "--c2", "0",
-         "--mass", "1.3407807929942598e+153", "--resolution", "2"),
     ])
     def test_overflow_exits_3(self, argv, capsys):
         code, out = run_cli(*argv)

@@ -12,20 +12,51 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gapcert import Gap, QuadBound, matrix_lab
-from gapcert.errors import NearSingular
+from gapcert.blocks import NumRangeBounds
+from gapcert.errors import NearSingular, NumericalFailure
 from gapcert.matrix_lab import (
     MatrixInstance,
     VerifyOptions,
-    eig,
     gen_instance,
     gen_isolated_instance,
     measure_quad_bound,
-    numrange_extremes,
-    resolvent_norm,
     run_suite,
     standard_suite_specs,
     verify_instance,
 )
+
+
+def eig(m: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a square dense matrix, algebraic multiplicity kept."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("requires a square matrix")
+    try:
+        return np.linalg.eigvals(m)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK hiccup
+        raise NumericalFailure(f"eigenvalue iteration failed: {exc}") from exc
+
+
+def resolvent_norm(m: np.ndarray, z: complex) -> float:
+    """1/sigma_min(M - zI), one SVD per point: the reference for the oracle's batched norms.
+
+    Refuses z within 1e-12 of being singular.
+    """
+    m = np.asarray(m, dtype=complex)
+    shifted = m - complex(z) * np.eye(m.shape[0])
+    smin = float(np.linalg.svd(shifted, compute_uv=False)[-1])
+    if smin < 1e-12:
+        raise NearSingular(f"z={z!r} is within {smin:.3e} of the spectrum")
+    return 1.0 / smin
+
+
+def numrange_extremes(inst: MatrixInstance) -> NumRangeBounds:
+    """Extreme eigenvalues of a Hermitian perturbation."""
+    a = inst.a_mat
+    if not matrix_lab._is_hermitian(a):
+        raise ValueError("numerical-range extremes need a Hermitian A")
+    ev = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
+    return NumRangeBounds(float(ev[0]), float(ev[-1]))
 
 
 def _manual(t_diag, a_mat, quad, **kw):
