@@ -4,7 +4,7 @@ The package root loads none of its modules.  A submodule name imports
 that submodule alone; any other public name (each module's ``__all__``)
 is looked up on first use (PEP 562) in the module that exports it, so
 ``from gapcert import perturbed_strip`` loads enclosures and errors only;
-numpy loads with matrix_lab or regions.  The root keeps no copies: a
+numpy loads with matrix_lab alone.  The root keeps no copies: a
 lookup returns the module's current binding, so code that rebinds a
 module's functions (such as perfbench/tracer.py) is seen through it too.
 """

@@ -87,9 +87,8 @@ def dirac2d_constants(
     return QuadBound(cp ** (p / (p - 2.0)) * b ** (-2.0 / (p - 2.0)), b)
 
 
-def _envelope_xy(spec: DiracSpec, b):
-    # x = |Re z|^2, y = |Im z|^2 along the envelope of the hyperbola family;
-    # works elementwise on arrays and on plain floats
+def _envelope_xy(spec: DiracSpec, b: float) -> tuple[float, float]:
+    # x = |Re z|^2, y = |Im z|^2 on the envelope of the hyperbola family at b
     p = spec.p
     cp = dirac2d_cp(spec)
     x = (cp / b) ** (2.0 * p / (p - 2.0)) * (2.0 - p * b * b) / (p - 2.0)
@@ -117,6 +116,17 @@ def _envelope_b_max(p: float) -> float:
     return math.sqrt(2.0 / p)
 
 
+def _log_grid(lo: float, hi: float, samples: int) -> list[float]:
+    """samples points from lo to hi, evenly spaced in log10, both ends exact.
+
+    np.geomspace's formula, 10 ** (i * step + log10(lo)), with the `math`
+    module's log10 and power, whose bits do not follow numpy's SIMD dispatch.
+    """
+    start = math.log10(lo)
+    step = (math.log10(hi) - start) / (samples - 1)
+    return [lo, *(10.0 ** (i * step + start) for i in range(1, samples - 1)), hi]
+
+
 def dirac2d_envelope(
     spec: DiracSpec,
     samples: int,
@@ -130,8 +140,6 @@ def dirac2d_envelope(
     clipped to x >= 0 (reported via the clipped flag).  A grid on which
     the curve overflows a double (near p = 2) is not applicable.
     """
-    import numpy as np
-
     samples = require_int("samples", samples, 2)
     p = spec.p
     cap = _envelope_b_max(p)
@@ -144,21 +152,20 @@ def dirac2d_envelope(
     if not b_min < b_max:
         raise ValueError("requires b_min < b_max")
     try:
-        with np.errstate(over="raise"):
-            grid = np.geomspace(b_min, b_max, samples)
-            x, y = _envelope_xy(spec, grid)
-    except FloatingPointError:
+        grid = _log_grid(b_min, b_max, samples)
+        xy = [_envelope_xy(spec, b) for b in grid]
+        if not all(math.isfinite(x) and math.isfinite(y) for x, y in xy):
+            raise OverflowError
+    except ArithmeticError:
         raise ConditionNotApplicable(f"b in [{b_min!r}, {b_max!r}] leaves the representable range") from None
-    clipped = bool(np.any(x < 0.0))
-    x = np.maximum(x, 0.0)
     coeff = math.sqrt(p / (p - 2.0)) * (4.0 * math.pi) ** (-1.0 / p) * spec.v_norm
     return EnvelopeCurve(
-        b=tuple(float(v) for v in grid),
-        re=tuple(float(v) for v in np.sqrt(x)),
-        im=tuple(float(v) for v in np.sqrt(y)),
+        b=tuple(grid),
+        re=tuple(math.sqrt(max(x, 0.0)) for x, _ in xy),
+        im=tuple(math.sqrt(y) for _, y in xy),
         asymptote_coeff=coeff,
         asymptote_exponent=2.0 / p,
-        clipped=clipped,
+        clipped=any(x < 0.0 for x, _ in xy),
     )
 
 

@@ -465,11 +465,11 @@ def _clip_value(parser, args, magnitudes) -> float:
     base = max((abs(float(m)) for m in magnitudes), default=0.0)
     if base <= 0:
         parser.error("region is unbounded; give a positive --clip")
-    return 10.0 * base
+    # ten times an input beyond max / 10 is the largest double, not infinity
+    return min(10.0 * base, sys.float_info.max)
 
 
 def _cmd_sample_region(args, parser):
-    from .applications import CoulombSpec, DiracSpec, dirac3d_coulomb
     from .enclosures import GKCover, QuadBound
     from .regions import (
         coulomb_boundary,
@@ -495,11 +495,15 @@ def _cmd_sample_region(args, parser):
         clip = _clip_value(parser, args, (args.r_eps,))
         segments = sector_boundary(GKCover(args.r_eps, args.half_angle), resolution, clip)
     elif args.kind == "coulomb":
+        from .applications import CoulombSpec, dirac3d_coulomb
+
         _need(parser, args, "c1", "c2", "mass")
         clip = _clip_value(parser, args, (args.c1, args.c2, args.mass))
         region = dirac3d_coulomb(CoulombSpec(args.c1, args.c2, args.mass))
         segments = coulomb_boundary(region, resolution, clip)
     elif args.kind == "envelope":
+        from .applications import DiracSpec
+
         _need(parser, args, "p", "vnorm")
         ps = args.p if isinstance(args.p, list) else [args.p]
         clip = _clip_value(parser, args, list(ps) + [args.vnorm])

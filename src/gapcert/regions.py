@@ -3,19 +3,23 @@
 Each region becomes a tuple of named segments; a segment carries exactly
 `resolution` (re, im) samples so downstream row counts are predictable.
 Unbounded regions are cut at a clipping radius, which callers default to
-ten times the largest input magnitude.
+ten times the largest input magnitude.  Samples are plain float
+arithmetic: `_linspace` and `_walk` do the operations of np.linspace and
+np.interp in the same order, so plotting a region loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .applications import CoulombRegion, DiracSpec, _envelope_b_at, _envelope_b_max, _envelope_xy
 from .enclosures import GKCover, QuadBound
-from .errors import ConditionNotApplicable, require_int, require_positive
+from .errors import ConditionNotApplicable, require_finite, require_int, require_positive
+
+if TYPE_CHECKING:
+    from .applications import CoulombRegion, DiracSpec
 
 __all__ = [
     "Segment",
@@ -41,31 +45,77 @@ class Segment:
             raise ValueError("re and im must have equal length")
 
 
-# a boundary whose samples leave the doubles has no polyline: in the samplers an
-# overflow or invalid operation raises FloatingPointError (the CLI exits 3)
-_in_doubles = np.errstate(over="raise", invalid="raise", divide="raise")
+def _seg(name: str, re: list[float], im: list[float]) -> Segment:
+    # a boundary whose samples leave the doubles has no polyline: the CLI exits 3
+    if not all(map(math.isfinite, re)) or not all(map(math.isfinite, im)):
+        raise FloatingPointError(f"segment {name!r} has a sample beyond the finite doubles")
+    return Segment(name, tuple(re), tuple(im))
 
 
-def _seg(name: str, re: np.ndarray, im: np.ndarray) -> Segment:
-    return Segment(name, tuple(float(x) for x in re), tuple(float(y) for y in im))
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """np.linspace(start, stop, num) bit for bit: i * step + start, the last sample stop.
+
+    Where stop - start overflows, the samples are taken between the halved
+    ends and doubled, which is exact for ends that large.
+    """
+    div = num - 1
+    delta = stop - start
+    if math.isinf(delta) and math.isfinite(start) and math.isfinite(stop):
+        return [2.0 * x for x in _linspace(0.5 * start, 0.5 * stop, num)]
+    step = delta / div
+    if step == 0.0:
+        # np.linspace's branch for a step that underflows
+        samples = [i / div * delta + start for i in range(div)]
+    else:
+        samples = [i * step + start for i in range(div)]
+    samples.append(stop)
+    return samples
 
 
-def _hyperbola_height(q: QuadBound, re: np.ndarray) -> np.ndarray:
+def _interp(x: float, xp: list[float], fp: list[float]) -> float:
+    # np.interp at one x in [xp[0], xp[-1]], for nondecreasing xp whose steps
+    # are the lengths of the sides fp walks, so that no slope is infinite and
+    # np.interp's retry for a NaN value never runs
+    j = bisect_right(xp, x) - 1
+    if j == len(xp) - 1 or xp[j] == x:
+        return fp[j]
+    return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
+
+
+def _walk(corners: list[tuple[float, float]], num: int) -> tuple[list[float], list[float]]:
+    """num points at equal arc length along a polyline of finite corners.
+
+    np.interp over np.linspace(0, length, num).  A length that overflows is
+    walked at an eighth of the size and scaled back, which is exact for
+    every coordinate of magnitude 2**-1019 or more.
+    """
+    cum = [0.0]
+    for (x0, y0), (x1, y1) in zip(corners, corners[1:]):
+        cum.append(cum[-1] + math.hypot(x1 - x0, y1 - y0))
+    if math.isinf(cum[-1]):
+        re, im = _walk([(x / 8.0, y / 8.0) for x, y in corners], num)
+        return [8.0 * x for x in re], [8.0 * y for y in im]
+    ts = _linspace(0.0, cum[-1], num)
+    xs, ys = [x for x, _ in corners], [y for _, y in corners]
+    return [_interp(t, cum, xs) for t in ts], [_interp(t, cum, ys) for t in ts]
+
+
+def _hyperbola_height(q: QuadBound, re: list[float]) -> list[float]:
     if q.b >= 1.0:
         raise ConditionNotApplicable("no enclosure for b >= 1: the hyperbola degenerates")
     try:
         a2 = q.a**2
     except OverflowError:
         a2 = math.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        height = np.sqrt((a2 + q.b**2 * re**2) / (1.0 - q.b**2))
+    b2 = q.b**2
+    heights = [math.sqrt((a2 + b2 * (x * x)) / (1.0 - b2)) for x in re]
     # where a square overflows (or 0 * inf is NaN), hypot gives the height without squares
-    wide = ~np.isfinite(height)
-    height[wide] = np.hypot(q.a, q.b * re[wide]) / math.sqrt(1.0 - q.b**2)
-    return height
+    return [
+        h if math.isfinite(h) else math.hypot(q.a, q.b * x) / math.sqrt(1.0 - b2)
+        for x, h in zip(re, heights)
+    ]
 
 
-@_in_doubles
 def hyperbola_boundary(q: QuadBound, resolution: int, clip: float) -> tuple[Segment, Segment]:
     """Upper and lower branch of |Im z|^2 = (a^2 + b^2 Re^2)/(1 - b^2).
 
@@ -73,50 +123,43 @@ def hyperbola_boundary(q: QuadBound, resolution: int, clip: float) -> tuple[Segm
     """
     resolution = require_int("resolution", resolution, 2)
     clip = require_positive("clip", clip)
-    re = np.linspace(-clip, clip, resolution)
+    re = _linspace(-clip, clip, resolution)
     im = _hyperbola_height(q, re)
-    return _seg("upper", re, im), _seg("lower", re, -im)
+    return _seg("upper", re, im), _seg("lower", re, [-h for h in im])
 
 
-@_in_doubles
 def strip_boundary(lo: float, hi: float, resolution: int, clip: float) -> tuple[Segment]:
     """Closed rectangle around the strip (lo, hi) cut at |Im| = clip."""
     resolution = require_int("resolution", resolution, 2)
     clip = require_positive("clip", clip)
-    lo, hi = float(lo), float(hi)
+    lo, hi = require_finite("lo", lo), require_finite("hi", hi)
     if not lo < hi:
         raise ValueError("requires lo < hi")
-    corners = np.array(
-        [(lo, -clip), (hi, -clip), (hi, clip), (lo, clip), (lo, -clip)], dtype=float
-    )
     # every side is axis-aligned, so hypot is its exact length and squares nothing
-    lengths = np.hypot(*np.diff(corners, axis=0).T)
-    cum = np.concatenate([[0.0], np.cumsum(lengths)])
-    t = np.linspace(0.0, cum[-1], resolution)
-    re = np.interp(t, cum, corners[:, 0])
-    im = np.interp(t, cum, corners[:, 1])
+    re, im = _walk([(lo, -clip), (hi, -clip), (hi, clip), (lo, clip), (lo, -clip)], resolution)
     return (_seg("rectangle", re, im),)
 
 
-@_in_doubles
 def sector_boundary(cover: GKCover, resolution: int, clip: float) -> tuple[Segment, ...]:
     """Ball circle plus the four sector boundary rays, cut at |z| = clip."""
     resolution = require_int("resolution", resolution, 2)
     clip = require_positive("clip", clip)
-    theta = np.linspace(0.0, 2.0 * math.pi, resolution)
-    segments = [_seg("ball", cover.r_eps * np.cos(theta), cover.r_eps * np.sin(theta))]
-    r = np.linspace(cover.r_eps, max(clip, cover.r_eps), resolution)
+    theta = _linspace(0.0, 2.0 * math.pi, resolution)
+    segments = [
+        _seg("ball", [cover.r_eps * math.cos(t) for t in theta], [cover.r_eps * math.sin(t) for t in theta])
+    ]
+    r = _linspace(cover.r_eps, max(clip, cover.r_eps), resolution)
     for name, angle in (
         ("sector-ne", cover.half_angle),
         ("sector-se", -cover.half_angle),
         ("sector-nw", math.pi - cover.half_angle),
         ("sector-sw", math.pi + cover.half_angle),
     ):
-        segments.append(_seg(name, r * math.cos(angle), r * math.sin(angle)))
+        cos, sin = math.cos(angle), math.sin(angle)
+        segments.append(_seg(name, [x * cos for x in r], [x * sin for x in r]))
     return tuple(segments)
 
 
-@_in_doubles
 def coulomb_boundary(region: CoulombRegion, resolution: int, clip: float) -> tuple[Segment, ...]:
     """Boundary of the two lens-shaped components the spectrum may occupy.
 
@@ -126,28 +169,30 @@ def coulomb_boundary(region: CoulombRegion, resolution: int, clip: float) -> tup
     resolution = require_int("resolution", resolution, 2)
     clip = require_positive("clip", clip)
     hw = region.halfwidth
-    h0 = float(_hyperbola_height(region.quad, np.array([hw]))[0])
-    chord_im = np.linspace(-h0, h0, resolution)
-    arc_re = np.linspace(hw, max(clip, hw), resolution)
+    (h0,) = _hyperbola_height(region.quad, [hw])
+    chord_im = _linspace(-h0, h0, resolution)
+    arc_re = _linspace(hw, max(clip, hw), resolution)
     arc_im = _hyperbola_height(region.quad, arc_re)
     segments = []
     for side, sign in (("right", 1.0), ("left", -1.0)):
-        segments.append(_seg(f"{side}-chord", np.full(resolution, sign * hw), chord_im))
-        segments.append(_seg(f"{side}-upper", sign * arc_re, arc_im))
-        segments.append(_seg(f"{side}-lower", sign * arc_re, -arc_im))
+        segments.append(_seg(f"{side}-chord", [sign * hw] * resolution, chord_im))
+        segments.append(_seg(f"{side}-upper", [sign * x for x in arc_re], arc_im))
+        segments.append(_seg(f"{side}-lower", [sign * x for x in arc_re], [-y for y in arc_im]))
     return tuple(segments)
 
 
-@_in_doubles
 def envelope_boundary(
     spec: DiracSpec, resolution: int, clip: float, name: str | None = None
 ) -> tuple[Segment]:
     """Upper envelope arm from |Re z| = clip in to the real-axis crossing."""
+    from .applications import _envelope_b_at, _envelope_b_max, _envelope_xy, _log_grid
+
     resolution = require_int("resolution", resolution, 2)
     clip = require_positive("clip", clip)
-    b = np.geomspace(_envelope_b_at(spec, clip)[0], _envelope_b_max(spec.p), resolution)
-    x, y = _envelope_xy(spec, b)
-    return (_seg(name or f"p={spec.p:g}", np.sqrt(np.maximum(x, 0.0)), np.sqrt(y)),)
+    b = _log_grid(_envelope_b_at(spec, clip)[0], _envelope_b_max(spec.p), resolution)
+    xy = [_envelope_xy(spec, v) for v in b]
+    re = [math.sqrt(max(x, 0.0)) for x, _ in xy]
+    return (_seg(name or f"p={spec.p:g}", re, [math.sqrt(y) for _, y in xy]),)
 
 
 def segments_to_csv(segments: tuple[Segment, ...]) -> str:

@@ -692,6 +692,41 @@ class TestSampleRegion:
         heights = {float(line.split(",")[2]) for line in out.strip().split("\n")[1:]}
         assert heights == {1e200 / math.sqrt(0.75), -1e200 / math.sqrt(0.75)}
 
+    def test_hyperbola_with_overflowing_span_stays_finite(self):
+        # clip - (-clip) overflows; the samples are taken at half scale and doubled
+        code, out = run_cli("sample-region", "--kind", "hyperbola", "--a", "1", "--b", "0.5",
+                            "--resolution", "3", "--clip", "1e308")
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "upper,-1e+308,5.773502691896258e+307",
+            "upper,0.0,1.1547005383792515",
+            "upper,1e+308,5.773502691896258e+307",
+            "lower,-1e+308,-5.773502691896258e+307",
+            "lower,0.0,-1.1547005383792515",
+            "lower,1e+308,-5.773502691896258e+307",
+        ]
+
+    def test_strip_with_overflowing_perimeter_stays_finite(self):
+        # the perimeter 2 + 4e308 overflows; the width is below its rounding,
+        # so the half-way sample is the corner (lo, clip), as at --clip 1e20
+        code, out = run_cli("sample-region", "--kind", "strip", "--lo", "1", "--hi", "2",
+                            "--resolution", "3", "--clip", "1e308")
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "rectangle,1.0,-1e+308", "rectangle,1.0,1e+308", "rectangle,1.0,-1e+308",
+        ]
+
+    def test_default_clip_stops_at_the_largest_double(self):
+        # ten times --r-eps 1e308 is beyond the doubles: the default clip is 1.7976931348623157e+308
+        code, out = run_cli("sample-region", "--kind", "sector", "--r-eps", "1e308", "--half-angle", "0.4",
+                            "--resolution", "3")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 15
+        ne = [(float(re), float(im)) for name, re, im in rows if name == "sector-ne"]
+        assert math.hypot(*ne[-1]) == pytest.approx(1.7976931348623157e308, rel=1e-15)
+        assert all(math.isfinite(float(v)) for _, re, im in rows for v in (re, im))
+
     def test_coulomb_six_segments(self, tmp_path):
         out_csv = tmp_path / "cl.csv"
         code, out = run_cli(

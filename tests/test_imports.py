@@ -33,8 +33,8 @@ _RUN_CLI = (
     "    with contextlib.redirect_stdout(io.StringIO()):\n"
     "        assert main(argv) == 0, argv\n"
 )
-# one complete call per subcommand that needs no numpy: all but the samplers of
-# curves and regions (dirac-envelope, sample-region) and verify
+# one complete call per subcommand but verify, the only one that needs numpy;
+# sample-region has one per kind in REGION_CALLS
 SCALAR_CALLS = {
     "enclose": ["--a", "1", "--b", "0.2", "--re", "1", "--im", "3"],
     "strip": ["--a", "1", "--b", "0", "--alpha", "0", "--beta", "3"],
@@ -53,6 +53,14 @@ SCALAR_CALLS = {
     "coulomb": ["--c1", "0.2", "--c2", "0.1", "--mass", "1", "--re", "0", "--im", "0"],
     "manifold": ["--c", "1", "--p", "5", "--case", "1", "--n", "10", "--eps-geom", "0.5", "--pipeline"],
     "two-channel": ["--d", "2", "--p", "3", "--v12", "0.5", "--p0", "0.5"],
+    "dirac-envelope": ["--p", "5", "--vnorm", "1", "--samples", "16", "--re", "1", "--csv", "-"],
+}
+REGION_CALLS = {
+    "hyperbola": ["--a", "1", "--b", "0.3"],
+    "strip": ["--lo", "1", "--hi", "2"],
+    "sector": ["--r-eps", "2", "--half-angle", "0.4"],
+    "coulomb": ["--c1", "0.2", "--c2", "0.1", "--mass", "1"],
+    "envelope": ["--p", "5", "--p", "7", "--vnorm", "1"],
 }
 _STRIP_MODULES = {"gapcert", "gapcert.cli", "gapcert.enclosures", "gapcert.errors"}
 
@@ -65,8 +73,10 @@ def _loaded(code: str, *args: str) -> set[str]:
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
-def _cli_loads(*commands: str) -> set[str]:
-    return _loaded(_RUN_CLI, json.dumps([[cmd, *SCALAR_CALLS[cmd]] for cmd in commands]))
+def _cli_loads(*commands: str, kinds: tuple[str, ...] = ()) -> set[str]:
+    argvs = [[cmd, *SCALAR_CALLS[cmd]] for cmd in commands]
+    argvs += [["sample-region", "--kind", kind, "--resolution", "16", *REGION_CALLS[kind]] for kind in kinds]
+    return _loaded(_RUN_CLI, json.dumps(argvs))
 
 
 class TestImportContracts:
@@ -78,7 +88,15 @@ class TestImportContracts:
         assert _cli_loads(cmd) == _STRIP_MODULES | {f"gapcert.{module}"}
 
     def test_no_scalar_subcommand_imports_numpy(self):
-        assert "numpy" not in _cli_loads(*SCALAR_CALLS)
+        assert "numpy" not in _cli_loads(*SCALAR_CALLS, kinds=tuple(REGION_CALLS))
+
+    @pytest.mark.parametrize("kind", ["hyperbola", "strip", "sector"])
+    def test_region_kind_loads_no_applications(self, kind):
+        assert _cli_loads(kinds=(kind,)) == _STRIP_MODULES | {"gapcert.regions"}
+
+    def test_regions_imports_no_numpy(self):
+        assert _loaded("import gapcert.regions") == {"gapcert", "gapcert.regions", "gapcert.enclosures",
+                                                     "gapcert.errors"}
 
     def test_submodules_through_the_root_import_no_numpy(self):
         loaded = _loaded("from gapcert import applications, blocks, cli, enclosures, gap_sequences")
