@@ -17,13 +17,13 @@ mask of the points evaluated exactly, and at the other points a proven
 upper bracket of the norm: the oracle prunes a point by Weyl's bound
 sigma_min(M - z) >= sigma_min(M - z0) - |z - z0| once it provably cannot
 be its check's worst, so reports equal those of a full-grid evaluation.
-verify_instance observes only when it is given no observation, sweeping
-a batch of one.  run_suite drives the standard mixed suite used by the
+verify_instance observes only when it is given no observation, on the
+calling thread.  run_suite drives the standard mixed suite used by the
 acceptance gate and hands verify_instance each observation: a call with
 its previous call's specs, s_points and grid constants reuses that call's;
-any other sweeps the coupling s in batches of instances of one order,
-each batch one eigvals call split across the usable CPUs as the SVD
-rounds are.
+any other runs batches of instances of one order on lanes, one per usable
+CPU, each lane generating, sweeping (one eigvals call), observing (bracket
+rounds in lockstep, one SVD call each) and judging a whole batch.
 
 Importing this module loads every certificate module, applications and
 gap_sequences among them although the oracle calls neither: code that
@@ -591,17 +591,16 @@ def _check_strips(strips, eigs, widen) -> CheckResult:
 
 
 # numpy runs a gufunc loop without the GIL only when the loop covers more
-# than 500 elements (batch length x order n for a batched svd or eigvals);
-# a smaller part of a split batch would hold the GIL and serialize the
-# split.  For the 105-matrix z-grids this splits in two from n = 10 on.
-# One instance's s-sweep (11 matrices) never reaches it for n <= 40, so
-# run_suite sweeps instances of one order in batches of _gil_free_batch
-# matrices.
+# than 500 elements (batch length x order n for a batched svd or eigvals),
+# yet two such eigvals calls of 128-512 matrices of order 4 or 10 on two
+# threads used one CPU between them, while Python on one thread keeps its
+# full speed beside another thread's GIL-free call.  So run_suite splits
+# no LAPACK call: it runs whole batches on lanes (_run_lanes), each batch
+# so large that its s-sweep holds more than _GIL_FREE_SIZE // n matrices.
 _GIL_FREE_SIZE = 500
 
-# (thread pool or None, usable CPUs), made when the first batch is sized or
-# split, SVD or eigvals alike; one per process, since the CPUs are the
-# process's
+# (thread pool or None, usable CPUs), made when run_suite first runs its
+# lanes; one per process, since the CPUs are the process's
 _svd_pool = None
 _svd_pool_lock = threading.Lock()
 
@@ -628,58 +627,76 @@ def _svd_workers():
             if cpus > 1:
                 from concurrent.futures import ThreadPoolExecutor
 
-                pool = ThreadPoolExecutor(cpus - 1, thread_name_prefix="gapcert-svd")
+                pool = ThreadPoolExecutor(cpus - 1, thread_name_prefix="gapcert-lane")
             _svd_pool = (pool, cpus)
         return _svd_pool
 
 
-def _gil_free_batch(n: int) -> int:
-    """The least number of order-n matrices _split_batch gives every usable CPU a GIL-free part of."""
-    _, cpus = _svd_workers()
-    return max(2, cpus) * (_GIL_FREE_SIZE // n + 1)
+def _run_lanes(work, batches: list) -> None:
+    """work(batch) for every batch; each lane, the caller or a pool worker, takes the next batch.
 
+    Once a lane raises (the caller's KeyboardInterrupt too) no lane takes another batch, and the
+    first exception is re-raised when no batch is in flight."""
+    pool, cpus = _svd_workers()
+    todo, lock, stop, errors = iter(batches), threading.Lock(), threading.Event(), []
 
-def _split_batch(lapack, stack: np.ndarray) -> np.ndarray:
-    """lapack(stack), one result per matrix, large stacks split across the usable CPUs.
-
-    The calling thread computes the first part and gathers the others in
-    order; each matrix goes through the same LAPACK call either way, so
-    the result is bit-identical to one serial batch.
-    """
-    min_part = _GIL_FREE_SIZE // stack.shape[-1] + 1
-    parts = stack.shape[0] // min_part
-    if parts > 1:
-        pool, cpus = _svd_workers()
-        if pool is not None:
-            chunks = np.array_split(stack, min(parts, cpus))
-            futures = [pool.submit(lapack, c) for c in chunks[1:]]
+    def lane() -> None:
+        while True:
+            with lock:
+                batch = None if stop.is_set() else next(todo, None)
+            if batch is None:
+                return
             try:
-                first = lapack(chunks[0])
-            finally:
-                rest = [f.result() for f in futures]
-            return np.concatenate([first, *rest])
-    return lapack(stack)
+                work(batch)
+            except BaseException as exc:
+                with lock:
+                    errors.append(exc)
+                    stop.set()
+
+    workers = [pool.submit(lane) for _ in range(min(cpus, len(batches)) - 1)] if pool else []
+    try:
+        lane()
+    finally:
+        stop.set()
+        for f in workers:
+            f.cancel() or f.exception()  # a running lane finishes its batch
+    if errors:
+        raise errors[0]
 
 
-def _smallest_singular_values(stack: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(stack, compute_uv=False)[:, -1]
+def _lockstep(rounds: list) -> list:
+    """What each generator in `rounds` returns; each yields (m0, zs) and is sent ||(m0 - z)^-1|| per z.
 
-
-def _batch_resolvent_norms(m0: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    n = m0.shape[0]
-    shifted = np.repeat(m0[None, :, :], zs.size, axis=0)
-    diag = np.arange(n)
-    shifted[:, diag, diag] -= zs[:, None]
-    smin = _split_batch(_smallest_singular_values, shifted)
-    return 1.0 / np.maximum(smin, 1e-300)
+    A round of all of them is one SVD call over a stack built in place by the
+    IEEE operations of m0 - z, so each norm is its own matrix's.
+    """
+    results, sends = [None] * len(rounds), dict.fromkeys(range(len(rounds)))
+    while True:
+        asks = {}
+        for i, norms in sends.items():
+            try:
+                asks[i] = rounds[i].send(norms)
+            except StopIteration as done:
+                results[i] = done.value
+        if not asks:
+            return results
+        sizes = [zs.size for _, zs in asks.values()]
+        n = next(iter(asks.values()))[0].shape[0]
+        stack, diag = np.empty((sum(sizes), n, n), dtype=complex), np.arange(n)
+        for (m0, zs), at in zip(asks.values(), np.cumsum([0, *sizes])):
+            block = stack[at:at + zs.size]
+            block[...] = m0
+            block[:, diag, diag] -= zs[:, None]
+        smin = np.linalg.svd(stack, compute_uv=False)[:, -1]
+        sends = dict(zip(asks, np.split(1.0 / np.maximum(smin, 1e-300), np.cumsum(sizes)[:-1])))
 
 
 def _sweep(insts, s_grid: np.ndarray) -> np.ndarray:
     """Eigenvalues of T + s A for every instance (all of one order) and s in s_grid.
 
-    One eigvals batch of shape (len(insts), s_grid.size, n), split as the
-    SVD rounds are.  The stack is built in place by the IEEE operations of
-    T + s A, so every eigenvalue is bit-identical to eigvals(T + s A).
+    One eigvals call over a stack of shape (len(insts) * s_grid.size, n, n),
+    built in place by the IEEE operations of T + s A, so every eigenvalue
+    is bit-identical to eigvals(T + s A).
     """
     k = s_grid.size
     stack = np.empty((len(insts) * k, insts[0].dim, insts[0].dim), dtype=complex)
@@ -687,7 +704,7 @@ def _sweep(insts, s_grid: np.ndarray) -> np.ndarray:
         block = stack[i * k:(i + 1) * k]
         np.multiply(s_grid[:, None, None], inst.a_mat, out=block)
         block += inst.t_mat
-    return _split_batch(np.linalg.eigvals, stack).reshape(len(insts), k, -1)
+    return np.linalg.eigvals(stack).reshape(len(insts), k, -1)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -698,17 +715,15 @@ _TIE_ULPS = 16.0
 
 
 def _round_size(n: int, pending: int) -> int:
-    """Points per oracle round at order n with `pending` points unresolved.
+    """Points per oracle round of one order-n instance: enough for a GIL-free SVD, at most a quarter of those pending.
 
-    The least batch the split gives every usable CPU a GIL-free part of,
-    but at most a quarter of the pending points, so that at small orders no
-    single round evaluates most of a grid.
+    The quarter keeps a single round at small orders from evaluating most of a grid.
     """
-    return min(_gil_free_batch(n), pending // 4 + 1)
+    return min(_GIL_FREE_SIZE // n + 1, pending // 4 + 1)
 
 
-def _bracketed_grids(m0: np.ndarray, eigs: np.ndarray, grids) -> tuple[_Grid, ...]:
-    """The _Grid of every (check, zs, bounds), its norms exact only where a point could be its check's worst.
+def _bracketed_grids(m0: np.ndarray, eigs: np.ndarray, grids):
+    """Generator returning the _Grid of every (check, zs, bounds), its norms exact only where a point could be its check's worst.
 
     sigma_min(M - z) is 1-Lipschitz in z (Weyl), so each exact
     sigma_min(M - z0) brackets every other point of every grid:
@@ -716,10 +731,10 @@ def _bracketed_grids(m0: np.ndarray, eigs: np.ndarray, grids) -> tuple[_Grid, ..
     covering the SVD error.  Each round takes, per check, the unevaluated
     points with the highest upper bracket of norm/bound, ties (as in the
     first round) going to the higher lower estimate 1/(dist(z, eigs) bound),
-    and evaluates them in one batch.  Points whose upper bracket falls below
-    their check's best exact ratio (see _TIE_ULPS) are pruned and keep that
-    upper bracket as their norm, so the judge finds the full grid's first
-    worst point with the same margin whatever the round schedule.
+    yields (m0, them) and is sent their norms.  Points whose upper bracket
+    falls below their check's best exact ratio (see _TIE_ULPS) are pruned
+    and keep that upper bracket as their norm, so the judge finds the full
+    grid's first worst point with the same margin whatever the round schedule.
     """
     checks = [check for check, _, _ in grids]
     sizes = [zs.size for _, zs, _ in grids]
@@ -751,7 +766,7 @@ def _bracketed_grids(m0: np.ndarray, eigs: np.ndarray, grids) -> tuple[_Grid, ..
             idx = np.flatnonzero(pending & (owner == check))
             new.append(idx[np.lexsort((-hint[idx], -ratio[idx]))[:quota]])
         new = np.concatenate(new)
-        norms[new] = _batch_resolvent_norms(m0, zs[new])
+        norms[new] = yield m0, zs[new]
         exact[new] = True
         rest = np.flatnonzero(~exact)
         if rest.size:
@@ -953,16 +968,19 @@ def _s_grid(options: VerifyOptions) -> np.ndarray:
     return np.linspace(0.0, 1.0, options.s_points)
 
 
-def _observe(inst: MatrixInstance, options: VerifyOptions, eigs: np.ndarray | None = None) -> _Observation:
-    """All the linear algebra of a verification, and every certified bound it is judged against.
+def _observe(inst: MatrixInstance, options: VerifyOptions) -> _Observation:
+    """All the linear algebra of a verification and every certified bound it is judged against; no tolerance or widen."""
+    return _observe_batch([inst], options)[0]
 
-    eigs is the instance's row of a _sweep over _s_grid(options); without
-    it the instance is swept alone.  Depends on no tolerance and not on
-    widen.
-    """
+
+def _observe_batch(insts, options: VerifyOptions) -> list[_Observation]:
+    """The _observe of every instance (all of one order): one eigvals sweep, then lockstep rounds."""
     s_grid = _s_grid(options)
-    if eigs is None:
-        eigs = _sweep([inst], s_grid)[0]
+    return _lockstep([_observing(inst, s_grid, eigs) for inst, eigs in zip(insts, _sweep(insts, s_grid))])
+
+
+def _observing(inst: MatrixInstance, s_grid: np.ndarray, eigs: np.ndarray):
+    """Generator: the bracket rounds of one instance whose eigenvalues along s_grid are eigs; returns its _Observation."""
     m0 = inst.t_mat + inst.a_mat
     sign, logabs = np.linalg.slogdet(m0)
 
@@ -985,7 +1003,7 @@ def _observe(inst: MatrixInstance, options: VerifyOptions, eigs: np.ndarray | No
         grids.append(("resolvent-symgap", zs, np.array([result.resolvent_bound(z) for z in zs])))
     return _Observation(
         *_read_only(s_grid, eigs), (complex(np.trace(m0)), complex(sign), float(logabs)),
-        tuple(strips), _bracketed_grids(m0, eigs[-1], grids) if grids else (),
+        tuple(strips), (yield from _bracketed_grids(m0, eigs[-1], grids)) if grids else (),
     )
 
 
@@ -1114,6 +1132,22 @@ class SuiteResult:
         return "\n".join(lines) + "\n"
 
 
+def _suite_batches(specs, s_points: int) -> list[list[int]]:
+    """Spec indices in batches of one order n as they fill, each the fewest whose s-sweep exceeds _GIL_FREE_SIZE // n."""
+    batches, waiting = [], {}
+    for idx, (_, dim, *_) in enumerate(specs):
+        batch = waiting.setdefault(dim, [])
+        batch.append(idx)
+        if len(batch) * s_points > _GIL_FREE_SIZE // dim:
+            batches.append(waiting.pop(dim))
+    return batches + list(waiting.values())
+
+
+def _suite_instance(idx: int, spec) -> MatrixInstance:
+    kind, dim, inst_seed, magnitude, n_gaps = spec
+    return gen_instance(dim, inst_seed, kind=kind, magnitude=magnitude, n_gaps=n_gaps, name=f"{kind}-{idx:04d}")
+
+
 def run_suite(
     count: int = 500,
     dim_lo: int = 4,
@@ -1124,44 +1158,30 @@ def run_suite(
     """Generate and verify the standard mixed suite; reports keep spec order.
 
     A call with the previous call's specs, s_points and grid constants
-    judges its instances on that call's observations, so a suite verified
-    again under another widen does no new linear algebra.  Any other call
-    observes every instance: instances wait, per order, until they fill
-    one GIL-free eigvals batch (_gil_free_batch) for their s-sweep; the
-    last batches of each order go at the end.
+    judges its instances on that call's observations, on the calling
+    thread, so a suite verified again under another widen does no new
+    linear algebra.  Any other call runs the _suite_batches on lanes
+    (_run_lanes), and if an instance raises keeps the previous call's.
     """
     global _previous_suite
     require_int("count", count, 1)
     t0 = time.perf_counter()
     specs = standard_suite_specs(count, dim_lo, dim_hi, seed)
-    s_grid = _s_grid(options)
     plan = (tuple(specs), options.s_points, _Z_RE, _Z_IM, _INSET)
     previous_plan, observations = _previous_suite
-    reuse = previous_plan == plan
-    if not reuse:
+    if previous_plan == plan:
+        reports = [verify_instance(_suite_instance(idx, spec), options, obs)
+                   for (idx, spec), obs in zip(enumerate(specs), observations)]
+    else:
         observations = [None] * len(specs)
-    reports: list[VerificationReport | None] = [None] * len(specs)
-    waiting: dict[int, list] = {}  # order -> [(index, instance)] not yet swept
+        reports = [None] * len(specs)
 
-    def verify(batch) -> None:
-        eigs = _sweep([inst for _, inst in batch], s_grid)
-        for (idx, inst), inst_eigs in zip(batch, eigs):
-            observations[idx] = _observe(inst, options, inst_eigs)
-            reports[idx] = verify_instance(inst, options, observations[idx])
+        def observe(batch) -> None:
+            insts = [_suite_instance(idx, specs[idx]) for idx in batch]
+            for idx, inst, obs in zip(batch, insts, _observe_batch(insts, options)):
+                observations[idx] = obs
+                reports[idx] = verify_instance(inst, options, obs)
 
-    for idx, (kind, dim, inst_seed, magnitude, n_gaps) in enumerate(specs):
-        inst = gen_instance(
-            dim, inst_seed, kind=kind, magnitude=magnitude, n_gaps=n_gaps,
-            name=f"{kind}-{idx:04d}",
-        )
-        if reuse:
-            reports[idx] = verify_instance(inst, options, observations[idx])
-            continue
-        batch = waiting.setdefault(inst.dim, [])
-        batch.append((idx, inst))
-        if len(batch) * s_grid.size >= _gil_free_batch(inst.dim):
-            verify(waiting.pop(inst.dim))
-    for batch in waiting.values():
-        verify(batch)
+        _run_lanes(observe, _suite_batches(specs, options.s_points))
     _previous_suite = (plan, tuple(observations))
     return SuiteResult(tuple(reports), time.perf_counter() - t0)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -392,45 +393,58 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-class TestParallelOracle:
-    """Large resolvent batches are split across the usable CPUs; results stay serial."""
+def _one_round(m0, zs):
+    """Generator asking _lockstep once for the norms at zs, and returning them."""
+    return (yield m0, zs)
 
-    def test_split_batch_matches_scalar_resolvent_norm(self):
-        inst = gen_instance(24, 7)
-        m0 = inst.t_mat + inst.a_mat
+
+def _serial_reports(*args) -> list[str]:
+    """JSON of each report of run_suite(*args), the instances verified one by one."""
+    reports = []
+    for idx, (kind, dim, seed, magnitude, n_gaps) in enumerate(standard_suite_specs(*args)):
+        inst = gen_instance(dim, seed, kind=kind, magnitude=magnitude, n_gaps=n_gaps,
+                            name=f"{kind}-{idx:04d}")
+        reports.append(verify_instance(inst).to_json())
+    return reports
+
+
+class TestParallelOracle:
+    """run_suite runs whole batches on lanes, one per usable CPU; reports stay serial."""
+
+    def test_round_stack_matches_scalar_resolvent_norm(self, oracle_calls):
+        # the rounds of three instances of one order stacked into one SVD call
         rng = np.random.default_rng(3)
-        zs = rng.uniform(-4.0, 4.0, 105) + 1j * rng.uniform(0.1, 3.0, 105)
-        norms = matrix_lab._batch_resolvent_norms(m0, zs)
-        if _usable_cpus() > 1:
-            assert matrix_lab._svd_pool[0] is not None
-        assert norms.tolist() == [resolvent_norm(m0, z) for z in zs]
+        asks = []
+        for k, size in enumerate((105, 1, 40)):
+            inst = gen_instance(24, 7 + k)
+            zs = rng.uniform(-4.0, 4.0, size) + 1j * rng.uniform(0.1, 3.0, size)
+            asks.append((inst.t_mat + inst.a_mat, zs))
+        norms = matrix_lab._lockstep([_one_round(m0, zs) for m0, zs in asks])
+        assert oracle_calls["svd"] == 1
+        assert [n.tolist() for n in norms] == [[resolvent_norm(m0, z) for z in zs] for m0, zs in asks]
 
     @pytest.mark.usefixtures("empty_store")
     def test_suite_matches_serial_loop(self, monkeypatch):
-        # orders 4 to 40 mixed, so that run_suite holds back and batches
-        # the s-sweeps of several orders at once, and splits some of them
+        # orders 4 to 40 mixed, so that run_suite plans batches of several
+        # orders and the lanes take them in turn
         args = (60, 4, 40)
         pooled = run_suite(*args).reports
         monkeypatch.setattr(matrix_lab, "_svd_pool", (None, 1))
-        reports = []
-        for idx, (kind, dim, seed, magnitude, n_gaps) in enumerate(standard_suite_specs(*args)):
-            inst = gen_instance(dim, seed, kind=kind, magnitude=magnitude, n_gaps=n_gaps,
-                                name=f"{kind}-{idx:04d}")
-            reports.append(verify_instance(inst))
-        assert [r.to_json() for r in pooled] == [r.to_json() for r in reports]
+        assert [r.to_json() for r in pooled] == _serial_reports(*args)
 
+    @pytest.mark.usefixtures("empty_store")
     def test_concurrent_callers_match_serial(self, monkeypatch):
-        insts = [gen_instance(16 + 4 * k, 30 + k) for k in range(6)]
+        plans = [(10, 4, 12, 31 + k) for k in range(3)] + [(6, 36, 40, 34 + k) for k in range(3)]
         monkeypatch.setattr(matrix_lab, "_svd_pool", (None, 1))
-        want = [verify_instance(inst).to_json() for inst in insts]
-        # six callers race to create the pool and then share it
+        want = [_serial_reports(*args) for args in plans]
+        # six callers race to create the pool and then share its workers
         monkeypatch.setattr(matrix_lab, "_svd_pool", None)
-        got = [None] * len(insts)
+        got = [None] * len(plans)
 
         def caller(k):
-            got[k] = [verify_instance(insts[k]).to_json() for _ in range(3)]
+            got[k] = [r.to_json() for r in run_suite(*plans[k]).reports]
 
-        threads = [threading.Thread(target=caller, args=(k,)) for k in range(len(insts))]
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(len(plans))]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -441,17 +455,95 @@ class TestParallelOracle:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert got == [[w] * 3 for w in want]
+        assert got == want
         if matrix_lab._svd_pool[0] is not None:
             matrix_lab._svd_pool[0].shutdown()
 
+    @pytest.mark.usefixtures("empty_store")
+    @pytest.mark.parametrize("error", [NumericalFailure, KeyboardInterrupt])
+    def test_lane_failure_stops_every_lane(self, monkeypatch, error):
+        args = (30, 4, 12, 9)
+        store = matrix_lab._previous_suite = (("another plan",), ())
+        batches = matrix_lab._suite_batches(standard_suite_specs(*args), 11)
+        bad = batches[0][0]
+        exits, started = [], set()
+        lock = threading.Lock()
+
+        def refused(kw) -> bool:
+            if error is KeyboardInterrupt:
+                # an interrupt reaches the calling thread, in whichever batch it runs
+                return threading.current_thread() is threading.main_thread()
+            return kw["name"].endswith(f"-{bad:04d}")
+
+        def logged(fn, fail=lambda kw: False):
+            def wrapper(*a, **kw):
+                try:
+                    if "name" in kw:
+                        idx = int(kw["name"].rsplit("-", 1)[1])
+                        started.add(next(k for k, b in enumerate(batches) if idx in b))
+                    if fail(kw):
+                        raise error(f"refused {kw['name']}")
+                    return fn(*a, **kw)
+                finally:
+                    with lock:
+                        exits.append(time.perf_counter())
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            patch.setattr(matrix_lab, "gen_instance", logged(matrix_lab.gen_instance, refused))
+            patch.setattr(matrix_lab, "verify_instance", logged(matrix_lab.verify_instance))
+            with pytest.raises(error, match="refused"):
+                run_suite(*args)
+            returned = time.perf_counter()
+            time.sleep(0.3)
+        # no lane ran on after the call returned, and none took a batch after
+        # the failure: at most one batch per lane, and one more taken as it fell
+        assert exits and max(exits) <= returned
+        assert len(started) <= min(len(batches) - 1, _usable_cpus() + 1)
+        assert matrix_lab._previous_suite is store
+        got = [r.to_json() for r in run_suite(*args).reports]
+        monkeypatch.setattr(matrix_lab, "_svd_pool", (None, 1))
+        assert got == _serial_reports(*args)
+
+    def test_interrupt_between_batches_stops_every_lane(self):
+        class Batches:
+            """50 batches; the calling thread is interrupted when it asks for its second."""
+
+            taken = 0
+
+            def __len__(self):
+                return 50
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                if threading.current_thread() is threading.main_thread() and self.taken:
+                    raise KeyboardInterrupt
+                if self.taken == 50:
+                    raise StopIteration
+                self.taken += 1
+                return self.taken
+
+        done = []
+        batches = Batches()
+        with pytest.raises(KeyboardInterrupt):
+            matrix_lab._run_lanes(lambda batch: (time.sleep(0.01), done.append(batch)), batches)
+        finished = len(done)
+        time.sleep(0.2)
+        assert len(done) == finished == batches.taken < 50
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    @pytest.mark.usefixtures("empty_store")
     def test_forked_child_verifies_after_parent_used_pool(self):
-        inst = gen_instance(24, 11)
-        want = verify_instance(inst).to_json()
+        args = (12, 20, 24, 11)
+        want = run_suite(*args).to_csv()
+        assert matrix_lab._svd_pool is not None
 
         def child():
-            sys.exit(0 if verify_instance(inst).to_json() == want else 1)
+            # the child observes again, on lanes of its own
+            matrix_lab._previous_suite = (None, ())
+            sys.exit(0 if run_suite(*args).to_csv() == want else 1)
 
         proc = multiprocessing.get_context("fork").Process(target=child)
         proc.start()
@@ -459,7 +551,7 @@ class TestParallelOracle:
         if proc.is_alive():
             proc.kill()
             proc.join()
-            pytest.fail("forked child hung in verify_instance")
+            pytest.fail("forked child hung in run_suite")
         assert proc.exitcode == 0
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
@@ -467,8 +559,9 @@ class TestParallelOracle:
         script = "\n".join([
             "import os, sys, threading",
             "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})",
-            "from gapcert.matrix_lab import gen_instance, verify_instance",
+            "from gapcert.matrix_lab import gen_instance, run_suite, verify_instance",
             "assert verify_instance(gen_instance(24, 11)).ok",
+            "assert run_suite(12, 20, 24, 11).ok",
             "print(threading.active_count(), 'concurrent.futures' in sys.modules)",
         ])
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -640,7 +733,7 @@ def _prune_instance(kind, dim, seed, magnitude):
 
 def _full_grid(grid, m0):
     """The grid with every norm evaluated by one batch over all of its points."""
-    full = matrix_lab._batch_resolvent_norms(m0, grid.zs)
+    full = matrix_lab._lockstep([_one_round(m0, grid.zs)])[0]
     return dataclasses.replace(grid, norms=full, exact=np.ones(full.size, dtype=bool))
 
 
@@ -687,27 +780,96 @@ def _per_matrix_eigvals(inst, s_grid):
     return np.array([np.linalg.eigvals(inst.t_mat + s * inst.a_mat) for s in s_grid])
 
 
+def _batch_count(dim: int, s_points: int = 11) -> int:
+    """The fewest order-dim instances whose s-sweep numpy runs without the GIL."""
+    return next(k for k in range(1, 1000) if k * s_points > matrix_lab._GIL_FREE_SIZE // dim)
+
+
 class TestBatchedSweep:
     """The s-sweep runs in batches of same-order instances; every eigenvalue stays that of its own matrix."""
 
     @pytest.mark.parametrize("dim", [4, 10, 22, 40])
     @pytest.mark.parametrize("kind", _PRUNE_KINDS)
-    def test_observed_eigs_match_per_matrix_eigvals(self, kind, dim, monkeypatch):
+    def test_observed_eigs_match_per_matrix_eigvals(self, kind, dim):
         options = VerifyOptions()
         s_grid = matrix_lab._s_grid(options)
-        # the fewest instances whose sweep the split gives every usable CPU a part of
-        count = -(-matrix_lab._gil_free_batch(dim) // s_grid.size)
-        assert count * s_grid.size // (matrix_lab._GIL_FREE_SIZE // dim + 1) >= 2
+        count = _batch_count(dim)
+        specs = [(kind, dim, seed, 0.7, 1) for seed in range(3 * count)]
+        assert matrix_lab._suite_batches(specs, s_grid.size) == [
+            list(range(k, k + count)) for k in range(0, 3 * count, count)
+        ]
         insts = [_prune_instance(kind, dim, seed, 0.7) for seed in range(count)]
         want = [_per_matrix_eigvals(inst, s_grid).tobytes() for inst in insts]
         assert [eigs.tobytes() for eigs in matrix_lab._sweep(insts, s_grid)] == want
-        if _usable_cpus() > 1:
-            assert matrix_lab._svd_pool[0] is not None
-        with monkeypatch.context() as patch:
-            patch.setattr(matrix_lab, "_svd_pool", (None, 1))
-            assert [eigs.tobytes() for eigs in matrix_lab._sweep(insts, s_grid)] == want
         # a direct verification sweeps its instance alone
         assert matrix_lab._observe(insts[0], options).eigs.tobytes() == want[0]
+
+    @pytest.mark.parametrize("s_points", [2, 11, 60])
+    def test_batches_follow_the_specs_alone(self, s_points, monkeypatch):
+        specs = standard_suite_specs(300, 4, 40, 3)
+        batches = matrix_lab._suite_batches(specs, s_points)
+        assert sorted(idx for batch in batches for idx in batch) == list(range(len(specs)))
+        short = []
+        for k, batch in enumerate(batches):
+            (dim,) = {specs[idx][1] for idx in batch}
+            assert batch == sorted(batch) and len(batch) <= _batch_count(dim, s_points)
+            if len(batch) < _batch_count(dim, s_points):
+                short.append((k, dim))
+        # full batches go out as they fill; one short batch per order at the end
+        full = batches[:len(batches) - len(short)]
+        assert [b[-1] for b in full] == sorted(b[-1] for b in full)
+        assert [k for k, _ in short] == list(range(len(full), len(batches)))
+        assert len({dim for _, dim in short}) == len(short)
+        for pool in ((None, 1), (None, 64)):
+            monkeypatch.setattr(matrix_lab, "_svd_pool", pool)
+            assert matrix_lab._suite_batches(specs, s_points) == batches
+
+
+def _same_observation(got, want) -> bool:
+    """Whether two observations hold the same arrays, bit for bit."""
+    pairs = list(zip(_stored_arrays(got), _stored_arrays(want)))
+    return (
+        len(_stored_arrays(got)) == len(_stored_arrays(want))
+        and [g.check for g in got.grids] == [g.check for g in want.grids]
+        and all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in pairs)
+        and got.trace_slogdet == want.trace_slogdet
+    )
+
+
+class TestLockstep:
+    """A batch's bracket rounds run in lockstep, one SVD per round, with each instance's lone observation."""
+
+    @pytest.mark.parametrize("dim", [4, 10, 22, 40])
+    def test_batch_matches_lone_observe(self, dim, monkeypatch):
+        options = VerifyOptions()
+        # every kind in one batch at least once, as suite batches mix them
+        kinds = _PRUNE_KINDS * -(-_batch_count(dim) // len(_PRUNE_KINDS))
+        insts = [_prune_instance(kind, dim, seed, 0.7) for seed, kind in enumerate(kinds)]
+        lone = [matrix_lab._observe(inst, options) for inst in insts]
+        masks = [[g.exact.tolist() for g in obs.grids] for obs in lone]
+        # the batch twice on the lanes, so that on two or more CPUs a worker
+        # observes one copy; then on the calling thread alone, at 1 and 64 CPUs
+        for pool, copies in ((matrix_lab._svd_workers(), 2), ((None, 1), 1), ((None, 64), 1)):
+            monkeypatch.setattr(matrix_lab, "_svd_pool", pool)
+            observed = []
+            matrix_lab._run_lanes(
+                lambda batch: observed.append(matrix_lab._observe_batch(batch, options)), [insts] * copies
+            )
+            assert len(observed) == copies
+            for batch in observed:
+                assert all(_same_observation(got, want) for got, want in zip(batch, lone))
+                assert [[g.exact.tolist() for g in obs.grids] for obs in batch] == masks
+
+    def test_one_svd_call_per_round(self, oracle_calls):
+        insts = [gen_instance(10, seed) for seed in range(_batch_count(10))]
+        matrix_lab._observe_batch(insts, VerifyOptions())
+        batched = oracle_calls["svd"]
+        oracle_calls["svd"] = 0
+        for inst in insts:
+            matrix_lab._observe(inst, VerifyOptions())
+        assert oracle_calls["eigvals"] == 1 + len(insts)
+        # the batch takes as many rounds as its slowest instance
+        assert 0 < batched < oracle_calls["svd"]
 
 
 def _hyperbola_rows(inst, s_grid, eigs):
