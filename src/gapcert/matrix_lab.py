@@ -20,10 +20,11 @@ be its check's worst, so reports equal those of a full-grid evaluation.
 verify_instance observes only when it is given no observation, on the
 calling thread.  run_suite drives the standard mixed suite used by the
 acceptance gate and hands verify_instance each observation: a call with
-its previous call's specs, s_points and grid constants reuses that call's;
-any other runs batches of instances of one order on lanes, one per usable
-CPU, each lane generating, sweeping (one eigvals call), observing (bracket
-rounds in lockstep, one SVD call each) and judging a whole batch.
+its previous call's specs, s_points and grid constants judges that call's
+instances on its observations and generates nothing; any other runs
+batches of instances of one order on lanes, one per usable CPU, each lane
+generating, sweeping (one eigvals call), observing (bracket rounds in
+lockstep, one SVD call each) and judging a whole batch.
 
 Importing this module loads every certificate module, applications and
 gap_sequences among them although the oracle calls neither: code that
@@ -1038,9 +1039,10 @@ def _judge(inst: MatrixInstance, obs: _Observation, options: VerifyOptions) -> V
     )
 
 
-# (plan, observations in spec order) of the previous run_suite call, where
-# plan = (specs, s_points, _Z_RE, _Z_IM, _INSET): a call with the same plan
-# regenerates the same instances and judges them on these observations.
+# (plan, (instance, observation) pairs in spec order) of the previous
+# run_suite call, where plan = (specs, s_points, _Z_RE, _Z_IM, _INSET): a
+# call with the same plan judges these instances on these observations.
+# Every array in it is read-only; run_suite(500)'s store holds about 13 MB.
 _previous_suite: tuple = (None, ())
 
 
@@ -1158,30 +1160,31 @@ def run_suite(
     """Generate and verify the standard mixed suite; reports keep spec order.
 
     A call with the previous call's specs, s_points and grid constants
-    judges its instances on that call's observations, on the calling
-    thread, so a suite verified again under another widen does no new
-    linear algebra.  Any other call runs the _suite_batches on lanes
-    (_run_lanes), and if an instance raises keeps the previous call's.
+    judges that call's instances on its observations, on the calling
+    thread, so a suite verified again under another widen generates no
+    instance and does no new linear algebra.  Any other call runs the
+    _suite_batches on lanes (_run_lanes), and if an instance raises keeps
+    the previous call's.
     """
     global _previous_suite
     require_int("count", count, 1)
     t0 = time.perf_counter()
     specs = standard_suite_specs(count, dim_lo, dim_hi, seed)
     plan = (tuple(specs), options.s_points, _Z_RE, _Z_IM, _INSET)
-    previous_plan, observations = _previous_suite
+    previous_plan, observed = _previous_suite
     if previous_plan == plan:
-        reports = [verify_instance(_suite_instance(idx, spec), options, obs)
-                   for (idx, spec), obs in zip(enumerate(specs), observations)]
+        reports = [verify_instance(inst, options, obs) for inst, obs in observed]
     else:
-        observations = [None] * len(specs)
+        observed = [None] * len(specs)
         reports = [None] * len(specs)
 
         def observe(batch) -> None:
             insts = [_suite_instance(idx, specs[idx]) for idx in batch]
             for idx, inst, obs in zip(batch, insts, _observe_batch(insts, options)):
-                observations[idx] = obs
+                _read_only(inst.t_diag, inst.a_mat)
+                observed[idx] = (inst, obs)
                 reports[idx] = verify_instance(inst, options, obs)
 
         _run_lanes(observe, _suite_batches(specs, options.s_points))
-    _previous_suite = (plan, tuple(observations))
+    _previous_suite = (plan, tuple(observed))
     return SuiteResult(tuple(reports), time.perf_counter() - t0)

@@ -633,6 +633,30 @@ class TestObservationReuse:
         run_suite(*_SMALL, options=_WIDENED)
         assert oracle_calls == {"eigvals": 0, "svd": 0, "slogdet": 0, "swept": 0}
 
+    def test_reuse_generates_nothing(self, monkeypatch):
+        calls = {"gen_instance": 0, "verify_instance": 0}
+        lock = threading.Lock()
+
+        def counted(name):
+            fn = getattr(matrix_lab, name)
+
+            def wrapper(*args, **kwargs):
+                with lock:
+                    calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # rebound through the module names, as perfbench/tracer.py does
+        for name in calls:
+            monkeypatch.setattr(matrix_lab, name, counted(name))
+        run_suite(*_SMALL)
+        assert calls == {"gen_instance": _SMALL[0], "verify_instance": _SMALL[0]}
+        calls.update(gen_instance=0, verify_instance=0)
+        reused = run_suite(*_SMALL, options=_WIDENED).to_csv()
+        assert calls == {"gen_instance": 0, "verify_instance": _SMALL[0]}
+        matrix_lab._previous_suite = (None, ())
+        assert run_suite(*_SMALL, options=_WIDENED).to_csv() == reused
+
     @pytest.mark.parametrize("changed", [("s_points", 9), ("_INSET", 1e-5), ("_Z_RE", 14), ("_Z_IM", 5)])
     def test_changed_grid_observes_again(self, oracle_calls, monkeypatch, changed):
         run_suite(*_SMALL)
@@ -680,10 +704,10 @@ class TestObservationReuse:
         run_suite(*_SMALL)
         stored = list(matrix_lab._previous_suite[1])
         assert len(stored) == _SMALL[0]
-        assert any(obs.strips for obs in stored)
-        assert any(g.check == "resolvent-symgap" for obs in stored for g in obs.grids)
-        for obs in stored:
-            for array in _stored_arrays(obs):
+        assert any(obs.strips for _, obs in stored)
+        assert any(g.check == "resolvent-symgap" for _, obs in stored for g in obs.grids)
+        for inst, obs in stored:
+            for array in [inst.t_diag, inst.a_mat, *_stored_arrays(obs)]:
                 with pytest.raises(ValueError, match="read-only"):
                     array.flat[0] = 0
 
