@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from math import inf, isfinite
 
-__all__ = ["ConditionNotApplicable", "BoundNotValid", "NumericalFailure", "NearSingular"]
+__all__ = ["ConditionNotApplicable", "BoundNotValid", "NumericalFailure"]
 
 
 class ConditionNotApplicable(Exception):
@@ -25,10 +25,6 @@ class BoundNotValid(ConditionNotApplicable):
 
 class NumericalFailure(Exception):
     """A numerical routine failed to produce a trustworthy result."""
-
-
-class NearSingular(NumericalFailure):
-    """Resolvent norm requested within 1e-12 of an eigenvalue."""
 
 
 def require_finite(name: str, value: float) -> float:

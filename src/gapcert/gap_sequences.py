@@ -334,19 +334,15 @@ def _tail(values: Sequence[float], window: Optional[int] = None) -> Sequence[flo
 
 def _decide(value: float, threshold: float, exact: bool, want_greater: bool) -> int:
     """Three-way strict test: 1 holds, -1 fails, 0 straddling (estimates only)."""
+    if not want_greater:
+        # negation is exact and rounding symmetric, so value < threshold is -value > -threshold
+        return _decide(-value, -threshold, exact, True)
     if exact:
-        holds = value > threshold if want_greater else value < threshold
-        return 1 if holds else -1
+        return 1 if value > threshold else -1
     tol = _STRADDLE_TOL * max(1.0, abs(threshold))
-    if want_greater:
-        if value > threshold + tol:
-            return 1
-        if value < threshold - tol:
-            return -1
-        return 0
-    if value < threshold - tol:
-        return 1
     if value > threshold + tol:
+        return 1
+    if value < threshold - tol:
         return -1
     return 0
 

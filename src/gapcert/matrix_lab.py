@@ -22,9 +22,10 @@ calling thread.  run_suite drives the standard mixed suite used by the
 acceptance gate and hands verify_instance each observation: a call with
 its previous call's specs, s_points and grid constants judges that call's
 instances on its observations and generates nothing; any other runs
-batches of instances of one order on lanes, one per usable CPU, each lane
-generating, sweeping (one eigvals call), observing (bracket rounds in
-lockstep, one SVD call each) and judging a whole batch.
+batches of instances of one order on lanes, one per usable CPU, started
+and joined within the call, each lane generating, sweeping (one eigvals
+call), observing (bracket rounds in lockstep, one SVD call each) and
+judging a whole batch.
 
 Importing this module loads every certificate module, applications and
 gap_sequences among them although the oracle calls neither: code that
@@ -600,45 +601,21 @@ def _check_strips(strips, eigs, widen) -> CheckResult:
 # so large that its s-sweep holds more than _GIL_FREE_SIZE // n matrices.
 _GIL_FREE_SIZE = 500
 
-# (thread pool or None, usable CPUs), made when run_suite first runs its
-# lanes; one per process, since the CPUs are the process's
-_svd_pool = None
-_svd_pool_lock = threading.Lock()
 
-
-def _drop_svd_pool() -> None:
-    # a forked child inherits the pool object but none of its threads
-    global _svd_pool, _svd_pool_lock
-    _svd_pool, _svd_pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_svd_pool)
-
-
-def _svd_workers():
-    global _svd_pool
-    with _svd_pool_lock:
-        if _svd_pool is None:
-            if hasattr(os, "sched_getaffinity"):
-                cpus = len(os.sched_getaffinity(0))
-            else:
-                cpus = os.cpu_count() or 1
-            pool = None
-            if cpus > 1:
-                from concurrent.futures import ThreadPoolExecutor
-
-                pool = ThreadPoolExecutor(cpus - 1, thread_name_prefix="gapcert-lane")
-            _svd_pool = (pool, cpus)
-        return _svd_pool
+def _usable_cpus() -> int:
+    """CPUs in the process's affinity mask, else os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _run_lanes(work, batches: list) -> None:
-    """work(batch) for every batch; each lane, the caller or a pool worker, takes the next batch.
+    """work(batch) for every batch; each lane, the caller or a thread started for this call, takes the next batch.
 
-    Once a lane raises (the caller's KeyboardInterrupt too) no lane takes another batch, and the
-    first exception is re-raised when no batch is in flight."""
-    pool, cpus = _svd_workers()
+    One lane per usable CPU, at most one per batch.  Once a lane raises (the
+    caller's KeyboardInterrupt too) no lane takes another batch; every
+    started lane is joined before the first exception is re-raised, so no
+    thread outlives the call."""
     todo, lock, stop, errors = iter(batches), threading.Lock(), threading.Event(), []
 
     def lane() -> None:
@@ -654,13 +631,16 @@ def _run_lanes(work, batches: list) -> None:
                     errors.append(exc)
                     stop.set()
 
-    workers = [pool.submit(lane) for _ in range(min(cpus, len(batches)) - 1)] if pool else []
+    lanes = [threading.Thread(target=lane, name="gapcert-lane") for _ in range(min(_usable_cpus(), len(batches)) - 1)]
     try:
+        for t in lanes:
+            t.start()
         lane()
     finally:
         stop.set()
-        for f in workers:
-            f.cancel() or f.exception()  # a running lane finishes its batch
+        for t in lanes:
+            if t.is_alive():
+                t.join()  # a running lane finishes its batch
     if errors:
         raise errors[0]
 

@@ -4,14 +4,13 @@ Each region becomes a tuple of named segments; a segment carries exactly
 `resolution` (re, im) samples so downstream row counts are predictable.
 Unbounded regions are cut at a clipping radius, which callers default to
 ten times the largest input magnitude.  Samples are plain float
-arithmetic: `_linspace` and `_walk` do the operations of np.linspace and
-np.interp in the same order, so plotting a region loads no numpy.
+arithmetic: `_linspace` does the operations of np.linspace in the same
+order, so plotting a region loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -72,34 +71,6 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
     return samples
 
 
-def _interp(x: float, xp: list[float], fp: list[float]) -> float:
-    # np.interp at one x in [xp[0], xp[-1]], for nondecreasing xp whose steps
-    # are the lengths of the sides fp walks, so that no slope is infinite and
-    # np.interp's retry for a NaN value never runs
-    j = bisect_right(xp, x) - 1
-    if j == len(xp) - 1 or xp[j] == x:
-        return fp[j]
-    return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
-
-
-def _walk(corners: list[tuple[float, float]], num: int) -> tuple[list[float], list[float]]:
-    """num points at equal arc length along a polyline of finite corners.
-
-    np.interp over np.linspace(0, length, num).  A length that overflows is
-    walked at an eighth of the size and scaled back, which is exact for
-    every coordinate of magnitude 2**-1019 or more.
-    """
-    cum = [0.0]
-    for (x0, y0), (x1, y1) in zip(corners, corners[1:]):
-        cum.append(cum[-1] + math.hypot(x1 - x0, y1 - y0))
-    if math.isinf(cum[-1]):
-        re, im = _walk([(x / 8.0, y / 8.0) for x, y in corners], num)
-        return [8.0 * x for x in re], [8.0 * y for y in im]
-    ts = _linspace(0.0, cum[-1], num)
-    xs, ys = [x for x, _ in corners], [y for _, y in corners]
-    return [_interp(t, cum, xs) for t in ts], [_interp(t, cum, ys) for t in ts]
-
-
 def _hyperbola_height(q: QuadBound, re: list[float]) -> list[float]:
     if q.b >= 1.0:
         raise ConditionNotApplicable("no enclosure for b >= 1: the hyperbola degenerates")
@@ -128,16 +99,22 @@ def hyperbola_boundary(q: QuadBound, resolution: int, clip: float) -> tuple[Segm
     return _seg("upper", re, im), _seg("lower", re, [-h for h in im])
 
 
-def strip_boundary(lo: float, hi: float, resolution: int, clip: float) -> tuple[Segment]:
-    """Closed rectangle around the strip (lo, hi) cut at |Im| = clip."""
+def strip_boundary(lo: float, hi: float, resolution: int, clip: float) -> tuple[Segment, ...]:
+    """The rectangle around the strip (lo, hi) cut at |Im| = clip: four sides, counter-clockwise.
+
+    Each side runs corner to corner, so every corner is a sample of the two
+    sides that meet there, at every resolution.
+    """
     resolution = require_int("resolution", resolution, 2)
     clip = require_positive("clip", clip)
     lo, hi = require_finite("lo", lo), require_finite("hi", hi)
     if not lo < hi:
         raise ValueError("requires lo < hi")
-    # every side is axis-aligned, so hypot is its exact length and squares nothing
-    re, im = _walk([(lo, -clip), (hi, -clip), (hi, clip), (lo, clip), (lo, -clip)], resolution)
-    return (_seg("rectangle", re, im),)
+    corners = [(lo, -clip), (hi, -clip), (hi, clip), (lo, clip), (lo, -clip)]
+    return tuple(
+        _seg(name, _linspace(x0, x1, resolution), _linspace(y0, y1, resolution))
+        for name, (x0, y0), (x1, y1) in zip(("bottom", "right", "top", "left"), corners, corners[1:])
+    )
 
 
 def sector_boundary(cover: GKCover, resolution: int, clip: float) -> tuple[Segment, ...]:

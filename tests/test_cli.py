@@ -647,14 +647,30 @@ class TestSampleRegion:
         assert all(float(r[2]) == -1.0 for r in rows if r[0] == "lower")
 
     def test_strip_rectangle_closes(self):
+        # four sides counter-clockwise, corner to corner: the last row is the first
         code, out = run_cli(
             "sample-region", "--kind", "strip", "--lo", "1", "--hi", "2",
-            "--clip", "5", "--resolution", "33", "--csv", "-",
+            "--clip", "20", "--resolution", "3", "--csv", "-",
         )
-        lines = out.strip().split("\n")[1:]
-        assert len(lines) == 33
-        first, last = lines[0].split(","), lines[-1].split(",")
-        assert (first[1], first[2]) == (last[1], last[2])
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "bottom,1.0,-20.0", "bottom,1.5,-20.0", "bottom,2.0,-20.0",
+            "right,2.0,-20.0", "right,2.0,0.0", "right,2.0,20.0",
+            "top,2.0,20.0", "top,1.5,20.0", "top,1.0,20.0",
+            "left,1.0,20.0", "left,1.0,0.0", "left,1.0,-20.0",
+        ]
+
+    @pytest.mark.parametrize("clip", ["20", "1e20"])
+    def test_strip_corners_at_two_samples(self, clip):
+        # a width far below the height's rounding keeps its corners apart
+        code, out = run_cli("sample-region", "--kind", "strip", "--lo", "1", "--hi", "2",
+                            "--clip", clip, "--resolution", "2", "--csv", "-")
+        assert code == 0
+        c = repr(float(clip))
+        assert out.splitlines()[1:] == [
+            f"bottom,1.0,-{c}", f"bottom,2.0,-{c}", f"right,2.0,-{c}", f"right,2.0,{c}",
+            f"top,2.0,{c}", f"top,1.0,{c}", f"left,1.0,{c}", f"left,1.0,-{c}",
+        ]
 
     def test_strip_with_huge_ends_stays_finite(self):
         # the default clip is 6.7e153: squaring the rectangle's sides would overflow
@@ -663,8 +679,11 @@ class TestSampleRegion:
             "--resolution", "2", "--csv", "-",
         )
         assert code == 0
-        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
-        assert rows == [["rectangle", "-6.703903964971299e+152", "-6.703903964971299e+153"]] * 2
+        lo, clip = "-6.703903964971299e+152", "6.703903964971299e+153"
+        assert out.splitlines()[1:] == [
+            f"bottom,{lo},-{clip}", f"bottom,1.0,-{clip}", f"right,1.0,-{clip}", f"right,1.0,{clip}",
+            f"top,1.0,{clip}", f"top,{lo},{clip}", f"left,{lo},{clip}", f"left,{lo},-{clip}",
+        ]
 
     def test_coulomb_with_huge_mass_stays_finite(self):
         # the default clip, ten times the largest input, squares past the largest double
@@ -706,14 +725,16 @@ class TestSampleRegion:
             "lower,1e+308,-5.773502691896258e+307",
         ]
 
-    def test_strip_with_overflowing_perimeter_stays_finite(self):
-        # the perimeter 2 + 4e308 overflows; the width is below its rounding,
-        # so the half-way sample is the corner (lo, clip), as at --clip 1e20
+    def test_strip_with_overflowing_side_stays_finite(self):
+        # 2 * clip overflows; the vertical sides are taken at half scale and doubled
         code, out = run_cli("sample-region", "--kind", "strip", "--lo", "1", "--hi", "2",
                             "--resolution", "3", "--clip", "1e308")
         assert code == 0
         assert out.splitlines()[1:] == [
-            "rectangle,1.0,-1e+308", "rectangle,1.0,1e+308", "rectangle,1.0,-1e+308",
+            "bottom,1.0,-1e+308", "bottom,1.5,-1e+308", "bottom,2.0,-1e+308",
+            "right,2.0,-1e+308", "right,2.0,0.0", "right,2.0,1e+308",
+            "top,2.0,1e+308", "top,1.5,1e+308", "top,1.0,1e+308",
+            "left,1.0,1e+308", "left,1.0,0.0", "left,1.0,-1e+308",
         ]
 
     def test_default_clip_stops_at_the_largest_double(self):

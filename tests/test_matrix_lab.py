@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from gapcert import Gap, QuadBound, matrix_lab
 from gapcert.blocks import NumRangeBounds
-from gapcert.errors import NearSingular, NumericalFailure
+from gapcert.errors import NumericalFailure
 from gapcert.matrix_lab import (
     MatrixInstance,
     VerifyOptions,
@@ -25,6 +25,10 @@ from gapcert.matrix_lab import (
     standard_suite_specs,
     verify_instance,
 )
+
+
+class NearSingular(NumericalFailure):
+    """Resolvent norm requested within 1e-12 of an eigenvalue."""
 
 
 def eig(m: np.ndarray) -> np.ndarray:
@@ -389,10 +393,6 @@ class TestSuite:
             assert flag in ("0", "1")
 
 
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 def _one_round(m0, zs):
     """Generator asking _lockstep once for the norms at zs, and returning them."""
     return (yield m0, zs)
@@ -424,21 +424,18 @@ class TestParallelOracle:
         assert [n.tolist() for n in norms] == [[resolvent_norm(m0, z) for z in zs] for m0, zs in asks]
 
     @pytest.mark.usefixtures("empty_store")
-    def test_suite_matches_serial_loop(self, monkeypatch):
+    def test_suite_matches_serial_loop(self):
         # orders 4 to 40 mixed, so that run_suite plans batches of several
         # orders and the lanes take them in turn
         args = (60, 4, 40)
-        pooled = run_suite(*args).reports
-        monkeypatch.setattr(matrix_lab, "_svd_pool", (None, 1))
-        assert [r.to_json() for r in pooled] == _serial_reports(*args)
+        laned = run_suite(*args).reports
+        assert [r.to_json() for r in laned] == _serial_reports(*args)
 
     @pytest.mark.usefixtures("empty_store")
-    def test_concurrent_callers_match_serial(self, monkeypatch):
+    def test_concurrent_callers_match_serial(self):
         plans = [(10, 4, 12, 31 + k) for k in range(3)] + [(6, 36, 40, 34 + k) for k in range(3)]
-        monkeypatch.setattr(matrix_lab, "_svd_pool", (None, 1))
         want = [_serial_reports(*args) for args in plans]
-        # six callers race to create the pool and then share its workers
-        monkeypatch.setattr(matrix_lab, "_svd_pool", None)
+        # six callers at once, each starting lanes of its own
         got = [None] * len(plans)
 
         def caller(k):
@@ -456,8 +453,6 @@ class TestParallelOracle:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert got == want
-        if matrix_lab._svd_pool[0] is not None:
-            matrix_lab._svd_pool[0].shutdown()
 
     @pytest.mark.usefixtures("empty_store")
     @pytest.mark.parametrize("error", [NumericalFailure, KeyboardInterrupt])
@@ -499,10 +494,9 @@ class TestParallelOracle:
         # no lane ran on after the call returned, and none took a batch after
         # the failure: at most one batch per lane, and one more taken as it fell
         assert exits and max(exits) <= returned
-        assert len(started) <= min(len(batches) - 1, _usable_cpus() + 1)
+        assert len(started) <= min(len(batches) - 1, matrix_lab._usable_cpus() + 1)
         assert matrix_lab._previous_suite is store
         got = [r.to_json() for r in run_suite(*args).reports]
-        monkeypatch.setattr(matrix_lab, "_svd_pool", (None, 1))
         assert got == _serial_reports(*args)
 
     def test_interrupt_between_batches_stops_every_lane(self):
@@ -535,10 +529,9 @@ class TestParallelOracle:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     @pytest.mark.usefixtures("empty_store")
-    def test_forked_child_verifies_after_parent_used_pool(self):
+    def test_forked_child_verifies_after_parent_ran_lanes(self):
         args = (12, 20, 24, 11)
         want = run_suite(*args).to_csv()
-        assert matrix_lab._svd_pool is not None
 
         def child():
             # the child observes again, on lanes of its own
@@ -556,20 +549,49 @@ class TestParallelOracle:
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
     def test_one_cpu_starts_no_thread(self):
-        script = "\n".join([
+        assert _fresh_process_prints(
             "import os, sys, threading",
             "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})",
             "from gapcert.matrix_lab import gen_instance, run_suite, verify_instance",
             "assert verify_instance(gen_instance(24, 11)).ok",
             "assert run_suite(12, 20, 24, 11).ok",
             "print(threading.active_count(), 'concurrent.futures' in sys.modules)",
-        ])
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["1", "False"]
+        ) == ["1", "False"]
+
+    def test_no_thread_outlives_the_call(self):
+        # in a fresh process, so that no earlier call's thread is counted;
+        # four usable CPUs, so that the call starts lanes on any machine
+        assert _fresh_process_prints(
+            "import threading",
+            "from gapcert import matrix_lab",
+            "from gapcert.errors import NumericalFailure",
+            "matrix_lab._usable_cpus = lambda: 4",
+            "generate, lanes, refuse = matrix_lab.gen_instance, set(), False",
+            "def refusing(*args, **kw):",
+            "    lanes.add(threading.current_thread().name)",
+            "    if refuse and kw['name'].endswith('-0007'):",
+            "        raise NumericalFailure('refused')",
+            "    return generate(*args, **kw)",
+            "matrix_lab.gen_instance = refusing",
+            "before = threading.active_count()",
+            "assert matrix_lab.run_suite(12, 20, 24, 11).ok",
+            "returned, refuse = threading.active_count(), True",
+            "try:",
+            "    matrix_lab.run_suite(12, 20, 24, 12)",
+            "except NumericalFailure:",
+            "    raised = threading.active_count()",
+            "print(before, returned, raised, len(lanes) > 1)",
+        ) == ["1", "1", "1", "True"]
+
+
+def _fresh_process_prints(*lines: str) -> list[str]:
+    """The words the script of `lines` prints in a new interpreter that imports gapcert from src/."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", "\n".join(lines)], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
 
 
 _SMALL = (16, 6, 14, 11)
@@ -770,12 +792,9 @@ class TestPrunedOracle:
         inst = _prune_instance(kind, dim, dim, magnitude)
         m0 = inst.t_mat + inst.a_mat
         observed = [matrix_lab._observe(inst, VerifyOptions())]
-        # the serial oracle, then rounds of one point per check
-        with monkeypatch.context() as patch:
-            patch.setattr(matrix_lab, "_svd_pool", (None, 1))
-            observed.append(matrix_lab._observe(inst, VerifyOptions()))
-            patch.setattr(matrix_lab, "_round_size", lambda n, pending: 1)
-            observed.append(matrix_lab._observe(inst, VerifyOptions()))
+        # and again in rounds of one point per check
+        monkeypatch.setattr(matrix_lab, "_round_size", lambda n, pending: 1)
+        observed.append(matrix_lab._observe(inst, VerifyOptions()))
         obs = observed[0]
         full = dataclasses.replace(obs, grids=tuple(_full_grid(grid, m0) for grid in obs.grids))
         want = [matrix_lab._judge(inst, full, o).to_json() for o in (VerifyOptions(), _WIDENED)]
@@ -844,8 +863,8 @@ class TestBatchedSweep:
         assert [b[-1] for b in full] == sorted(b[-1] for b in full)
         assert [k for k, _ in short] == list(range(len(full), len(batches)))
         assert len({dim for _, dim in short}) == len(short)
-        for pool in ((None, 1), (None, 64)):
-            monkeypatch.setattr(matrix_lab, "_svd_pool", pool)
+        for cpus in (1, 64):
+            monkeypatch.setattr(matrix_lab, "_usable_cpus", lambda: cpus)
             assert matrix_lab._suite_batches(specs, s_points) == batches
 
 
@@ -871,15 +890,15 @@ class TestLockstep:
         insts = [_prune_instance(kind, dim, seed, 0.7) for seed, kind in enumerate(kinds)]
         lone = [matrix_lab._observe(inst, options) for inst in insts]
         masks = [[g.exact.tolist() for g in obs.grids] for obs in lone]
-        # the batch twice on the lanes, so that on two or more CPUs a worker
-        # observes one copy; then on the calling thread alone, at 1 and 64 CPUs
-        for pool, copies in ((matrix_lab._svd_workers(), 2), ((None, 1), 1), ((None, 64), 1)):
-            monkeypatch.setattr(matrix_lab, "_svd_pool", pool)
+        # the batch twice on the lanes: at the real CPU count, at 1 (both
+        # copies on the calling thread) and at 64 (one copy on a started lane)
+        for cpus in (matrix_lab._usable_cpus(), 1, 64):
+            monkeypatch.setattr(matrix_lab, "_usable_cpus", lambda: cpus)
             observed = []
             matrix_lab._run_lanes(
-                lambda batch: observed.append(matrix_lab._observe_batch(batch, options)), [insts] * copies
+                lambda batch: observed.append(matrix_lab._observe_batch(batch, options)), [insts] * 2
             )
-            assert len(observed) == copies
+            assert len(observed) == 2
             for batch in observed:
                 assert all(_same_observation(got, want) for got, want in zip(batch, lone))
                 assert [[g.exact.tolist() for g in obs.grids] for obs in batch] == masks

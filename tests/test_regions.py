@@ -8,8 +8,10 @@ is one exception: where a^2 + b^2 Re^2 overflows, the hyperbola height
 comes from math.hypot, which is correctly rounded, while np.hypot is the
 C library's and may be one ulp off.  Where the reference overflows an
 intermediate but every sample is a double, the sampler must still give
-finite rows.  The envelope grid is np.geomspace's formula with the
-`math` module's log10 and power, so it is held to 1e-13 relative.
+finite rows.  The strip has no numpy reference: its four sides are
+`_linspace` between its corners, and its rows are pinned directly.  The
+envelope grid is np.geomspace's formula with the `math` module's log10
+and power, so it is held to 1e-13 relative.
 """
 
 from __future__ import annotations
@@ -69,16 +71,6 @@ def np_hyperbola_boundary(q, resolution, clip):
     re = np.linspace(-clip, clip, resolution)
     im = _np_height(q, re)
     return _np_seg("upper", re, im), _np_seg("lower", re, -im)
-
-
-def np_strip_boundary(lo, hi, resolution, clip):
-    corners = np.array([(lo, -clip), (hi, -clip), (hi, clip), (lo, clip), (lo, -clip)], dtype=float)
-    lengths = np.hypot(*np.diff(corners, axis=0).T)
-    cum = np.concatenate([[0.0], np.cumsum(lengths)])
-    t = np.linspace(0.0, cum[-1], resolution)
-    re = np.interp(t, cum, corners[:, 0])
-    im = np.interp(t, cum, corners[:, 1])
-    return (_np_seg("rectangle", re, im),)
 
 
 def np_sector_boundary(cover, resolution, clip):
@@ -220,17 +212,41 @@ class TestSamplersMatchNumpy:
     @given(lo=_SIGNED, hi=_SIGNED, clip=_CLIP, resolution=_SIZE)
     @settings(max_examples=150, deadline=None)
     def test_strip(self, lo, hi, clip, resolution):
+        # four sides, counter-clockwise, each the _linspace between its two
+        # corners (checked against np.linspace above); the corners are exact
         assume(lo < hi)
-        (ours,) = regions.strip_boundary(lo, hi, resolution, clip)
-        assert _finite((ours,))
-        assert (ours.re[0], ours.im[0]) == (ours.re[-1], ours.im[-1])
-        ref = _reference(np_strip_boundary, lo, hi, resolution, clip)
-        if ref is None:
-            # the perimeter overflowed: the rectangle is walked at an eighth of its size
-            assume(all((v / 8.0) * 8.0 == v for v in (lo, hi, clip)))
-            (eighth,) = np_strip_boundary(lo / 8.0, hi / 8.0, resolution, clip / 8.0)
-            ref = (Segment("rectangle", tuple(8.0 * x for x in eighth.re), tuple(8.0 * y for y in eighth.im)),)
-        _assert_same_rows((ours,), ref)
+        corners = [(lo, -clip), (hi, -clip), (hi, clip), (lo, clip), (lo, -clip)]
+        ours = regions.strip_boundary(lo, hi, resolution, clip)
+        assert [s.name for s in ours] == ["bottom", "right", "top", "left"]
+        assert _finite(ours)
+        for side, start, stop in zip(ours, corners, corners[1:]):
+            assert len(side.re) == len(side.im) == resolution
+            assert (side.re[0], side.im[0]) == start and (side.re[-1], side.im[-1]) == stop
+            assert list(side.re) == regions._linspace(start[0], stop[0], resolution)
+            assert list(side.im) == regions._linspace(start[1], stop[1], resolution)
+        # the horizontal sides keep Im = -+clip, the vertical ones Re = hi, lo
+        assert set(ours[0].im) == {-clip} and set(ours[2].im) == {clip}
+        assert set(ours[1].re) == {hi} and set(ours[3].re) == {lo}
+
+    @pytest.mark.parametrize("lo, hi, resolution, clip, rows", [
+        (1.0, 2.0, 2, 20.0, [(1.0, -20.0), (2.0, -20.0), (2.0, -20.0), (2.0, 20.0),
+                             (2.0, 20.0), (1.0, 20.0), (1.0, 20.0), (1.0, -20.0)]),
+        (1.0, 2.0, 3, 20.0, [(1.0, -20.0), (1.5, -20.0), (2.0, -20.0), (2.0, -20.0), (2.0, 0.0), (2.0, 20.0),
+                             (2.0, 20.0), (1.5, 20.0), (1.0, 20.0), (1.0, 20.0), (1.0, 0.0), (1.0, -20.0)]),
+        # a width far below the height's rounding keeps its corners apart
+        (1.0, 2.0, 3, 1e20, [(1.0, -1e20), (1.5, -1e20), (2.0, -1e20), (2.0, -1e20), (2.0, 0.0), (2.0, 1e20),
+                             (2.0, 1e20), (1.5, 1e20), (1.0, 1e20), (1.0, 1e20), (1.0, 0.0), (1.0, -1e20)]),
+        # 2 * clip overflows: the vertical sides are taken at half scale and doubled
+        (1.0, 2.0, 3, 1e308, [(1.0, -1e308), (1.5, -1e308), (2.0, -1e308), (2.0, -1e308), (2.0, 0.0),
+                              (2.0, 1e308), (2.0, 1e308), (1.5, 1e308), (1.0, 1e308), (1.0, 1e308),
+                              (1.0, 0.0), (1.0, -1e308)]),
+    ])
+    def test_strip_rows(self, lo, hi, resolution, clip, rows):
+        segments = regions.strip_boundary(lo, hi, resolution, clip)
+        assert [(x, y) for s in segments for x, y in zip(s.re, s.im)] == rows
+        assert [s.name for s in segments for _ in s.re] == [
+            name for name in ("bottom", "right", "top", "left") for _ in range(resolution)
+        ]
 
     @given(r_eps=_ANY, half_angle=st.floats(1e-6, math.pi / 2 - 1e-6), clip=_CLIP, resolution=_SIZE)
     @settings(max_examples=100, deadline=None)
@@ -270,7 +286,6 @@ class TestSamplersMatchNumpy:
     def test_csv_text_equals_the_reference_on_ordinary_inputs(self):
         cases = [
             (regions.hyperbola_boundary, np_hyperbola_boundary, (QuadBound(1.0, 0.3), 400, 13.0)),
-            (regions.strip_boundary, np_strip_boundary, (-0.7, 2.5, 257, 25.0)),
             (regions.sector_boundary, np_sector_boundary, (GKCover(2.0, 0.4), 256, 20.0)),
             (regions.coulomb_boundary, np_coulomb_boundary,
              (dirac3d_coulomb(CoulombSpec(0.2, 0.1, 1.0)), 256, 10.0)),
