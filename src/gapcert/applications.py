@@ -87,13 +87,20 @@ def dirac2d_constants(
     return QuadBound(cp ** (p / (p - 2.0)) * b ** (-2.0 / (p - 2.0)), b)
 
 
+def _envelope_x(p: float, cp: float, b: float) -> float:
+    # x = |Re z|^2 on the envelope of the hyperbola family at b, cp = dirac2d_cp
+    return (cp / b) ** (2.0 * p / (p - 2.0)) * (2.0 - p * b * b) / (p - 2.0)
+
+
+def _envelope_y(p: float, cp: float, b: float) -> float:
+    # y = |Im z|^2 on the envelope of the hyperbola family at b, cp = dirac2d_cp
+    return (p * cp * cp / (p - 2.0)) * (cp / b) ** (4.0 / (p - 2.0))
+
+
 def _envelope_xy(spec: DiracSpec, b: float) -> tuple[float, float]:
-    # x = |Re z|^2, y = |Im z|^2 on the envelope of the hyperbola family at b
-    p = spec.p
+    # (x, y) = (|Re z|^2, |Im z|^2) on the envelope of the hyperbola family at b
     cp = dirac2d_cp(spec)
-    x = (cp / b) ** (2.0 * p / (p - 2.0)) * (2.0 - p * b * b) / (p - 2.0)
-    y = (p * cp * cp / (p - 2.0)) * (cp / b) ** (4.0 / (p - 2.0))
-    return x, y
+    return _envelope_x(spec.p, cp, b), _envelope_y(spec.p, cp, b)
 
 
 @dataclass(frozen=True)
@@ -151,9 +158,10 @@ def dirac2d_envelope(
     b_min = require_positive("b_min", b_min)
     if not b_min < b_max:
         raise ValueError("requires b_min < b_max")
+    cp = dirac2d_cp(spec)
     try:
         grid = _log_grid(b_min, b_max, samples)
-        xy = [_envelope_xy(spec, b) for b in grid]
+        xy = [(_envelope_x(p, cp, b), _envelope_y(p, cp, b)) for b in grid]
         if not all(math.isfinite(x) and math.isfinite(y) for x, y in xy):
             raise OverflowError
     except ArithmeticError:
@@ -174,20 +182,23 @@ def _envelope_b_at(spec: DiracSpec, re: float) -> tuple[float, float]:
 
     x(b) decreases strictly on (0, sqrt(2/p)], so halving from the top
     finds lo with x(lo) >= re^2; geometric bisection then stops at its
-    fixed point, the first step that leaves (lo, hi) unchanged.
+    fixed point, the first step that leaves (lo, hi) unchanged.  Both
+    loops evaluate the abscissa x(b) alone, with C_p computed once per call.
     """
     target = re * re
-    hi = _envelope_b_max(spec.p)
+    p = spec.p
+    hi = _envelope_b_max(p)
     if target == 0.0:
         return hi, hi
+    cp = dirac2d_cp(spec)
     try:
         # halving ends at the latest when x(lo) overflows or cp / lo divides by zero
         lo = 0.5 * hi
-        while _envelope_xy(spec, lo)[0] < target:
+        while _envelope_x(p, cp, lo) < target:
             lo *= 0.5
         for _ in range(200):
             mid = math.sqrt(lo * hi)
-            if _envelope_xy(spec, mid)[0] >= target:
+            if _envelope_x(p, cp, mid) >= target:
                 if mid == lo:
                     break
                 lo = mid

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .enclosures import Gap, QuadBound, StripResult, _check_b_lt_1, gap_condition
+from .enclosures import Gap, QuadBound, StripResult, _strip_shifts
 from .errors import ConditionNotApplicable, require_int, require_nonneg, require_positive
 
 __all__ = [
@@ -121,12 +121,11 @@ def almost_gap_eig_bound(
     Each interval contains at most m eigenvalues of T + A.
     """
     m = require_int("m", m, 0)
-    _check_b_lt_1(q)
-    sa, sb = q.shift(gap.alpha), q.shift(gap.beta)
+    strip, sa, sb = _strip_shifts(q, gap)
     if case == "i":
-        if not gap_condition(q, gap):
+        if not strip.open:
             raise ConditionNotApplicable("gap condition fails for case i")
-        return EigCountInterval(gap.alpha + sa, gap.beta - sb, m)
+        return EigCountInterval(strip.lo, strip.hi, m)
     if case == "ii":
         if w is None or not math.isfinite(w.sup_w):
             raise ConditionNotApplicable("case ii needs a finite numerical-range supremum")

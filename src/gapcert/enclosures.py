@@ -166,10 +166,20 @@ def hyperbola_excluded(q: QuadBound, z: complex) -> bool:
     return z.imag * z.imag > rhs
 
 
+def _strip_shifts(q: QuadBound, gap: Gap) -> tuple[StripResult, float, float]:
+    """perturbed_strip(q, gap) with the endpoint shifts (shift(alpha), shift(beta)) it is made of.
+
+    Each shift is computed once, and the strict gap condition
+    shift(alpha) + shift(beta) < beta - alpha is decided here alone.
+    """
+    _check_b_lt_1(q)
+    sa, sb = q.shift(gap.alpha), q.shift(gap.beta)
+    return StripResult(gap.alpha + sa, gap.beta - sb, sa + sb < gap.width), sa, sb
+
+
 def gap_condition(q: QuadBound, gap: Gap) -> bool:
     """Strict inequality guaranteeing the gap survives the perturbation."""
-    _check_b_lt_1(q)
-    return q.shift(gap.alpha) + q.shift(gap.beta) < gap.width
+    return _strip_shifts(q, gap)[0].open
 
 
 def perturbed_strip(q: QuadBound, gap: Gap) -> StripResult:
@@ -178,10 +188,7 @@ def perturbed_strip(q: QuadBound, gap: Gap) -> StripResult:
     When the gap condition holds the strip is open and is avoided by the
     spectrum of T + sA for every coupling s in [0, 1].
     """
-    _check_b_lt_1(q)
-    lo = gap.alpha + q.shift(gap.alpha)
-    hi = gap.beta - q.shift(gap.beta)
-    return StripResult(lo, hi, gap_condition(q, gap))
+    return _strip_shifts(q, gap)[0]
 
 
 def perturbed_strip_linear(lin: LinBound, gap: Gap) -> StripResult:
@@ -234,10 +241,12 @@ def _plain_bound(q: QuadBound, gap: Gap, strip: StripResult, z: complex) -> floa
     return 1.0 / (dist * comp)
 
 
-def _crossover(q: QuadBound, gap: Gap) -> float:
-    """Abscissa zeta where the two endpoint ratios of the refined bound coincide."""
-    sa = q.shift(gap.alpha)
-    sb = q.shift(gap.beta)
+def _crossover(gap: Gap, sa: float, sb: float) -> float:
+    """Abscissa zeta where the two endpoint ratios of the refined bound coincide.
+
+    sa and sb are the endpoint shifts shift(alpha) and shift(beta) that
+    _strip_shifts returns with the strip.
+    """
     if not sa + sb > 0:
         return 0.5 * (gap.alpha + gap.beta)
     zeta = gap.alpha + gap.width * (sa / (sa + sb))
@@ -283,7 +292,7 @@ def resolvent_bound_strip(q: QuadBound, gap: Gap, z: complex) -> float:
     bound = 1 / (sqrt(min{Re z - alpha, beta - Re z}^2 + (Im z)^2)
                  * (1 - max{b, shift(alpha)/(Re z - alpha), shift(beta)/(beta - Re z)}))
     """
-    strip = perturbed_strip(q, gap)
+    strip = _strip_shifts(q, gap)[0]
     return _plain_bound(q, gap, strip, _inside(strip, complex(z)))
 
 
@@ -295,24 +304,26 @@ def resolvent_bound_strip_refined(q: QuadBound, gap: Gap, z: complex) -> float:
         zeta = alpha + (beta - alpha) * s_alpha / (s_alpha + s_beta).
     Never exceeds resolvent_bound_strip beyond rounding.
     """
-    strip = perturbed_strip(q, gap)
+    strip, sa, sb = _strip_shifts(q, gap)
     z = _inside(strip, complex(z))
-    return _refined_bound(gap, strip, _crossover(q, gap), z)
+    return _refined_bound(gap, strip, _crossover(gap, sa, sb), z)
 
 
-def _strip_bound_pairs(q: QuadBound, gap: Gap, strip: StripResult, zs) -> list[tuple[float, float]]:
-    """(plain, refined) strip bounds at every z of a grid, given perturbed_strip(q, gap).
+def _strip_bound_pairs(q: QuadBound, gap: Gap, zs) -> list[tuple[float, float]]:
+    """(plain, refined) strip bounds at every z of a grid.
 
     Each pair equals (resolvent_bound_strip, resolvent_bound_strip_refined)
-    at that z bit for bit, and raises as they do; the strip and the
-    crossover are computed once per grid instead of once per bound.
+    at that z bit for bit, and raises as they do; the strip, its two
+    endpoint shifts and the crossover are computed once per grid instead
+    of once per bound.
     """
+    strip, sa, sb = _strip_shifts(q, gap)
     pairs = []
     zeta = None
     for z in zs:
         z = _inside(strip, complex(z))
         if zeta is None:
-            zeta = _crossover(q, gap)
+            zeta = _crossover(gap, sa, sb)
         pairs.append((_plain_bound(q, gap, strip, z), _refined_bound(gap, strip, zeta, z)))
     return pairs
 

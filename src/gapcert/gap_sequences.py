@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence, Union
 
-from .enclosures import Gap, QuadBound, StripResult, perturbed_strip
+from .enclosures import Gap, QuadBound, StripResult, _strip_shifts
 from .errors import ConditionNotApplicable, NumericalFailure
 from .errors import require_finite, require_int, require_nonneg, require_positive
 
@@ -398,9 +398,9 @@ def per_gap_criterion(seq: GapSequence, consts: PerGapConstants) -> PerGapResult
     ratios = []
     strips = []
     for a, b, alpha, beta in zip(consts.a_seq, consts.b_seq, seq.alphas, seq.betas):
-        q = QuadBound(a, b)
-        ratios.append((q.shift(alpha) + q.shift(beta)) / (beta - alpha))
-        strips.append(perturbed_strip(q, Gap(alpha, beta)))
+        strip, sa, sb = _strip_shifts(QuadBound(a, b), Gap(alpha, beta))
+        ratios.append((sa + sb) / (beta - alpha))
+        strips.append(strip)
     tail = _tail(ratios)
     liminf, limsup = min(tail), max(tail)
     if _decide(limsup, 1.0, exact=False, want_greater=False) == 1:

@@ -975,7 +975,7 @@ def _observing(inst: MatrixInstance, s_grid: np.ndarray, eigs: np.ndarray):
     for g in inst.gaps:
         if (strip := perturbed_strip(q, g)).open:
             zs = _strip_zgrid(g, strip)
-            plain, refined = (np.array(col) for col in zip(*_strip_bound_pairs(q, g, strip, zs)))
+            plain, refined = (np.array(col) for col in zip(*_strip_bound_pairs(q, g, zs)))
             strips.append((g, strip, zs, *_read_only(plain, refined)))
             grids.append(("resolvent-strip", zs, np.minimum(plain, refined)))
     gap = next((g for g in inst.gaps if g.alpha == -g.beta), None)

@@ -107,7 +107,8 @@ def strip_boundary(lo: float, hi: float, resolution: int, clip: float) -> tuple[
     """
     resolution = require_int("resolution", resolution, 2)
     clip = require_positive("clip", clip)
-    lo, hi = require_finite("lo", lo), require_finite("hi", hi)
+    # + 0.0 turns an end of -0.0 into 0.0, so that the sides meeting at a corner agree on its sign
+    lo, hi = require_finite("lo", lo) + 0.0, require_finite("hi", hi) + 0.0
     if not lo < hi:
         raise ValueError("requires lo < hi")
     corners = [(lo, -clip), (hi, -clip), (hi, clip), (lo, clip), (lo, -clip)]

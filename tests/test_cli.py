@@ -672,6 +672,20 @@ class TestSampleRegion:
             f"top,2.0,{c}", f"top,1.0,{c}", f"left,1.0,{c}", f"left,1.0,-{c}",
         ]
 
+    @pytest.mark.parametrize("ends", [("--lo=-0.0", "--hi", "1"), ("--lo=-1", "--hi=-0.0")])
+    @pytest.mark.parametrize("resolution", ["2", "3"])
+    def test_strip_end_at_negative_zero(self, ends, resolution):
+        # an end of -0.0 is written as 0.0 on every side, so the two sides at a corner write it alike
+        code, out = run_cli("sample-region", "--kind", "strip", *ends, "--resolution", resolution,
+                            "--clip", "1", "--csv", "-")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert not any(value == "-0.0" for row in rows for value in row[1:])
+        sides = [rows[k : k + int(resolution)] for k in range(0, len(rows), int(resolution))]
+        assert [side[0][0] for side in sides] == ["bottom", "right", "top", "left"]
+        for side, following in zip(sides, sides[1:] + sides[:1]):
+            assert side[-1][1:] == following[0][1:]
+
     def test_strip_with_huge_ends_stays_finite(self):
         # the default clip is 6.7e153: squaring the rectangle's sides would overflow
         code, out = run_cli(

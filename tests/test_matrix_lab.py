@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import multiprocessing
@@ -398,14 +399,18 @@ def _one_round(m0, zs):
     return (yield m0, zs)
 
 
-def _serial_reports(*args) -> list[str]:
-    """JSON of each report of run_suite(*args), the instances verified one by one."""
+@functools.cache
+def _serial_reports(*args) -> tuple[str, ...]:
+    """JSON of each report of run_suite(*args), the instances verified one by one.
+
+    A pure function of args, so each plan is built once per test process.
+    """
     reports = []
     for idx, (kind, dim, seed, magnitude, n_gaps) in enumerate(standard_suite_specs(*args)):
         inst = gen_instance(dim, seed, kind=kind, magnitude=magnitude, n_gaps=n_gaps,
                             name=f"{kind}-{idx:04d}")
         reports.append(verify_instance(inst).to_json())
-    return reports
+    return tuple(reports)
 
 
 class TestParallelOracle:
@@ -429,7 +434,7 @@ class TestParallelOracle:
         # orders and the lanes take them in turn
         args = (60, 4, 40)
         laned = run_suite(*args).reports
-        assert [r.to_json() for r in laned] == _serial_reports(*args)
+        assert tuple(r.to_json() for r in laned) == _serial_reports(*args)
 
     @pytest.mark.usefixtures("empty_store")
     def test_concurrent_callers_match_serial(self):
@@ -439,7 +444,7 @@ class TestParallelOracle:
         got = [None] * len(plans)
 
         def caller(k):
-            got[k] = [r.to_json() for r in run_suite(*plans[k]).reports]
+            got[k] = tuple(r.to_json() for r in run_suite(*plans[k]).reports)
 
         threads = [threading.Thread(target=caller, args=(k,)) for k in range(len(plans))]
         interval = sys.getswitchinterval()
@@ -496,7 +501,7 @@ class TestParallelOracle:
         assert exits and max(exits) <= returned
         assert len(started) <= min(len(batches) - 1, matrix_lab._usable_cpus() + 1)
         assert matrix_lab._previous_suite is store
-        got = [r.to_json() for r in run_suite(*args).reports]
+        got = tuple(r.to_json() for r in run_suite(*args).reports)
         assert got == _serial_reports(*args)
 
     def test_interrupt_between_batches_stops_every_lane(self):

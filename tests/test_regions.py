@@ -33,6 +33,7 @@ from gapcert.applications import (
     _log_grid,
     dirac2d_envelope,
     dirac3d_coulomb,
+    envelope_im_at_re,
 )
 from gapcert.enclosures import GKCover, QuadBound
 from gapcert.errors import ConditionNotApplicable
@@ -111,6 +112,31 @@ def np_envelope_rows(spec, b):
     with np.errstate(over="raise"):
         x, y = _envelope_xy(spec, np.asarray(b, dtype=float))
     return np.sqrt(np.maximum(x, 0.0)), np.sqrt(y)
+
+
+def ref_envelope_b_at(spec, re):
+    # _envelope_b_at's bisection as first written: each step takes the full _envelope_xy, C_p included
+    target = re * re
+    hi = _envelope_b_max(spec.p)
+    if target == 0.0:
+        return hi, hi
+    try:
+        lo = 0.5 * hi
+        while _envelope_xy(spec, lo)[0] < target:
+            lo *= 0.5
+        for _ in range(200):
+            mid = math.sqrt(lo * hi)
+            if _envelope_xy(spec, mid)[0] >= target:
+                if mid == lo:
+                    break
+                lo = mid
+            else:
+                if mid == hi:
+                    break
+                hi = mid
+    except ArithmeticError:
+        raise ConditionNotApplicable(f"re={re!r} beyond the representable envelope range") from None
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -348,3 +374,38 @@ class TestEnvelopeGrid:
             dirac2d_envelope(DiracSpec(1.0, 5.0), 4, b_min=1e-300)
         with pytest.raises(FloatingPointError):
             regions._seg("p=5", [1.0, math.inf], [0.0, 1.0])
+
+
+class TestEnvelopeAbscissa:
+    """The envelope's bisection and curve evaluate x(b) and y(b) with C_p computed once per call."""
+
+    @staticmethod
+    def _outcome(fn, *args):
+        """The bits of what fn returns, or the type and message of what it raised."""
+        try:
+            out = fn(*args)
+        except (ArithmeticError, ConditionNotApplicable) as exc:
+            return type(exc), str(exc)
+        return tuple(x.hex() for x in out) if isinstance(out, tuple) else out.hex()
+
+    @staticmethod
+    def _ref_im_at_re(spec, re):
+        lo, hi = ref_envelope_b_at(spec, re)
+        return math.sqrt(_envelope_xy(spec, math.sqrt(lo * hi))[1])
+
+    @given(vnorm=st.floats(0.05, 20.0), p=st.floats(2.01, 50.0),
+           re=st.floats(0.0, 1e6) | st.floats(0.0, 1e300))
+    @settings(max_examples=200, deadline=None)
+    def test_bisection_bits(self, vnorm, p, re):
+        spec = DiracSpec(vnorm, p)
+        assert self._outcome(_envelope_b_at, spec, re) == self._outcome(ref_envelope_b_at, spec, re)
+        assert self._outcome(envelope_im_at_re, spec, re) == self._outcome(self._ref_im_at_re, spec, re)
+
+    @given(vnorm=st.floats(0.05, 20.0), p=st.floats(2.2, 50.0), samples=st.integers(2, 100))
+    @settings(max_examples=100, deadline=None)
+    def test_curve_bits(self, vnorm, p, samples):
+        spec = DiracSpec(vnorm, p)
+        curve = dirac2d_envelope(spec, samples)
+        xy = [_envelope_xy(spec, b) for b in curve.b]
+        assert curve.re == tuple(math.sqrt(max(x, 0.0)) for x, _ in xy)
+        assert curve.im == tuple(math.sqrt(y) for _, y in xy)
