@@ -218,7 +218,10 @@ def envelope_im_at_re(spec: DiracSpec, re: float) -> float:
     evaluates the ordinate there.  re = 0 sits at b = sqrt(2/p).
     """
     lo, hi = _envelope_b_at(spec, require_nonneg("re", re))
-    return math.sqrt(_envelope_xy(spec, math.sqrt(lo * hi))[1])
+    try:
+        return math.sqrt(_envelope_xy(spec, math.sqrt(lo * hi))[1])
+    except ArithmeticError:
+        raise ConditionNotApplicable(f"re={re!r} beyond the representable envelope range") from None
 
 
 @dataclass(frozen=True)

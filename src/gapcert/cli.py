@@ -429,16 +429,17 @@ def _cmd_two_channel(args, parser):
 
 
 def _cmd_verify(args, parser):
-    from .matrix_lab import VerifyOptions, run_suite
+    from .matrix_lab import _SUITES, VerifyOptions, run_suite
 
-    if args.suite != "standard":
-        parser.error(f"unknown suite {args.suite!r}")
+    if args.suite not in _SUITES:
+        parser.error(f"unknown suite {args.suite!r}; valid suites: {', '.join(_SUITES)}")
     res = run_suite(
         count=args.instances,
         dim_lo=args.dim_lo,
         dim_hi=args.dim_hi,
         seed=args.seed,
         options=VerifyOptions(s_points=args.s_points, widen=args.widen),
+        suite=args.suite,
     )
     if args.csv is not None and _write_csv(args.csv, res.to_csv()) is None:
         return None
@@ -652,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     ])
     _add(sub, "verify", _cmd_verify, "run the matrix verification suite", [
         ("--suite", _S, "standard"), ("--instances", _I, 500), ("--seed", _I, 20260822),
-        ("--dim-lo", _I, 4), ("--dim-hi", _I, 40), ("--widen", _F, 0.0), ("--s-points", _I, 11),
+        ("--dim-lo", _I), ("--dim-hi", _I), ("--widen", _F, 0.0), ("--s-points", _I, 11),
         ("--csv", _S),
     ])
     _add(sub, "sample-region", _cmd_sample_region, "region boundary polylines as CSV", [

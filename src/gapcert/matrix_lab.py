@@ -4,24 +4,29 @@ Instances pair a real diagonal T (gap endpoints placed in the spectrum
 exactly) with a dense complex A whose relative-bound constants are
 measured, never assumed: a_min(b)^2 = lambda_max(A*A - b^2 T^2).  A is
 rescaled so the relevant certification condition holds with a prescribed
-ratio, which keeps the soundness checks honest and non-vacuous.
+ratio, which keeps the soundness checks honest and non-vacuous.  A kind
+of instance is one row of _KINDS (its generator, its dim rule in a suite,
+its own check), so a new kind is one generator, one check and one table
+row; a suite is one row of _SUITES (its mix of kinds, its dim range).
 
 verify_instance samples the coupling s in [0, 1] and a z-grid per
 certified region and reports signed margins; failures become report
 entries with witnesses, not exceptions.  It runs in two steps: _observe
 does the linear algebra (eigenvalues along s, resolvent norms on the
 z-grids) and computes every grid's certified bounds once, _judge turns
-those arrays into checks under the module's tolerances and the options'
-widen.  Each resolvent grid holds its check, its points, their bounds, a
-mask of the points evaluated exactly, and at the other points a proven
-upper bracket of the norm: the oracle prunes a point by Weyl's bound
+those arrays into the common checks and the kind's own under the
+module's tolerances and the options' widen.  Each resolvent grid holds
+its check, its points, their bounds, a mask of the points evaluated
+exactly, and at the other points a proven upper bracket of the norm: the
+oracle prunes a point by Weyl's bound
 sigma_min(M - z) >= sigma_min(M - z0) - |z - z0| once it provably cannot
 be its check's worst, so reports equal those of a full-grid evaluation.
 verify_instance observes only when it is given no observation, on the
-calling thread.  run_suite drives the standard mixed suite used by the
-acceptance gate and hands verify_instance each observation: a call with
-its previous call's specs, s_points and grid constants judges that call's
-instances on its observations and generates nothing; any other runs
+calling thread.  run_suite drives a named suite, by default the
+standard mix of the acceptance gate, and hands verify_instance each
+observation: a call with its previous call's specs, s_points and grid
+constants judges that call's instances on its observations and generates
+nothing; any other runs
 batches of instances of one order on lanes, one per usable CPU, started
 and joined within the call, each lane generating, sweeping (one eigvals
 call), observing (bracket rounds in lockstep, one SVD call each) and
@@ -42,7 +47,9 @@ import math
 import os
 import threading
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -93,26 +100,15 @@ __all__ = [
     "run_suite",
 ]
 
-# kinds with a diagonal T placed around their gaps
-_PLAIN_KINDS = ("none", "multi", "symmetric", "probe")
-# kinds whose A couples two blocks of T = diag(T1, T2) of equal size
-_BLOCK_KINDS = ("offdiag", "even", "diag-blocks")
-
-
 @dataclass(frozen=True, eq=False)
 class MatrixInstance:
     """One (T, A) pair with measured constants and certification targets.
 
-    T is held as its diagonal; A is dense.  `kind` is the generation
-    recipe and picks the checks; `cert` holds the arguments the kind's
-    own certificate takes besides `quad`:
-
-      isolated      (IsolatedEigSpec,)
-      symmetric     (almost-gap window, eigenvalues of T inside it, NumRangeBounds of A)
-      offdiag       (OffDiagBounds, generating gap)
-      even          (OffDiagBounds, BlockMinima)
-      diag-blocks   (DiagBounds, beta of the gap (-beta, beta))
-      other kinds   ()
+    T is held as its diagonal; A is dense.  `kind` names the instance's
+    row of _KINDS, which built it and adds its own check; `cert` holds the
+    arguments the kind's own certificate takes besides `quad`, as the
+    row's comment says.  A new kind is one generator, one check and one
+    table row.
     """
 
     name: str
@@ -163,8 +159,9 @@ def _is_hermitian(a: np.ndarray) -> bool:
 # generation
 
 
-def _gap_ratio(q: QuadBound, gap: Gap) -> float:
-    return (q.shift(gap.alpha) + q.shift(gap.beta)) / gap.width
+def _gap_ratio(q: QuadBound, gaps: tuple[Gap, ...]) -> float:
+    """The largest (shift(alpha) + shift(beta)) / width over the gaps; each gap stays open below 1."""
+    return max((q.shift(g.alpha) + q.shift(g.beta)) / g.width for g in gaps)
 
 
 def _t_with_gaps(rng: np.random.Generator, dim: int, gaps: tuple[Gap, ...]) -> np.ndarray:
@@ -224,9 +221,8 @@ def _calibrate(
     raise NumericalFailure("failed to calibrate instance magnitude")
 
 
-def _dense(rng: np.random.Generator, n: int, m: int | None = None) -> np.ndarray:
-    m = n if m is None else m
-    return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+def _dense(rng: np.random.Generator, n: int) -> np.ndarray:
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
 def gen_instance(
@@ -238,45 +234,30 @@ def gen_instance(
     n_gaps: int = 1,
     name: str | None = None,
 ) -> MatrixInstance:
-    """Build one deterministic instance of the requested recipe.
+    """Build one deterministic instance of a kind of _KINDS (its rows describe the kinds).
 
-    Recipes: none (dense A), multi (dense A, several gaps), symmetric
-    (Hermitian A, almost-gap window data), probe (tight diagonal A whose
-    extreme eigenvalues land exactly on the strip boundary), offdiag
-    (A off-diagonal over a gap straddling 0), even (nonnegative T,
-    A off-diagonal), diag-blocks (T = diag(D, -D) with pair-coupled A,
-    certifying a symmetric strip through the involution splitting).
-    The three block recipes need an even dim and place their own gap.
+    gaps and n_gaps must keep their defaults unless the kind's row takes
+    them; the block kinds need an even dim.
     """
     if not 2 <= dim <= 64:
         raise ValueError("dim must lie in [2, 64]")
     if not 0.0 < magnitude < 1.0:
         raise ValueError("magnitude must lie in (0, 1)")
-    if kind not in _PLAIN_KINDS + _BLOCK_KINDS:
+    if kind not in _KINDS:
         raise ValueError(f"unknown instance kind {kind!r}")
+    generate, _, _, takes = _KINDS[kind]
     n_gaps = require_int("n_gaps", n_gaps, 1)
-    if n_gaps != 1 and kind != "multi":
-        raise ValueError(f"{kind} instances have one gap; n_gaps must be 1, got {n_gaps!r}")
-    rng = np.random.default_rng(seed)
-    name = name or f"{kind}-{seed:08d}"
-    if kind in _PLAIN_KINDS:
-        return _gen_plain(rng, dim, seed, kind, gaps, magnitude, n_gaps, name)
-    if dim % 2:
-        raise ValueError(f"{kind} instances need an even dimension")
-    if gaps is not None:
-        raise ValueError(f"{kind} instances place their own gap; gaps must be None")
-    gen = {"offdiag": _gen_offdiag, "even": _gen_even, "diag-blocks": _gen_odd}[kind]
-    return gen(rng, dim, seed, magnitude, name)
+    if n_gaps != 1 and "n_gaps" not in takes:
+        raise ValueError(f"{kind} instances take no gap count; n_gaps must be 1, got {n_gaps!r}")
+    if gaps is not None and "gaps" not in takes:
+        raise ValueError(f"{kind} instances place their own gaps; gaps must be None")
+    return generate(kind, np.random.default_rng(seed), dim, seed, magnitude, name or f"{kind}-{seed:08d}", gaps, n_gaps)
 
 
-def _gen_plain(rng, dim, seed, kind, gaps, magnitude, n_gaps, name) -> MatrixInstance:
-    if gaps is not None:
-        gap_t = tuple(Gap(float(a), float(b)) for a, b in gaps)
-        for left, right in zip(gap_t, gap_t[1:]):
-            if left.beta > right.alpha:
-                raise ValueError("prescribed gaps overlap")
-    else:
-        gap_t = _auto_gaps(rng, n_gaps)
+def _gen_plain(kind, rng, dim, seed, magnitude, name, gaps, n_gaps) -> MatrixInstance:
+    gap_t = _auto_gaps(rng, n_gaps) if gaps is None else tuple(Gap(float(a), float(b)) for a, b in gaps)
+    if any(left.beta > right.alpha for left, right in zip(gap_t, gap_t[1:])):
+        raise ValueError("prescribed gaps overlap")
     inside = 0
     if kind == "symmetric":
         inside = int(rng.integers(0, 3))
@@ -309,20 +290,13 @@ def _gen_plain(rng, dim, seed, kind, gaps, magnitude, n_gaps, name) -> MatrixIns
 
     def ratio(a_min: float, b: float) -> float:
         q = QuadBound(a_min, b)
-        # certified gaps: true gaps only (the almost-gap window carries
-        # `inside` eigenvalues of T and is calibrated separately below)
-        rho = max(_gap_ratio(q, g) for g in gap_t) if not inside else 0.0
-        if kind == "symmetric":
-            sa, sb = q.shift(window.alpha), q.shift(window.beta)
-            rho = max(
-                rho,
-                (w_hi + sb) / window.width,
-                (sa - w_lo) / window.width,
-                (w_hi - w_lo) / window.width,
-            )
-            if inside:
-                rho = max(rho, (sa + sb) / window.width)
-        return rho
+        if kind != "symmetric":
+            return _gap_ratio(q, gap_t)
+        sa, sb = q.shift(window.alpha), q.shift(window.beta)
+        # an almost-gap window (one holding `inside` eigenvalues of T) is
+        # calibrated by its own shifts, true gaps by the gap condition
+        own = (sa + sb) / window.width if inside else _gap_ratio(q, gap_t)
+        return max(own, (w_hi + sb) / window.width, (sa - w_lo) / window.width, (w_hi - w_lo) / window.width)
 
     t, a_raw, b_raw = _calibrate(rng, raw, t_diag, ratio, magnitude)
     cert = (window, inside, NumRangeBounds(t * w_lo, t * w_hi)) if kind == "symmetric" else ()
@@ -358,8 +332,15 @@ def _calibrate_pair(rng, layout, blocks, scale, magnitude, t_diag):
     return a_mat, QuadBound(_amin(a_mat, t_diag, 0.3), 0.3), (t * a1, t * b1, t * a2, t * b2)
 
 
-def _gen_offdiag(rng, dim, seed, magnitude, name) -> MatrixInstance:
-    n1 = dim // 2
+def _half(kind: str, dim: int) -> int:
+    """The order of each of the two equal blocks of a block kind."""
+    if dim % 2:
+        raise ValueError(f"{kind} instances need an even dimension")
+    return dim // 2
+
+
+def _gen_offdiag(kind, rng, dim, seed, magnitude, name, *_) -> MatrixInstance:
+    n1 = _half(kind, dim)
     gap = Gap(-float(rng.uniform(0.5, 2.5)), float(rng.uniform(0.5, 2.5)))
     # block 1 sits below the gap, block 2 above; A12 maps block-2
     # coordinates and is measured against T22, A21 against T11
@@ -376,14 +357,14 @@ def _gen_offdiag(rng, dim, seed, magnitude, name) -> MatrixInstance:
         0.5 * gap.width, magnitude, t_diag,
     )
     return MatrixInstance(
-        name=name, kind="offdiag", seed=seed, t_diag=t_diag, a_mat=a_mat, quad=quad,
+        name=name, kind=kind, seed=seed, t_diag=t_diag, a_mat=a_mat, quad=quad,
         gaps=(gap,) if gap_condition(quad, gap) else (),
         cert=(OffDiagBounds(*consts), gap),
     )
 
 
-def _gen_even(rng, dim, seed, magnitude, name) -> MatrixInstance:
-    n1 = dim // 2
+def _gen_even(kind, rng, dim, seed, magnitude, name, *_) -> MatrixInstance:
+    n1 = _half(kind, dim)
     beta1 = float(rng.uniform(0.2, 2.0))
     beta2 = float(rng.uniform(0.2, 2.0))
     d1 = np.sort(rng.uniform(beta1, beta1 + 4.0, size=n1))
@@ -399,19 +380,19 @@ def _gen_even(rng, dim, seed, magnitude, name) -> MatrixInstance:
         0.5 * (beta1 + beta2), magnitude, t_diag,
     )
     return MatrixInstance(
-        name=name, kind="even", seed=seed, t_diag=t_diag, a_mat=a_mat, quad=quad,
+        name=name, kind=kind, seed=seed, t_diag=t_diag, a_mat=a_mat, quad=quad,
         cert=(OffDiagBounds(*consts), BlockMinima(beta1, beta2)),
     )
 
 
-def _gen_odd(rng, dim, seed, magnitude, name) -> MatrixInstance:
+def _gen_odd(kind, rng, dim, seed, magnitude, name, *_) -> MatrixInstance:
     """T = diag(D, -D) with pair-coupled A = [[P, Q], [Q, P]].
 
     The swap involution commutes with A and anticommutes with T; in its
     eigenbasis T is off-diagonal with T12 = D and A is diag(P+Q, P-Q),
     which is the shape the symmetric-strip block theorem consumes.
     """
-    n1 = dim // 2
+    n1 = _half(kind, dim)
     beta = float(rng.uniform(0.5, 2.0))
     d = np.sort(rng.uniform(beta, beta + 3.0, size=n1))
     d[0] = beta
@@ -424,7 +405,7 @@ def _gen_odd(rng, dim, seed, magnitude, name) -> MatrixInstance:
     )
     gap = Gap(-beta, beta)
     return MatrixInstance(
-        name=name, kind="diag-blocks", seed=seed, t_diag=t_diag, a_mat=a_mat, quad=quad,
+        name=name, kind=kind, seed=seed, t_diag=t_diag, a_mat=a_mat, quad=quad,
         gaps=(gap,) if gap_condition(quad, gap) else (),
         cert=(DiagBounds(*consts), beta),
     )
@@ -450,21 +431,18 @@ def gen_isolated_instance(
     above = rng.uniform(beta, beta + 4.0, size=rest - n_lo)
     t_diag = np.sort(np.concatenate([[alpha, beta], [lam] * mult, below, above]))
     raw = _dense(rng, dim)
-
-    def ratio(a_min: float, b: float) -> float:
-        q = QuadBound(a_min, b)
-        return max(
-            (q.shift(alpha) + q.shift(lam)) / (lam - alpha),
-            (q.shift(lam) + q.shift(beta)) / (beta - lam),
-        )
-
-    t, a_raw, b_raw = _calibrate(rng, raw, t_diag, ratio, magnitude)
+    gaps = (Gap(alpha, lam), Gap(lam, beta))
+    t, a_raw, b_raw = _calibrate(rng, raw, t_diag, lambda a_min, b: _gap_ratio(QuadBound(a_min, b), gaps), magnitude)
     return MatrixInstance(
         name=name or f"isolated-{seed:08d}", kind="isolated", seed=seed,
         t_diag=t_diag, a_mat=t * raw, quad=QuadBound(t * a_raw, t * b_raw),
-        gaps=(Gap(alpha, lam), Gap(lam, beta)),
-        cert=(IsolatedEigSpec(lam, alpha, beta, mult),),
+        gaps=gaps, cert=(IsolatedEigSpec(lam, alpha, beta, mult),),
     )
+
+
+def _gen_isolated(kind, rng, dim, seed, magnitude, name, *_) -> MatrixInstance:
+    """gen_isolated_instance at mult = 1 + seed % 3, at most dim - 2; it seeds its own rng alike."""
+    return gen_isolated_instance(dim, min(1 + seed % 3, dim - 2), seed, magnitude, name)
 
 
 # ---------------------------------------------------------------------------
@@ -796,19 +774,11 @@ def _first_worst(zs, margins, worst=(math.inf, "")) -> tuple[float, str]:
     return worst
 
 
-# resolvent check -> its outcome on an observation without a grid of it (None: no check)
-_NO_GRID = {
-    "resolvent-offreal": CheckResult("resolvent-offreal", 0.0, True, note="not applicable: b >= 1"),
-    "resolvent-strip": CheckResult("resolvent-strip", 0.0, True, note="no certified strip"),
-    "resolvent-symgap": None,
-}
-
-
-def _check_resolvent(check: str, grids) -> CheckResult | None:
-    """Worst relative margin of the check's certified bounds over the oracle norms on its grids."""
+def _check_resolvent(check: str, grids, absent: str | None = None) -> CheckResult | None:
+    """Worst relative margin of the check's bounds over the oracle norms on its grids; none: a pass noted `absent`."""
     mine = [grid for grid in grids if grid.check == check]
     if not mine:
-        return _NO_GRID[check]
+        return None if absent is None else CheckResult(check, 0.0, True, note=absent)
     worst = (math.inf, "")
     for g in mine:
         worst = _first_worst(g.zs, (g.bounds * (1.0 + _RESOLVENT_TOL) - g.norms) / g.bounds, worst)
@@ -851,7 +821,11 @@ def _check_eig_count(inst, eigs, widen) -> CheckResult:
     return _judged("eig-count", worst, _REL_MARGIN, f"expect {spec.mult} in ({lo:.6g},{hi:.6g})")
 
 
-def _check_numrange_windows(inst, eigs_full) -> CheckResult:
+def _check_numrange_windows(inst, eigs, widen) -> CheckResult | None:
+    """Eigenvalues of T + A in each applicable almost-gap window; None unless A is Hermitian."""
+    if not _is_hermitian(inst.a_mat):
+        return None
+    eigs_full = eigs[-1]
     applicable = []
     worst = (0.0, "")
     for case in ("i", "ii", "iii", "iv"):
@@ -887,21 +861,52 @@ def _odd_worst(eigs, diag, beta, widen) -> tuple[float, str]:
     return _floor_margin(np.abs(flat.real), claimed, max(1.0, claimed), flat)
 
 
-# block kind -> (check, worst (margin, witness) of its block-structure bound)
-_STRUCTURED = {
-    "offdiag": ("structured-offdiag", _offdiag_worst),
-    "even": ("structured-even", _even_worst),
-    "diag-blocks": ("structured-odd", _odd_worst),
-}
-
-
-def _check_structured(inst, eigs, widen) -> CheckResult:
-    check, worst_of = _STRUCTURED[inst.kind]
+def _check_structured(check: str, worst_of, inst, eigs, widen) -> CheckResult:
+    """A block kind's own check; worst_of(eigs, *inst.cert, widen) is the worst (margin, witness) of its bound."""
     try:
         worst = worst_of(eigs, *inst.cert, widen)
     except ConditionNotApplicable:
         return CheckResult(check, 0.0, True, note="not applicable")
     return _judged(check, worst, _REL_MARGIN)
+
+
+# ---------------------------------------------------------------------------
+# kinds
+
+
+def _even_dim(rng, dim: int, dim_hi: int) -> tuple[int, int]:
+    """An odd dim moves to its even neighbour, the upper one unless that exceeds dim_hi."""
+    if dim % 2:
+        dim = dim + 1 if dim + 1 <= dim_hi else dim - 1
+    return dim, 1
+
+
+# One row per instance kind.  generate(kind, rng, dim, seed, magnitude, name,
+# gaps, n_gaps) builds it from rng = default_rng(seed); takes names the gap
+# arguments it uses, and gen_instance refuses the others off their defaults.
+# dim_rule(rng, dim, dim_hi) is the (dim, n_gaps) a suite builds it at from
+# the dim drawn off the suite's rng, which it draws from only for n_gaps.
+# check(inst, eigs, widen), if any, is its own check after the common ones,
+# None where it does not apply.
+_Kind = namedtuple("_Kind", "generate dim_rule check takes", defaults=(lambda rng, dim, hi: (dim, 1), None, ()))
+
+# kind -> its row, with what MatrixInstance.cert holds
+_KINDS = {
+    "none": _Kind(_gen_plain, takes=("gaps",)),  # dense A over one gap; ()
+    # Hermitian A, almost-gap window data; (window, eigenvalues of T inside it, NumRangeBounds of A)
+    "symmetric": _Kind(_gen_plain, check=_check_numrange_windows, takes=("gaps",)),
+    # A off-diagonal over a gap straddling 0; (OffDiagBounds, generating gap)
+    "offdiag": _Kind(_gen_offdiag, _even_dim, partial(_check_structured, "structured-offdiag", _offdiag_worst)),
+    # T = diag(D, -D), pair-coupled A (see _gen_odd); (DiagBounds, beta of the gap (-beta, beta))
+    "diag-blocks": _Kind(_gen_odd, _even_dim, partial(_check_structured, "structured-odd", _odd_worst)),
+    # nonnegative T, A off-diagonal; (OffDiagBounds, BlockMinima)
+    "even": _Kind(_gen_even, _even_dim, partial(_check_structured, "structured-even", _even_worst)),
+    "probe": _Kind(_gen_plain, takes=("gaps",)),  # tight diagonal A, extreme eigenvalues on the strip's ends; ()
+    # dense A over its gaps, 2 or 3 and dim 8 at least in a suite; ()
+    "multi": _Kind(_gen_plain, lambda rng, dim, hi: (max(dim, 8), int(rng.integers(2, 4))), takes=("gaps", "n_gaps")),
+    # an eigenvalue isolated by two gaps, dim 3 at least (see _gen_isolated); (IsolatedEigSpec,)
+    "isolated": _Kind(_gen_isolated, lambda rng, dim, hi: (max(dim, 3), 1), _check_eig_count),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -991,32 +996,24 @@ def _observing(inst: MatrixInstance, s_grid: np.ndarray, eigs: np.ndarray):
 def _judge(inst: MatrixInstance, obs: _Observation, options: VerifyOptions) -> VerificationReport:
     """Every applicable check of `inst` under `options`, from the observation alone.
 
-    Every instance gets the common checks; the kind alone adds its own
-    certificate's check (eig-count, numrange-window or structured-*).
+    Every instance gets the common checks, then resolvent-symgap and balls
+    where they apply, then its kind's own check (its _KINDS row's).
     """
     s_grid, eigs, widen = obs.s_grid, obs.eigs, options.widen
-    checks: list[CheckResult] = [
+    own = _KINDS[inst.kind].check
+    checks = (
         _check_eig_sanity(obs),
         _check_hyperbola(inst, s_grid, eigs),
         _check_strips(obs.strips, eigs, widen),
-        _check_resolvent("resolvent-offreal", obs.grids),
-        _check_resolvent("resolvent-strip", obs.grids),
+        _check_resolvent("resolvent-offreal", obs.grids, "not applicable: b >= 1"),
+        _check_resolvent("resolvent-strip", obs.grids, "no certified strip"),
         _check_refined_le_plain(obs.strips),
-    ]
-    hermitian = _is_hermitian(inst.a_mat)
-    optional = [_check_resolvent("resolvent-symgap", obs.grids)]
-    if hermitian and inst.gaps:
-        optional.append(_check_balls(inst, s_grid, eigs))
-    if inst.kind == "isolated":
-        optional.append(_check_eig_count(inst, eigs, widen))
-    elif inst.kind == "symmetric" and hermitian:
-        optional.append(_check_numrange_windows(inst, eigs[-1]))
-    elif inst.kind in _BLOCK_KINDS:
-        optional.append(_check_structured(inst, eigs, widen))
-    checks.extend(c for c in optional if c is not None)
-    return VerificationReport(
-        instance=inst.name, quad=inst.quad, s_points=options.s_points, checks=tuple(checks)
+        _check_resolvent("resolvent-symgap", obs.grids),
+        _check_balls(inst, s_grid, eigs) if inst.gaps and _is_hermitian(inst.a_mat) else None,
+        own(inst, eigs, widen) if own else None,
     )
+    checks = tuple(c for c in checks if c is not None)
+    return VerificationReport(instance=inst.name, quad=inst.quad, s_points=options.s_points, checks=checks)
 
 
 # (plan, (instance, observation) pairs in spec order) of the previous
@@ -1045,50 +1042,45 @@ def verify_instance(
 # suite
 
 
-_SUITE_MIX = (
-    ("none", 0.30),
-    ("symmetric", 0.20),
-    ("offdiag", 0.15),
-    ("diag-blocks", 0.15),
-    ("even", 0.10),
-    ("probe", 0.05),
-    ("multi", 0.05),
-)
+# suite -> (mix of (kind, share), default (dim_lo, dim_hi)); isolated
+# starts at dim 6, so that even multiplicity 3 leaves T an eigenvalue
+# beside the cluster and its two neighbours
+_SUITES = {
+    "standard": ((("none", 0.30), ("symmetric", 0.20), ("offdiag", 0.15), ("diag-blocks", 0.15),
+                  ("even", 0.10), ("probe", 0.05), ("multi", 0.05)), (4, 40)),
+    "isolated": ((("isolated", 1.0),), (6, 40)),
+}
 
 
 def standard_suite_specs(
-    count: int = 500, dim_lo: int = 4, dim_hi: int = 40, seed: int = 20260822
+    count: int = 500, dim_lo: int | None = None, dim_hi: int | None = None, seed: int = 20260822,
+    suite: str = "standard",
 ) -> list[tuple[str, int, int, float, int]]:
-    """Deterministic (kind, dim, seed, magnitude, n_gaps) plan for the suite.
+    """Deterministic (kind, dim, seed, magnitude, n_gaps) plan for a suite of _SUITES.
 
-    Dimensions are drawn from [dim_lo, dim_hi], which must lie in [2, 64];
-    a block kind drawn an odd dim moves to an even neighbour, and a multi
-    instance to dim 8 at least.
+    The kinds follow the suite's mix (shares rounded, padded with its
+    first kind) in a random order.  Dimensions are drawn from [dim_lo,
+    dim_hi], each the suite's own where None, which must lie in [2, 64];
+    each kind's dim rule then gives its n_gaps and the dim it is built at,
+    which can lie outside that range (see the _KINDS rows).
     """
-    dim_lo = require_int("dim_lo", dim_lo, 2)
-    dim_hi = require_int("dim_hi", dim_hi, 2)
+    if suite not in _SUITES:
+        raise ValueError(f"unknown suite {suite!r}; valid suites: {', '.join(_SUITES)}")
+    mix, (suite_lo, suite_hi) = _SUITES[suite]
+    dim_lo = require_int("dim_lo", suite_lo if dim_lo is None else dim_lo, 2)
+    dim_hi = require_int("dim_hi", suite_hi if dim_hi is None else dim_hi, 2)
     if dim_hi > 64:
         raise ValueError(f"dim_hi must be at most 64, got {dim_hi!r}")
     if dim_lo > dim_hi:
         raise ValueError(f"dim_lo must not exceed dim_hi, got dim_lo={dim_lo!r}, dim_hi={dim_hi!r}")
-    kinds: list[str] = []
-    for kind, frac in _SUITE_MIX:
-        kinds.extend([kind] * int(round(frac * count)))
-    kinds = kinds[:count]
-    while len(kinds) < count:
-        kinds.append("none")
+    kinds = [kind for kind, frac in mix for _ in range(int(round(frac * count)))][:count]
+    kinds += [mix[0][0]] * (count - len(kinds))
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(kinds))
     specs = []
     for i in order:
         kind = kinds[int(i)]
-        dim = int(rng.integers(dim_lo, dim_hi + 1))
-        if kind in _BLOCK_KINDS and dim % 2:
-            dim = dim + 1 if dim + 1 <= dim_hi else dim - 1
-        n_gaps = 1
-        if kind == "multi":
-            dim = max(dim, 8)
-            n_gaps = int(rng.integers(2, 4))
+        dim, n_gaps = _KINDS[kind].dim_rule(rng, int(rng.integers(dim_lo, dim_hi + 1)), dim_hi)
         magnitude = float(rng.uniform(0.3, 0.95))
         specs.append((kind, dim, int(rng.integers(0, 2**31 - 1)), magnitude, n_gaps))
     return specs
@@ -1132,24 +1124,27 @@ def _suite_instance(idx: int, spec) -> MatrixInstance:
 
 def run_suite(
     count: int = 500,
-    dim_lo: int = 4,
-    dim_hi: int = 40,
+    dim_lo: int | None = None,
+    dim_hi: int | None = None,
     seed: int = 20260822,
     options: VerifyOptions = VerifyOptions(),
+    suite: str = "standard",
 ) -> SuiteResult:
-    """Generate and verify the standard mixed suite; reports keep spec order.
+    """Generate and verify a suite of _SUITES (standard_suite_specs); reports keep spec order.
 
-    A call with the previous call's specs, s_points and grid constants
-    judges that call's instances on its observations, on the calling
-    thread, so a suite verified again under another widen generates no
-    instance and does no new linear algebra.  Any other call runs the
-    _suite_batches on lanes (_run_lanes), and if an instance raises keeps
-    the previous call's.
+    Every suite takes this one path: a new kind (one generator, one check,
+    one _KINDS row) in a suite of its own (one _SUITES row) gets the lanes,
+    batches, reuse and CSV.  A call with the previous call's specs,
+    s_points and grid constants judges that call's instances on its
+    observations, on the calling thread, so a suite verified again under
+    another widen generates no instance and does no new linear algebra.
+    Any other call runs the _suite_batches on lanes (_run_lanes), and if an
+    instance raises keeps the previous call's.
     """
     global _previous_suite
     require_int("count", count, 1)
     t0 = time.perf_counter()
-    specs = standard_suite_specs(count, dim_lo, dim_hi, seed)
+    specs = standard_suite_specs(count, dim_lo, dim_hi, seed, suite)
     plan = (tuple(specs), options.s_points, _Z_RE, _Z_IM, _INSET)
     previous_plan, observed = _previous_suite
     if previous_plan == plan:

@@ -27,6 +27,7 @@ from gapcert import (
 )
 from gapcert import DiracSpec, cli, envelope_im_at_re
 from gapcert.errors import NumericalFailure
+from gapcert.matrix_lab import _SUITES
 
 
 def run_cli(*argv):
@@ -450,7 +451,7 @@ _FUZZ_EXTRAS = {
                     "--p2": _LISTS},
     "verify": {"--instances": _sizes(1, 3), "--dim-hi": _sizes(4, 12), "--dim-lo": _sizes(2, 12),
                "--s-points": _sizes(2, 16), "--seed": _INTS, "--widen": _VALUES,
-               "--suite": st.sampled_from(["standard", "other"]), "--csv": st.just("-")},
+               "--suite": st.sampled_from([*_SUITES, "other"]), "--csv": st.just("-")},
     "sample-region": {"--kind": st.sampled_from(sorted(_REGIONS)), "--resolution": _sizes(2, 64),
                       "--clip": _VALUES, "--p": _VALUES,
                       **_any(*{flag for flags in _REGIONS.values() for flag in flags} - {"--p"})},
@@ -620,6 +621,14 @@ class TestEnvelopeCommand:
         doc = json.loads(out)
         assert doc["status"] == "not-applicable"
         assert "representable" in doc["reason"]
+
+    @pytest.mark.parametrize("re", ["0", "1"])
+    def test_overflowing_height_at_re_is_domain_answer(self, re):
+        # at re = 0 the bisection is skipped; the height's own overflow is the answer
+        code, out = run_cli("dirac-envelope", "--p", "2.015625", "--vnorm", "5", "--samples", "4",
+                            "--re", re)
+        assert code == 0
+        assert json.loads(out)["status"] == "not-applicable"
 
     def test_overflowing_curve_is_domain_answer(self):
         with warnings.catch_warnings():
@@ -865,10 +874,19 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert name in capsys.readouterr().err
 
-    def test_unknown_suite_exits_2(self):
+    def test_unknown_suite_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("verify", "--suite", "exotic", "--instances", "2")
         assert exc.value.code == 2
+        assert "valid suites: standard, isolated" in capsys.readouterr().err
+
+    def test_isolated_suite_counts_on_every_instance(self):
+        code, out = run_cli("verify", "--suite", "isolated", "--instances", "3", "--dim-hi", "12",
+                            "--csv", "-")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        counted = {name for name, check, _, flag in rows if check == "eig-count" and flag == "1"}
+        assert counted == {f"isolated-{k:04d}" for k in range(3)}
 
 
 class TestIntegerFlags:

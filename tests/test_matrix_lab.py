@@ -18,6 +18,7 @@ from gapcert.blocks import NumRangeBounds
 from gapcert.errors import NumericalFailure
 from gapcert.matrix_lab import (
     MatrixInstance,
+    SuiteResult,
     VerifyOptions,
     gen_instance,
     gen_isolated_instance,
@@ -227,7 +228,7 @@ class TestGenInstance:
         with pytest.raises(ValueError, match="n_gaps must be an integer >= 1"):
             gen_instance(8, 0, kind=kind, n_gaps=n_gaps)
 
-    @pytest.mark.parametrize("kind", ["none", "symmetric", "probe", "offdiag", "even", "diag-blocks"])
+    @pytest.mark.parametrize("kind", [kind for kind in matrix_lab._KINDS if kind != "multi"])
     def test_single_gap_kinds_refuse_n_gaps(self, kind):
         with pytest.raises(ValueError, match="n_gaps must be 1"):
             gen_instance(8, 0, kind=kind, n_gaps=3)
@@ -241,6 +242,21 @@ class TestGenInstance:
         assert int(np.sum(inst.t_diag == inst.cert[0].lam)) == 3
         with pytest.raises(ValueError):
             gen_isolated_instance(4, 3, 0)
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 12, 40])
+    def test_isolated_kind_is_gen_isolated_instance(self, dim):
+        # the isolated row takes multiplicity 1 + seed % 3, at most dim - 2
+        for seed in range(6):
+            got = gen_instance(dim, seed, kind="isolated", magnitude=0.7, name="x")
+            want = gen_isolated_instance(dim, min(1 + seed % 3, dim - 2), seed, magnitude=0.7, name="x")
+            assert got.t_diag.tobytes() == want.t_diag.tobytes()
+            assert got.a_mat.tobytes() == want.a_mat.tobytes()
+            assert (got.name, got.kind, got.seed, got.quad, got.gaps, got.cert) == (
+                want.name, want.kind, want.seed, want.quad, want.gaps, want.cert)
+        with pytest.raises(ValueError, match="mult"):
+            gen_instance(2, 0, kind="isolated")
+        with pytest.raises(ValueError, match="gaps"):
+            gen_instance(8, 0, kind="isolated", gaps=((-1.0, 1.0),))
 
 
 class TestVerifyInstance:
@@ -271,11 +287,11 @@ class TestVerifyInstance:
         bad = [c for c in rep.checks if not c.passed]
         assert bad and all(c.witness for c in bad)
 
-    def test_every_kind_verifies(self):
-        for kind in ("none", "symmetric", "probe", "offdiag", "even", "diag-blocks", "multi"):
-            inst = gen_instance(12, 7, kind=kind, n_gaps=2 if kind == "multi" else 1)
-            rep = verify_instance(inst)
-            assert rep.ok, (kind, [(c.check, c.margin) for c in rep.checks if not c.passed])
+    @pytest.mark.parametrize("kind", list(matrix_lab._KINDS))
+    def test_every_kind_verifies(self, kind):
+        inst = gen_instance(12, 7, kind=kind, n_gaps=2 if kind == "multi" else 1)
+        rep = verify_instance(inst)
+        assert rep.ok, (kind, [(c.check, c.margin) for c in rep.checks if not c.passed])
 
     def test_structured_checks_present(self):
         names = {c.check for c in verify_instance(gen_instance(12, 0, kind="diag-blocks")).checks}
@@ -289,8 +305,10 @@ class TestVerifyInstance:
         assert "numrange-window" in names
         assert "balls" in names or "numrange-window" in names
 
-    def test_check_names_and_order_per_kind(self):
-        # suite CSV rows follow this order; the kind alone adds the last checks
+    @pytest.mark.parametrize("kind", list(matrix_lab._KINDS))
+    def test_check_names_and_order_per_kind(self, kind):
+        # suite CSV rows follow this order: the common checks, resolvent-symgap
+        # and balls where they apply, then the kind's own check last
         common = ("eig-sanity", "hyperbola", "strip", "resolvent-offreal",
                   "resolvent-strip", "refined-le-plain")
         want = {
@@ -301,12 +319,16 @@ class TestVerifyInstance:
             "even": common + ("structured-even",),
             "diag-blocks": common + ("resolvent-symgap", "structured-odd"),
             "multi": common,
+            "isolated": common + ("eig-count",),
         }
-        for kind, names in want.items():
-            inst = gen_instance(12, 7, kind=kind, n_gaps=2 if kind == "multi" else 1)
-            assert tuple(c.check for c in verify_instance(inst).checks) == names, kind
-        rep = verify_instance(gen_isolated_instance(12, 2, 7))
-        assert tuple(c.check for c in rep.checks) == common + ("eig-count",)
+        inst = gen_instance(12, 7, kind=kind, n_gaps=2 if kind == "multi" else 1)
+        names = tuple(c.check for c in verify_instance(inst).checks)
+        assert names[:len(common)] == common
+        assert names == want.get(kind, names), kind
+        if kind == "isolated":
+            # the isolated row's instance at seed 7 has multiplicity 2
+            rep = verify_instance(gen_isolated_instance(12, 2, 7))
+            assert tuple(c.check for c in rep.checks) == common + ("eig-count",)
 
     def test_isolated_count_check(self):
         rep = verify_instance(gen_isolated_instance(14, 2, 99))
@@ -382,6 +404,29 @@ class TestSuite:
     def test_specs_accept_the_ends_of_the_range(self):
         assert {spec[1] for spec in standard_suite_specs(30, 2, 2)} <= {2, 8}
         assert max(spec[1] for spec in standard_suite_specs(30, 60, 64)) <= 64
+
+    @pytest.mark.usefixtures("empty_store")
+    def test_isolated_suite_runs_through_run_suite(self):
+        # the isolated suite takes run_suite's one path (lanes, batches, CSV);
+        # its dims default to the suite's own range
+        specs = standard_suite_specs(40, seed=3, suite="isolated")
+        assert {kind for kind, *_ in specs} == {"isolated"}
+        assert all(6 <= dim <= 40 for _, dim, *_ in specs)
+        res = run_suite(40, seed=3, suite="isolated")
+        assert all(r.checks[-1].check == "eig-count" for r in res.reports)
+        assert res.ok
+        serial = [
+            verify_instance(gen_instance(dim, seed, kind=kind, magnitude=magnitude, n_gaps=n_gaps,
+                                         name=f"{kind}-{idx:04d}"))
+            for idx, (kind, dim, seed, magnitude, n_gaps) in enumerate(specs)
+        ]
+        assert res.to_csv() == SuiteResult(tuple(serial), 0.0).to_csv()
+
+    def test_unknown_suite_lists_the_suites(self):
+        with pytest.raises(ValueError, match="'bogus'; valid suites: standard, isolated"):
+            standard_suite_specs(4, suite="bogus")
+        with pytest.raises(ValueError, match="valid suites"):
+            run_suite(4, suite="bogus")
 
     def test_csv_shape(self):
         res = run_suite(6, dim_hi=10, seed=2)
@@ -716,7 +761,7 @@ class TestObservationReuse:
         verify_instance(inst)
         assert matrix_lab._previous_suite == store
 
-    @pytest.mark.parametrize("kind", [kind for kind, _ in matrix_lab._SUITE_MIX])
+    @pytest.mark.parametrize("kind", list(matrix_lab._KINDS))
     def test_given_observation_is_judged_as_is(self, oracle_calls, kind):
         inst = gen_instance(12, 5, kind=kind, n_gaps=2 if kind == "multi" else 1)
         for options in (VerifyOptions(), _WIDENED):
@@ -772,7 +817,7 @@ class TestObservationReuse:
         assert got == [list(enumerate(want))] * 4
 
 
-_PRUNE_KINDS = [kind for kind, _ in matrix_lab._SUITE_MIX] + ["isolated"]
+_PRUNE_KINDS = list(matrix_lab._KINDS)
 
 
 def _prune_instance(kind, dim, seed, magnitude):

@@ -391,7 +391,11 @@ class TestEnvelopeAbscissa:
     @staticmethod
     def _ref_im_at_re(spec, re):
         lo, hi = ref_envelope_b_at(spec, re)
-        return math.sqrt(_envelope_xy(spec, math.sqrt(lo * hi))[1])
+        try:
+            return math.sqrt(_envelope_xy(spec, math.sqrt(lo * hi))[1])
+        except ArithmeticError:
+            # a height past the double range is a domain answer, as the bisection's overflow is
+            raise ConditionNotApplicable(f"re={re!r} beyond the representable envelope range") from None
 
     @given(vnorm=st.floats(0.05, 20.0), p=st.floats(2.01, 50.0),
            re=st.floats(0.0, 1e6) | st.floats(0.0, 1e300))
