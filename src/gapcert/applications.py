@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .enclosures import QuadBound, SymmetricGapResult, hyperbola_excluded, symmetric_gap_strip
 from .errors import ConditionNotApplicable, require_int, require_nonneg, require_positive
@@ -87,9 +88,11 @@ def dirac2d_constants(
     return QuadBound(cp ** (p / (p - 2.0)) * b ** (-2.0 / (p - 2.0)), b)
 
 
-def _envelope_x(p: float, cp: float, b: float) -> float:
-    # x = |Re z|^2 on the envelope of the hyperbola family at b, cp = dirac2d_cp
-    return (cp / b) ** (2.0 * p / (p - 2.0)) * (2.0 - p * b * b) / (p - 2.0)
+def _envelope_x(p: float, cp: float) -> Callable[[float], float]:
+    # b -> x = |Re z|^2 on the envelope of the hyperbola family at b, cp = dirac2d_cp;
+    # the exponent 2p/(p-2) and the divisor p-2 are computed once
+    pm2, expo = p - 2.0, 2.0 * p / (p - 2.0)
+    return lambda b: (cp / b) ** expo * (2.0 - p * b * b) / pm2
 
 
 def _envelope_y(p: float, cp: float, b: float) -> float:
@@ -100,7 +103,7 @@ def _envelope_y(p: float, cp: float, b: float) -> float:
 def _envelope_xy(spec: DiracSpec, b: float) -> tuple[float, float]:
     # (x, y) = (|Re z|^2, |Im z|^2) on the envelope of the hyperbola family at b
     cp = dirac2d_cp(spec)
-    return _envelope_x(spec.p, cp, b), _envelope_y(spec.p, cp, b)
+    return _envelope_x(spec.p, cp)(b), _envelope_y(spec.p, cp, b)
 
 
 @dataclass(frozen=True)
@@ -161,7 +164,8 @@ def dirac2d_envelope(
     cp = dirac2d_cp(spec)
     try:
         grid = _log_grid(b_min, b_max, samples)
-        xy = [(_envelope_x(p, cp, b), _envelope_y(p, cp, b)) for b in grid]
+        x_at = _envelope_x(p, cp)
+        xy = [(x_at(b), _envelope_y(p, cp, b)) for b in grid]
         if not all(math.isfinite(x) and math.isfinite(y) for x, y in xy):
             raise OverflowError
     except ArithmeticError:
@@ -183,22 +187,23 @@ def _envelope_b_at(spec: DiracSpec, re: float) -> tuple[float, float]:
     x(b) decreases strictly on (0, sqrt(2/p)], so halving from the top
     finds lo with x(lo) >= re^2; geometric bisection then stops at its
     fixed point, the first step that leaves (lo, hi) unchanged.  Both
-    loops evaluate the abscissa x(b) alone, with C_p computed once per call.
+    loops evaluate the abscissa x(b) alone, with C_p, 2p/(p-2) and p-2
+    computed once per call.
     """
     target = re * re
     p = spec.p
     hi = _envelope_b_max(p)
     if target == 0.0:
         return hi, hi
-    cp = dirac2d_cp(spec)
+    x_at = _envelope_x(p, dirac2d_cp(spec))
     try:
         # halving ends at the latest when x(lo) overflows or cp / lo divides by zero
         lo = 0.5 * hi
-        while _envelope_x(p, cp, lo) < target:
+        while x_at(lo) < target:
             lo *= 0.5
         for _ in range(200):
             mid = math.sqrt(lo * hi)
-            if _envelope_x(p, cp, mid) >= target:
+            if x_at(mid) >= target:
                 if mid == lo:
                     break
                 lo = mid

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .enclosures import Gap, QuadBound, StripResult, _strip_shifts
+from .enclosures import Gap, QuadBound, StripResult, _strip_ends
 from .errors import ConditionNotApplicable, require_int, require_nonneg, require_positive
 
 __all__ = [
@@ -121,11 +121,11 @@ def almost_gap_eig_bound(
     Each interval contains at most m eigenvalues of T + A.
     """
     m = require_int("m", m, 0)
-    strip, sa, sb = _strip_shifts(q, gap)
+    lo, hi, open_, sa, sb = _strip_ends(q.a, q.b, gap.alpha, gap.beta)
     if case == "i":
-        if not strip.open:
+        if not open_:
             raise ConditionNotApplicable("gap condition fails for case i")
-        return EigCountInterval(strip.lo, strip.hi, m)
+        return EigCountInterval(lo, hi, m)
     if case == "ii":
         if w is None or not math.isfinite(w.sup_w):
             raise ConditionNotApplicable("case ii needs a finite numerical-range supremum")

@@ -16,7 +16,13 @@ Conventions: strict inequalities and returned endpoints are plain double
 arithmetic, not yet rounded in the safe direction, so within a few ulp of
 a threshold a verdict can differ from exact arithmetic on the same
 inputs; a constant b >= 1 is rejected as not applicable rather than
-clamped.
+clamped.  The two strict decisions that most certificates rest on have
+one float kernel each: _strip_ends decides the gap condition wherever it
+is used (strips, strip bounds, counting strips, the per-gap criterion),
+_excluded the hyperbola test.  Exact predicates and safe-direction
+rounding belong there.  The public functions read their arguments'
+fields once, call a kernel, and build a result object only where they
+return one.
 """
 
 from __future__ import annotations
@@ -129,9 +135,9 @@ class Disk:
         return abs(complex(z) - self.center) <= self.radius + slack
 
 
-def _check_b_lt_1(q: QuadBound) -> None:
-    if q.b >= 1.0:
-        raise ConditionNotApplicable(f"requires b < 1, got b={q.b!r}")
+def _check_b_lt_1(b: float) -> None:
+    if b >= 1.0:
+        raise ConditionNotApplicable(f"requires b < 1, got b={b!r}")
 
 
 def quad_from_linear(lin: LinBound, eps: float) -> QuadBound:
@@ -154,32 +160,35 @@ def optimal_shift_linear(lin: LinBound, x: float) -> float:
     return lin.a_lin + lin.b_lin * abs(x)
 
 
+def _excluded(a: float, b: float, re: float, im: float) -> bool:
+    """The one site of the hyperbola test im^2 > (a^2 + b^2 re^2) / (1 - b^2); checks b < 1 first."""
+    _check_b_lt_1(b)
+    return im * im > (a * a + b * b * re * re) / (1.0 - b * b)
+
+
 def hyperbola_excluded(q: QuadBound, z: complex) -> bool:
     """Whether z lies in the certified resolvent set outside the enclosing hyperbola.
 
     For b < 1 the spectrum of T + A is confined to
     |Im z|^2 <= (a^2 + b^2 |Re z|^2) / (1 - b^2); strictly outside is certified.
     """
-    _check_b_lt_1(q)
     z = complex(z)
-    rhs = (q.a * q.a + q.b * q.b * z.real * z.real) / (1.0 - q.b * q.b)
-    return z.imag * z.imag > rhs
+    return _excluded(q.a, q.b, z.real, z.imag)
 
 
-def _strip_shifts(q: QuadBound, gap: Gap) -> tuple[StripResult, float, float]:
-    """perturbed_strip(q, gap) with the endpoint shifts (shift(alpha), shift(beta)) it is made of.
+def _strip_ends(a: float, b: float, alpha: float, beta: float) -> tuple[float, float, bool, float, float]:
+    """(lo, hi, open, shift(alpha), shift(beta)) of the strip of gap (alpha, beta) under (a, b).
 
-    Each shift is computed once, and the strict gap condition
-    shift(alpha) + shift(beta) < beta - alpha is decided here alone.
+    The one site that checks b < 1 and decides the gap condition shift(alpha) + shift(beta) < beta - alpha.
     """
-    _check_b_lt_1(q)
-    sa, sb = q.shift(gap.alpha), q.shift(gap.beta)
-    return StripResult(gap.alpha + sa, gap.beta - sb, sa + sb < gap.width), sa, sb
+    _check_b_lt_1(b)
+    sa, sb = math.hypot(a, b * alpha), math.hypot(a, b * beta)
+    return alpha + sa, beta - sb, sa + sb < beta - alpha, sa, sb
 
 
 def gap_condition(q: QuadBound, gap: Gap) -> bool:
     """Strict inequality guaranteeing the gap survives the perturbation."""
-    return _strip_shifts(q, gap)[0].open
+    return _strip_ends(q.a, q.b, gap.alpha, gap.beta)[2]
 
 
 def perturbed_strip(q: QuadBound, gap: Gap) -> StripResult:
@@ -188,15 +197,13 @@ def perturbed_strip(q: QuadBound, gap: Gap) -> StripResult:
     When the gap condition holds the strip is open and is avoided by the
     spectrum of T + sA for every coupling s in [0, 1].
     """
-    return _strip_shifts(q, gap)[0]
+    return StripResult(*_strip_ends(q.a, q.b, gap.alpha, gap.beta)[:3])
 
 
 def perturbed_strip_linear(lin: LinBound, gap: Gap) -> StripResult:
     """Strip from linear constants with eps-optimized endpoint shifts."""
-    lo = gap.alpha + optimal_shift_linear(lin, gap.alpha)
-    hi = gap.beta - optimal_shift_linear(lin, gap.beta)
-    open_ = (optimal_shift_linear(lin, gap.alpha) + optimal_shift_linear(lin, gap.beta)) < gap.width
-    return StripResult(lo, hi, open_)
+    sa, sb = optimal_shift_linear(lin, gap.alpha), optimal_shift_linear(lin, gap.beta)
+    return StripResult(gap.alpha + sa, gap.beta - sb, sa + sb < gap.width)
 
 
 def lower_semicont_balls(q: QuadBound, gap: Gap) -> tuple[Disk, Disk]:
@@ -205,85 +212,72 @@ def lower_semicont_balls(q: QuadBound, gap: Gap) -> tuple[Disk, Disk]:
     Requires b < 1.  Each disk K_r(alpha), K_r(beta) with r = shift(endpoint)
     intersects the spectrum of the perturbed operator when A is symmetric.
     """
-    _check_b_lt_1(q)
-    return (
-        Disk(gap.alpha, q.shift(gap.alpha)),
-        Disk(gap.beta, q.shift(gap.beta)),
-    )
+    _, _, _, sa, sb = _strip_ends(q.a, q.b, gap.alpha, gap.beta)
+    return Disk(gap.alpha, sa), Disk(gap.beta, sb)
+
+
+def _offreal_bound(a: float, b: float, z: complex) -> float:
+    if not _excluded(a, b, z.real, z.imag):
+        raise BoundNotValid(f"z={z!r} is not certified outside the enclosure")
+    return 1.0 / (abs(z.imag) - math.hypot(a, b * abs(z)))
 
 
 def resolvent_bound_offreal(q: QuadBound, z: complex) -> float:
     """Resolvent norm bound 1/(|Im z| - sqrt(a^2 + b^2 |z|^2)) off the real axis."""
-    z = complex(z)
-    if not hyperbola_excluded(q, z):
-        raise BoundNotValid(f"z={z!r} is not certified outside the enclosure")
-    return 1.0 / (abs(z.imag) - q.shift(abs(z)))
+    return _offreal_bound(q.a, q.b, complex(z))
 
 
-def _inside(strip: StripResult, z: complex) -> complex:
-    if not strip.open:
+def _offreal_bounds(q: QuadBound, zs) -> list[float]:
+    """resolvent_bound_offreal at every z of a grid, bit for bit, refusing as it does."""
+    a, b = q.a, q.b
+    return [_offreal_bound(a, b, complex(z)) for z in zs]
+
+
+def _inside(lo: float, hi: float, open_: bool, z: complex) -> complex:
+    if not open_:
         raise BoundNotValid("gap condition fails; no certified strip")
-    if not (strip.lo < z.real < strip.hi):
-        raise BoundNotValid(f"Re z={z.real!r} outside certified strip ({strip.lo!r}, {strip.hi!r})")
+    if not (lo < z.real < hi):
+        raise BoundNotValid(f"Re z={z.real!r} outside certified strip ({lo!r}, {hi!r})")
     return z
 
 
-def _plain_bound(q: QuadBound, gap: Gap, strip: StripResult, z: complex) -> float:
+def _plain_bound(b: float, alpha: float, beta: float, lo: float, hi: float, z: complex) -> float:
     mu, nu = z.real, z.imag
-    dist = math.hypot(min(mu - gap.alpha, gap.beta - mu), nu)
+    dist = math.hypot(min(mu - alpha, beta - mu), nu)
     # 1 - max{b, s_a/(mu-alpha), s_b/(beta-mu)} evaluated in the
     # cancellation-free complementary form
-    comp = min(
-        1.0 - q.b,
-        (mu - strip.lo) / (mu - gap.alpha),
-        (strip.hi - mu) / (gap.beta - mu),
-    )
+    comp = min(1.0 - b, (mu - lo) / (mu - alpha), (hi - mu) / (beta - mu))
     return 1.0 / (dist * comp)
 
 
-def _crossover(gap: Gap, sa: float, sb: float) -> float:
+def _crossover(alpha: float, beta: float, sa: float, sb: float) -> float:
     """Abscissa zeta where the two endpoint ratios of the refined bound coincide.
 
-    sa and sb are the endpoint shifts shift(alpha) and shift(beta) that
-    _strip_shifts returns with the strip.
+    sa and sb are the endpoint shifts shift(alpha) and shift(beta).  Of the
+    two closed forms, the one anchored at the endpoint nearer 0 is returned,
+    so the mirrored gap (-beta, -alpha) gets exactly -zeta.
     """
     if not sa + sb > 0:
-        return 0.5 * (gap.alpha + gap.beta)
-    zeta = gap.alpha + gap.width * (sa / (sa + sb))
-    zeta_alt = gap.beta - gap.width * (sb / (sa + sb))
+        return 0.5 * (alpha + beta)
+    width = beta - alpha
+    from_alpha = alpha + width * (sa / (sa + sb))
+    from_beta = beta - width * (sb / (sa + sb))
     # the two closed forms of the crossover must agree to rounding
-    scale = max(1.0, abs(gap.alpha), abs(gap.beta))
-    if abs(zeta - zeta_alt) > 1e-12 * scale:
+    scale = max(1.0, abs(alpha), abs(beta))
+    if abs(from_alpha - from_beta) > 1e-12 * scale:
         raise NumericalFailure("crossover forms disagree beyond rounding")
-    return zeta
+    return from_alpha if abs(alpha) <= abs(beta) else from_beta
 
 
-def _refined_bound(gap: Gap, strip: StripResult, zeta: float, z: complex) -> float:
+def _refined_bound(alpha: float, beta: float, lo: float, hi: float, zeta: float, z: complex) -> float:
+    # the distance switches endpoint at the midpoint, the ratio at zeta; a
+    # tie takes the smaller distance and the larger ratio
     mu, nu = z.real, z.imag
-    mid = 0.5 * (gap.alpha + gap.beta)
-    if abs(gap.alpha) <= abs(gap.beta):
-        # zeta <= mid: alpha-side ratio up to zeta, alpha-side distance up to mid
-        if mu <= zeta:
-            dist = math.hypot(mu - gap.alpha, nu)
-            ratio = (mu - gap.alpha) / (mu - strip.lo)
-        elif mu <= mid:
-            dist = math.hypot(mu - gap.alpha, nu)
-            ratio = (gap.beta - mu) / (strip.hi - mu)
-        else:
-            dist = math.hypot(gap.beta - mu, nu)
-            ratio = (gap.beta - mu) / (strip.hi - mu)
-    else:
-        # mid <= zeta: beta-side distance past mid, alpha-side ratio up to zeta
-        if mu <= mid:
-            dist = math.hypot(mu - gap.alpha, nu)
-            ratio = (mu - gap.alpha) / (mu - strip.lo)
-        elif mu <= zeta:
-            dist = math.hypot(gap.beta - mu, nu)
-            ratio = (mu - gap.alpha) / (mu - strip.lo)
-        else:
-            dist = math.hypot(gap.beta - mu, nu)
-            ratio = (gap.beta - mu) / (strip.hi - mu)
-    return ratio / dist
+    mid = 0.5 * (alpha + beta)
+    da, db = mu - alpha, beta - mu
+    ra, rb = da / (mu - lo), db / (hi - mu)
+    dist = math.hypot(da if mu < mid else db if mu > mid else min(da, db), nu)
+    return (ra if mu < zeta else rb if mu > zeta else max(ra, rb)) / dist
 
 
 def resolvent_bound_strip(q: QuadBound, gap: Gap, z: complex) -> float:
@@ -292,8 +286,9 @@ def resolvent_bound_strip(q: QuadBound, gap: Gap, z: complex) -> float:
     bound = 1 / (sqrt(min{Re z - alpha, beta - Re z}^2 + (Im z)^2)
                  * (1 - max{b, shift(alpha)/(Re z - alpha), shift(beta)/(beta - Re z)}))
     """
-    strip = _strip_shifts(q, gap)[0]
-    return _plain_bound(q, gap, strip, _inside(strip, complex(z)))
+    b, alpha, beta = q.b, gap.alpha, gap.beta
+    lo, hi, open_ = _strip_ends(q.a, b, alpha, beta)[:3]
+    return _plain_bound(b, alpha, beta, lo, hi, _inside(lo, hi, open_, complex(z)))
 
 
 def resolvent_bound_strip_refined(q: QuadBound, gap: Gap, z: complex) -> float:
@@ -304,9 +299,10 @@ def resolvent_bound_strip_refined(q: QuadBound, gap: Gap, z: complex) -> float:
         zeta = alpha + (beta - alpha) * s_alpha / (s_alpha + s_beta).
     Never exceeds resolvent_bound_strip beyond rounding.
     """
-    strip, sa, sb = _strip_shifts(q, gap)
-    z = _inside(strip, complex(z))
-    return _refined_bound(gap, strip, _crossover(gap, sa, sb), z)
+    alpha, beta = gap.alpha, gap.beta
+    lo, hi, open_, sa, sb = _strip_ends(q.a, q.b, alpha, beta)
+    z = _inside(lo, hi, open_, complex(z))
+    return _refined_bound(alpha, beta, lo, hi, _crossover(alpha, beta, sa, sb), z)
 
 
 def _strip_bound_pairs(q: QuadBound, gap: Gap, zs) -> list[tuple[float, float]]:
@@ -317,14 +313,15 @@ def _strip_bound_pairs(q: QuadBound, gap: Gap, zs) -> list[tuple[float, float]]:
     endpoint shifts and the crossover are computed once per grid instead
     of once per bound.
     """
-    strip, sa, sb = _strip_shifts(q, gap)
+    b, alpha, beta = q.b, gap.alpha, gap.beta
+    lo, hi, open_, sa, sb = _strip_ends(q.a, b, alpha, beta)
     pairs = []
     zeta = None
     for z in zs:
-        z = _inside(strip, complex(z))
+        z = _inside(lo, hi, open_, complex(z))
         if zeta is None:
-            zeta = _crossover(gap, sa, sb)
-        pairs.append((_plain_bound(q, gap, strip, z), _refined_bound(gap, strip, zeta, z)))
+            zeta = _crossover(alpha, beta, sa, sb)
+        pairs.append((_plain_bound(b, alpha, beta, lo, hi, z), _refined_bound(alpha, beta, lo, hi, zeta, z)))
     return pairs
 
 
@@ -355,15 +352,10 @@ def symmetric_gap_strip(q: QuadBound, beta: float) -> SymmetricGapResult:
     half-width is beta_pert = beta - sqrt(a^2 + b^2 beta^2).
     """
     beta = require_positive("beta", beta)
-    _check_b_lt_1(q)
+    _check_b_lt_1(q.b)
     s = q.shift(beta)
     beta_pert = beta - s
-    return SymmetricGapResult(
-        strip=StripResult(-beta_pert, beta_pert, s < beta),
-        beta_pert=beta_pert,
-        beta=beta,
-        shift=s,
-    )
+    return SymmetricGapResult(StripResult(-beta_pert, beta_pert, s < beta), beta_pert, beta, s)
 
 
 def semibounded_lower_bound(bound: Union[QuadBound, LinBound], beta: float) -> float:
@@ -374,7 +366,7 @@ def semibounded_lower_bound(bound: Union[QuadBound, LinBound], beta: float) -> f
     """
     beta = require_finite("beta", beta)
     if isinstance(bound, QuadBound):
-        _check_b_lt_1(bound)
+        _check_b_lt_1(bound.b)
         return beta - bound.shift(beta)
     if isinstance(bound, LinBound):
         return beta - (bound.a_lin + bound.b_lin * beta)
@@ -415,7 +407,7 @@ def gk_sector_cover(family: Callable[[float], QuadBound], eps: float) -> GKCover
     if not 0.0 < eps < math.pi / 2:
         raise ValueError("eps must lie in (0, pi/2)")
     q = family(eps)
-    _check_b_lt_1(q)
+    _check_b_lt_1(q.b)
     bb = q.b * q.b
     if bb / (1.0 - bb) >= eps * eps / 2.0:
         raise ConditionNotApplicable(
@@ -487,16 +479,16 @@ class EigStrip:
 def isolated_eigenvalue_strip(q: QuadBound, spec: IsolatedEigSpec) -> EigStrip:
     """Counting strip around an isolated eigenvalue that persists under T + A.
 
-    Requires both of
+    Requires the gap conditions of (alpha, lam) and (lam, beta),
         shift(alpha) + shift(lam) < lam - alpha,
         shift(lam) + shift(beta) < beta - lam;
     then (lam - shift(lam), lam + shift(lam)) + iR contains exactly mult
     eigenvalues of T + A (counted with algebraic multiplicity).
     """
-    _check_b_lt_1(q)
-    s_lam = q.shift(spec.lam)
-    if not q.shift(spec.alpha) + s_lam < spec.lam - spec.alpha:
+    a, b, lam = q.a, q.b, spec.lam
+    _, _, below, _, s_lam = _strip_ends(a, b, spec.alpha, lam)
+    if not below:
         raise ConditionNotApplicable("separation from the lower neighbor fails")
-    if not s_lam + q.shift(spec.beta) < spec.beta - spec.lam:
+    if not _strip_ends(a, b, lam, spec.beta)[2]:
         raise ConditionNotApplicable("separation from the upper neighbor fails")
-    return EigStrip(spec.lam - s_lam, spec.lam + s_lam, spec.mult)
+    return EigStrip(lam - s_lam, lam + s_lam, spec.mult)

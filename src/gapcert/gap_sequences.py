@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence, Union
 
-from .enclosures import Gap, QuadBound, StripResult, _strip_shifts
+from .enclosures import Gap, StripResult, _strip_ends
 from .errors import ConditionNotApplicable, NumericalFailure
 from .errors import require_finite, require_int, require_nonneg, require_positive
 
@@ -397,10 +397,11 @@ def per_gap_criterion(seq: GapSequence, consts: PerGapConstants) -> PerGapResult
         raise ValueError("constants must match the number of gaps")
     ratios = []
     strips = []
+    # both containers validated (a, b) and (alpha, beta) already
     for a, b, alpha, beta in zip(consts.a_seq, consts.b_seq, seq.alphas, seq.betas):
-        strip, sa, sb = _strip_shifts(QuadBound(a, b), Gap(alpha, beta))
+        lo, hi, open_, sa, sb = _strip_ends(a, b, alpha, beta)
         ratios.append((sa + sb) / (beta - alpha))
-        strips.append(strip)
+        strips.append(StripResult(lo, hi, open_))
     tail = _tail(ratios)
     liminf, limsup = min(tail), max(tail)
     if _decide(limsup, 1.0, exact=False, want_greater=False) == 1:

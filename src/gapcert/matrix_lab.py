@@ -74,7 +74,7 @@ from .enclosures import (
     isolated_eigenvalue_strip,
     lower_semicont_balls,
     perturbed_strip,
-    resolvent_bound_offreal,
+    _offreal_bounds,
     _strip_bound_pairs,
     resolvent_bound_strip,  # noqa: F401  (perfbench's self-test traces it through this module)
     symmetric_gap_strip,
@@ -975,7 +975,7 @@ def _observing(inst: MatrixInstance, s_grid: np.ndarray, eigs: np.ndarray):
     grids = []
     if q.b < 1.0:
         zs = _offreal_zgrid(inst)
-        grids.append(("resolvent-offreal", zs, np.array([resolvent_bound_offreal(q, z) for z in zs])))
+        grids.append(("resolvent-offreal", zs, np.array(_offreal_bounds(q, zs))))
     strips = []
     for g in inst.gaps:
         if (strip := perturbed_strip(q, g)).open:

@@ -14,12 +14,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gapcert import enclosures, gap_sequences
 from gapcert.enclosures import (
     _crossover,
+    _offreal_bounds,
     _plain_bound,
     _refined_bound,
     _strip_bound_pairs,
-    _strip_shifts,
+    _strip_ends,
     Disk,
     Gap,
     GKCover,
@@ -400,7 +402,12 @@ def _ref_crossover(q, g):
     scale = max(1.0, abs(g.alpha), abs(g.beta))
     if abs(zeta - zeta_alt) > 1e-12 * scale:
         raise NumericalFailure("crossover forms disagree beyond rounding")
-    return zeta
+    # the form anchored at the endpoint nearer 0, so that reflection negates it exactly
+    return zeta if abs(g.alpha) <= abs(g.beta) else zeta_alt
+
+
+def _ends(q, g):
+    return _strip_ends(q.a, q.b, g.alpha, g.beta)
 
 
 def _outcome(fn, *args):
@@ -429,21 +436,21 @@ class TestSharedShifts:
     def test_strip_and_condition_bits(self, a, b, g):
         q = QuadBound(a, b)
         if b >= 1.0:
-            for fn in (perturbed_strip, gap_condition, _strip_shifts):
+            for fn in (perturbed_strip, gap_condition, _ends):
                 with pytest.raises(ConditionNotApplicable):
                     fn(q, g)
             return
         want = _ref_strip(q, g)
-        strip, sa, sb = _strip_shifts(q, g)
-        assert strip == perturbed_strip(q, g)
-        assert _bits(strip.lo, strip.hi, sa, sb) == _bits(want.lo, want.hi, q.shift(g.alpha), q.shift(g.beta))
-        assert strip.open is want.open is gap_condition(q, g)
+        lo, hi, open_, sa, sb = _ends(q, g)
+        assert StripResult(lo, hi, open_) == perturbed_strip(q, g)
+        assert _bits(lo, hi, sa, sb) == _bits(want.lo, want.hi, q.shift(g.alpha), q.shift(g.beta))
+        assert open_ is want.open is gap_condition(q, g)
 
     @given(a=quad_a, b=quad_b, g=gaps(lo=-1e6, hi=1e6, min_width=1e-9))
     @settings(max_examples=200, deadline=None)
     def test_crossover_bits(self, a, b, g):
         q = QuadBound(a, b)
-        got = _outcome(_crossover, g, *_strip_shifts(q, g)[1:])
+        got = _outcome(_crossover, g.alpha, g.beta, *_ends(q, g)[3:])
         want = _outcome(_ref_crossover, q, g)
         assert got == want if isinstance(want, tuple) else _bits(got) == _bits(want)
 
@@ -458,8 +465,9 @@ class TestSharedShifts:
                 with pytest.raises(BoundNotValid):
                     fn(q, g, z)
             return
-        plain = _plain_bound(q, g, strip, z)
-        refined = _outcome(lambda: _refined_bound(g, strip, _ref_crossover(q, g), z))
+        ends = (g.alpha, g.beta, strip.lo, strip.hi)
+        plain = _plain_bound(q.b, *ends, z)
+        refined = _outcome(lambda: _refined_bound(*ends, _ref_crossover(q, g), z))
         assert _bits(resolvent_bound_strip(q, g, z)) == _bits(plain)
         got = _outcome(resolvent_bound_strip_refined, q, g, z)
         assert got == refined if isinstance(refined, tuple) else _bits(got) == _bits(refined)
@@ -485,18 +493,78 @@ class TestSharedShifts:
         assert _bits(*res.ratios) == _bits(*want)
         assert res.strips == tuple(_ref_strip(q, Gap(al, be)) for q, al, be in zip(qs, alphas, betas))
 
+    @given(
+        a=quad_a,
+        b=st.floats(0.0, 1.2),
+        pts=st.lists(
+            st.tuples(st.floats(-40.0, 40.0), st.floats(0.0, 2.0), st.sampled_from((1.0, -1.0)), st.booleans()),
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_offreal_grid_bits(self, a, b, pts):
+        q = QuadBound(a, b)
+        zs = []
+        for re, t, sign, near in pts:
+            # Im z at t times the hyperbola's height, or at t itself
+            height = math.sqrt((a * a + b * b * re * re) / (1.0 - b * b)) if near and b < 1.0 else 1.0
+            zs.append(complex(re, sign * t * height))
+        each = [_outcome(resolvent_bound_offreal, q, z) for z in zs]
+        for z, got in zip(zs, each):
+            excluded = _outcome(hyperbola_excluded, q, z)
+            if isinstance(excluded, tuple):
+                assert got == excluded
+            else:
+                assert (isinstance(got, tuple) and got[0] is BoundNotValid) is not excluded
+        # the grid raises what its first failing point raises, else gives every bound bit for bit
+        failure = next((got for got in each if isinstance(got, tuple)), None)
+        grid = _outcome(_offreal_bounds, q, zs)
+        assert grid == failure if failure is not None else _bits(*grid) == _bits(*each)
+        kept = [z for z, got in zip(zs, each) if not isinstance(got, tuple)]
+        want = [resolvent_bound_offreal(q, z) for z in kept]
+        assert _bits(*_offreal_bounds(q, np.array(kept, dtype=complex))) == _bits(*want)
+
     def test_refined_bound_computes_each_shift_once(self, monkeypatch):
+        # every hypot the module evaluates, counted through its `math` reference
         calls = []
-        shift = QuadBound.shift
 
-        def counted(self, x):
-            calls.append(x)
-            return shift(self, x)
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
 
-        monkeypatch.setattr(QuadBound, "shift", counted)
-        q, g = QuadBound(0.3, 0.2), Gap(-1.0, 3.0)
-        resolvent_bound_strip_refined(q, g, 1.0 + 0.5j)
-        assert calls == [g.alpha, g.beta]
+            @staticmethod
+            def hypot(*args):
+                calls.append(args)
+                return math.hypot(*args)
+
+        monkeypatch.setattr(enclosures, "math", CountingMath())
+        q, g, z = QuadBound(0.3, 0.2), Gap(-1.0, 3.0), 1.0 + 0.5j
+        shifts = [(q.a, q.b * g.alpha), (q.a, q.b * g.beta)]
+        for call in (lambda: gap_condition(q, g), lambda: perturbed_strip(q, g)):
+            calls.clear()
+            call()
+            assert calls == shifts
+        for fn in (resolvent_bound_strip, resolvent_bound_strip_refined):
+            calls.clear()
+            fn(q, g, z)
+            # the two shifts in the kernel, then the distance factor
+            assert calls[:2] == shifts and len(calls) == 3
+
+    def test_no_result_object_that_is_not_returned(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a value object the function does not return")
+
+        q, g, z = QuadBound(0.3, 0.2), Gap(-1.0, 3.0), 1.0 + 0.5j
+        want = [gap_condition(q, g), resolvent_bound_strip(q, g, z), resolvent_bound_strip_refined(q, g, z)]
+        seq, consts = GapSequence((-1.0, 4.0), (3.0, 9.0)), PerGapConstants((0.3, 0.1), (0.2, 0.2))
+        per_gap = per_gap_criterion(seq, consts)
+        monkeypatch.setattr(enclosures, "StripResult", refuse)
+        assert [gap_condition(q, g), resolvent_bound_strip(q, g, z), resolvent_bound_strip_refined(q, g, z)] == want
+        monkeypatch.undo()
+        for name in ("QuadBound", "Gap"):
+            monkeypatch.setattr(enclosures, name, refuse)
+            monkeypatch.setattr(gap_sequences, name, refuse, raising=False)
+        assert per_gap_criterion(seq, consts) == per_gap
 
 
 # ---------------------------------------------------------------------------
@@ -514,11 +582,6 @@ sym_a, sym_b = _normal(0.0, 3.0), _normal(0.0, 0.95)
 sym_alpha, sym_width = _normal(-10.0, 10.0), _normal(0.01, 20.0)
 sym_frac, sym_im, sym_re = _normal(0.0, 1.0), _normal(-30.0, 30.0), _normal(-40.0, 40.0)
 sym_case = dict(a=sym_a, b=sym_b, alpha=sym_alpha, width=sym_width, frac=sym_frac, im=sym_im, re=sym_re)
-
-
-def _switches(q, g):
-    """The abscissae where the refined bound changes endpoint: the crossover and the midpoint."""
-    return _outcome(_crossover, g, *_strip_shifts(q, g)[1:]), 0.5 * (g.alpha + g.beta)
 
 
 class TestSymmetries:
@@ -543,24 +606,19 @@ class TestSymmetries:
         # equal as numbers: an end of 0.0 mirrors to 0.0, not to -0.0
         assert (flipped.lo, flipped.hi, flipped.open) == (-strip.hi, -strip.lo, strip.open)
         z = complex(strip.lo + frac * (strip.hi - strip.lo), im)
-        got, want = self._strip_bounds(q, mirror, -z.conjugate()), self._strip_bounds(q, g, z)
-        if z.real in _switches(q, g) or -z.real in _switches(q, mirror):
-            # a tie at a switch takes the alpha side in both orientations; see test_refined_tie_breaks_reflection
-            got, want = got[:1], want[:1]
-        self._same(got, want)
+        self._same(self._strip_bounds(q, mirror, -z.conjugate()), self._strip_bounds(q, g, z))
         w = complex(re, im)
         self._same([_outcome(resolvent_bound_offreal, q, -w.conjugate())], [_outcome(resolvent_bound_offreal, q, w)])
         if g.beta > 0 and (sym := symmetric_gap_strip(q, g.beta)).strip.open:
             self._same([_outcome(sym.resolvent_bound, -z.conjugate())], [_outcome(sym.resolvent_bound, z)])
 
-    @pytest.mark.xfail(strict=True, reason="the refined bound breaks a midpoint tie toward alpha either way round")
     def test_refined_tie_breaks_reflection(self):
         # Re z is the computed midpoint 0.5000009999999999: the alpha side reads distance
-        # 0.49999999999999994, the mirrored gap's alpha side 0.5, one ulp below the true bound
+        # 0.49999999999999994, the beta side 0.5; a tie takes the smaller distance either way round
         q, g = QuadBound(0.0, 0.0), Gap(1e-06, 1.000001)
         mu = 0.5 * (g.alpha + g.beta)
         mirrored = resolvent_bound_strip_refined(q, Gap(-g.beta, -g.alpha), complex(-mu, 0.0))
-        assert mirrored == resolvent_bound_strip_refined(q, g, complex(mu, 0.0))
+        assert mirrored == resolvent_bound_strip_refined(q, g, complex(mu, 0.0)) == 1.0 / (mu - g.alpha)
 
     @given(**sym_case)
     @settings(max_examples=200, deadline=None)
