@@ -21,12 +21,10 @@ Everything is a closed-form evaluation; no operators are discretized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
-from .enclosures import QuadBound, SymmetricGapResult, hyperbola_excluded, symmetric_gap_strip
-from .errors import ConditionNotApplicable, require_int, require_nonneg, require_positive
-from .gap_sequences import GrowthTerm, PowerLogTail
+from .enclosures import QuadBound, hyperbola_excluded, symmetric_gap_strip
+from .errors import ConditionNotApplicable, record, require_int, require_nonneg, require_positive
 
 __all__ = [
     "DiracSpec",
@@ -47,19 +45,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DiracSpec:
+class DiracSpec(record("DiracSpec", "v_norm p")):
     """Potential data for the planar massless case: L^p norm and exponent p > 2."""
 
-    v_norm: float
-    p: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "v_norm", require_positive("v_norm", self.v_norm))
-        p = float(self.p)
+    def __new__(cls, v_norm: float, p: float):
+        v_norm, p = require_positive("v_norm", v_norm), float(p)
         if not math.isfinite(p) or p <= 2:
             raise ValueError("requires p > 2")
-        object.__setattr__(self, "p", p)
+        return tuple.__new__(cls, (v_norm, p))
 
 
 def dirac2d_cp(spec: DiracSpec) -> float:
@@ -106,20 +101,14 @@ def _envelope_xy(spec: DiracSpec, b: float) -> tuple[float, float]:
     return _envelope_x(spec.p, cp)(b), _envelope_y(spec.p, cp, b)
 
 
-@dataclass(frozen=True)
-class EnvelopeCurve:
+class EnvelopeCurve(record("EnvelopeCurve", "b re im asymptote_coeff asymptote_exponent clipped")):
     """Sampled envelope polyline with its large-|Re z| asymptote.
 
     Rows are (re, im) = (sqrt(x), sqrt(y)); im ~ asymptote_coeff *
     re**asymptote_exponent as re grows.
     """
 
-    b: tuple[float, ...]
-    re: tuple[float, ...]
-    im: tuple[float, ...]
-    asymptote_coeff: float
-    asymptote_exponent: float
-    clipped: bool
+    __slots__ = ()
 
 
 def _envelope_b_max(p: float) -> float:
@@ -229,29 +218,23 @@ def envelope_im_at_re(spec: DiracSpec, re: float) -> float:
         raise ConditionNotApplicable(f"re={re!r} beyond the representable envelope range") from None
 
 
-@dataclass(frozen=True)
-class CoulombSpec:
+class CoulombSpec(record("CoulombSpec", "c1 c2 m")):
     """Coulomb-like potential envelope ||V(x)||^2 <= C1^2 + C2^2 |x|^-2, mass m."""
 
-    c1: float
-    c2: float
-    m: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "c1", require_nonneg("c1", self.c1))
-        object.__setattr__(self, "c2", require_nonneg("c2", self.c2))
-        object.__setattr__(self, "m", require_positive("m", self.m))
+    def __new__(cls, c1: float, c2: float, m: float):
+        return tuple.__new__(cls, (require_nonneg("c1", c1), require_nonneg("c2", c2), require_positive("m", m)))
 
 
-@dataclass(frozen=True)
-class CoulombRegion:
-    """Two-component enclosure: |Re z| >= halfwidth, |Im z| below a hyperbola."""
+class CoulombRegion(record("CoulombRegion", "halfwidth quad mass gap bisectorial")):
+    """Two-component enclosure: |Re z| >= halfwidth, |Im z| below a hyperbola.
 
-    halfwidth: float
-    quad: QuadBound
-    mass: float
-    gap: SymmetricGapResult
-    bisectorial: bool
+    quad is the QuadBound of the hyperbola, gap the SymmetricGapResult of
+    the mass gap.
+    """
+
+    __slots__ = ()
 
     def certified_free(self, z: complex) -> bool:
         """True when z provably avoids the spectrum."""
@@ -284,8 +267,7 @@ def dirac3d_coulomb(spec: CoulombSpec) -> CoulombRegion:
     )
 
 
-@dataclass(frozen=True)
-class ManifoldSpec:
+class ManifoldSpec(record("ManifoldSpec", "c p case eps_geom")):
     """Necklace-of-spheres data: potential L^p budget and geometry case.
 
     c bounds the per-sphere L^p norms, p in (2, inf); case 1 couples the
@@ -293,33 +275,28 @@ class ManifoldSpec:
     eps_geom is the exponent defect in the band-width law.
     """
 
-    c: float
-    p: float
-    case: int
-    eps_geom: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "c", require_positive("c", self.c))
-        p = float(self.p)
+    def __new__(cls, c: float, p: float, case: int, eps_geom: float):
+        c, p = require_positive("c", c), float(p)
         if not math.isfinite(p) or p <= 2:
             raise ValueError("requires p > 2")
-        object.__setattr__(self, "p", p)
-        if self.case not in (1, 2):
+        if case not in (1, 2):
             raise ValueError("case must be 1 or 2")
-        eps = float(self.eps_geom)
+        eps = float(eps_geom)
         if not 0.0 < eps < 1.0:
             raise ValueError("requires eps_geom in (0, 1)")
-        object.__setattr__(self, "eps_geom", eps)
+        return tuple.__new__(cls, (c, p, case, eps))
 
 
-@dataclass(frozen=True)
-class ManifoldBounds:
-    """Per-band constants at one band index plus their asymptotic models."""
+class ManifoldBounds(record("ManifoldBounds", "pointwise a_model b_model band_model")):
+    """Per-band constants at one band index plus their asymptotic models.
 
-    pointwise: QuadBound
-    a_model: GrowthTerm
-    b_model: GrowthTerm
-    band_model: PowerLogTail
+    pointwise is a QuadBound, a_model and b_model are GrowthTerms, and
+    band_model is a PowerLogTail.
+    """
+
+    __slots__ = ()
 
 
 def manifold_relbounds(
@@ -337,6 +314,8 @@ def manifold_relbounds(
     (case 2), with configurable prefactors standing in for the
     unspecified geometry constants.
     """
+    from .gap_sequences import GrowthTerm, PowerLogTail
+
     n = require_int("n", n, 2)
     p = spec.p
     kappa = spec.c * (4.0 * math.pi) ** (-1.0 / p)
@@ -352,8 +331,7 @@ def manifold_relbounds(
     )
 
 
-@dataclass(frozen=True)
-class TwoChannelSpec:
+class TwoChannelSpec(record("TwoChannelSpec", "d p v12_norm p0 p1 p2")):
     """Confined/free two-channel model with dissipative coupling.
 
     The confined channel is a d-dimensional oscillator, the free channel
@@ -363,40 +341,29 @@ class TwoChannelSpec:
     and p2 (the d(d+1)/2 quadratic ones).
     """
 
-    d: int
-    p: float
-    v12_norm: float
-    p0: float
-    p1: tuple[float, ...]
-    p2: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "d", require_int("d", self.d, 1))
-        p = float(self.p)
-        if not math.isfinite(p) or not (p > self.d / 2.0 and p >= 2.0):
+    def __new__(
+        cls, d: int, p: float, v12_norm: float, p0: float, p1: tuple[float, ...], p2: tuple[float, ...]
+    ):
+        d, p = require_int("d", d, 1), float(p)
+        if not math.isfinite(p) or not (p > d / 2.0 and p >= 2.0):
             raise ValueError("requires p > d/2 and p >= 2")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "v12_norm", require_nonneg("v12_norm", self.v12_norm))
-        object.__setattr__(self, "p0", require_nonneg("p0", self.p0))
-        p1 = tuple(require_nonneg("p1 entry", v) for v in self.p1)
-        p2 = tuple(require_nonneg("p2 entry", v) for v in self.p2)
-        if len(p1) != self.d:
-            raise ValueError(f"p1 needs {self.d} entries, got {len(p1)}")
-        want = self.d * (self.d + 1) // 2
+        v12_norm, p0 = require_nonneg("v12_norm", v12_norm), require_nonneg("p0", p0)
+        p1 = tuple(require_nonneg("p1 entry", v) for v in p1)
+        p2 = tuple(require_nonneg("p2 entry", v) for v in p2)
+        if len(p1) != d:
+            raise ValueError(f"p1 needs {d} entries, got {len(p1)}")
+        want = d * (d + 1) // 2
         if len(p2) != want:
             raise ValueError(f"p2 needs {want} entries, got {len(p2)}")
-        object.__setattr__(self, "p1", p1)
-        object.__setattr__(self, "p2", p2)
+        return tuple.__new__(cls, (d, p, v12_norm, p0, p1, p2))
 
 
-@dataclass(frozen=True)
-class TwoChannelResult:
+class TwoChannelResult(record("TwoChannelResult", "b21 c_p coupling lower_bound")):
     """Coupling constants and the certified real-part lower bound."""
 
-    b21: float
-    c_p: float
-    coupling: float
-    lower_bound: float
+    __slots__ = ()
 
 
 def _beta_fn(x: float, y: float) -> float:

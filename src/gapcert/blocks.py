@@ -21,10 +21,9 @@ they can be cross-checked against each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .enclosures import Gap, QuadBound, StripResult, _strip_ends
-from .errors import ConditionNotApplicable, require_int, require_nonneg, require_positive
+from .errors import ConditionNotApplicable, record, require_int, require_nonneg, require_positive
 
 __all__ = [
     "OffDiagBounds",
@@ -41,67 +40,50 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OffDiagBounds:
+class OffDiagBounds(record("OffDiagBounds", "a12 b12 a21 b21")):
     """Block constants for off-diagonal A: A12 against T22, A21 against T11."""
 
-    a12: float
-    b12: float
-    a21: float
-    b21: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("a12", "b12", "a21", "b21"):
-            object.__setattr__(self, name, require_nonneg(name, getattr(self, name)))
+    def __new__(cls, a12: float, b12: float, a21: float, b21: float):
+        return tuple.__new__(cls, map(require_nonneg, cls._fields, (a12, b12, a21, b21)))
 
 
-@dataclass(frozen=True)
-class DiagBounds:
+class DiagBounds(record("DiagBounds", "a11 b11 a22 b22")):
     """Block constants for diagonal A: A11 against T12*, A22 against T12."""
 
-    a11: float
-    b11: float
-    a22: float
-    b22: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("a11", "b11", "a22", "b22"):
-            object.__setattr__(self, name, require_nonneg(name, getattr(self, name)))
+    def __new__(cls, a11: float, b11: float, a22: float, b22: float):
+        return tuple.__new__(cls, map(require_nonneg, cls._fields, (a11, b11, a22, b22)))
 
 
-@dataclass(frozen=True)
-class NumRangeBounds:
+class NumRangeBounds(record("NumRangeBounds", "inf_w sup_w")):
     """Extremes of the numerical range of a symmetric perturbation."""
 
-    inf_w: float
-    sup_w: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if math.isnan(self.inf_w) or math.isnan(self.sup_w):
+    def __new__(cls, inf_w: float, sup_w: float):
+        if math.isnan(inf_w) or math.isnan(sup_w):
             raise ValueError("numerical-range extremes must not be NaN")
-        if self.inf_w > self.sup_w:
+        if inf_w > sup_w:
             raise ValueError("requires inf_w <= sup_w")
+        return tuple.__new__(cls, (inf_w, sup_w))
 
 
-@dataclass(frozen=True)
-class BlockMinima:
+class BlockMinima(record("BlockMinima", "beta1 beta2")):
     """Spectral minima of the two diagonal blocks of a nonnegative T."""
 
-    beta1: float
-    beta2: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("beta1", "beta2"):
-            object.__setattr__(self, name, require_nonneg(name, getattr(self, name)))
+    def __new__(cls, beta1: float, beta2: float):
+        return tuple.__new__(cls, (require_nonneg("beta1", beta1), require_nonneg("beta2", beta2)))
 
 
-@dataclass(frozen=True)
-class EigCountInterval:
+class EigCountInterval(record("EigCountInterval", "lo hi max_count")):
     """Real interval containing at most max_count eigenvalues of T + A."""
 
-    lo: float
-    hi: float
-    max_count: int
+    __slots__ = ()
 
 
 def almost_gap_eig_bound(
@@ -147,12 +129,10 @@ def almost_gap_eig_bound(
     raise ValueError(f"case must be one of i, ii, iii, iv, got {case!r}")
 
 
-@dataclass(frozen=True)
-class OffDiagGapResult:
+class OffDiagGapResult(record("OffDiagGapResult", "delta strip")):
     """Gap shrinkage delta and the surviving strip for off-diagonal A."""
 
-    delta: float
-    strip: StripResult
+    __slots__ = ()
 
 
 def offdiag_gap(bounds: OffDiagBounds, gap: Gap) -> OffDiagGapResult:

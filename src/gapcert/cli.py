@@ -17,7 +17,6 @@ import math
 import re
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict
 
 from .errors import ConditionNotApplicable, NumericalFailure, require_finite, require_nonneg
 
@@ -128,7 +127,7 @@ def _cmd_enclose(args, parser):
     if q.b >= 1.0:
         raise ConditionNotApplicable("b >= 1 excludes nothing: the enclosure is the whole plane")
     denom = math.sqrt(1.0 - q.b * q.b)
-    doc = {"status": "open", **asdict(q), "intercept": q.a / denom, "slope": q.b / denom}
+    doc = {"status": "open", **q._asdict(), "intercept": q.a / denom, "slope": q.b / denom}
     if z is not None:
         doc["excluded"] = hyperbola_excluded(q, z)
     return doc
@@ -139,7 +138,7 @@ def _cmd_strip(args, parser):
 
     _need(parser, args, "a", "b", "alpha", "beta")
     res = perturbed_strip(QuadBound(args.a, args.b), Gap(args.alpha, args.beta))
-    return {"status": "open" if res.open else "closed", **asdict(res)}
+    return {"status": "open" if res.open else "closed", **res._asdict()}
 
 
 def _cmd_resolvent(args, parser):
@@ -192,7 +191,7 @@ def _cmd_gk_cover(args, parser):
 
     cover = gk_sector_cover(bound_at, args.eps)
     q = bound_at(cover.half_angle)
-    return {"status": "ok", **asdict(cover), "a_eps": q.a, "b_eps": q.b}
+    return {"status": "ok", **cover._asdict(), "a_eps": q.a, "b_eps": q.b}
 
 
 def _cmd_eig_strip(args, parser):
@@ -201,7 +200,7 @@ def _cmd_eig_strip(args, parser):
     _need(parser, args, "a", "b", "lam", "alpha", "beta", "mult")
     spec = IsolatedEigSpec(args.lam, args.alpha, args.beta, args.mult)
     strip = isolated_eigenvalue_strip(QuadBound(args.a, args.b), spec)
-    return {"status": "open", **asdict(strip)}
+    return {"status": "open", **strip._asdict()}
 
 
 def _band_data(args, parser):
@@ -248,7 +247,7 @@ def _cmd_gaps(args, parser):
     _need(parser, args, "delta_a")
     res = ratio_criterion(_band_data(args, parser), args.delta_a)
     # Verdict is a str enum, so it serializes as its value
-    return _inf_as_null({"status": "ok", **asdict(res)})
+    return _inf_as_null({"status": "ok", **res._asdict()})
 
 
 def _growth_terms(args) -> tuple[GrowthTerm, GrowthTerm]:
@@ -304,14 +303,14 @@ def _cmd_growth_check(args, parser):
         _need(parser, args, "b_seq")
         consts = PerGapConstants(_floats(args.a_seq), _floats(args.b_seq))
     diag = necessary_growth_check(data, args.delta_a, consts)
-    return {"status": "ok", **asdict(diag), "details": _inf_as_null(diag.details)}
+    return {"status": "ok", **diag._asdict(), "details": _inf_as_null(diag.details)}
 
 
 def _cmd_powerlaw(args, parser):
     from .gap_sequences import powerlaw_example
 
     res = powerlaw_example(_power_log(args, parser), *_growth_terms(args))
-    return {"status": "ok", **asdict(res)}
+    return {"status": "ok", **res._asdict()}
 
 
 def _cmd_structured(args, parser):
@@ -425,7 +424,7 @@ def _cmd_two_channel(args, parser):
     p1 = _floats(args.p1) or (0.0,) * args.d
     p2 = _floats(args.p2) or (0.0,) * (args.d * (args.d + 1) // 2)
     spec = TwoChannelSpec(args.d, args.p, args.v12, args.p0, p1, p2)
-    return {"status": "ok", **asdict(two_channel_bound(spec))}
+    return {"status": "ok", **two_channel_bound(spec)._asdict()}
 
 
 def _cmd_verify(args, parser):

@@ -23,18 +23,29 @@ _excluded the hyperbola test.  Exact predicates and safe-direction
 rounding belong there.  The public functions read their arguments'
 fields once, call a kernel, and build a result object only where they
 return one.
+
+Value types, here and in the other certificate modules, are validated
+namedtuple records (errors.record): __new__ checks and converts the
+fields, also when _make or _replace builds the record, and a record is
+immutable.  Records are tuples, so they unpack, index and order like
+tuples, and a record equals any tuple with the same items, a record of
+another type included.  They cost a cold process no `dataclasses`
+import (which pulls in inspect, ast, dis and tokenize) and no per-class
+exec at import.  matrix_lab keeps dataclasses: its types hold numpy
+arrays, compare by identity, and load only with numpy, whose import
+dwarfs that cost.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Union
 
 from .errors import (
     BoundNotValid,
     ConditionNotApplicable,
     NumericalFailure,
+    record,
     require_finite,
     require_int,
     require_nonneg,
@@ -69,67 +80,54 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadBound:
+class QuadBound(record("QuadBound", "a b")):
     """Constants of a quadratic relative bound ||Ax||^2 <= a^2||x||^2 + b^2||Tx||^2."""
 
-    a: float
-    b: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", require_nonneg("a", self.a))
-        object.__setattr__(self, "b", require_nonneg("b", self.b))
+    def __new__(cls, a: float, b: float):
+        return tuple.__new__(cls, (require_nonneg("a", a), require_nonneg("b", b)))
 
     def shift(self, x: float) -> float:
         """Vertical half-width sqrt(a^2 + b^2 x^2) of the enclosure at abscissa x."""
         return math.hypot(self.a, self.b * x)
 
 
-@dataclass(frozen=True)
-class LinBound:
+class LinBound(record("LinBound", "a_lin b_lin")):
     """Constants of a linear relative bound ||Ax|| <= a_lin||x|| + b_lin||Tx||."""
 
-    a_lin: float
-    b_lin: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a_lin", require_nonneg("a_lin", self.a_lin))
-        object.__setattr__(self, "b_lin", require_nonneg("b_lin", self.b_lin))
+    def __new__(cls, a_lin: float, b_lin: float):
+        return tuple.__new__(cls, (require_nonneg("a_lin", a_lin), require_nonneg("b_lin", b_lin)))
 
 
-@dataclass(frozen=True)
-class Gap:
+class Gap(record("Gap", "alpha beta")):
     """Open interval (alpha, beta) free of the spectrum of T, endpoints attained."""
 
-    alpha: float
-    beta: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", require_finite("alpha", self.alpha))
-        object.__setattr__(self, "beta", require_finite("beta", self.beta))
-        if not self.alpha < self.beta:
+    def __new__(cls, alpha: float, beta: float):
+        alpha, beta = require_finite("alpha", alpha), require_finite("beta", beta)
+        if not alpha < beta:
             raise ValueError("gap requires alpha < beta")
+        return tuple.__new__(cls, (alpha, beta))
 
     @property
     def width(self) -> float:
         return self.beta - self.alpha
 
 
-@dataclass(frozen=True)
-class StripResult:
+class StripResult(record("StripResult", "lo hi open")):
     """Vertical strip {lo < Re z < hi}; certified spectrum-free only when open."""
 
-    lo: float
-    hi: float
-    open: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Disk:
+class Disk(record("Disk", "center radius")):
     """Closed disk in the complex plane with real center."""
 
-    center: float
-    radius: float
+    __slots__ = ()
 
     def contains(self, z: complex, slack: float = 0.0) -> bool:
         return abs(complex(z) - self.center) <= self.radius + slack
@@ -325,14 +323,10 @@ def _strip_bound_pairs(q: QuadBound, gap: Gap, zs) -> list[tuple[float, float]]:
     return pairs
 
 
-@dataclass(frozen=True)
-class SymmetricGapResult:
+class SymmetricGapResult(record("SymmetricGapResult", "strip beta_pert beta shift")):
     """Survived symmetric gap (-beta_pert, beta_pert) with its resolvent bound."""
 
-    strip: StripResult
-    beta_pert: float
-    beta: float
-    shift: float
+    __slots__ = ()
 
     def resolvent_bound(self, z: complex) -> float:
         """1/sqrt((beta - |Re z|)^2 + (Im z)^2) * (beta - |Re z|)/(beta_pert - |Re z|)."""
@@ -373,19 +367,16 @@ def semibounded_lower_bound(bound: Union[QuadBound, LinBound], beta: float) -> f
     raise TypeError(f"expected QuadBound or LinBound, got {type(bound).__name__}")
 
 
-@dataclass(frozen=True)
-class GKCover:
+class GKCover(record("GKCover", "r_eps half_angle")):
     """Spectral cover: ball of radius r_eps plus a double sector about the real axis."""
 
-    r_eps: float
-    half_angle: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "r_eps", require_nonneg("r_eps", self.r_eps))
-        half_angle = require_finite("half_angle", self.half_angle)
+    def __new__(cls, r_eps: float, half_angle: float):
+        r_eps, half_angle = require_nonneg("r_eps", r_eps), require_finite("half_angle", half_angle)
         if not 0.0 < half_angle < math.pi / 2:
             raise ValueError("half_angle must lie in (0, pi/2)")
-        object.__setattr__(self, "half_angle", half_angle)
+        return tuple.__new__(cls, (r_eps, half_angle))
 
     def contains(self, z: complex) -> bool:
         z = complex(z)
@@ -450,30 +441,25 @@ def subordination_family(c: float, p: float) -> Callable[[float], float]:
     return a_of_b
 
 
-@dataclass(frozen=True)
-class IsolatedEigSpec:
+class IsolatedEigSpec(record("IsolatedEigSpec", "lam alpha beta mult")):
     """Isolated eigenvalue lam of T with neighbors alpha < lam < beta and multiplicity."""
 
-    lam: float
-    alpha: float
-    beta: float
-    mult: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("lam", "alpha", "beta"):
-            object.__setattr__(self, name, require_finite(name, getattr(self, name)))
-        if not (self.alpha < self.lam < self.beta):
+    def __new__(cls, lam: float, alpha: float, beta: float, mult: int):
+        lam, alpha, beta = map(require_finite, ("lam", "alpha", "beta"), (lam, alpha, beta))
+        if not (alpha < lam < beta):
             raise ValueError("requires alpha < lam < beta")
-        object.__setattr__(self, "mult", require_int("mult", self.mult, 0))
+        return tuple.__new__(cls, (lam, alpha, beta, require_int("mult", mult, 0)))
 
 
-@dataclass(frozen=True)
-class EigStrip:
-    """Vertical strip (lo, hi) + iR containing exactly `count` eigenvalues of T + A."""
+class EigStrip(record("EigStrip", "lo hi count")):
+    """Vertical strip (lo, hi) + iR containing exactly `count` eigenvalues of T + A.
 
-    lo: float
-    hi: float
-    count: int
+    The field `count` shadows tuple.count.
+    """
+
+    __slots__ = ()
 
 
 def isolated_eigenvalue_strip(q: QuadBound, spec: IsolatedEigSpec) -> EigStrip:

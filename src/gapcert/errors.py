@@ -1,4 +1,4 @@
-"""Exception types and argument validators shared across the modules.
+"""Exception types, argument validators and the record base shared across the modules.
 
 Each validator returns the checked value as a float (an int for
 require_int) or raises ValueError naming the parameter.
@@ -6,6 +6,7 @@ require_int) or raises ValueError naming the parameter.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import inf, isfinite
 
 __all__ = ["ConditionNotApplicable", "BoundNotValid", "NumericalFailure"]
@@ -57,3 +58,14 @@ def require_int(name: str, value, least: int) -> int:
     if whole is None or whole != value or whole < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return whole
+
+
+def record(typename: str, field_names: str):
+    """namedtuple base of a value record whose own __new__ validates the fields.
+
+    _make, and so _replace, build through the subclass constructor, so
+    neither yields an unchecked record.
+    """
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base

@@ -18,12 +18,11 @@ than guessed whenever a finite estimate straddles its threshold within 1e-6.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence, Union
 
 from .enclosures import Gap, StripResult, _strip_ends
-from .errors import ConditionNotApplicable, NumericalFailure
+from .errors import ConditionNotApplicable, NumericalFailure, record
 from .errors import require_finite, require_int, require_nonneg, require_positive
 
 __all__ = [
@@ -57,20 +56,18 @@ class Verdict(str, Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class GrowthTerm:
+class GrowthTerm(record("GrowthTerm", "coeff base power log_power")):
     """One asymptotic term coeff * base**n * n**power * log(n)**log_power."""
 
-    coeff: float
-    base: float = 1.0
-    power: float = 0.0
-    log_power: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeff", require_nonneg("coeff", self.coeff))
-        object.__setattr__(self, "base", require_positive("base", self.base))
-        for name in ("power", "log_power"):
-            object.__setattr__(self, name, require_finite(name, getattr(self, name)))
+    def __new__(cls, coeff: float, base: float = 1.0, power: float = 0.0, log_power: float = 0.0):
+        return tuple.__new__(cls, (
+            require_nonneg("coeff", coeff),
+            require_positive("base", base),
+            require_finite("power", power),
+            require_finite("log_power", log_power),
+        ))
 
     def value(self, n: int) -> float:
         """The term at n >= 2, where log(n) > 0."""
@@ -119,18 +116,17 @@ def _lex_le(e1: float, f1: float, e2: float, f2: float) -> bool:
     return e1 < e2 or (e1 == e2 and f1 <= f2)
 
 
-@dataclass(frozen=True)
-class GapSequence:
-    """Finite list of gaps (alpha_n, beta_n) with beta_n <= alpha_{n+1}."""
+class GapSequence(record("GapSequence", "alphas betas")):
+    """Finite list of gaps (alpha_n, beta_n) with beta_n <= alpha_{n+1}.
 
-    alphas: tuple[float, ...]
-    betas: tuple[float, ...]
+    len() counts the gaps, not the record's two fields.
+    """
 
-    def __post_init__(self) -> None:
-        alphas = tuple(require_finite("alpha_n", x) for x in self.alphas)
-        betas = tuple(require_finite("beta_n", x) for x in self.betas)
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "betas", betas)
+    __slots__ = ()
+
+    def __new__(cls, alphas: tuple[float, ...], betas: tuple[float, ...]):
+        alphas = tuple(require_finite("alpha_n", x) for x in alphas)
+        betas = tuple(require_finite("beta_n", x) for x in betas)
         if len(alphas) != len(betas) or not alphas:
             raise ValueError("alphas and betas must be nonempty and equally long")
         for a, b in zip(alphas, betas):
@@ -139,6 +135,7 @@ class GapSequence:
         for b, a_next in zip(betas, alphas[1:]):
             if b > a_next:
                 raise ValueError("gaps must be ordered: beta_n <= alpha_{n+1}")
+        return tuple.__new__(cls, (alphas, betas))
 
     def __len__(self) -> int:
         return len(self.alphas)
@@ -174,22 +171,19 @@ class GapSequence:
         return min(_tail(ratios, window)), False
 
 
-@dataclass(frozen=True)
-class BandProfile:
+class BandProfile(record("BandProfile", "lengths widths")):
     """Gap lengths l_n > 0 and band widths w_n >= 0 (one fewer width than lengths)."""
 
-    lengths: tuple[float, ...]
-    widths: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        lengths = tuple(require_positive("gap length", x) for x in self.lengths)
-        widths = tuple(require_nonneg("band width", x) for x in self.widths)
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "widths", widths)
+    def __new__(cls, lengths: tuple[float, ...], widths: tuple[float, ...]):
+        lengths = tuple(require_positive("gap length", x) for x in lengths)
+        widths = tuple(require_nonneg("band width", x) for x in widths)
         if not lengths:
             raise ValueError("at least one gap length required")
         if len(widths) not in (len(lengths) - 1, len(lengths)):
             raise ValueError("widths must number len(lengths)-1 (trailing width optional)")
+        return tuple.__new__(cls, (lengths, widths))
 
     def to_sequence(self, alpha1: float) -> GapSequence:
         alphas, betas = [], []
@@ -202,58 +196,58 @@ class BandProfile:
         return GapSequence(tuple(alphas), tuple(betas))
 
 
-@dataclass(frozen=True)
-class PerGapConstants:
-    """Per-gap relative-bound constants (a_n, b_n), each b_n in [0, 1)."""
+class PerGapConstants(record("PerGapConstants", "a_seq b_seq")):
+    """Per-gap relative-bound constants (a_n, b_n), each b_n in [0, 1).
 
-    a_seq: tuple[float, ...]
-    b_seq: tuple[float, ...]
+    len() counts the gaps, not the record's two fields.
+    """
 
-    def __post_init__(self) -> None:
-        a_seq = tuple(require_nonneg("a_n", x) for x in self.a_seq)
-        b_seq = tuple(require_nonneg("b_n", x) for x in self.b_seq)
-        object.__setattr__(self, "a_seq", a_seq)
-        object.__setattr__(self, "b_seq", b_seq)
+    __slots__ = ()
+
+    def __new__(cls, a_seq: tuple[float, ...], b_seq: tuple[float, ...]):
+        a_seq = tuple(require_nonneg("a_n", x) for x in a_seq)
+        b_seq = tuple(require_nonneg("b_n", x) for x in b_seq)
         if len(a_seq) != len(b_seq) or not a_seq:
             raise ValueError("a_seq and b_seq must be nonempty and equally long")
         if any(b >= 1 for b in b_seq):
             raise ValueError("b_n must lie in [0, 1)")
+        return tuple.__new__(cls, (a_seq, b_seq))
 
     def __len__(self) -> int:
         return len(self.a_seq)
 
 
-@dataclass(frozen=True)
-class ConstModel:
+class ConstModel(record("ConstModel", "a_term b_term")):
     """Analytic power-log models for the constant sequences a_n and b_n."""
 
-    a_term: GrowthTerm
-    b_term: GrowthTerm
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.a_term.base != 1.0 or self.b_term.base != 1.0:
+    def __new__(cls, a_term: GrowthTerm, b_term: GrowthTerm):
+        if a_term.base != 1.0 or b_term.base != 1.0:
             raise ValueError("constant models must be power-log (base 1)")
+        return tuple.__new__(cls, (a_term, b_term))
 
 
-@dataclass(frozen=True)
-class PowerLogTail:
+class PowerLogTail(record("PowerLogTail", "p1 q1 p2 q2 length_prefactor width_prefactor")):
     """Power-log bands: l_n = length_prefactor * n**p1 * log(n)**p2 and
     w_n = width_prefactor * n**q1 * log(n)**q2."""
 
-    p1: float
-    q1: float
-    p2: float = 0.0
-    q2: float = 0.0
-    length_prefactor: float = 1.0
-    width_prefactor: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("p1", "q1", "width_prefactor"):
-            object.__setattr__(self, name, require_nonneg(name, getattr(self, name)))
-        for name in ("p2", "q2"):
-            object.__setattr__(self, name, require_finite(name, getattr(self, name)))
-        prefactor = require_positive("length_prefactor", self.length_prefactor)
-        object.__setattr__(self, "length_prefactor", prefactor)
+    def __new__(
+        cls,
+        p1: float,
+        q1: float,
+        p2: float = 0.0,
+        q2: float = 0.0,
+        length_prefactor: float = 1.0,
+        width_prefactor: float = 1.0,
+    ):
+        p1, q1 = require_nonneg("p1", p1), require_nonneg("q1", q1)
+        width_prefactor = require_nonneg("width_prefactor", width_prefactor)
+        p2, q2 = require_finite("p2", p2), require_finite("q2", q2)
+        length_prefactor = require_positive("length_prefactor", length_prefactor)
+        return tuple.__new__(cls, (p1, q1, p2, q2, length_prefactor, width_prefactor))
 
     def ratio_limits(self) -> tuple[float, float, bool]:
         # alpha_n grows one power faster than l_n, so the ratio tends to 1
@@ -269,22 +263,20 @@ class PowerLogTail:
         return GrowthTerm(self.width_prefactor, 1.0, self.q1, self.q2)
 
 
-@dataclass(frozen=True)
-class GeometricTail:
+class GeometricTail(record("GeometricTail", "ratio band_ratio")):
     """Geometric bands: alpha_n ~ ratio**n and beta_n = band_ratio * alpha_n,
     with 1 < band_ratio <= ratio.  The criteria read ratios only, so the
     scale of alpha_n is left open."""
 
-    ratio: float
-    band_ratio: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("ratio", "band_ratio"):
-            object.__setattr__(self, name, require_finite(name, getattr(self, name)))
-        if self.ratio <= 1:
+    def __new__(cls, ratio: float, band_ratio: float):
+        ratio, band_ratio = require_finite("ratio", ratio), require_finite("band_ratio", band_ratio)
+        if ratio <= 1:
             raise ValueError("geometric endpoint growth requires ratio > 1")
-        if not 1 < self.band_ratio <= self.ratio:
+        if not 1 < band_ratio <= ratio:
             raise ValueError("requires 1 < band_ratio <= ratio")
+        return tuple.__new__(cls, (ratio, band_ratio))
 
     def ratio_limits(self) -> tuple[float, float, bool]:
         return self.band_ratio, self.band_ratio, True
@@ -293,19 +285,18 @@ class GeometricTail:
         return self.ratio, True
 
 
-@dataclass(frozen=True)
-class FiniteTail:
+class FiniteTail(record("FiniteTail", "seq window")):
     """A GapSequence whose limits are estimated over the last `window` terms
     (default ceil(N/4))."""
 
-    seq: GapSequence
-    window: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.seq, GapSequence):
+    def __new__(cls, seq: GapSequence, window: Optional[int] = None):
+        if not isinstance(seq, GapSequence):
             raise TypeError("finite-data model requires a GapSequence")
-        if self.window is not None:
-            object.__setattr__(self, "window", require_int("window", self.window, 1))
+        if window is not None:
+            window = require_int("window", window, 1)
+        return tuple.__new__(cls, (seq, window))
 
     def ratio_limits(self) -> tuple[float, float, bool]:
         return self.seq.ratio_limits(self.window)
@@ -347,13 +338,8 @@ def _decide(value: float, threshold: float, exact: bool, want_greater: bool) -> 
     return 0
 
 
-@dataclass(frozen=True)
-class RatioResult:
-    verdict: Verdict
-    liminf: float
-    limsup: float
-    threshold: float
-    exact: bool
+class RatioResult(record("RatioResult", "verdict liminf limsup threshold exact")):
+    __slots__ = ()
 
 
 def ratio_criterion(data: Union[GapSequence, Tail], delta_a: float) -> RatioResult:
@@ -377,13 +363,8 @@ def ratio_criterion(data: Union[GapSequence, Tail], delta_a: float) -> RatioResu
     return RatioResult(verdict, liminf, limsup, threshold, exact)
 
 
-@dataclass(frozen=True)
-class PerGapResult:
-    verdict: Verdict
-    ratios: tuple[float, ...]
-    strips: tuple[StripResult, ...]
-    liminf: float
-    limsup: float
+class PerGapResult(record("PerGapResult", "verdict ratios strips liminf limsup")):
+    __slots__ = ()
 
 
 def per_gap_criterion(seq: GapSequence, consts: PerGapConstants) -> PerGapResult:
@@ -464,13 +445,14 @@ def kappa_s(
     raise TypeError("kappa_s takes (BandProfile, PerGapConstants) or (PowerLogTail, ConstModel)")
 
 
-@dataclass(frozen=True)
-class GrowthDiagnostic:
+class GrowthDiagnostic(record("GrowthDiagnostic", "ok failed_condition details")):
     """Outcome of the necessary-condition screen for gap persistence."""
 
-    ok: bool
-    failed_condition: Optional[str]
-    details: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, ok: bool, failed_condition: Optional[str], details: Optional[dict] = None):
+        # each record left without details gets a dict of its own
+        return tuple.__new__(cls, (ok, failed_condition, {} if details is None else details))
 
 
 def necessary_growth_check(
@@ -528,12 +510,10 @@ def necessary_growth_check(
     )
 
 
-@dataclass(frozen=True)
-class PowerlawBound:
+class PowerlawBound(record("PowerlawBound", "kappa_bound eps0")):
     """Scale budget for power-log bands: kappa bound and admissible scale eps0."""
 
-    kappa_bound: float
-    eps0: float
+    __slots__ = ()
 
 
 def powerlaw_example(

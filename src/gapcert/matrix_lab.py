@@ -504,7 +504,9 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        # asdict rebuilds the QuadBound record, a tuple, which JSON would write as a list
+        doc = {**asdict(self), "quad": self.quad._asdict()}
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def _widened(strip: StripResult, widen: float) -> tuple[float, float]:

@@ -11,11 +11,10 @@ order, so plotting a region loads no numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .enclosures import GKCover, QuadBound
-from .errors import ConditionNotApplicable, require_finite, require_int, require_positive
+from .errors import ConditionNotApplicable, record, require_finite, require_int, require_positive
 
 if TYPE_CHECKING:
     from .applications import CoulombRegion, DiracSpec
@@ -31,17 +30,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(record("Segment", "name re im")):
     """One polyline: connect the points in order, segments are independent."""
 
-    name: str
-    re: tuple[float, ...]
-    im: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.re) != len(self.im):
+    def __new__(cls, name: str, re: tuple[float, ...], im: tuple[float, ...]):
+        if len(re) != len(im):
             raise ValueError("re and im must have equal length")
+        return tuple.__new__(cls, (name, re, im))
 
 
 def _seg(name: str, re: list[float], im: list[float]) -> Segment:

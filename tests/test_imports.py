@@ -19,11 +19,14 @@ from gapcert import enclosures
 _EXPORTERS = ("errors", "enclosures", "gap_sequences", "blocks", "applications", "matrix_lab")
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 _ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")]))
-# prints the gapcert modules a process holds, plus "numpy" once numpy is loaded
+# heavy standard modules a certificate process should not load: numpy, and
+# dataclasses with the inspect (ast, dis, tokenize) it pulls in
+_HEAVY = ("numpy", "dataclasses", "inspect")
+# prints the gapcert modules a process holds, plus each of _HEAVY it has loaded
 _REPORT = (
     "\nimport json, sys\n"
     "print(json.dumps([m for m in sys.modules if m == 'gapcert' or m.startswith('gapcert.')]"
-    " + ['numpy'] * ('numpy' in sys.modules)))\n"
+    f" + [m for m in {_HEAVY!r} if m in sys.modules]))\n"
 )
 # runs each command of the JSON list in argv[1] in this process, each exiting 0
 _RUN_CLI = (
@@ -66,7 +69,7 @@ _STRIP_MODULES = {"gapcert", "gapcert.cli", "gapcert.enclosures", "gapcert.error
 
 
 def _loaded(code: str, *args: str) -> set[str]:
-    """The gapcert modules (and "numpy") a fresh interpreter holds after running code."""
+    """The gapcert modules (and those of _HEAVY) a fresh interpreter holds after running code."""
     proc = subprocess.run([sys.executable, "-c", code + _REPORT, *args], env=_ENV,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -83,16 +86,32 @@ class TestImportContracts:
     def test_strip_loads_enclosures_and_errors_only(self):
         assert _cli_loads("strip") == _STRIP_MODULES
 
-    @pytest.mark.parametrize("cmd, module", [("structured", "blocks"), ("powerlaw", "gap_sequences")])
+    # dirac-envelope's call writes its curve with --csv, which takes regions' CSV writer
+    @pytest.mark.parametrize("cmd, module", [
+        ("structured", "blocks"), ("powerlaw", "gap_sequences"),
+        ("dirac-envelope", "applications,regions"), ("coulomb", "applications"), ("two-channel", "applications"),
+    ])
     def test_subcommand_adds_only_its_module(self, cmd, module):
-        assert _cli_loads(cmd) == _STRIP_MODULES | {f"gapcert.{module}"}
+        assert _cli_loads(cmd) == _STRIP_MODULES | {f"gapcert.{m}" for m in module.split(",")}
 
     def test_no_scalar_subcommand_imports_numpy(self):
         assert "numpy" not in _cli_loads(*SCALAR_CALLS, kinds=tuple(REGION_CALLS))
 
+    def test_no_scalar_subcommand_imports_dataclasses_or_inspect(self):
+        loaded = _cli_loads(*SCALAR_CALLS, kinds=tuple(REGION_CALLS))
+        assert not loaded & {"dataclasses", "inspect"}
+
+    def test_certificate_modules_import_no_dataclasses_or_inspect(self):
+        loaded = _loaded("from gapcert import applications, blocks, cli, enclosures, gap_sequences, regions")
+        assert not loaded & {"dataclasses", "inspect"}
+
     @pytest.mark.parametrize("kind", ["hyperbola", "strip", "sector"])
     def test_region_kind_loads_no_applications(self, kind):
         assert _cli_loads(kinds=(kind,)) == _STRIP_MODULES | {"gapcert.regions"}
+
+    @pytest.mark.parametrize("kind", ["envelope", "coulomb"])
+    def test_region_kind_adds_only_applications(self, kind):
+        assert _cli_loads(kinds=(kind,)) == _STRIP_MODULES | {"gapcert.regions", "gapcert.applications"}
 
     def test_regions_imports_no_numpy(self):
         assert _loaded("import gapcert.regions") == {"gapcert", "gapcert.regions", "gapcert.enclosures",

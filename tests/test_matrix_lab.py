@@ -343,6 +343,11 @@ class TestVerifyInstance:
         assert len(doc["checks"]) == len(rep.checks)
         assert rep.to_json() == verify_instance(gen_instance(8, 1, kind="none")).to_json()
 
+    def test_report_json_writes_quad_as_an_object(self):
+        # QuadBound is a tuple; asdict alone would have JSON write it as a list
+        rep = verify_instance(gen_instance(8, 1, kind="none"))
+        assert json.loads(rep.to_json())["quad"] == {"a": rep.quad.a, "b": rep.quad.b}
+
 
 class TestVerifyOptions:
     @pytest.mark.parametrize("kwargs, name", [
