@@ -19,11 +19,15 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from .enclosures import Gap, StripResult, _strip_ends
 from .errors import ConditionNotApplicable, NumericalFailure, record
 from .errors import require_finite, require_int, require_nonneg, require_positive
+
+# enclosures loads where a gap or a strip is built, so that the band-model
+# criteria (gapcert gaps, kappa, growth-check, powerlaw) run without it
+if TYPE_CHECKING:
+    from .enclosures import Gap
 
 __all__ = [
     "Verdict",
@@ -153,6 +157,8 @@ class GapSequence(record("GapSequence", "alphas betas")):
         return BandProfile(self.lengths, self.widths)
 
     def gaps(self) -> tuple[Gap, ...]:
+        from .enclosures import Gap
+
         return tuple(Gap(a, b) for a, b in zip(self.alphas, self.betas))
 
     def ratio_limits(self, window: Optional[int] = None) -> tuple[float, float, bool]:
@@ -374,6 +380,8 @@ def per_gap_criterion(seq: GapSequence, consts: PerGapConstants) -> PerGapResult
     of ratios below 1 in the liminf sense keeps infinitely many gaps open,
     in the limsup sense cofinitely many.
     """
+    from .enclosures import StripResult, _strip_ends
+
     if len(seq) != len(consts):
         raise ValueError("constants must match the number of gaps")
     ratios = []

@@ -9,6 +9,7 @@ import sys
 import warnings
 from unittest import mock
 from contextlib import redirect_stderr, redirect_stdout
+from importlib import import_module
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from gapcert import (
     resolvent_bound_strip_refined,
     two_channel_bound,
 )
-from gapcert import DiracSpec, cli, envelope_im_at_re
+from gapcert import DiracSpec, _cli_enclosures, cli, envelope_im_at_re
 from gapcert.errors import NumericalFailure
 from gapcert.matrix_lab import _SUITES
 
@@ -77,6 +78,34 @@ class TestStripCommand:
         assert "missing required parameters: --eps-geom" in capsys.readouterr().err
 
 
+class TestErrorsNameTheSubcommand:
+    """An error found once the subcommand is known prints that subcommand's usage and prog."""
+
+    @pytest.mark.parametrize("argv, doc, message", [
+        (["strip", "--a", "1", "--b", "0"], None, "missing required parameters: --alpha, --beta"),
+        (["enclose", "--a", "1", "--b", "0", "--re", "1"], None, "--re and --im must be given together"),
+        (["kappa", "--lengths", "1,2", "--a-seq", "0,0", "--b-seq", "0,0", "--model", "geometric"], None,
+         "--lengths cannot be combined with --model"),
+        (["strip", "--a", "1", "--b", "0", "--alpha", "0", "--beta", "3", "extra"], None,
+         "unrecognized arguments: extra"),
+        (["gaps", "--json"], {"model": "cubic", "delta-a": 0.1}, "unknown band model 'cubic'"),
+        (["strip", "--json"], [1, 2], "--json input must be a JSON object"),
+        (["strip", "--json"], {"a": 1, "bogus": 2}, "unknown parameter 'bogus' in --json input"),
+    ], ids=["missing", "half-point", "exclusive", "trailing", "band-model", "json-array", "json-key"])
+    def test_error_prints_the_subcommand_usage(self, argv, doc, message, tmp_path, capsys):
+        if doc is not None:
+            src = tmp_path / "params.json"
+            src.write_text(json.dumps(doc))
+            argv = [*argv, str(src)]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage: gapcert {argv[0]} [-h]")
+        assert err.endswith(f"gapcert {argv[0]}: error: {message}\n")
+
+
 class TestResolventCommand:
     def test_strip_bounds_match_library(self):
         q, gap, z = QuadBound(0.5, 0.1), Gap(0.0, 3.0), complex(1.5, 0.2)
@@ -120,6 +149,15 @@ class TestJsonInput:
         with pytest.raises(SystemExit) as exc:
             run_cli("strip", "--json", str(src))
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("key", ["command", "func", "fallbacks", "json_types", "json"])
+    def test_non_parameter_key_exits_2(self, key, tmp_path, capsys):
+        src = tmp_path / "params.json"
+        src.write_text(json.dumps({"a": 1, "b": 0.2, "alpha": 0, "beta": 5, key: 1}))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("strip", "--json", str(src))
+        assert exc.value.code == 2
+        assert f"gapcert strip: error: unknown parameter {key!r} in --json input" in capsys.readouterr().err
 
     def test_json_switch_matches_flag(self, tmp_path):
         params = {"c": 1, "p": 3, "case": 1, "n": 2, "eps-geom": 0.1}
@@ -476,7 +514,6 @@ def _fuzz_argv(cmd):
     return st.tuples(st.one_of(_FUZZ_MODES[cmd]), added).map(argv)
 
 
-_PARSER = cli.build_parser()
 # stdout of a call that writes CSV to stdout instead of a JSON document
 _CSV_HEADERS = {"dirac-envelope": "segment,re,im", "sample-region": "segment,re,im",
                 "verify": "instance,check,margin,pass"}
@@ -518,13 +555,11 @@ def test_subcommand_fuzz(cmd, data):
     """Exit 0, 2 or 3 without a traceback; stdout is strict JSON or the documented CSV.
 
     The one known JSON exception: powerlaw and manifold --pipeline print
-    eps0 as Infinity when their kappa_bound is 0.  One parser serves every
-    example, as building it costs more than a call.
+    eps0 as Infinity when their kappa_bound is 0.
     """
     argv = data.draw(_fuzz_argv(cmd))
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.object(cli, "build_parser", lambda: _PARSER), redirect_stdout(out), \
-            redirect_stderr(err):
+    with redirect_stdout(out), redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:
@@ -550,50 +585,71 @@ def _subcommands(parser):
     return action.choices
 
 
-def _full_parser(build_parser=cli.build_parser):
-    """The parser with the flags of every subcommand built, not just the one a call runs."""
-    parser = build_parser()
-    for sub in _subcommands(parser).values():
-        sub.build()
-    return parser
-
-
 def _flag_spec(sub):
     return [(a.option_strings, a.dest, a.type, a.default, a.nargs, a.choices, a.const, a.metavar,
              a.help, type(a)) for a in sub._actions]
 
 
+def _outcome(call, argv):
+    """(exit code, stdout, stderr) of call(argv), which may exit through argparse."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestParserParity:
-    """A call builds the flags of its own subcommand only; nothing it parses or prints changes."""
+    """A call parses with its own subcommand's parser alone; it is the root's subparser in all but name."""
 
     @pytest.mark.parametrize("cmd", sorted(_FUZZ_MODES))
     def test_one_subcommand_matches_the_full_parser(self, cmd):
-        parser = cli.build_parser()
-        parser.parse_known_args([cmd])
-        built = {name for name, sub in _subcommands(parser).items() if sub._unbuilt is None}
-        assert built == {cmd}
-        alone, full = _subcommands(parser)[cmd], _subcommands(_full_parser())[cmd]
+        alone, full = cli._subcommand(cmd)[1], _subcommands(cli.build_parser())[cmd]
+        assert alone.prog == full.prog == f"gapcert {cmd}"
         assert alone.format_help() == full.format_help()
         assert _flag_spec(alone) == _flag_spec(full)
-        assert alone._defaults == full._defaults
-        assert set(alone._defaults) == {"func", "fallbacks", "json_types"}
+        assert alone.params == full.params and alone.fallbacks == full.fallbacks
+        assert alone._defaults == full._defaults == {}
 
     @pytest.mark.parametrize("argv", [["--help"], [], ["no-such-command"], ["-1", "strip"],
                                       ["strip", "--help"], ["strip", "--no-such-flag"]])
     def test_top_level_output_matches_the_full_parser(self, argv):
-        def call(build):
-            out, err = io.StringIO(), io.StringIO()
-            with mock.patch.object(cli, "build_parser", build), redirect_stdout(out), \
-                    redirect_stderr(err):
-                try:
-                    code = cli.main(argv)
-                except SystemExit as exc:
-                    code = exc.code
-            return code, out.getvalue(), err.getvalue()
+        """main prints what the root parser prints, or for a subcommand call what its subparser prints."""
+        if argv and argv[0] in _FUZZ_MODES:
+            full = _subcommands(cli.build_parser())[argv[0]].parse_args
+            expected = _outcome(lambda a: full(a[1:]), argv)
+        else:
+            expected = _outcome(cli.build_parser().parse_args, argv)
+        assert _outcome(cli.main, argv) == expected
+        assert expected[0] in (0, 2)
 
-        lazy = call(cli.build_parser)
-        assert lazy == call(_full_parser)
-        assert lazy[0] in (0, 2)
+    def test_a_subcommand_call_builds_one_parser(self):
+        made = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            made.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        with mock.patch.object(argparse.ArgumentParser, "__init__", counting):
+            code, _ = run_cli("strip", "--a", "1", "--b", "0", "--alpha", "0", "--beta", "3")
+        assert (code, made) == (0, ["gapcert strip"])
+
+    def test_handler_modules_hold_exactly_the_listed_subcommands(self):
+        """Each row of cli._COMMANDS names the module whose COMMANDS holds it, and no module holds more."""
+        held = {}
+        for module in set(cli._COMMANDS.values()):
+            for name in import_module(f"gapcert.{module}").COMMANDS:
+                held[name] = module
+        assert held == cli._COMMANDS
+
+    @pytest.mark.parametrize("cmd", sorted(_FUZZ_MODES))
+    def test_every_flag_has_help(self, cmd):
+        parser = cli._subcommand(cmd)[1]
+        assert all(action.help and action.help.strip() for action in parser._actions)
+        assert {a.dest for a in parser._actions} == {"help", "json", *parser.params}
 
 
 class TestEnvelopeCommand:
@@ -994,7 +1050,8 @@ class TestExitCodes:
         def boom(args, parser):
             raise NumericalFailure("synthetic")
 
-        monkeypatch.setattr(cli, "_cmd_enclose", boom)
+        helptext, _, flags = _cli_enclosures.COMMANDS["enclose"]
+        monkeypatch.setitem(_cli_enclosures.COMMANDS, "enclose", (helptext, boom, flags))
         code, _ = run_cli("enclose", "--a", "1", "--b", "0")
         assert code == 3
 

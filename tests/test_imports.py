@@ -1,9 +1,9 @@
 """What a fresh interpreter imports, and how the package root resolves names.
 
 The package root imports nothing and looks each public name up in the
-module that exports it; the CLI imports, per subcommand, only the module
-that subcommand calls.  Import contracts run in subprocesses, since this
-process has every module loaded already.
+module that exports it; the CLI imports, per subcommand, its handler
+module and the library modules that subcommand calls.  Import contracts
+run in subprocesses, since this process has every module loaded already.
 """
 
 import json
@@ -14,7 +14,7 @@ import sys
 import pytest
 
 import gapcert
-from gapcert import enclosures
+from gapcert import cli, enclosures
 
 _EXPORTERS = ("errors", "enclosures", "gap_sequences", "blocks", "applications", "matrix_lab")
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -65,7 +65,23 @@ REGION_CALLS = {
     "coulomb": ["--c1", "0.2", "--c2", "0.1", "--mass", "1"],
     "envelope": ["--p", "5", "--p", "7", "--vnorm", "1"],
 }
-_STRIP_MODULES = {"gapcert", "gapcert.cli", "gapcert.enclosures", "gapcert.errors"}
+# what every subcommand call loads, besides its handler module and its library modules
+_CLI_MODULES = {"gapcert", "gapcert.cli", "gapcert.errors"}
+_STRIP_MODULES = _CLI_MODULES | {"gapcert._cli_enclosures", "gapcert.enclosures"}
+# the library modules each library module imports when it loads
+_LIBRARY_IMPORTS = {"enclosures": (), "gap_sequences": (), "blocks": ("enclosures",),
+                    "applications": ("enclosures",), "regions": ("enclosures",)}
+# python -m gapcert.cli with argv[1:]; reports what the run registered as gapcert.cli
+_RUN_MODULE = (
+    "import contextlib, io, runpy, sys\n"
+    "sys.argv[0] = 'gapcert'\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    try:\n"
+    "        runpy.run_module('gapcert.cli', run_name='__main__', alter_sys=True)\n"
+    "    except SystemExit as exc:\n"
+    "        assert exc.code in (0, None), exc.code\n"
+    "print(sys.modules['gapcert.cli'].__name__)\n"
+)
 
 
 def _loaded(code: str, *args: str) -> set[str]:
@@ -86,13 +102,33 @@ class TestImportContracts:
     def test_strip_loads_enclosures_and_errors_only(self):
         assert _cli_loads("strip") == _STRIP_MODULES
 
+    # module: the library modules the call uses (strip has its own test above);
     # dirac-envelope's call writes its curve with --csv, which takes regions' CSV writer
     @pytest.mark.parametrize("cmd, module", [
-        ("structured", "blocks"), ("powerlaw", "gap_sequences"),
-        ("dirac-envelope", "applications,regions"), ("coulomb", "applications"), ("two-channel", "applications"),
+        *[(cmd, "enclosures") for cmd in ("enclose", "resolvent", "symmetric-gap", "gk-cover", "eig-strip")],
+        *[(cmd, "gap_sequences") for cmd in ("gaps", "kappa", "growth-check", "powerlaw")],
+        ("structured", "blocks"), ("dirac-envelope", "applications,regions"), ("coulomb", "applications"),
+        ("manifold", "applications,gap_sequences"), ("two-channel", "applications"),
     ])
     def test_subcommand_adds_only_its_module(self, cmd, module):
-        assert _cli_loads(cmd) == _STRIP_MODULES | {f"gapcert.{m}" for m in module.split(",")}
+        """Its handler module and library modules, and no other handler module: so gaps,
+        kappa, growth-check and powerlaw load no enclosures."""
+        libraries = {m for lib in module.split(",") for m in (lib, *_LIBRARY_IMPORTS[lib])}
+        handler = cli._COMMANDS[cmd]
+        assert _cli_loads(cmd) == _CLI_MODULES | {f"gapcert.{handler}"} | {f"gapcert.{m}" for m in libraries}
+
+    def test_root_help_loads_every_handler_module_but_no_numpy(self):
+        loaded = _loaded("import contextlib, io\nfrom gapcert.cli import main\n"
+                         "with contextlib.redirect_stdout(io.StringIO()):\n"
+                         "    try:\n        main(['--help'])\n    except SystemExit:\n        pass\n")
+        assert {f"gapcert.{handler}" for handler in cli._COMMANDS.values()} <= loaded
+        assert "numpy" not in loaded and "gapcert.matrix_lab" not in loaded
+
+    def test_module_run_registers_itself_as_gapcert_cli(self):
+        """python -m gapcert.cli: the handler module's imports reach the running copy, not a second one."""
+        proc = subprocess.run([sys.executable, "-c", _RUN_MODULE, "strip", *SCALAR_CALLS["strip"]], env=_ENV,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "__main__\n"), proc.stderr
 
     def test_no_scalar_subcommand_imports_numpy(self):
         assert "numpy" not in _cli_loads(*SCALAR_CALLS, kinds=tuple(REGION_CALLS))
@@ -107,11 +143,13 @@ class TestImportContracts:
 
     @pytest.mark.parametrize("kind", ["hyperbola", "strip", "sector"])
     def test_region_kind_loads_no_applications(self, kind):
-        assert _cli_loads(kinds=(kind,)) == _STRIP_MODULES | {"gapcert.regions"}
+        assert _cli_loads(kinds=(kind,)) == _CLI_MODULES | {"gapcert._cli_regions", "gapcert.regions",
+                                                            "gapcert.enclosures"}
 
     @pytest.mark.parametrize("kind", ["envelope", "coulomb"])
     def test_region_kind_adds_only_applications(self, kind):
-        assert _cli_loads(kinds=(kind,)) == _STRIP_MODULES | {"gapcert.regions", "gapcert.applications"}
+        assert _cli_loads(kinds=(kind,)) == _CLI_MODULES | {"gapcert._cli_regions", "gapcert.regions",
+                                                            "gapcert.enclosures", "gapcert.applications"}
 
     def test_regions_imports_no_numpy(self):
         assert _loaded("import gapcert.regions") == {"gapcert", "gapcert.regions", "gapcert.enclosures",
