@@ -36,8 +36,21 @@ def _floats(value) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
-# the exact JSON type an integer flag or a switch takes in --json input
-_TYPE_NAMES = {int: "an integer", bool: "true or false"}
+# the exact JSON types --json may give a flag, by its argparse action or type,
+# and their name in an error; true is no number, and a list must hold numbers
+_JSON_TYPES = {
+    int: ((int,), "an integer"),
+    "store_true": ((bool,), "true or false"),
+    float: ((int, float), "a number"),
+    "append": ((int, float, list), "a number or a list of numbers"),
+}
+
+
+def _admits(types: tuple[type, ...], value) -> bool:
+    """Whether a JSON value has one of the exact types; the items of a list must be numbers."""
+    if type(value) is list:
+        return list in types and all(type(v) in (int, float) for v in value)
+    return type(value) in types
 
 
 def _merge_json(parser: _Subcommand, args: argparse.Namespace) -> None:
@@ -59,8 +72,8 @@ def _merge_json(parser: _Subcommand, args: argparse.Namespace) -> None:
         if dest not in parser.params:
             parser.error(f"unknown parameter {key!r} in --json input")
         want = parser.params[dest]
-        if want is not None and type(value) is not want:
-            parser.error(f"parameter {key!r} must be {_TYPE_NAMES[want]}, got {value!r}")
+        if want is not None and not _admits(want[0], value):
+            parser.error(f"parameter {key!r} must be {want[1]}, got {value!r}")
         if getattr(args, dest) is None:
             setattr(args, dest, value)
     for dest, value in parser.fallbacks.items():
@@ -145,12 +158,11 @@ class _Subcommand(argparse.ArgumentParser):
     def __init__(self, *args, flags, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEGATIVE_VALUE
-        # params: dest -> the JSON type --json must give it (None: any);
-        # fallbacks: dest -> its declared default
+        # params: dest -> its _JSON_TYPES row (None: any); fallbacks: dest -> its declared default
         self.params, self.fallbacks = {}, {}
         for flag, spec, helptext, *default in flags:
             dest = self.add_argument(flag, help=helptext, **spec).dest
-            self.params[dest] = int if spec.get("type") is int else bool if spec.get("action") == "store_true" else None
+            self.params[dest] = _JSON_TYPES.get(spec.get("action"), _JSON_TYPES.get(spec.get("type")))
             if default:
                 self.fallbacks[dest] = default[0]
         self.add_argument("--json", metavar="FILE", help="read parameters from a JSON object ('-' for stdin)")

@@ -1,16 +1,21 @@
 """Closed-form spectral enclosures for relatively bounded perturbations.
 
-Throughout, T is self-adjoint and A satisfies a relative bound against T,
-either quadratic
+Throughout, T is self-adjoint and A satisfies a quadratic relative bound
+against T,
 
-    ||A x||^2 <= a^2 ||x||^2 + b^2 ||T x||^2        (a, b >= 0),
+    ||A x||^2 <= a^2 ||x||^2 + b^2 ||T x||^2        (a, b >= 0).
 
-or linear  ||A x|| <= a' ||x|| + b' ||T x||.  From (a, b) and spectral data
-of T alone (a gap (alpha, beta), a semibound, an isolated eigenvalue) the
-functions below produce regions certified free of the spectrum of T + A,
-norm bounds for the resolvent on those regions, and eigenvalue counting
-strips.  No operator enters; every result is a closed-form expression, so
-soundness can be checked against finite-dimensional oracles.
+A linear pair ||A x|| <= a' ||x|| + b' ||T x|| reaches a certificate only
+through quad_from_linear, with one eps for the whole operator.  Still
+open: `gapcert gk-cover` passes subordination_family's a_eps, the least
+a of the linear form, to gk_sector_cover as a quadratic a (ROADMAP.md).
+
+From (a, b) and spectral data of T alone (a gap (alpha, beta), a
+semibound, an isolated eigenvalue) the functions below produce regions
+certified free of the spectrum of T + A, norm bounds for the resolvent
+on those regions, and eigenvalue counting strips.  No operator enters;
+every result is a closed-form expression, so soundness can be checked
+against finite-dimensional oracles.
 
 Conventions: strict inequalities and returned endpoints are plain double
 arithmetic, not yet rounded in the safe direction, so within a few ulp of
@@ -39,7 +44,7 @@ dwarfs that cost.
 from __future__ import annotations
 
 import math
-from typing import Callable, Union
+from typing import Callable
 
 from .errors import (
     BoundNotValid,
@@ -63,11 +68,9 @@ __all__ = [
     "EigStrip",
     "IsolatedEigSpec",
     "quad_from_linear",
-    "optimal_shift_linear",
     "hyperbola_excluded",
     "gap_condition",
     "perturbed_strip",
-    "perturbed_strip_linear",
     "lower_semicont_balls",
     "resolvent_bound_offreal",
     "resolvent_bound_strip",
@@ -148,16 +151,6 @@ def quad_from_linear(lin: LinBound, eps: float) -> QuadBound:
     return QuadBound(lin.a_lin * math.sqrt(1.0 + eps), lin.b_lin * math.sqrt(1.0 + 1.0 / eps))
 
 
-def optimal_shift_linear(lin: LinBound, x: float) -> float:
-    """Best possible vertical shift at abscissa x over all eps conversions.
-
-    min over eps > 0 of sqrt(a(eps)^2 + b(eps)^2 x^2) equals a' + b'|x|,
-    attained at eps = b'|x|/a' (limiting cases a' = 0 or b'|x| = 0 included).
-    """
-    x = require_finite("x", x)
-    return lin.a_lin + lin.b_lin * abs(x)
-
-
 def _excluded(a: float, b: float, re: float, im: float) -> bool:
     """The one site of the hyperbola test im^2 > (a^2 + b^2 re^2) / (1 - b^2); checks b < 1 first."""
     _check_b_lt_1(b)
@@ -196,12 +189,6 @@ def perturbed_strip(q: QuadBound, gap: Gap) -> StripResult:
     spectrum of T + sA for every coupling s in [0, 1].
     """
     return StripResult(*_strip_ends(q.a, q.b, gap.alpha, gap.beta)[:3])
-
-
-def perturbed_strip_linear(lin: LinBound, gap: Gap) -> StripResult:
-    """Strip from linear constants with eps-optimized endpoint shifts."""
-    sa, sb = optimal_shift_linear(lin, gap.alpha), optimal_shift_linear(lin, gap.beta)
-    return StripResult(gap.alpha + sa, gap.beta - sb, sa + sb < gap.width)
 
 
 def lower_semicont_balls(q: QuadBound, gap: Gap) -> tuple[Disk, Disk]:
@@ -352,19 +339,17 @@ def symmetric_gap_strip(q: QuadBound, beta: float) -> SymmetricGapResult:
     return SymmetricGapResult(StripResult(-beta_pert, beta_pert, s < beta), beta_pert, beta, s)
 
 
-def semibounded_lower_bound(bound: Union[QuadBound, LinBound], beta: float) -> float:
-    """Lower bound of sigma(T + A) when T >= beta.
+def semibounded_lower_bound(bound: QuadBound, beta: float) -> float:
+    """Lower bound beta - sqrt(a^2 + b^2 beta^2) of sigma(T + A) when T >= beta; requires b < 1.
 
-    Quadratic constants give beta - sqrt(a^2 + b^2 beta^2) (requires b < 1);
-    linear constants give beta - (a' + b' beta).
+    Only a QuadBound is taken, checked by type since a LinBound equals a
+    QuadBound as a tuple; a linear pair enters through quad_from_linear.
     """
     beta = require_finite("beta", beta)
-    if isinstance(bound, QuadBound):
-        _check_b_lt_1(bound.b)
-        return beta - bound.shift(beta)
-    if isinstance(bound, LinBound):
-        return beta - (bound.a_lin + bound.b_lin * beta)
-    raise TypeError(f"expected QuadBound or LinBound, got {type(bound).__name__}")
+    if not isinstance(bound, QuadBound):
+        raise TypeError(f"expected QuadBound, got {type(bound).__name__}; convert a linear pair with quad_from_linear")
+    _check_b_lt_1(bound.b)
+    return beta - bound.shift(beta)
 
 
 class GKCover(record("GKCover", "r_eps half_angle")):

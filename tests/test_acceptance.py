@@ -39,7 +39,6 @@ from gapcert import (
     manifold_relbounds,
     necessary_growth_check,
     odd_symmetric_gap,
-    optimal_shift_linear,
     powerlaw_example,
     quad_from_linear,
     ratio_criterion,
@@ -132,7 +131,7 @@ def test_criterion_3_algebraic_identities():
                 lo, c, fc = c, d, fd
                 d = lo + inv_phi * (hi - lo)
                 fd = shift_at(d)
-        want = optimal_shift_linear(lin, x)
+        want = lin.a_lin + lin.b_lin * abs(x)
         assert abs(min(fc, fd) - want) <= 1e-10 * want
 
     # tan-arctan and quadratic-root forms of the even-structure bound agree

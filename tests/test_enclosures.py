@@ -34,9 +34,7 @@ from gapcert.enclosures import (
     hyperbola_excluded,
     isolated_eigenvalue_strip,
     lower_semicont_balls,
-    optimal_shift_linear,
     perturbed_strip,
-    perturbed_strip_linear,
     quad_from_linear,
     resolvent_bound_offreal,
     resolvent_bound_strip,
@@ -68,23 +66,81 @@ class TestConversion:
         with pytest.raises(ValueError):
             quad_from_linear(LinBound(1.0, 1.0), 0.0)
 
+
+# ---------------------------------------------------------------------------
+# a linear pair ||Ax|| <= a||x|| + b||Tx|| reaches a strip only through
+# quad_from_linear, with one eps for both ends; A = a W1 + b W2 T with
+# ||W1||, ||W2|| <= 1 attains such a pair
+
+
+EPS_GRID = np.geomspace(1e-4, 1e4, 33)
+S_GRID = np.linspace(0.0, 1.0, 11)
+
+
+def _unit_norm(rng, n):
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return m / np.linalg.norm(m, 2)
+
+
+def _converted_strips(lin, gap, eps_grid):
+    """(lo, hi) of each open strip perturbed_strip(quad_from_linear(lin, eps), gap) over the grid."""
+    strips = []
+    for eps in eps_grid:
+        try:
+            lo, hi, open_ = perturbed_strip(quad_from_linear(lin, float(eps)), gap)
+        except ConditionNotApplicable:
+            continue
+        if open_:
+            strips.append((lo, hi))
+    return strips
+
+
+class TestLinearPairs:
+    def test_strip_witness(self):
+        # the removed eps-per-end strip certified (0.05, 0.15) for this pair and gap
+        lin, gap = LinBound(0.05, 0.8), Gap(0.0, 1.0)
+        t = np.diag([0.0, 1.0])
+        w1 = np.array([[0.0, 0.0], [-1.0, 0.0]])
+        w2 = np.array([[0.0, math.sqrt(31.0) / 16.0], [0.0, -15.0 / 16.0]])
+        assert np.linalg.norm(w1, 2) == 1.0 and np.linalg.norm(w2, 2) <= 1.0 + 1e-15
+        a_mat = lin.a_lin * w1 + lin.b_lin * w2 @ t
+        np.testing.assert_allclose(a_mat, [[0.0, 0.05 * math.sqrt(31.0)], [-0.05, -0.75]], rtol=1e-15)
+        lam = np.linalg.eigvals(t + a_mat)
+        low = lam.real.min()
+        assert np.all(lam.imag == 0.0) and abs(low - 0.08370) < 1e-5 and 0.05 < low < 0.15
+        strips = _converted_strips(lin, gap, np.geomspace(1e-6, 1e6, 1201))
+        assert not [(lo, hi) for lo, hi in strips if lo < low < hi]
+
     @given(
-        a=st.one_of(st.just(0.0), st.floats(1e-3, 50.0)),
-        b=st.one_of(st.just(0.0), st.floats(1e-3, 5.0)),
-        x=st.one_of(st.just(0.0), st.floats(1e-3, 100.0), st.floats(-100.0, -1e-3)),
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 4),
+        alpha=st.floats(-10.0, 10.0),
+        width=st.floats(0.1, 20.0),
+        load=st.floats(0.0, 1.2),
+        share=st.floats(0.0, 1.0),
+        tail=st.booleans(),
     )
-    @settings(max_examples=200, deadline=None)
-    def test_optimal_shift_is_eps_infimum(self, a, b, x):
-        lin = LinBound(a, b)
-        best = optimal_shift_linear(lin, x)
-        # oracle: scan an eps grid bracketing the analytic minimizer
-        grid = np.geomspace(1e-4, 1e4, 300)
-        if a > 0 and b * abs(x) > 0:
-            grid = np.append(grid, b * abs(x) / a)
-        vals = [quad_from_linear(lin, e).shift(x) for e in grid]
-        assert min(vals) >= best - 1e-10 * max(1.0, best)
-        if a > 0 and b * abs(x) > 0:
-            np.testing.assert_allclose(vals[-1], best, rtol=1e-12)
+    @settings(max_examples=100, deadline=None)
+    def test_no_eigenvalue_in_a_converted_strip(self, seed, dim, alpha, width, load, share, tail):
+        beta = alpha + width
+        assume(alpha < beta)
+        # linear shifts a + b|alpha| and a + b|beta| summing to load * width, b kept below 1
+        a = 0.5 * load * width * share
+        b = min(0.99, load * width * (1.0 - share) / (abs(alpha) + abs(beta)))
+        lin, gap = LinBound(a, b), Gap(alpha, beta)
+        rng = np.random.default_rng(seed)
+        # T holds the gap's edges (one of them at dim 1); the rest of its spectrum
+        # sits on the edges, or on geometric tails out to 10^3 beyond them
+        rest = 1e3 ** (np.arange(1, dim - 1) / (dim - 2)) if tail and dim > 2 else np.zeros(max(dim - 2, 0))
+        sides = rng.integers(0, 2, rest.size)
+        t = np.concatenate([[alpha, beta], np.where(sides == 0, alpha - rest, beta + rest)])
+        t = t[rng.integers(0, 2, 1)] if dim == 1 else t
+        a_mat = a * _unit_norm(rng, dim) + b * _unit_norm(rng, dim) * t
+        re = np.linalg.eigvals(np.diag(t) + S_GRID[:, None, None] * a_mat).real.ravel()
+        # eigvals rounding, relative to the largest |t|
+        tol = 1e-9 * max(1.0, np.abs(t).max())
+        for lo, hi in _converted_strips(lin, gap, EPS_GRID):
+            assert not np.any((re > lo + tol) & (re < hi - tol)), (lo, hi, re)
 
 
 class TestHyperbola:
@@ -129,17 +185,6 @@ class TestStrip:
     def test_zero_perturbation(self):
         res = perturbed_strip(QuadBound(0.0, 0.0), Gap(-1.0, 1.0))
         assert (res.lo, res.hi, res.open) == (-1.0, 1.0, True)
-
-    def test_linear_example(self):
-        res = perturbed_strip_linear(LinBound(1.0, 0.1), Gap(0.0, 4.0))
-        np.testing.assert_allclose([res.lo, res.hi], [1.0, 2.6], rtol=1e-15)
-        assert res.open
-
-    def test_linear_matches_quad_when_b_zero(self):
-        for alpha, beta in [(-3.0, -1.0), (0.0, 4.0), (-2.0, 5.0)]:
-            lin = perturbed_strip_linear(LinBound(0.7, 0.0), Gap(alpha, beta))
-            quad = perturbed_strip(QuadBound(0.7, 0.0), Gap(alpha, beta))
-            assert (lin.lo, lin.hi, lin.open) == (quad.lo, quad.hi, quad.open)
 
     @given(
         a1=st.floats(0.0, 5.0),
@@ -274,7 +319,57 @@ class TestSymmetricGap:
 
     def test_semibounded_values(self):
         assert semibounded_lower_bound(QuadBound(3.0, 0.0), 1.0) == -2.0
-        assert semibounded_lower_bound(LinBound(1.0, 0.5), 2.0) == 0.0
+
+
+class TestSemibound:
+    @pytest.mark.parametrize("lin, beta, t", [
+        (LinBound(0.0, 0.5), -1.0, [-1.0]),
+        (LinBound(0.0, 2.0), 1.0, [1.0, 10.0]),
+    ], ids=["negative-beta", "b-above-1"])
+    def test_linear_pair_refused(self, lin, beta, t):
+        # A = -b |T| attains the linear pair, and T + A has an eigenvalue below
+        # beta - (a + b beta), what the removed linear branch returned
+        t = np.diag(t)
+        low = np.linalg.eigvalsh(t - lin.b_lin * abs(t))[0]
+        assert low < beta - (lin.a_lin + lin.b_lin * beta)
+        with pytest.raises(TypeError, match="quad_from_linear"):
+            semibounded_lower_bound(lin, beta)
+        # the one route left is sound where it applies
+        for eps in np.geomspace(1e-4, 1e4, 33):
+            q = quad_from_linear(lin, float(eps))
+            assert q.b >= 1.0 or semibounded_lower_bound(q, beta) <= low
+
+    def test_attained_by_hermitian_minus_g(self):
+        # A = -g(|T|) with g(t) = sqrt(a^2 + b^2 t^2) puts an eigenvalue on the bound
+        q = QuadBound(0.3, 0.6)
+        for beta in (-3.0, -0.2, 0.5, 7.0):
+            t = beta + np.array([0.0, 10.0, 1e3])
+            low = np.linalg.eigvalsh(np.diag(t - np.hypot(q.a, q.b * t)))[0]
+            np.testing.assert_allclose(low, semibounded_lower_bound(q, beta), rtol=1e-14)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 4),
+        beta=st.floats(0.01, 100.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+        a=st.floats(0.01, 10.0),
+        b=st.floats(0.0, 0.95),
+        tail=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_hermitian_oracle(self, seed, dim, beta, sign, a, b, tail):
+        beta *= sign
+        rng = np.random.default_rng(seed)
+        # T >= beta, with beta attained and the rest on it or on a geometric tail out to beta + 10^3
+        rest = 1e3 ** (np.arange(1, dim) / (dim - 1)) if tail and dim > 1 else np.zeros(dim - 1)
+        t = beta + np.concatenate([[0.0], rest])
+        g = np.hypot(a, b * t)
+        # a Hermitian A = W g(|T|) with ||W|| = 1
+        h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        h += h.conj().T
+        a_mat = h / np.linalg.norm(h / g, 2)
+        low = np.linalg.eigvalsh(np.diag(t) + a_mat)[0]
+        assert low >= semibounded_lower_bound(QuadBound(a, b), beta) - 1e-12 * max(1.0, np.abs(t).max())
 
 
 class TestSectorCover:
