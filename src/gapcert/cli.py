@@ -82,7 +82,8 @@ def _merge_json(parser: _Subcommand, args: argparse.Namespace) -> None:
 
 
 def _need(parser: argparse.ArgumentParser, args: argparse.Namespace, *names: str) -> None:
-    missing = ["--" + n.replace("_", "-") for n in names if getattr(args, n.replace("-", "_")) is None]
+    """Exit 2 naming every flag of `names` left unset; an empty list (an appended flag given [] by --json) is unset."""
+    missing = ["--" + n.replace("_", "-") for n in names if getattr(args, n.replace("-", "_")) in (None, [])]
     if missing:
         parser.error("missing required parameters: " + ", ".join(missing))
 

@@ -213,9 +213,24 @@ def resolvent_bound_offreal(q: QuadBound, z: complex) -> float:
 
 
 def _offreal_bounds(q: QuadBound, zs) -> list[float]:
-    """resolvent_bound_offreal at every z of a grid, bit for bit, refusing as it does."""
+    """resolvent_bound_offreal at every z of a grid, bit for bit, refusing as it does at the first point it refuses.
+
+    One loop over Python complexes; the b < 1 check and the squares of a
+    and b are taken once per grid.
+    """
     a, b = q.a, q.b
-    return [_offreal_bound(a, b, complex(z)) for z in zs]
+    zs = list(map(complex, zs))
+    if zs:
+        _check_b_lt_1(b)
+    aa, bb = a * a, b * b
+    den = 1.0 - bb
+    bounds = []
+    for z in zs:
+        re, im = z.real, z.imag
+        if not im * im > (aa + bb * re * re) / den:
+            raise BoundNotValid(f"z={z!r} is not certified outside the enclosure")
+        bounds.append(1.0 / (abs(im) - math.hypot(a, b * abs(z))))
+    return bounds
 
 
 def _inside(lo: float, hi: float, open_: bool, z: complex) -> complex:
@@ -294,19 +309,30 @@ def _strip_bound_pairs(q: QuadBound, gap: Gap, zs) -> list[tuple[float, float]]:
     """(plain, refined) strip bounds at every z of a grid.
 
     Each pair equals (resolvent_bound_strip, resolvent_bound_strip_refined)
-    at that z bit for bit, and raises as they do; the strip, its two
-    endpoint shifts and the crossover are computed once per grid instead
-    of once per bound.
+    at that z bit for bit, and the grid raises what they raise at its
+    first point they refuse.  One loop over Python complexes: the strip,
+    its two endpoint shifts, 1 - b, the midpoint and the crossover are
+    computed once per grid instead of once per bound, the crossover after
+    the first point is found inside the strip, as the refined bound does.
     """
     b, alpha, beta = q.b, gap.alpha, gap.beta
     lo, hi, open_, sa, sb = _strip_ends(q.a, b, alpha, beta)
+    zs = list(map(complex, zs))
+    if not zs:
+        return []
+    _inside(lo, hi, open_, zs[0])
+    zeta = _crossover(alpha, beta, sa, sb)
+    one_b, mid = 1.0 - b, 0.5 * (alpha + beta)
     pairs = []
-    zeta = None
     for z in zs:
-        z = _inside(lo, hi, open_, complex(z))
-        if zeta is None:
-            zeta = _crossover(alpha, beta, sa, sb)
-        pairs.append((_plain_bound(b, alpha, beta, lo, hi, z), _refined_bound(alpha, beta, lo, hi, zeta, z)))
+        mu, nu = z.real, z.imag
+        if not lo < mu < hi:
+            _inside(lo, hi, open_, z)
+        da, db = mu - alpha, beta - mu
+        plain = 1.0 / (math.hypot(min(da, db), nu) * min(one_b, (mu - lo) / da, (hi - mu) / db))
+        ra, rb = da / (mu - lo), db / (hi - mu)
+        dist = math.hypot(da if mu < mid else db if mu > mid else min(da, db), nu)
+        pairs.append((plain, (ra if mu < zeta else rb if mu > zeta else max(ra, rb)) / dist))
     return pairs
 
 

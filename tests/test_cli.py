@@ -212,6 +212,17 @@ class TestJsonInput:
         assert code == 0
         assert out == run_cli("sample-region", "--kind", "envelope", *flags, "--vnorm", "1", "--resolution", "4")[1]
 
+    @pytest.mark.parametrize("doc", [{"kind": "envelope", "p": [], "vnorm": 1}, {"kind": "envelope", "vnorm": 1}],
+                             ids=["empty-list", "absent"])
+    def test_envelope_without_p_exits_2(self, doc, tmp_path, capsys):
+        # an empty list draws no curve, so it is refused as a missing --p
+        src = tmp_path / "params.json"
+        src.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sample-region", "--json", str(src))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("gapcert sample-region: error: missing required parameters: --p\n")
+
     def test_json_file_is_closed(self, tmp_path):
         src = tmp_path / "params.json"
         src.write_text(json.dumps({"a": 1, "b": 0, "alpha": 0, "beta": 3}))

@@ -619,6 +619,42 @@ class TestSharedShifts:
         want = [resolvent_bound_offreal(q, z) for z in kept]
         assert _bits(*_offreal_bounds(q, np.array(kept, dtype=complex))) == _bits(*want)
 
+    @given(
+        a=quad_a,
+        b=quad_b,
+        g=gaps(),
+        pts=st.lists(
+            st.tuples(st.sampled_from(("strip", "mid", "zeta", "outside")), st.floats(0.0, 1.0), st.floats(-5.0, 5.0)),
+            max_size=8,
+        ),
+        outside_last=st.booleans(),
+        as_array=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_strip_grid_bits(self, a, b, g, pts, outside_last, as_array):
+        q = QuadBound(a, b)
+        strip = _ref_strip(q, g)
+        zeta = _outcome(_crossover, g.alpha, g.beta, *_ends(q, g)[3:])
+        at = {"mid": 0.5 * (g.alpha + g.beta), "zeta": zeta if isinstance(zeta, float) else g.alpha}
+        zs = []
+        for where, frac, im in pts + [("outside", 0.5, 1.0)] * outside_last:
+            if where == "strip":
+                re = strip.lo + frac * (strip.hi - strip.lo)
+            elif where == "outside":
+                re = strip.hi + frac if frac < 0.5 else strip.lo - frac
+            else:
+                re = at[where]
+            zs.append(complex(re, im))
+        each = [(_outcome(resolvent_bound_strip, q, g, z), _outcome(resolvent_bound_strip_refined, q, g, z))
+                for z in zs]
+        # the grid raises what the scalar bounds raise at its first point they refuse, else gives both bit for bit
+        failure = next((got for pair in each for got in pair if isinstance(got, tuple)), None)
+        grid = _outcome(_strip_bound_pairs, q, g, np.array(zs, dtype=complex) if as_array else zs)
+        if failure is not None:
+            assert grid == failure
+        else:
+            assert [_bits(*pair) for pair in grid] == [_bits(*pair) for pair in each]
+
     def test_refined_bound_computes_each_shift_once(self, monkeypatch):
         # every hypot the module evaluates, counted through its `math` reference
         calls = []

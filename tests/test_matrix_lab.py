@@ -444,11 +444,6 @@ class TestSuite:
             assert flag in ("0", "1")
 
 
-def _one_round(m0, zs):
-    """Generator asking _lockstep once for the norms at zs, and returning them."""
-    return (yield m0, zs)
-
-
 @functools.cache
 def _serial_reports(*args) -> tuple[str, ...]:
     """JSON of each report of run_suite(*args), the instances verified one by one.
@@ -474,7 +469,7 @@ class TestParallelOracle:
             inst = gen_instance(24, 7 + k)
             zs = rng.uniform(-4.0, 4.0, size) + 1j * rng.uniform(0.1, 3.0, size)
             asks.append((inst.t_mat + inst.a_mat, zs))
-        norms = matrix_lab._lockstep([_one_round(m0, zs) for m0, zs in asks])
+        norms = matrix_lab._stacked_norms(asks)
         assert oracle_calls["svd"] == 1
         assert [n.tolist() for n in norms] == [[resolvent_norm(m0, z) for z in zs] for m0, zs in asks]
 
@@ -834,12 +829,12 @@ def _prune_instance(kind, dim, seed, magnitude):
 
 def _full_grid(grid, m0):
     """The grid with every norm evaluated by one batch over all of its points."""
-    full = matrix_lab._lockstep([_one_round(m0, grid.zs)])[0]
+    (full,) = matrix_lab._stacked_norms([(m0, grid.zs)])
     return dataclasses.replace(grid, norms=full, exact=np.ones(full.size, dtype=bool))
 
 
 class TestPrunedOracle:
-    """Weyl-bracket pruning skips SVDs but changes no report, whatever the round schedule."""
+    """Pruning by both Weyl brackets skips SVDs but changes no report, whatever the round schedule."""
 
     @pytest.mark.parametrize("dim, magnitude", [(4, 0.9), (10, 0.5), (22, 0.9), (40, 0.5)])
     @pytest.mark.parametrize("kind", _PRUNE_KINDS)
@@ -861,6 +856,24 @@ class TestPrunedOracle:
                 assert np.all(grid.norms[~exact] >= norms[~exact])
             got = [matrix_lab._judge(inst, obs, o).to_json() for o in (VerifyOptions(), _WIDENED)]
             assert got == want
+
+    @pytest.mark.parametrize("dim, magnitude", [(4, 0.9), (10, 0.5), (22, 0.9), (40, 0.5)])
+    @pytest.mark.parametrize("kind", _PRUNE_KINDS)
+    def test_second_bracket_is_an_upper_bound(self, kind, dim, magnitude):
+        # dist(z, sigma(T)) - ||A||_2 - slack_t bounds sigma_min(M - z) below at every point
+        # of every grid, and the points it prunes keep a norm above the full grid's
+        inst = _prune_instance(kind, dim, dim, magnitude)
+        m0 = inst.t_mat + inst.a_mat
+        _, grids = matrix_lab._resolvent_grids(inst)
+        a_norm = float(np.linalg.svd(inst.a_mat, compute_uv=False)[0])
+        brackets = matrix_lab._Brackets(m0, inst.t_diag, a_norm, np.linalg.eigvals(m0), grids)
+        (full,) = matrix_lab._stacked_norms([(m0, brackets.zs)])
+        proven = brackets.fixed > 0.0
+        assert proven.any()
+        assert np.all(1.0 / brackets.fixed[proven] >= full[proven])
+        grids = matrix_lab._observe(inst, VerifyOptions()).grids
+        pruned = ~np.concatenate([g.exact for g in grids])
+        assert np.all(np.concatenate([g.norms for g in grids])[pruned] >= full[pruned])
 
     @pytest.mark.parametrize("dim", [22, 40])
     def test_most_points_are_pruned(self, dim):
@@ -935,7 +948,7 @@ def _same_observation(got, want) -> bool:
 
 
 class TestLockstep:
-    """A batch's bracket rounds run in lockstep, one SVD per round, with each instance's lone observation."""
+    """A batch's bracket rounds run in lockstep, one SVD call per round over every instance's picks; each instance keeps its lone observation."""
 
     @pytest.mark.parametrize("dim", [4, 10, 22, 40])
     def test_batch_matches_lone_observe(self, dim, monkeypatch):
@@ -943,6 +956,7 @@ class TestLockstep:
         # every kind in one batch at least once, as suite batches mix them
         kinds = _PRUNE_KINDS * -(-_batch_count(dim) // len(_PRUNE_KINDS))
         insts = [_prune_instance(kind, dim, seed, 0.7) for seed, kind in enumerate(kinds)]
+        assert {inst.kind for inst in insts} == set(matrix_lab._KINDS)
         lone = [matrix_lab._observe(inst, options) for inst in insts]
         masks = [[g.exact.tolist() for g in obs.grids] for obs in lone]
         # the batch twice on the lanes: at the real CPU count, at 1 (both
@@ -959,15 +973,18 @@ class TestLockstep:
                 assert [[g.exact.tolist() for g in obs.grids] for obs in batch] == masks
 
     def test_one_svd_call_per_round(self, oracle_calls):
-        insts = [gen_instance(10, seed) for seed in range(_batch_count(10))]
+        insts = [gen_instance(22, seed) for seed in range(_batch_count(22))]
         matrix_lab._observe_batch(insts, VerifyOptions())
         batched = oracle_calls["svd"]
-        oracle_calls["svd"] = 0
+        lone = []
         for inst in insts:
+            oracle_calls["svd"] = 0
             matrix_lab._observe(inst, VerifyOptions())
+            lone.append(oracle_calls["svd"])
         assert oracle_calls["eigvals"] == 1 + len(insts)
-        # the batch takes as many rounds as its slowest instance
-        assert 0 < batched < oracle_calls["svd"]
+        # one call for every ||A||_2, then one per round: the batch takes as
+        # many rounds as its slowest instance
+        assert len(set(lone)) > 1 and batched == max(lone)
 
 
 def _hyperbola_rows(inst, s_grid, eigs):
