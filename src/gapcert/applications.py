@@ -21,7 +21,6 @@ Everything is a closed-form evaluation; no operators are discretized.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 from .enclosures import QuadBound, hyperbola_excluded, symmetric_gap_strip
 from .errors import ConditionNotApplicable, record, require_int, require_nonneg, require_positive
@@ -83,11 +82,9 @@ def dirac2d_constants(
     return QuadBound(cp ** (p / (p - 2.0)) * b ** (-2.0 / (p - 2.0)), b)
 
 
-def _envelope_x(p: float, cp: float) -> Callable[[float], float]:
-    # b -> x = |Re z|^2 on the envelope of the hyperbola family at b, cp = dirac2d_cp;
-    # the exponent 2p/(p-2) and the divisor p-2 are computed once
-    pm2, expo = p - 2.0, 2.0 * p / (p - 2.0)
-    return lambda b: (cp / b) ** expo * (2.0 - p * b * b) / pm2
+def _envelope_x(p: float, cp: float, b: float) -> float:
+    # x = |Re z|^2 on the envelope of the hyperbola family at b, cp = dirac2d_cp
+    return (cp / b) ** (2.0 * p / (p - 2.0)) * (2.0 - p * b * b) / (p - 2.0)
 
 
 def _envelope_y(p: float, cp: float, b: float) -> float:
@@ -98,7 +95,7 @@ def _envelope_y(p: float, cp: float, b: float) -> float:
 def _envelope_xy(spec: DiracSpec, b: float) -> tuple[float, float]:
     # (x, y) = (|Re z|^2, |Im z|^2) on the envelope of the hyperbola family at b
     cp = dirac2d_cp(spec)
-    return _envelope_x(spec.p, cp)(b), _envelope_y(spec.p, cp, b)
+    return _envelope_x(spec.p, cp, b), _envelope_y(spec.p, cp, b)
 
 
 class EnvelopeCurve(record("EnvelopeCurve", "b re im asymptote_coeff asymptote_exponent clipped")):
@@ -153,8 +150,7 @@ def dirac2d_envelope(
     cp = dirac2d_cp(spec)
     try:
         grid = _log_grid(b_min, b_max, samples)
-        x_at = _envelope_x(p, cp)
-        xy = [(x_at(b), _envelope_y(p, cp, b)) for b in grid]
+        xy = [(_envelope_x(p, cp, b), _envelope_y(p, cp, b)) for b in grid]
         if not all(math.isfinite(x) and math.isfinite(y) for x, y in xy):
             raise OverflowError
     except ArithmeticError:
@@ -170,29 +166,28 @@ def dirac2d_envelope(
     )
 
 
-def _envelope_b_at(spec: DiracSpec, re: float) -> tuple[float, float]:
-    """Bracket lo <= hi around the b whose envelope abscissa is |Re z| = re.
+def _envelope_b_at(p: float, cp: float, re: float) -> tuple[float, float]:
+    """Bracket lo <= hi around the b whose envelope abscissa is |Re z| = re; cp = dirac2d_cp.
 
     x(b) decreases strictly on (0, sqrt(2/p)], so halving from the top
     finds lo with x(lo) >= re^2; geometric bisection then stops at its
     fixed point, the first step that leaves (lo, hi) unchanged.  Both
-    loops evaluate the abscissa x(b) alone, with C_p, 2p/(p-2) and p-2
+    loops evaluate _envelope_x's expression inline, with 2p/(p-2) and p-2
     computed once per call.
     """
     target = re * re
-    p = spec.p
     hi = _envelope_b_max(p)
     if target == 0.0:
         return hi, hi
-    x_at = _envelope_x(p, dirac2d_cp(spec))
+    pm2, expo = p - 2.0, 2.0 * p / (p - 2.0)
     try:
         # halving ends at the latest when x(lo) overflows or cp / lo divides by zero
         lo = 0.5 * hi
-        while x_at(lo) < target:
+        while (cp / lo) ** expo * (2.0 - p * lo * lo) / pm2 < target:
             lo *= 0.5
         for _ in range(200):
             mid = math.sqrt(lo * hi)
-            if x_at(mid) >= target:
+            if (cp / mid) ** expo * (2.0 - p * mid * mid) / pm2 >= target:
                 if mid == lo:
                     break
                 lo = mid
@@ -211,9 +206,14 @@ def envelope_im_at_re(spec: DiracSpec, re: float) -> float:
     Inverts the strictly decreasing map b -> x(b) by bisection and
     evaluates the ordinate there.  re = 0 sits at b = sqrt(2/p).
     """
-    lo, hi = _envelope_b_at(spec, require_nonneg("re", re))
+    abscissa = require_nonneg("re", re)
+    p, cp = spec.p, dirac2d_cp(spec)
+    lo, hi = _envelope_b_at(p, cp, abscissa)
     try:
-        return math.sqrt(_envelope_xy(spec, math.sqrt(lo * hi))[1])
+        b = math.sqrt(lo * hi)
+        # x(b) too, as _envelope_xy takes it: an abscissa past the double range refuses
+        _envelope_x(p, cp, b)
+        return math.sqrt(_envelope_y(p, cp, b))
     except ArithmeticError:
         raise ConditionNotApplicable(f"re={re!r} beyond the representable envelope range") from None
 
@@ -258,13 +258,7 @@ def dirac3d_coulomb(spec: CoulombSpec) -> CoulombRegion:
             "spectrum separation not certified: sqrt(C1^2 + 4 C2^2 m^2) >= m"
         )
     gap = symmetric_gap_strip(q, spec.m)
-    return CoulombRegion(
-        halfwidth=gap.beta_pert,
-        quad=q,
-        mass=spec.m,
-        gap=gap,
-        bisectorial=True,
-    )
+    return CoulombRegion(gap.beta_pert, q, spec.m, gap, True)
 
 
 class ManifoldSpec(record("ManifoldSpec", "c p case eps_geom")):

@@ -153,7 +153,8 @@ def quad_from_linear(lin: LinBound, eps: float) -> QuadBound:
 
 def _excluded(a: float, b: float, re: float, im: float) -> bool:
     """The one site of the hyperbola test im^2 > (a^2 + b^2 re^2) / (1 - b^2); checks b < 1 first."""
-    _check_b_lt_1(b)
+    if b >= 1.0:
+        _check_b_lt_1(b)
     return im * im > (a * a + b * b * re * re) / (1.0 - b * b)
 
 
@@ -172,7 +173,8 @@ def _strip_ends(a: float, b: float, alpha: float, beta: float) -> tuple[float, f
 
     The one site that checks b < 1 and decides the gap condition shift(alpha) + shift(beta) < beta - alpha.
     """
-    _check_b_lt_1(b)
+    if b >= 1.0:
+        _check_b_lt_1(b)
     sa, sb = math.hypot(a, b * alpha), math.hypot(a, b * beta)
     return alpha + sa, beta - sb, sa + sb < beta - alpha, sa, sb
 
@@ -188,7 +190,8 @@ def perturbed_strip(q: QuadBound, gap: Gap) -> StripResult:
     When the gap condition holds the strip is open and is avoided by the
     spectrum of T + sA for every coupling s in [0, 1].
     """
-    return StripResult(*_strip_ends(q.a, q.b, gap.alpha, gap.beta)[:3])
+    lo, hi, open_, _, _ = _strip_ends(q.a, q.b, gap.alpha, gap.beta)
+    return StripResult(lo, hi, open_)
 
 
 def lower_semicont_balls(q: QuadBound, gap: Gap) -> tuple[Disk, Disk]:
@@ -201,15 +204,12 @@ def lower_semicont_balls(q: QuadBound, gap: Gap) -> tuple[Disk, Disk]:
     return Disk(gap.alpha, sa), Disk(gap.beta, sb)
 
 
-def _offreal_bound(a: float, b: float, z: complex) -> float:
+def resolvent_bound_offreal(q: QuadBound, z: complex) -> float:
+    """Resolvent norm bound 1/(|Im z| - sqrt(a^2 + b^2 |z|^2)) off the real axis."""
+    a, b, z = q.a, q.b, complex(z)
     if not _excluded(a, b, z.real, z.imag):
         raise BoundNotValid(f"z={z!r} is not certified outside the enclosure")
     return 1.0 / (abs(z.imag) - math.hypot(a, b * abs(z)))
-
-
-def resolvent_bound_offreal(q: QuadBound, z: complex) -> float:
-    """Resolvent norm bound 1/(|Im z| - sqrt(a^2 + b^2 |z|^2)) off the real axis."""
-    return _offreal_bound(q.a, q.b, complex(z))
 
 
 def _offreal_bounds(q: QuadBound, zs) -> list[float]:
@@ -233,21 +233,11 @@ def _offreal_bounds(q: QuadBound, zs) -> list[float]:
     return bounds
 
 
-def _inside(lo: float, hi: float, open_: bool, z: complex) -> complex:
+def _inside(lo: float, hi: float, open_: bool, z: complex) -> None:
     if not open_:
         raise BoundNotValid("gap condition fails; no certified strip")
     if not (lo < z.real < hi):
         raise BoundNotValid(f"Re z={z.real!r} outside certified strip ({lo!r}, {hi!r})")
-    return z
-
-
-def _plain_bound(b: float, alpha: float, beta: float, lo: float, hi: float, z: complex) -> float:
-    mu, nu = z.real, z.imag
-    dist = math.hypot(min(mu - alpha, beta - mu), nu)
-    # 1 - max{b, s_a/(mu-alpha), s_b/(beta-mu)} evaluated in the
-    # cancellation-free complementary form
-    comp = min(1.0 - b, (mu - lo) / (mu - alpha), (hi - mu) / (beta - mu))
-    return 1.0 / (dist * comp)
 
 
 def _crossover(alpha: float, beta: float, sa: float, sb: float) -> float:
@@ -269,17 +259,6 @@ def _crossover(alpha: float, beta: float, sa: float, sb: float) -> float:
     return from_alpha if abs(alpha) <= abs(beta) else from_beta
 
 
-def _refined_bound(alpha: float, beta: float, lo: float, hi: float, zeta: float, z: complex) -> float:
-    # the distance switches endpoint at the midpoint, the ratio at zeta; a
-    # tie takes the smaller distance and the larger ratio
-    mu, nu = z.real, z.imag
-    mid = 0.5 * (alpha + beta)
-    da, db = mu - alpha, beta - mu
-    ra, rb = da / (mu - lo), db / (hi - mu)
-    dist = math.hypot(da if mu < mid else db if mu > mid else min(da, db), nu)
-    return (ra if mu < zeta else rb if mu > zeta else max(ra, rb)) / dist
-
-
 def resolvent_bound_strip(q: QuadBound, gap: Gap, z: complex) -> float:
     """Resolvent norm bound inside the certified strip of a survived gap.
 
@@ -287,8 +266,15 @@ def resolvent_bound_strip(q: QuadBound, gap: Gap, z: complex) -> float:
                  * (1 - max{b, shift(alpha)/(Re z - alpha), shift(beta)/(beta - Re z)}))
     """
     b, alpha, beta = q.b, gap.alpha, gap.beta
-    lo, hi, open_ = _strip_ends(q.a, b, alpha, beta)[:3]
-    return _plain_bound(b, alpha, beta, lo, hi, _inside(lo, hi, open_, complex(z)))
+    lo, hi, open_, _, _ = _strip_ends(q.a, b, alpha, beta)
+    z = complex(z)
+    mu = z.real
+    if not (open_ and lo < mu < hi):
+        _inside(lo, hi, open_, z)
+    da, db = mu - alpha, beta - mu
+    # 1 - max{b, s_a/(mu-alpha), s_b/(beta-mu)} evaluated in the
+    # cancellation-free complementary form
+    return 1.0 / (math.hypot(min(da, db), z.imag) * min(1.0 - b, (mu - lo) / da, (hi - mu) / db))
 
 
 def resolvent_bound_strip_refined(q: QuadBound, gap: Gap, z: complex) -> float:
@@ -301,8 +287,18 @@ def resolvent_bound_strip_refined(q: QuadBound, gap: Gap, z: complex) -> float:
     """
     alpha, beta = gap.alpha, gap.beta
     lo, hi, open_, sa, sb = _strip_ends(q.a, q.b, alpha, beta)
-    z = _inside(lo, hi, open_, complex(z))
-    return _refined_bound(alpha, beta, lo, hi, _crossover(alpha, beta, sa, sb), z)
+    z = complex(z)
+    mu = z.real
+    if not (open_ and lo < mu < hi):
+        _inside(lo, hi, open_, z)
+    zeta = _crossover(alpha, beta, sa, sb)
+    # the distance switches endpoint at the midpoint, the ratio at zeta; a
+    # tie takes the smaller distance and the larger ratio
+    mid = 0.5 * (alpha + beta)
+    da, db = mu - alpha, beta - mu
+    ra, rb = da / (mu - lo), db / (hi - mu)
+    dist = math.hypot(da if mu < mid else db if mu > mid else min(da, db), z.imag)
+    return (ra if mu < zeta else rb if mu > zeta else max(ra, rb)) / dist
 
 
 def _strip_bound_pairs(q: QuadBound, gap: Gap, zs) -> list[tuple[float, float]]:
@@ -366,7 +362,12 @@ def symmetric_gap_strip(q: QuadBound, beta: float) -> SymmetricGapResult:
 
 
 def semibounded_lower_bound(bound: QuadBound, beta: float) -> float:
-    """Lower bound beta - sqrt(a^2 + b^2 beta^2) of sigma(T + A) when T >= beta; requires b < 1.
+    """Lower bound beta - sqrt(a^2 + b^2 beta^2) of Re sigma(T + A) when T >= beta; requires b < 1.
+
+    Any A with the quadratic pair, symmetric or not: for Re z below the bound,
+    ||A (T - z)^-1|| <= sup_{t >= beta} sqrt(a^2 + b^2 t^2) / (t - Re z) < 1, as
+    sqrt(a^2 + b^2 t^2) - (t - Re z) is negative at t = beta and decreases in t
+    when b < 1; so T + A - z = (I + A (T - z)^-1)(T - z) is invertible.
 
     Only a QuadBound is taken, checked by type since a LinBound equals a
     QuadBound as a tuple; a linear pair enters through quad_from_linear.

@@ -24,8 +24,9 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 from .errors import ConditionNotApplicable, NumericalFailure, record
 from .errors import require_finite, require_int, require_nonneg, require_positive
 
-# enclosures loads where a gap or a strip is built, so that the band-model
-# criteria (gapcert gaps, kappa, growth-check, powerlaw) run without it
+# enclosures loads where a gap or a strip is built (per_gap_criterion binds
+# its names on its first call), so that the band-model criteria (gapcert
+# gaps, kappa, growth-check, powerlaw) run without it
 if TYPE_CHECKING:
     from .enclosures import Gap
 
@@ -202,6 +203,16 @@ class BandProfile(record("BandProfile", "lengths widths")):
         return GapSequence(tuple(alphas), tuple(betas))
 
 
+def _nonneg_floats(name: str, values) -> tuple[float, ...]:
+    """The values as a tuple of floats, each finite and nonnegative.  One pass checks a tuple of
+    floats; require_nonneg converts any other entries and raises for the first value it refuses."""
+    values = tuple(values)
+    for x in values:
+        if type(x) is not float or not 0.0 <= x < math.inf:
+            return tuple(require_nonneg(name, x) for x in values)
+    return values
+
+
 class PerGapConstants(record("PerGapConstants", "a_seq b_seq")):
     """Per-gap relative-bound constants (a_n, b_n), each b_n in [0, 1).
 
@@ -211,11 +222,10 @@ class PerGapConstants(record("PerGapConstants", "a_seq b_seq")):
     __slots__ = ()
 
     def __new__(cls, a_seq: tuple[float, ...], b_seq: tuple[float, ...]):
-        a_seq = tuple(require_nonneg("a_n", x) for x in a_seq)
-        b_seq = tuple(require_nonneg("b_n", x) for x in b_seq)
+        a_seq, b_seq = _nonneg_floats("a_n", a_seq), _nonneg_floats("b_n", b_seq)
         if len(a_seq) != len(b_seq) or not a_seq:
             raise ValueError("a_seq and b_seq must be nonempty and equally long")
-        if any(b >= 1 for b in b_seq):
+        if max(b_seq) >= 1:
             raise ValueError("b_n must lie in [0, 1)")
         return tuple.__new__(cls, (a_seq, b_seq))
 
@@ -333,7 +343,7 @@ def _decide(value: float, threshold: float, exact: bool, want_greater: bool) -> 
     """Three-way strict test: 1 holds, -1 fails, 0 straddling (estimates only)."""
     if not want_greater:
         # negation is exact and rounding symmetric, so value < threshold is -value > -threshold
-        return _decide(-value, -threshold, exact, True)
+        value, threshold = -value, -threshold
     if exact:
         return 1 if value > threshold else -1
     tol = _STRADDLE_TOL * max(1.0, abs(threshold))
@@ -360,9 +370,9 @@ def ratio_criterion(data: Union[GapSequence, Tail], delta_a: float) -> RatioResu
         raise ConditionNotApplicable("T-bound delta_a >= 1 admits no gap conclusion")
     threshold = (1.0 + delta_a) / (1.0 - delta_a)
     liminf, limsup, exact = data.ratio_limits()
-    if _decide(liminf, threshold, exact, want_greater=True) == 1:
+    if _decide(liminf, threshold, exact, True) == 1:
         verdict = Verdict.COFINITELY_MANY
-    elif _decide(limsup, threshold, exact, want_greater=True) == 1:
+    elif _decide(limsup, threshold, exact, True) == 1:
         verdict = Verdict.INFINITELY_MANY
     else:
         verdict = Verdict.INCONCLUSIVE
@@ -380,22 +390,23 @@ def per_gap_criterion(seq: GapSequence, consts: PerGapConstants) -> PerGapResult
     of ratios below 1 in the liminf sense keeps infinitely many gaps open,
     in the limsup sense cofinitely many.
     """
-    from .enclosures import StripResult, _strip_ends
-
-    if len(seq) != len(consts):
+    global StripResult, _strip_ends
+    if "_strip_ends" not in globals():
+        from .enclosures import StripResult, _strip_ends
+    alphas, a_seq = seq.alphas, consts.a_seq
+    if len(alphas) != len(a_seq):
         raise ValueError("constants must match the number of gaps")
-    ratios = []
-    strips = []
+    ratios, strips = [], []
     # both containers validated (a, b) and (alpha, beta) already
-    for a, b, alpha, beta in zip(consts.a_seq, consts.b_seq, seq.alphas, seq.betas):
+    for a, b, alpha, beta in zip(a_seq, consts.b_seq, alphas, seq.betas):
         lo, hi, open_, sa, sb = _strip_ends(a, b, alpha, beta)
         ratios.append((sa + sb) / (beta - alpha))
         strips.append(StripResult(lo, hi, open_))
     tail = _tail(ratios)
     liminf, limsup = min(tail), max(tail)
-    if _decide(limsup, 1.0, exact=False, want_greater=False) == 1:
+    if _decide(limsup, 1.0, False, False) == 1:
         verdict = Verdict.COFINITELY_MANY
-    elif _decide(liminf, 1.0, exact=False, want_greater=False) == 1:
+    elif _decide(liminf, 1.0, False, False) == 1:
         verdict = Verdict.INFINITELY_MANY
     else:
         verdict = Verdict.INCONCLUSIVE
@@ -422,17 +433,15 @@ def kappa_s(
     gives the exact limit (integral comparison for the partial sums).
     """
     if isinstance(bands, BandProfile) and isinstance(consts, PerGapConstants):
-        n = len(bands.lengths)
-        if len(consts) != n:
+        lengths, a_seq = bands.lengths, consts.a_seq
+        if len(a_seq) != len(lengths):
             raise ValueError("constants must match the number of gaps")
-        widths = bands.widths[: n - 1]
         values = []
         cum = 0.0
-        for i in range(n):
-            l = bands.lengths[i]
-            values.append(consts.b_seq[i] + (2.0 / l) * (consts.a_seq[i] + consts.b_seq[i] * cum))
-            if i < n - 1:
-                cum += l + widths[i]
+        # cum is the sum over j < n; the width after the last gap, if any, is never read
+        for l, a, b, w in zip(lengths, a_seq, consts.b_seq, bands.widths + (0.0,)):
+            values.append(b + (2.0 / l) * (a + b * cum))
+            cum += l + w
         tail = _tail(values)
         # only b_n = 0 against an overflowed partial sum (0 * inf) is NaN
         if math.isnan(sum(tail)):
@@ -482,19 +491,12 @@ def necessary_growth_check(
         threshold = (1.0 + delta_a) / (1.0 - delta_a)
         liminf, exact = data.growth_limits()
         # necessary condition is non-strict, so only a clear shortfall fails
-        failed = _decide(liminf, threshold, exact, want_greater=False) == 1
-        return GrowthDiagnostic(
-            ok=not failed,
-            failed_condition="endpoint-ratio-growth" if failed else None,
-            details={"liminf": liminf, "threshold": threshold, "exact": exact},
-        )
+        failed = _decide(liminf, threshold, exact, False) == 1
+        return GrowthDiagnostic(not failed, "endpoint-ratio-growth" if failed else None,
+                                {"liminf": liminf, "threshold": threshold, "exact": exact})
     # delta_a == 0: only unbounded perturbations constrain the gap lengths
     if consts is None:
-        return GrowthDiagnostic(
-            ok=True,
-            failed_condition=None,
-            details={"note": "no constants supplied; bounded perturbations need no growth"},
-        )
+        return GrowthDiagnostic(True, None, {"note": "no constants supplied; bounded perturbations need no growth"})
     if isinstance(consts, ConstModel):
         if not isinstance(data, PowerLogTail):
             raise ValueError("analytic constants require a power-log band model")
@@ -510,12 +512,9 @@ def necessary_growth_check(
             raise ValueError("constants must match the number of gaps")
         vals = [2.0 * a / l for a, l in zip(consts.a_seq, data.lengths)]
         limsup, exact = max(_tail(vals, window)), False
-    failed = _decide(limsup, 1.0, exact, want_greater=False) != 1
-    return GrowthDiagnostic(
-        ok=not failed,
-        failed_condition="gap-length-growth" if failed else None,
-        details={"limsup_2a_over_l": limsup, "exact": exact},
-    )
+    failed = _decide(limsup, 1.0, exact, False) != 1
+    return GrowthDiagnostic(not failed, "gap-length-growth" if failed else None,
+                            {"limsup_2a_over_l": limsup, "exact": exact})
 
 
 class PowerlawBound(record("PowerlawBound", "kappa_bound eps0")):

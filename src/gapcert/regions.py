@@ -160,11 +160,11 @@ def envelope_boundary(
     spec: DiracSpec, resolution: int, clip: float, name: str | None = None
 ) -> tuple[Segment]:
     """Upper envelope arm from |Re z| = clip in to the real-axis crossing."""
-    from .applications import _envelope_b_at, _envelope_b_max, _envelope_xy, _log_grid
+    from .applications import _envelope_b_at, _envelope_b_max, _envelope_xy, _log_grid, dirac2d_cp
 
     resolution = require_int("resolution", resolution, 2)
     clip = require_positive("clip", clip)
-    b = _log_grid(_envelope_b_at(spec, clip)[0], _envelope_b_max(spec.p), resolution)
+    b = _log_grid(_envelope_b_at(spec.p, dirac2d_cp(spec), clip)[0], _envelope_b_max(spec.p), resolution)
     xy = [_envelope_xy(spec, v) for v in b]
     re = [math.sqrt(max(x, 0.0)) for x, _ in xy]
     return (_seg(name or f"p={spec.p:g}", re, [math.sqrt(y) for _, y in xy]),)

@@ -14,12 +14,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gapcert import enclosures, gap_sequences
+from gapcert import blocks, enclosures, gap_sequences
 from gapcert.enclosures import (
     _crossover,
     _offreal_bounds,
-    _plain_bound,
-    _refined_bound,
     _strip_bound_pairs,
     _strip_ends,
     Disk,
@@ -95,7 +93,33 @@ def _converted_strips(lin, gap, eps_grid):
     return strips
 
 
+_G, _SPEC = Gap(-1.0, 3.0), IsolatedEigSpec(1.0, -1.0, 3.0, 2)
+# every certificate that reads a quadratic pair's fields by name
+_QUAD_CALLS = {
+    "gap_condition": lambda q: gap_condition(q, _G),
+    "perturbed_strip": lambda q: perturbed_strip(q, _G),
+    "lower_semicont_balls": lambda q: lower_semicont_balls(q, _G),
+    "hyperbola_excluded": lambda q: hyperbola_excluded(q, 0.5 + 3j),
+    "resolvent_bound_offreal": lambda q: resolvent_bound_offreal(q, 0.5 + 3j),
+    "resolvent_bound_strip": lambda q: resolvent_bound_strip(q, _G, 1 + 0.5j),
+    "resolvent_bound_strip_refined": lambda q: resolvent_bound_strip_refined(q, _G, 1 + 0.5j),
+    "symmetric_gap_strip": lambda q: symmetric_gap_strip(q, 2.0),
+    "isolated_eigenvalue_strip": lambda q: isolated_eigenvalue_strip(q, _SPEC),
+    "almost_gap_eig_bound": lambda q: blocks.almost_gap_eig_bound("i", q, _G, 2),
+}
+
+
 class TestLinearPairs:
+    @pytest.mark.parametrize("pair", [LinBound(0.3, 0.2), (0.3, 0.2)], ids=["LinBound", "tuple"])
+    @pytest.mark.parametrize("name", list(_QUAD_CALLS))
+    def test_certificate_refuses_a_linear_pair(self, name, pair):
+        """A LinBound and a bare (a, b) equal QuadBound(a, b) as tuples, so a certificate
+        that unpacked its pair would take them; reading q.a and q.b by name refuses both."""
+        assert QuadBound(*pair) == pair
+        _QUAD_CALLS[name](QuadBound(*pair))
+        with pytest.raises(AttributeError):
+            _QUAD_CALLS[name](pair)
+
     def test_strip_witness(self):
         # the removed eps-per-end strip certified (0.05, 0.15) for this pair and gap
         lin, gap = LinBound(0.05, 0.8), Gap(0.0, 1.0)
@@ -371,6 +395,28 @@ class TestSemibound:
         low = np.linalg.eigvalsh(np.diag(t) + a_mat)[0]
         assert low >= semibounded_lower_bound(QuadBound(a, b), beta) - 1e-12 * max(1.0, np.abs(t).max())
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 4),
+        beta=st.floats(0.01, 100.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+        a=st.floats(0.01, 10.0),
+        b=st.floats(0.0, 0.95),
+        tail=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_nonhermitian_oracle(self, seed, dim, beta, sign, a, b, tail):
+        # test_hermitian_oracle's draw with h left unsymmetrised: the bound holds for Re sigma
+        beta *= sign
+        rng = np.random.default_rng(seed)
+        rest = 1e3 ** (np.arange(1, dim) / (dim - 1)) if tail and dim > 1 else np.zeros(dim - 1)
+        t = beta + np.concatenate([[0.0], rest])
+        g = np.hypot(a, b * t)
+        h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        a_mat = h / np.linalg.norm(h / g, 2)
+        low = np.linalg.eigvals(np.diag(t) + a_mat).real.min()
+        assert low >= semibounded_lower_bound(QuadBound(a, b), beta) - 1e-12 * max(1.0, np.abs(t).max())
+
 
 class TestSectorCover:
     def test_known_radius(self):
@@ -501,6 +547,23 @@ def _ref_crossover(q, g):
     return zeta if abs(g.alpha) <= abs(g.beta) else zeta_alt
 
 
+# the strip bounds' formulas as the helpers folded into them wrote them
+def _ref_plain_bound(b, alpha, beta, lo, hi, z):
+    mu, nu = z.real, z.imag
+    dist = math.hypot(min(mu - alpha, beta - mu), nu)
+    comp = min(1.0 - b, (mu - lo) / (mu - alpha), (hi - mu) / (beta - mu))
+    return 1.0 / (dist * comp)
+
+
+def _ref_refined_bound(alpha, beta, lo, hi, zeta, z):
+    mu, nu = z.real, z.imag
+    mid = 0.5 * (alpha + beta)
+    da, db = mu - alpha, beta - mu
+    ra, rb = da / (mu - lo), db / (hi - mu)
+    dist = math.hypot(da if mu < mid else db if mu > mid else min(da, db), nu)
+    return (ra if mu < zeta else rb if mu > zeta else max(ra, rb)) / dist
+
+
 def _ends(q, g):
     return _strip_ends(q.a, q.b, g.alpha, g.beta)
 
@@ -561,8 +624,8 @@ class TestSharedShifts:
                     fn(q, g, z)
             return
         ends = (g.alpha, g.beta, strip.lo, strip.hi)
-        plain = _plain_bound(q.b, *ends, z)
-        refined = _outcome(lambda: _refined_bound(*ends, _ref_crossover(q, g), z))
+        plain = _ref_plain_bound(q.b, *ends, z)
+        refined = _outcome(lambda: _ref_refined_bound(*ends, _ref_crossover(q, g), z))
         assert _bits(resolvent_bound_strip(q, g, z)) == _bits(plain)
         got = _outcome(resolvent_bound_strip_refined, q, g, z)
         assert got == refined if isinstance(refined, tuple) else _bits(got) == _bits(refined)

@@ -132,6 +132,36 @@ class TestPerGap:
         assert not closed.strips[0].open
         assert closed.verdict is Verdict.INCONCLUSIVE
 
+    @given(
+        a_seq=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=8),
+        b_seq=st.lists(st.floats(0.0, 0.99), min_size=1, max_size=8),
+        bad=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 7),
+                      st.sampled_from([math.nan, math.inf]) | st.floats(max_value=0.0, exclude_max=True)),
+            max_size=3,
+        ),
+        as_iterators=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_constants_refuse_the_first_bad_entry(self, a_seq, b_seq, bad, as_iterators):
+        """NaN, +-inf or a negative entry anywhere: the error names the first one, a_seq before b_seq."""
+        b_seq = b_seq[: len(a_seq)]
+        a_seq = a_seq[: len(b_seq)]
+        for in_a, pos, value in bad:
+            seq = a_seq if in_a else b_seq
+            seq[pos % len(seq)] = value
+        first = next(((name, x) for name, seq in (("a_n", a_seq), ("b_n", b_seq))
+                      for x in seq if not 0.0 <= x < math.inf), None)
+        args = (iter(a_seq), iter(b_seq)) if as_iterators else (tuple(a_seq), tuple(b_seq))
+        if first is None:
+            consts = PerGapConstants(*args)
+            assert consts == (tuple(a_seq), tuple(b_seq))
+            return
+        name, x = first
+        with pytest.raises(ValueError) as info:
+            PerGapConstants(*args)
+        assert str(info.value) == f"{name} must be finite and nonnegative, got {x!r}"
+
     def test_strips_match_core_module(self):
         seq = GapSequence((1.0, 10.0), (4.0, 20.0))
         consts = PerGapConstants((0.5, 1.0), (0.1, 0.2))

@@ -98,6 +98,12 @@ def _cli_loads(*commands: str, kinds: tuple[str, ...] = ()) -> set[str]:
     return _loaded(_RUN_CLI, json.dumps(argvs))
 
 
+@pytest.fixture(scope="module")
+def every_scalar_call_loads() -> set[str]:
+    """What one process loads over every scalar subcommand call and region kind, run once for the tests that read it."""
+    return _cli_loads(*SCALAR_CALLS, kinds=tuple(REGION_CALLS))
+
+
 class TestImportContracts:
     def test_strip_loads_enclosures_and_errors_only(self):
         assert _cli_loads("strip") == _STRIP_MODULES
@@ -130,12 +136,11 @@ class TestImportContracts:
                               capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stdout) == (0, "__main__\n"), proc.stderr
 
-    def test_no_scalar_subcommand_imports_numpy(self):
-        assert "numpy" not in _cli_loads(*SCALAR_CALLS, kinds=tuple(REGION_CALLS))
+    def test_no_scalar_subcommand_imports_numpy(self, every_scalar_call_loads):
+        assert "numpy" not in every_scalar_call_loads
 
-    def test_no_scalar_subcommand_imports_dataclasses_or_inspect(self):
-        loaded = _cli_loads(*SCALAR_CALLS, kinds=tuple(REGION_CALLS))
-        assert not loaded & {"dataclasses", "inspect"}
+    def test_no_scalar_subcommand_imports_dataclasses_or_inspect(self, every_scalar_call_loads):
+        assert not every_scalar_call_loads & {"dataclasses", "inspect"}
 
     def test_certificate_modules_import_no_dataclasses_or_inspect(self):
         loaded = _loaded("from gapcert import applications, blocks, cli, enclosures, gap_sequences, regions")
