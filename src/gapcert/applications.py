@@ -92,12 +92,6 @@ def _envelope_y(p: float, cp: float, b: float) -> float:
     return (p * cp * cp / (p - 2.0)) * (cp / b) ** (4.0 / (p - 2.0))
 
 
-def _envelope_xy(spec: DiracSpec, b: float) -> tuple[float, float]:
-    # (x, y) = (|Re z|^2, |Im z|^2) on the envelope of the hyperbola family at b
-    cp = dirac2d_cp(spec)
-    return _envelope_x(spec.p, cp, b), _envelope_y(spec.p, cp, b)
-
-
 class EnvelopeCurve(record("EnvelopeCurve", "b re im asymptote_coeff asymptote_exponent clipped")):
     """Sampled envelope polyline with its large-|Re z| asymptote.
 
@@ -211,7 +205,7 @@ def envelope_im_at_re(spec: DiracSpec, re: float) -> float:
     lo, hi = _envelope_b_at(p, cp, abscissa)
     try:
         b = math.sqrt(lo * hi)
-        # x(b) too, as _envelope_xy takes it: an abscissa past the double range refuses
+        # x(b) too, as the envelope arm takes it: an abscissa past the double range refuses
         _envelope_x(p, cp, b)
         return math.sqrt(_envelope_y(p, cp, b))
     except ArithmeticError:

@@ -23,20 +23,25 @@ sigma_min(M - z) >= sigma_min(M - z0) - |z - z0| from each exact point z0
 and sigma_min(M - z) >= dist(z, sigma(T)) - ||A||_2 before any, each
 less a slack for rounding (see _Brackets), once it provably cannot be
 its check's worst, so reports equal those of a full-grid evaluation.
+An exactly Hermitian instance (A == A^H entry for entry: the symmetric
+and probe kinds) takes the Hermitian path: eigvalsh sweeps it, and the
+second bound becomes two-sided, sigma_min(M - z) = dist(z, sigma(M))
+within a slack, so about one point per check needs an SVD.
 verify_instance observes only when it is given no observation, on the
 calling thread.  run_suite drives a named suite, by default the
 standard mix of the acceptance gate, and hands verify_instance each
 observation: a call with its previous call's specs, s_points and grid
 constants judges that call's instances on its observations and generates
 nothing; any other runs
-batches of instances of one order on lanes, one per usable CPU, started
-and joined within the call, each lane generating, sweeping (one eigvals
-call), observing and judging a whole batch.  A batch is observed in one
-pass (_observe_batch): one SVD call gives every ||A||_2, and each
-bracket round picks every instance's points, evaluates them all in one
-SVD call and updates every instance's brackets.  Two lanes are bound by
-the Python they run under the GIL, not by LAPACK (see _GIL_FREE_SIZE),
-so the oracle's saving is Python work per batch as much as SVDs.
+batches of instances of one order and one sweep solver on lanes, one per
+usable CPU, started and joined within the call, each lane generating,
+sweeping (one eigvals or one eigvalsh call), observing and judging a
+whole batch.  A batch is observed in one pass (_observe_batch): one SVD
+call gives every ||A||_2 the brackets need, and each bracket round picks
+every instance's points, evaluates them all in one SVD call and updates
+every instance's brackets.  On two vCPUs one lane's LAPACK slows the
+other lane's Python (see _GIL_FREE_SIZE), so the oracle saves LAPACK
+and Python work per batch alike.
 
 Importing this module loads every certificate module, applications and
 gap_sequences among them although the oracle calls neither: code that
@@ -251,7 +256,7 @@ def gen_instance(
         raise ValueError("magnitude must lie in (0, 1)")
     if kind not in _KINDS:
         raise ValueError(f"unknown instance kind {kind!r}")
-    generate, _, _, takes = _KINDS[kind]
+    generate, _, _, takes, _ = _KINDS[kind]
     n_gaps = require_int("n_gaps", n_gaps, 1)
     if n_gaps != 1 and "n_gaps" not in takes:
         raise ValueError(f"{kind} instances take no gap count; n_gaps must be 1, got {n_gaps!r}")
@@ -579,15 +584,19 @@ def _check_strips(strips, eigs, widen) -> CheckResult:
 
 
 # numpy runs a gufunc loop without the GIL only when the loop covers more
-# than 500 elements (batch length x order n for a batched svd or eigvals),
-# yet two such eigvals calls of 128-512 matrices of order 4 or 10 on two
-# threads used one CPU between them, while Python on one thread keeps its
-# full speed beside another thread's GIL-free call.  So run_suite splits
-# no LAPACK call: it runs whole batches on lanes (_run_lanes), each batch
-# so large that its s-sweep holds more than _GIL_FREE_SIZE // n matrices.
-# Two lanes are then bound by GIL-held Python: on a 2-vCPU machine eight
-# standard ladders (orders 4-40) took 5.5-5.9 s in one two-lane process
-# and 4.4-4.7 s as two one-lane processes side by side.
+# than 500 elements (batch length x order n for a batched svd or eigvals):
+# beside 11 x 40 = 440 a Python thread stalls for the whole 10-17 ms call,
+# beside 13 x 40 = 520 for at most 0.5-3.9 ms.  Two such eigvals calls of
+# 128-512 matrices of order 4 or 10 on two threads used one CPU between
+# them, so run_suite splits no LAPACK call: it runs whole batches on lanes
+# (_run_lanes), each batch so large that its s-sweep holds more than
+# _GIL_FREE_SIZE // n matrices, and one sweep solver's instances alone
+# (_suite_batches).  The two vCPUs this was measured on are not two full
+# cores: a Python loop beside a GIL-free 60 x 40 eigvals thread took
+# 0.150-0.296 s (median 0.261) against 0.144-0.172 s alone, and two
+# pure-Python processes side by side ran 1.55-2.04x as fast as one.  So
+# LAPACK on one lane slows another lane's Python, and the oracle saves
+# LAPACK work and Python work per batch alike.
 _GIL_FREE_SIZE = 500
 
 
@@ -634,25 +643,44 @@ def _run_lanes(work, batches: list) -> None:
         raise errors[0]
 
 
-def _sweep(insts, s_grid: np.ndarray) -> np.ndarray:
-    """Eigenvalues of T + s A for every instance (all of one order) and s in s_grid.
+def _exactly_hermitian(a: np.ndarray) -> bool:
+    """Whether A == A^H entry for entry; then every T + s A is Hermitian too, T being real diagonal."""
+    return bool(np.array_equal(a, a.conj().T))
 
-    One eigvals call over a stack of shape (len(insts) * s_grid.size, n, n),
-    built in place by the IEEE operations of T + s A, so every eigenvalue
-    is bit-identical to eigvals(T + s A).
+
+def _sweep(insts, s_grid: np.ndarray) -> np.ndarray:
+    """Eigenvalues of T + s A (complex) for every instance (all of one order) and s in s_grid.
+
+    The stack of shape (len(insts) * s_grid.size, n, n) is built in place by
+    the IEEE operations of T + s A.  The solver is chosen per instance:
+    the matrices of an instance whose A is _exactly_hermitian go to
+    eigvalsh, whose eigenvalues are real and ascending, with an error of
+    a few n eps ||M||_2 (Weyl); the others go to eigvals.  Each solver
+    takes all of its matrices in one call, so every eigenvalue is
+    bit-identical to its solver's on T + s A alone, whatever the batch.
+    eigvalsh reads one triangle only, so it never sees a matrix that is
+    not exactly Hermitian.  Suite batches hold one solver's instances
+    alone (_suite_batches); a mixed stack takes two calls.
     """
-    k = s_grid.size
-    stack = np.empty((len(insts) * k, insts[0].dim, insts[0].dim), dtype=complex)
+    k, n = s_grid.size, insts[0].dim
+    stack = np.empty((len(insts) * k, n, n), dtype=complex)
     for i, inst in enumerate(insts):
         block = stack[i * k:(i + 1) * k]
         np.multiply(s_grid[:, None, None], inst.a_mat, out=block)
         block += inst.t_mat
-    return np.linalg.eigvals(stack).reshape(len(insts), k, -1)
+    herm = np.repeat([_exactly_hermitian(inst.a_mat) for inst in insts], k)
+    eigs = np.empty((len(insts) * k, n), dtype=complex)
+    for solver, mine in ((np.linalg.eigvalsh, herm), (np.linalg.eigvals, ~herm)):
+        if mine.all():
+            eigs[...] = solver(stack)  # a suite batch: one solver, no copy of the stack
+        elif mine.any():
+            eigs[mine] = solver(stack[mine])
+    return eigs.reshape(len(insts), k, n)
 
 
 _EPS = float(np.finfo(float).eps)
 # A point is pruned only when its upper bracket of norm/bound lies below its
-# check's best exact ratio r by more than _TIE_ULPS * eps * (1 + r): far
+# check's best lower bracket r by more than _TIE_ULPS * eps * (1 + r): far
 # above the rounding of the judge's margin formula for any tolerance below 1.
 _TIE_ULPS = 16.0
 
@@ -672,10 +700,16 @@ class _Brackets:
     bound that sigma_min(M - z) is 1-Lipschitz in z makes each exact
     sigma_min(M - z0) bracket every other point of every grid:
     sigma_min(M - z) >= sigma_min(M - z0) - |z - z0| - slack, the slack
-    covering the SVD error.  Weyl's inequality for T + A, with T - z
-    diagonal, gives a second one before any SVD:
+    covering the SVD error.  The second one needs no SVD.  For a general
+    M, Weyl's inequality for T + A, with T - z diagonal, gives
     sigma_min(M - z) >= dist(z, sigma(T)) - ||A||_2 - slack_t, where
-    slack_t adds to slack the error of ||A||_2 and of the distance.
+    slack_t adds to slack the error of ||A||_2 and of the distance.  For
+    an exactly Hermitian M (a_norm None, eigs its eigvalsh), M - z is
+    normal, so sigma_min(M - z) = dist(z, sigma(M)); Weyl's inequality
+    puts each computed eigenvalue within a few n eps max|eig| of its own,
+    so the bracket is two-sided:
+    |sigma_min(M - z) - dist(z, eigs)| <= slack_h, where slack_h adds
+    8 n eps (max|eig| + max|z|) to slack.
 
     pick() gives each round's points: per check with pending points (its
     share of the _round_size quota), the unevaluated ones with the highest
@@ -684,13 +718,16 @@ class _Brackets:
     1/(dist(z, eigs) bound).  The second bracket prunes but never orders:
     ordering by it spent more SVDs than its pruning saved.  update() takes
     the round's norms.  A point whose upper bracket under both falls
-    below its check's best exact ratio (see _TIE_ULPS) is pruned for good,
-    since that ratio only rises and the brackets only tighten, and keeps
-    that upper bracket as its norm; so the judge finds the full grid's
-    first worst point with the same margin whatever the round schedule.
+    below its check's best lower bracket of norm/bound (see _TIE_ULPS) is
+    pruned for good, and keeps that upper bracket as its norm.  Exact
+    ratios are lower brackets, and for an exactly Hermitian M so is
+    1/((dist(z, eigs) + slack_h) bound) at every point; a general M has
+    no other.  The best lower bracket only rises and the upper brackets
+    only tighten, so the judge finds the full grid's first worst point
+    with the same margin whatever the round schedule.
     """
 
-    def __init__(self, m0: np.ndarray, t_diag: np.ndarray, a_norm: float, eigs: np.ndarray, grids) -> None:
+    def __init__(self, m0: np.ndarray, t_diag: np.ndarray, a_norm: float | None, eigs: np.ndarray, grids) -> None:
         self.grids_in = grids
         checks = [check for check, _, _ in grids]
         sizes = [zs.size for _, zs, _ in grids]
@@ -702,14 +739,20 @@ class _Brackets:
         zs = self.zs = np.concatenate([zs for _, zs, _ in grids])
         bounds = self.bounds = np.concatenate([bounds for _, _, bounds in grids])
         self.slack = 8.0 * n * _EPS * (float(np.linalg.norm(m0)) + float(np.abs(zs).max()))
-        slack_t = self.slack + 8.0 * n * _EPS * (a_norm + float(np.abs(t_diag).max()))
-        self.fixed = np.abs(zs[:, None] - t_diag[None, :]).min(axis=1) - a_norm - slack_t
+        dist = np.abs(zs[:, None] - eigs[None, :]).min(axis=1)
+        self.best = np.zeros(sum(firsts))  # per check, its best lower bracket of norm/bound
         with np.errstate(divide="ignore"):
-            self.hint = 1.0 / (np.abs(zs[:, None] - eigs[None, :]).min(axis=1) * bounds)
+            self.hint = 1.0 / (dist * bounds)
+            if a_norm is None:
+                slack_h = self.slack + 8.0 * n * _EPS * (float(np.abs(eigs).max()) + float(np.abs(zs).max()))
+                self.fixed = dist - slack_h
+                np.maximum.at(self.best, self.owner, 1.0 / ((dist + slack_h) * bounds))
+            else:
+                slack_t = self.slack + 8.0 * n * _EPS * (a_norm + float(np.abs(t_diag).max()))
+                self.fixed = np.abs(zs[:, None] - t_diag[None, :]).min(axis=1) - a_norm - slack_t
         self.norms = np.full(zs.size, np.inf)
         self.exact = np.zeros(zs.size, dtype=bool)
         self.floor = np.full(zs.size, -np.inf)  # the first bracket's lower bracket of sigma_min(M - z)
-        self.best = np.zeros(sum(firsts))  # per check, its best exact ratio
         self.live = np.arange(zs.size)  # the points neither exact nor pruned, in grid order
 
     def pick(self) -> np.ndarray:
@@ -936,21 +979,26 @@ def _even_dim(rng, dim: int, dim_hi: int) -> tuple[int, int]:
 # dim_rule(rng, dim, dim_hi) is the (dim, n_gaps) a suite builds it at from
 # the dim drawn off the suite's rng, which it draws from only for n_gaps.
 # check(inst, eigs, widen), if any, is its own check after the common ones,
-# None where it does not apply.
-_Kind = namedtuple("_Kind", "generate dim_rule check takes", defaults=(lambda rng, dim, hi: (dim, 1), None, ()))
+# None where it does not apply.  hermitian says that the kind's A is exactly
+# Hermitian (_exactly_hermitian), so that a suite batches it apart from the
+# others and sweeps its batches by eigvalsh alone (_suite_batches).
+_Kind = namedtuple(
+    "_Kind", "generate dim_rule check takes hermitian", defaults=(lambda rng, dim, hi: (dim, 1), None, (), False)
+)
 
 # kind -> its row, with what MatrixInstance.cert holds
 _KINDS = {
     "none": _Kind(_gen_plain, takes=("gaps",)),  # dense A over one gap; ()
     # Hermitian A, almost-gap window data; (window, eigenvalues of T inside it, NumRangeBounds of A)
-    "symmetric": _Kind(_gen_plain, check=_check_numrange_windows, takes=("gaps",)),
+    "symmetric": _Kind(_gen_plain, check=_check_numrange_windows, takes=("gaps",), hermitian=True),
     # A off-diagonal over a gap straddling 0; (OffDiagBounds, generating gap)
     "offdiag": _Kind(_gen_offdiag, _even_dim, partial(_check_structured, "structured-offdiag", _offdiag_worst)),
     # T = diag(D, -D), pair-coupled A (see _gen_odd); (DiagBounds, beta of the gap (-beta, beta))
     "diag-blocks": _Kind(_gen_odd, _even_dim, partial(_check_structured, "structured-odd", _odd_worst)),
     # nonnegative T, A off-diagonal; (OffDiagBounds, BlockMinima)
     "even": _Kind(_gen_even, _even_dim, partial(_check_structured, "structured-even", _even_worst)),
-    "probe": _Kind(_gen_plain, takes=("gaps",)),  # tight diagonal A, extreme eigenvalues on the strip's ends; ()
+    # tight real diagonal A, extreme eigenvalues on the strip's ends; ()
+    "probe": _Kind(_gen_plain, takes=("gaps",), hermitian=True),
     # dense A over its gaps, 2 or 3 and dim 8 at least in a suite; ()
     "multi": _Kind(_gen_plain, lambda rng, dim, hi: (max(dim, 8), int(rng.integers(2, 4))), takes=("gaps", "n_gaps")),
     # an eigenvalue isolated by two gaps, dim 3 at least (see _gen_isolated); (IsolatedEigSpec,)
@@ -1012,13 +1060,19 @@ def _observe(inst: MatrixInstance, options: VerifyOptions) -> _Observation:
 def _observe_batch(insts, options: VerifyOptions) -> list[_Observation]:
     """The _observe of every instance (all of one order), in one pass over the batch.
 
-    One eigvals call sweeps s, one SVD call gives every ||A||_2, and the
-    bracket rounds of all instances share one SVD call per round.
+    One sweep of s (_sweep: eigvalsh for the exactly Hermitian instances,
+    eigvals for the others), one SVD call gives the ||A||_2 of every
+    instance that is not exactly Hermitian, and the bracket rounds of all
+    instances share one SVD call per round.  An exactly Hermitian
+    instance's brackets take its s = 1 eigvalsh row, and no ||A||_2.
     """
     s_grid = _s_grid(options)
-    a_norms = np.linalg.svd(np.stack([inst.a_mat for inst in insts]), compute_uv=False)[:, 0]
+    hermitian = [_exactly_hermitian(inst.a_mat) for inst in insts]
+    general = [inst.a_mat for inst, h in zip(insts, hermitian) if not h]
+    a_norms = iter(np.linalg.svd(np.stack(general), compute_uv=False)[:, 0].tolist() if general else ())
     parts, brackets = [], []
-    for inst, eigs, a_norm in zip(insts, _sweep(insts, s_grid), a_norms.tolist()):
+    for inst, eigs, h in zip(insts, _sweep(insts, s_grid), hermitian):
+        a_norm = None if h else next(a_norms)
         m0 = inst.t_mat + inst.a_mat
         sign, logabs = np.linalg.slogdet(m0)
         strips, grids = _resolvent_grids(inst)
@@ -1171,13 +1225,19 @@ class SuiteResult:
 
 
 def _suite_batches(specs, s_points: int) -> list[list[int]]:
-    """Spec indices in batches of one order n as they fill, each the fewest whose s-sweep exceeds _GIL_FREE_SIZE // n."""
+    """Spec indices in batches of one order n and one sweep solver as they fill, each the fewest whose s-sweep exceeds _GIL_FREE_SIZE // n.
+
+    The solver is eigvalsh for the kinds whose _KINDS row is hermitian and
+    eigvals for the others, so each batch's sweep is one LAPACK call that
+    runs without the GIL; a batch split by solver would not.
+    """
     batches, waiting = [], {}
-    for idx, (_, dim, *_) in enumerate(specs):
-        batch = waiting.setdefault(dim, [])
+    for idx, (kind, dim, *_) in enumerate(specs):
+        key = (dim, _KINDS[kind].hermitian)
+        batch = waiting.setdefault(key, [])
         batch.append(idx)
         if len(batch) * s_points > _GIL_FREE_SIZE // dim:
-            batches.append(waiting.pop(dim))
+            batches.append(waiting.pop(key))
     return batches + list(waiting.values())
 
 

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gapcert import Gap, QuadBound, matrix_lab
 from gapcert.blocks import NumRangeBounds
@@ -655,20 +655,24 @@ def empty_store(monkeypatch):
 
 @pytest.fixture
 def oracle_calls(monkeypatch):
-    """Counts of eigvals, svd and slogdet calls made through numpy.linalg, and of matrices swept by eigvals."""
-    calls = {"eigvals": 0, "svd": 0, "slogdet": 0, "swept": 0}
+    """Counts of eigvals, eigvalsh, svd and slogdet calls made through numpy.linalg, and of matrices swept.
+
+    The swept matrices are those of the stacks (3-D arrays) that eigvals or
+    eigvalsh took; generation calls eigvalsh on single matrices only.
+    """
+    calls = {"eigvals": 0, "eigvalsh": 0, "svd": 0, "slogdet": 0, "swept": 0}
     lock = threading.Lock()
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
             with lock:
                 calls[name] += 1
-                if name == "eigvals":
+                if name in ("eigvals", "eigvalsh") and args[0].ndim == 3:
                     calls["swept"] += args[0].shape[0]
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("eigvals", "svd", "slogdet"):
+    for name in ("eigvals", "eigvalsh", "svd", "slogdet"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     return calls
 
@@ -703,7 +707,7 @@ class TestObservationReuse:
         monkeypatch.setattr(matrix_lab, "_REL_MARGIN", 1e-6)
         monkeypatch.setattr(matrix_lab, "_REFINED_TOL", 0.0)
         run_suite(*_SMALL, options=_WIDENED)
-        assert oracle_calls == {"eigvals": 0, "svd": 0, "slogdet": 0, "swept": 0}
+        assert oracle_calls == {"eigvals": 0, "eigvalsh": 0, "svd": 0, "slogdet": 0, "swept": 0}
 
     def test_reuse_generates_nothing(self, monkeypatch):
         calls = {"gen_instance": 0, "verify_instance": 0}
@@ -770,7 +774,7 @@ class TestObservationReuse:
             for name in oracle_calls:
                 oracle_calls[name] = 0
             assert verify_instance(inst, options, observation=obs).to_json() == want
-            assert oracle_calls == {"eigvals": 0, "svd": 0, "slogdet": 0, "swept": 0}
+            assert oracle_calls == {"eigvals": 0, "eigvalsh": 0, "svd": 0, "slogdet": 0, "swept": 0}
 
     def test_stored_arrays_reject_writes(self):
         run_suite(*_SMALL)
@@ -833,29 +837,86 @@ def _full_grid(grid, m0):
     return dataclasses.replace(grid, norms=full, exact=np.ones(full.size, dtype=bool))
 
 
+def _assert_pruning_changes_no_report(inst):
+    """The observation, plain and in rounds of one point per check, judges as the full grid does."""
+    m0 = inst.t_mat + inst.a_mat
+    observed = [matrix_lab._observe(inst, VerifyOptions())]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrix_lab, "_round_size", lambda n, pending: 1)
+        observed.append(matrix_lab._observe(inst, VerifyOptions()))
+    obs = observed[0]
+    full = dataclasses.replace(obs, grids=tuple(_full_grid(grid, m0) for grid in obs.grids))
+    want = [matrix_lab._judge(inst, full, o).to_json() for o in (VerifyOptions(), _WIDENED)]
+    for obs in observed:
+        assert obs.grids
+        for grid, reference in zip(obs.grids, full.grids):
+            exact, norms = grid.exact, reference.norms
+            assert grid.norms[exact].tolist() == norms[exact].tolist()
+            assert np.all(grid.norms[~exact] >= norms[~exact])
+        got = [matrix_lab._judge(inst, obs, o).to_json() for o in (VerifyOptions(), _WIDENED)]
+        assert got == want
+
+
+def _hermitian_instance(kind, dim, seed, magnitude):
+    """An exactly Hermitian kind's instance, or a hypothesis rejection where it does not calibrate."""
+    try:
+        return gen_instance(dim, seed, kind=kind, magnitude=magnitude)
+    except NumericalFailure:
+        assume(False)
+
+
+_HERMITIAN_DRAW = dict(
+    kind=st.sampled_from([kind for kind, row in matrix_lab._KINDS.items() if row.hermitian]),
+    dim=st.integers(4, 40), seed=st.integers(0, 2**31 - 2), magnitude=st.floats(0.3, 0.95),
+)
+
+
 class TestPrunedOracle:
     """Pruning by both Weyl brackets skips SVDs but changes no report, whatever the round schedule."""
 
     @pytest.mark.parametrize("dim, magnitude", [(4, 0.9), (10, 0.5), (22, 0.9), (40, 0.5)])
     @pytest.mark.parametrize("kind", _PRUNE_KINDS)
-    def test_pruning_changes_no_report(self, kind, dim, magnitude, monkeypatch):
-        inst = _prune_instance(kind, dim, dim, magnitude)
+    def test_pruning_changes_no_report(self, kind, dim, magnitude):
+        _assert_pruning_changes_no_report(_prune_instance(kind, dim, dim, magnitude))
+
+    @given(**_HERMITIAN_DRAW)
+    @settings(max_examples=30, deadline=None)
+    def test_hermitian_pruning_changes_no_report(self, kind, dim, seed, magnitude):
+        # the two-sided bracket prunes all but about one point per check
+        _assert_pruning_changes_no_report(_hermitian_instance(kind, dim, seed, magnitude))
+
+    @given(**_HERMITIAN_DRAW)
+    @settings(max_examples=40, deadline=None)
+    def test_hermitian_bracket_is_two_sided(self, kind, dim, seed, magnitude):
+        # for an exactly Hermitian M, |sigma_min(M - z) - dist(z, eigs)| <= slack_h at every
+        # point of every grid, eigs the s = 1 eigvalsh row; slack_h is the SVD's slack plus
+        # 8 n eps (max|eig| + max|z|), and the brackets take exactly that slack
+        inst = _hermitian_instance(kind, dim, seed, magnitude)
         m0 = inst.t_mat + inst.a_mat
-        observed = [matrix_lab._observe(inst, VerifyOptions())]
-        # and again in rounds of one point per check
-        monkeypatch.setattr(matrix_lab, "_round_size", lambda n, pending: 1)
-        observed.append(matrix_lab._observe(inst, VerifyOptions()))
-        obs = observed[0]
-        full = dataclasses.replace(obs, grids=tuple(_full_grid(grid, m0) for grid in obs.grids))
-        want = [matrix_lab._judge(inst, full, o).to_json() for o in (VerifyOptions(), _WIDENED)]
-        for obs in observed:
-            assert obs.grids
-            for grid, reference in zip(obs.grids, full.grids):
-                exact, norms = grid.exact, reference.norms
-                assert grid.norms[exact].tolist() == norms[exact].tolist()
-                assert np.all(grid.norms[~exact] >= norms[~exact])
-            got = [matrix_lab._judge(inst, obs, o).to_json() for o in (VerifyOptions(), _WIDENED)]
-            assert got == want
+        _, grids = matrix_lab._resolvent_grids(inst)
+        assume(grids)
+        eigs = matrix_lab._sweep([inst], matrix_lab._s_grid(VerifyOptions()))[0, -1]
+        brackets = matrix_lab._Brackets(m0, inst.t_diag, None, eigs, grids)
+        zs = brackets.zs
+        sigma = np.linalg.svd(m0[None] - zs[:, None, None] * np.eye(dim), compute_uv=False)[:, -1]
+        dist = np.abs(zs[:, None] - eigs[None, :]).min(axis=1)
+        eps = float(np.finfo(float).eps)
+        slack = 8.0 * dim * eps * (float(np.linalg.norm(m0)) + float(np.abs(zs).max()))
+        slack_h = slack + 8.0 * dim * eps * (float(np.abs(eigs).max()) + float(np.abs(zs).max()))
+        assert np.all(np.abs(sigma - dist) <= slack_h)
+        assert brackets.fixed.tolist() == (dist - slack_h).tolist()
+
+    @pytest.mark.parametrize("dim", [4, 10, 22, 40])
+    def test_hermitian_instance_svds_at_most_two_points_per_check(self, dim):
+        # the worst point, and at most its conjugate twin: dist(z, sigma(M)) is even in Im z.
+        # A probe's strip check is the exception: its norms meet its bounds along the real
+        # axis, ties that only an SVD at each point can order
+        for seed in range(8):
+            inst = gen_instance(dim, seed, kind="symmetric", magnitude=0.3 + 0.08 * seed)
+            exact = {}
+            for grid in matrix_lab._observe(inst, VerifyOptions()).grids:
+                exact[grid.check] = exact.get(grid.check, 0) + int(grid.exact.sum())
+            assert exact and all(1 <= count <= 2 for count in exact.values())
 
     @pytest.mark.parametrize("dim, magnitude", [(4, 0.9), (10, 0.5), (22, 0.9), (40, 0.5)])
     @pytest.mark.parametrize("kind", _PRUNE_KINDS)
@@ -887,8 +948,10 @@ class TestPrunedOracle:
 
 
 def _per_matrix_eigvals(inst, s_grid):
-    """Reference: one eigvals call per matrix T + s A."""
-    return np.array([np.linalg.eigvals(inst.t_mat + s * inst.a_mat) for s in s_grid])
+    """Reference: one call per matrix T + s A, of eigvalsh where A == A^H entry for entry, else of eigvals."""
+    a = inst.a_mat
+    solver = np.linalg.eigvalsh if np.array_equal(a, a.conj().T) else np.linalg.eigvals
+    return np.array([solver(inst.t_mat + s * a) for s in s_grid], dtype=complex)
 
 
 def _batch_count(dim: int, s_points: int = 11) -> int:
@@ -896,8 +959,14 @@ def _batch_count(dim: int, s_points: int = 11) -> int:
     return next(k for k in range(1, 1000) if k * s_points > matrix_lab._GIL_FREE_SIZE // dim)
 
 
+def _batch_key(spec) -> tuple[int, bool]:
+    """(order, sweep solver is eigvalsh) of a spec: the key of its suite batch."""
+    kind, dim, *_ = spec
+    return dim, matrix_lab._KINDS[kind].hermitian
+
+
 class TestBatchedSweep:
-    """The s-sweep runs in batches of same-order instances; every eigenvalue stays that of its own matrix."""
+    """The s-sweep runs in batches of same-order, same-solver instances; every eigenvalue stays that of its own matrix."""
 
     @pytest.mark.parametrize("dim", [4, 10, 22, 40])
     @pytest.mark.parametrize("kind", _PRUNE_KINDS)
@@ -920,20 +989,54 @@ class TestBatchedSweep:
         specs = standard_suite_specs(300, 4, 40, 3)
         batches = matrix_lab._suite_batches(specs, s_points)
         assert sorted(idx for batch in batches for idx in batch) == list(range(len(specs)))
-        short = []
+        short, keys = [], set()
         for k, batch in enumerate(batches):
-            (dim,) = {specs[idx][1] for idx in batch}
-            assert batch == sorted(batch) and len(batch) <= _batch_count(dim, s_points)
-            if len(batch) < _batch_count(dim, s_points):
-                short.append((k, dim))
-        # full batches go out as they fill; one short batch per order at the end
+            # one order and one sweep solver per batch
+            (key,) = {_batch_key(specs[idx]) for idx in batch}
+            keys.add(key)
+            assert batch == sorted(batch) and len(batch) <= _batch_count(key[0], s_points)
+            if len(batch) < _batch_count(key[0], s_points):
+                short.append((k, key))
+        assert {hermitian for _, hermitian in keys} == {False, True}
+        # full batches go out as they fill; one short batch per (order, solver) at the end
         full = batches[:len(batches) - len(short)]
         assert [b[-1] for b in full] == sorted(b[-1] for b in full)
         assert [k for k, _ in short] == list(range(len(full), len(batches)))
-        assert len({dim for _, dim in short}) == len(short)
+        assert len({key for _, key in short}) == len(short)
         for cpus in (1, 64):
             monkeypatch.setattr(matrix_lab, "_usable_cpus", lambda: cpus)
             assert matrix_lab._suite_batches(specs, s_points) == batches
+
+
+    @pytest.mark.parametrize("dim", [4, 22, 40])
+    def test_sweep_falls_back_to_eigvals_off_hermitian(self, dim, oracle_calls):
+        # eigvalsh reads one triangle: an A one ulp off Hermitian in one upper
+        # entry must go to eigvals, alone or stacked beside a Hermitian one
+        s_grid = matrix_lab._s_grid(VerifyOptions())
+        inst = gen_instance(dim, 5, kind="symmetric")
+        a = inst.a_mat.copy()
+        a[0, 1] = complex(np.nextafter(a[0, 1].real, np.inf), a[0, 1].imag)
+        bent = dataclasses.replace(inst, a_mat=a)
+        want = {}
+        for case, solvers in ((inst, {"eigvalsh": 1, "eigvals": 0}), (bent, {"eigvalsh": 0, "eigvals": 1})):
+            oracle_calls.update(eigvalsh=0, eigvals=0)
+            (eigs,) = matrix_lab._sweep([case], s_grid)
+            assert {name: oracle_calls[name] for name in solvers} == solvers
+            want[id(case)] = _per_matrix_eigvals(case, s_grid).tobytes()
+            assert eigs.tobytes() == want[id(case)]
+        # a mixed stack takes two calls, and each instance keeps its lone sweep
+        oracle_calls.update(eigvalsh=0, eigvals=0)
+        mixed = matrix_lab._sweep([bent, inst, bent], s_grid)
+        assert (oracle_calls["eigvalsh"], oracle_calls["eigvals"]) == (1, 1)
+        assert [e.tobytes() for e in mixed] == [want[id(bent)], want[id(inst)], want[id(bent)]]
+        assert matrix_lab._observe(bent, VerifyOptions()).eigs.tobytes() == want[id(bent)]
+
+    @pytest.mark.parametrize("kind", _PRUNE_KINDS)
+    def test_kinds_column_says_which_a_is_exactly_hermitian(self, kind):
+        for dim in (4, 12, 40):
+            for seed in range(5):
+                a = _prune_instance(kind, dim, seed, 0.3 + 0.1 * seed).a_mat
+                assert matrix_lab._KINDS[kind].hermitian == np.array_equal(a, a.conj().T)
 
 
 def _same_observation(got, want) -> bool:

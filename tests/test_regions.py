@@ -23,13 +23,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gapcert import regions
+from gapcert import applications, regions
 from gapcert.applications import (
     CoulombSpec,
     DiracSpec,
     _envelope_b_at,
     _envelope_b_max,
-    _envelope_xy,
+    _envelope_x,
+    _envelope_y,
     _log_grid,
     dirac2d_cp,
     dirac2d_envelope,
@@ -101,6 +102,12 @@ def np_coulomb_boundary(region, resolution, clip):
         segments.append(_np_seg(f"{side}-upper", sign * arc_re, arc_im))
         segments.append(_np_seg(f"{side}-lower", sign * arc_re, -arc_im))
     return tuple(segments)
+
+
+def _envelope_xy(spec, b):
+    # (x, y) = (|Re z|^2, |Im z|^2) on the envelope at b, C_p computed at each call, as first written
+    cp = dirac2d_cp(spec)
+    return _envelope_x(spec.p, cp, b), _envelope_y(spec.p, cp, b)
 
 
 def np_envelope_grid(b_min, b_max, samples):
@@ -407,6 +414,27 @@ class TestEnvelopeAbscissa:
         spec = DiracSpec(vnorm, p)
         assert self._outcome(_envelope_b_at, p, dirac2d_cp(spec), re) == self._outcome(ref_envelope_b_at, spec, re)
         assert self._outcome(envelope_im_at_re, spec, re) == self._outcome(self._ref_im_at_re, spec, re)
+
+    @given(vnorm=st.floats(0.05, 20.0), p=st.floats(2.2, 50.0), clip=st.floats(1e-3, 1e6),
+           resolution=st.integers(2, 300))
+    @settings(max_examples=100, deadline=None)
+    def test_arm_computes_cp_once(self, vnorm, p, clip, resolution):
+        # one dirac2d_cp call per arm, and the rows of the arm as first written (C_p at every point)
+        spec = DiracSpec(vnorm, p)
+        calls = []
+
+        def counted(s):
+            calls.append(s)
+            return dirac2d_cp(s)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(applications, "dirac2d_cp", counted)
+            (seg,) = regions.envelope_boundary(spec, resolution, clip)
+        assert calls == [spec]
+        b = _log_grid(_envelope_b_at(p, dirac2d_cp(spec), clip)[0], _envelope_b_max(p), resolution)
+        xy = [_envelope_xy(spec, v) for v in b]
+        assert seg.re == tuple(math.sqrt(max(x, 0.0)) for x, _ in xy)
+        assert seg.im == tuple(math.sqrt(y) for _, y in xy)
 
     @given(vnorm=st.floats(0.05, 20.0), p=st.floats(2.2, 50.0), samples=st.integers(2, 100))
     @settings(max_examples=100, deadline=None)
