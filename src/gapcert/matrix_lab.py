@@ -39,7 +39,12 @@ sweeping (one eigvals or one eigvalsh call), observing and judging a
 whole batch.  A batch is observed in one pass (_observe_batch): one SVD
 call gives every ||A||_2 the brackets need, and each bracket round picks
 every instance's points, evaluates them all in one SVD call and updates
-every instance's brackets.  On two vCPUs one lane's LAPACK slows the
+every instance's brackets.  An instance takes at most three rounds, the
+third evaluating every point still live, so a batch makes at most four
+SVD calls; small late rounds would each be an SVD call that holds the
+GIL.  The short last batch of an order and solver joins that key's last
+full batch, and the plan puts the eigvals batches first, larger before
+smaller (_suite_batches).  On two vCPUs one lane's LAPACK slows the
 other lane's Python (see _GIL_FREE_SIZE), so the oracle saves LAPACK
 and Python work per batch alike.
 
@@ -250,8 +255,10 @@ def gen_instance(
     gaps and n_gaps must keep their defaults unless the kind's row takes
     them; the block kinds need an even dim.
     """
-    if not 2 <= dim <= 64:
-        raise ValueError("dim must lie in [2, 64]")
+    dim = require_int("dim", dim, 2)
+    if dim > 64:
+        raise ValueError(f"dim must lie in [2, 64], got {dim!r}")
+    seed = require_int("seed", seed, 0)
     if not 0.0 < magnitude < 1.0:
         raise ValueError("magnitude must lie in (0, 1)")
     if kind not in _KINDS:
@@ -430,7 +437,10 @@ def gen_isolated_instance(
     Both neighbor conditions are calibrated to `magnitude`, so the
     counting strip is certified with room to spare.
     """
-    if not 1 <= mult <= dim - 2:
+    dim = require_int("dim", dim, 2)
+    mult = require_int("mult", mult, 1)
+    seed = require_int("seed", seed, 0)
+    if mult > dim - 2:
         raise ValueError("need mult + 2 eigenvalues to isolate one cluster")
     rng = np.random.default_rng(seed)
     lam = float(rng.uniform(-1.0, 1.0))
@@ -590,13 +600,15 @@ def _check_strips(strips, eigs, widen) -> CheckResult:
 # 128-512 matrices of order 4 or 10 on two threads used one CPU between
 # them, so run_suite splits no LAPACK call: it runs whole batches on lanes
 # (_run_lanes), each batch so large that its s-sweep holds more than
-# _GIL_FREE_SIZE // n matrices, and one sweep solver's instances alone
-# (_suite_batches).  The two vCPUs this was measured on are not two full
-# cores: a Python loop beside a GIL-free 60 x 40 eigvals thread took
-# 0.150-0.296 s (median 0.261) against 0.144-0.172 s alone, and two
-# pure-Python processes side by side ran 1.55-2.04x as fast as one.  So
-# LAPACK on one lane slows another lane's Python, and the oracle saves
-# LAPACK work and Python work per batch alike.
+# _GIL_FREE_SIZE // n matrices, a short last batch merged into a full one,
+# and one sweep solver's instances alone (_suite_batches); the bracket
+# oracle ends by its third SVD round (_ROUNDS), as its late rounds are
+# small enough to hold the GIL.  The two vCPUs this was measured on are
+# not two full cores: a Python loop beside a GIL-free 60 x 40 eigvals
+# thread took 0.150-0.296 s (median 0.261) against 0.144-0.172 s alone,
+# and two pure-Python processes side by side ran 1.55-2.04x as fast as
+# one.  So LAPACK on one lane slows another lane's Python, and the oracle
+# saves LAPACK work and Python work per batch alike.
 _GIL_FREE_SIZE = 500
 
 
@@ -685,10 +697,21 @@ _EPS = float(np.finfo(float).eps)
 _TIE_ULPS = 16.0
 
 
-def _round_size(n: int, pending: int) -> int:
-    """Points per oracle round of one order-n instance: enough for a GIL-free SVD, at most a quarter of those pending.
+# An instance's bracket oracle takes at most _ROUNDS rounds: the last one
+# evaluates every point still live, so a batch makes at most _ROUNDS + 1 SVD
+# calls, its ||A||_2 call included.  Run to the end, most rounds after the
+# second were SVD calls of at most 500 elements, which hold the GIL; on the
+# standard ladder (orders 4 to 40, 20 instances a rung, two seeds) the cap
+# took the SVD calls from 262-270 to 155-159 and the SVD matrices from
+# 3,823-3,862 to 3,912-3,972.
+_ROUNDS = 3
 
-    The quarter keeps a single round at small orders from evaluating most of a grid.
+
+def _round_size(n: int, pending: int) -> int:
+    """Points per oracle round of one order-n instance before its last: enough for a GIL-free SVD, at most a quarter of those pending.
+
+    The quarter keeps a single round at small orders from evaluating most
+    of a grid; the last round (_ROUNDS) takes every point still live.
     """
     return min(_GIL_FREE_SIZE // n + 1, pending // 4 + 1)
 
@@ -715,7 +738,8 @@ class _Brackets:
     share of the _round_size quota), the unevaluated ones with the highest
     upper bracket of norm/bound under the first bracket alone, ties (as in
     the first round) going to the higher lower estimate
-    1/(dist(z, eigs) bound).  The second bracket prunes but never orders:
+    1/(dist(z, eigs) bound); the last round (_ROUNDS) takes every point
+    still live.  The second bracket prunes but never orders:
     ordering by it spent more SVDs than its pruning saved.  update() takes
     the round's norms.  A point whose upper bracket under both falls
     below its check's best lower bracket of norm/bound (see _TIE_ULPS) is
@@ -755,8 +779,8 @@ class _Brackets:
         self.floor = np.full(zs.size, -np.inf)  # the first bracket's lower bracket of sigma_min(M - z)
         self.live = np.arange(zs.size)  # the points neither exact nor pruned, in grid order
 
-    def pick(self) -> np.ndarray:
-        """Prune, then the points of the next round; none once every point is exact or pruned."""
+    def pick(self, last: bool) -> np.ndarray:
+        """Prune, then the points of the next round, every live one if `last`; none once every point is exact or pruned."""
         live, best = self.live, self.best
         floor, owner, bounds = self.floor[live], self.owner[live], self.bounds[live]
         lower = np.maximum(floor, self.fixed[live])
@@ -767,7 +791,7 @@ class _Brackets:
         self.norms[live[~keep]] = upper[~keep]
         live, ratio, owner = live[keep], ratio[keep], owner[keep]
         self.live = live
-        if not live.size:
+        if last or not live.size:
             return live
         active = np.unique(owner)
         quota = -(-_round_size(self.m0.shape[0], live.size) // active.size)
@@ -811,9 +835,14 @@ def _stacked_norms(asks) -> list[np.ndarray]:
 
 
 def _bracket_rounds(brackets: list[_Brackets]) -> None:
-    """Run the rounds of every instance to the end, each round one _stacked_norms call over all their picks."""
-    while brackets:
-        asks = [(b, new) for b in brackets if (new := b.pick()).size]
+    """Run the _ROUNDS rounds of every instance, each round one _stacked_norms call over all their picks.
+
+    An instance leaves once its pick is empty, and the last round
+    evaluates every point still live, so the k-th round of an instance is
+    the same in a batch as alone.
+    """
+    for k in range(1, _ROUNDS + 1):
+        asks = [(b, new) for b in brackets if (new := b.pick(last=k == _ROUNDS)).size]
         if not asks:
             return
         for (b, new), norms in zip(asks, _stacked_norms([(b.m0, b.zs[new]) for b, new in asks])):
@@ -1225,20 +1254,32 @@ class SuiteResult:
 
 
 def _suite_batches(specs, s_points: int) -> list[list[int]]:
-    """Spec indices in batches of one order n and one sweep solver as they fill, each the fewest whose s-sweep exceeds _GIL_FREE_SIZE // n.
+    """Spec indices in batches of one order n and one sweep solver, general batches first, larger before smaller.
 
     The solver is eigvalsh for the kinds whose _KINDS row is hermitian and
-    eigvals for the others, so each batch's sweep is one LAPACK call that
-    runs without the GIL; a batch split by solver would not.
+    eigvals for the others, so each batch's sweep is one LAPACK call; a
+    batch split by solver would be two.  A batch fills in spec order up to
+    the fewest instances whose s-sweep exceeds _GIL_FREE_SIZE // n
+    matrices, which numpy runs without the GIL.  The short last batch of
+    an (order, solver), whose sweep would hold the GIL, joins that key's
+    last full batch; a key with no full batch keeps it.  Lanes take the
+    plan in order, so they end on the cheap eigvalsh batches.  The plan
+    depends on the specs and s_points alone.
     """
-    batches, waiting = [], {}
+    batches, waiting, last = [], {}, {}
     for idx, (kind, dim, *_) in enumerate(specs):
         key = (dim, _KINDS[kind].hermitian)
         batch = waiting.setdefault(key, [])
         batch.append(idx)
         if len(batch) * s_points > _GIL_FREE_SIZE // dim:
-            batches.append(waiting.pop(key))
-    return batches + list(waiting.values())
+            last[key] = waiting.pop(key)
+            batches.append(last[key])
+    for key, short in waiting.items():
+        if key in last:
+            last[key].extend(short)
+        else:
+            batches.append(short)
+    return sorted(batches, key=lambda batch: (_KINDS[specs[batch[0]][0]].hermitian, -len(batch)))
 
 
 def _suite_instance(idx: int, spec) -> MatrixInstance:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -233,6 +234,27 @@ class TestGenInstance:
         with pytest.raises(ValueError, match="n_gaps must be 1"):
             gen_instance(8, 0, kind=kind, n_gaps=3)
         gen_instance(8, 0, kind=kind, n_gaps=1)
+
+    @pytest.mark.parametrize("args, name", [
+        ((4.5, 0), "dim"), ((4.0 + 1e-9, 0), "dim"), (("4", 0), "dim"), ((math.inf, 0), "dim"),
+        ((4, 0.5), "seed"), ((4, -1), "seed"), ((4, "0"), "seed"), ((4, math.nan), "seed"),
+    ])
+    def test_rejects_dim_and_seed_by_name(self, args, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
+            gen_instance(*args)
+
+    @pytest.mark.parametrize("args, name", [
+        ((6.5, 1, 0), "dim"), ((6, 1.5, 0), "mult"), ((6, 0, 0), "mult"), ((6, None, 0), "mult"),
+        ((6, 1, 0.5), "seed"), ((6, 1, -1), "seed"),
+    ])
+    def test_isolated_rejects_dim_mult_and_seed_by_name(self, args, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
+            gen_isolated_instance(*args)
+
+    def test_whole_floats_build_the_int_instance(self):
+        for got, want in ((gen_instance(6.0, 3.0), gen_instance(6, 3)),
+                          (gen_isolated_instance(6.0, 2.0, 3.0), gen_isolated_instance(6, 2, 3))):
+            assert got.a_mat.tobytes() == want.a_mat.tobytes() and (got.name, got.seed) == (want.name, want.seed)
 
     def test_multi_builds_n_gaps_gaps(self):
         assert len(gen_instance(12, 0, kind="multi", n_gaps=3).gaps) == 3
@@ -989,24 +1011,25 @@ class TestBatchedSweep:
         specs = standard_suite_specs(300, 4, 40, 3)
         batches = matrix_lab._suite_batches(specs, s_points)
         assert sorted(idx for batch in batches for idx in batch) == list(range(len(specs)))
-        short, keys = [], set()
-        for k, batch in enumerate(batches):
+        sizes = Counter(_batch_key(spec) for spec in specs)
+        hermitian = []
+        for batch in batches:
             # one order and one sweep solver per batch
             (key,) = {_batch_key(specs[idx]) for idx in batch}
-            keys.add(key)
-            assert batch == sorted(batch) and len(batch) <= _batch_count(key[0], s_points)
-            if len(batch) < _batch_count(key[0], s_points):
-                short.append((k, key))
-        assert {hermitian for _, hermitian in keys} == {False, True}
-        # full batches go out as they fill; one short batch per (order, solver) at the end
-        full = batches[:len(batches) - len(short)]
-        assert [b[-1] for b in full] == sorted(b[-1] for b in full)
-        assert [k for k, _ in short] == list(range(len(full), len(batches)))
-        assert len({key for _, key in short}) == len(short)
+            hermitian.append(key[1])
+            count = _batch_count(key[0], s_points)
+            assert batch == sorted(batch) and len(batch) < 2 * count
+            # short only where its key has too few instances for a full batch
+            assert len(batch) >= count or len(batch) == sizes[key] < count
+        assert set(hermitian) == {False, True}
+        # general batches first, then Hermitian ones, each larger before smaller
+        assert hermitian == sorted(hermitian)
+        for side in (False, True):
+            mine = [len(batch) for batch, h in zip(batches, hermitian) if h == side]
+            assert mine == sorted(mine, reverse=True)
         for cpus in (1, 64):
             monkeypatch.setattr(matrix_lab, "_usable_cpus", lambda: cpus)
             assert matrix_lab._suite_batches(specs, s_points) == batches
-
 
     @pytest.mark.parametrize("dim", [4, 22, 40])
     def test_sweep_falls_back_to_eigvals_off_hermitian(self, dim, oracle_calls):
@@ -1076,7 +1099,10 @@ class TestLockstep:
                 assert [[g.exact.tolist() for g in obs.grids] for obs in batch] == masks
 
     def test_one_svd_call_per_round(self, oracle_calls):
-        insts = [gen_instance(22, seed) for seed in range(_batch_count(22))]
+        # a symmetric instance beside general ones: it needs no ||A||_2 and fewer rounds
+        insts = [gen_instance(22, 0, kind="symmetric")]
+        insts += [gen_instance(22, seed) for seed in range(1, _batch_count(22))]
+        oracle_calls.update(eigvalsh=0)  # generation's own calls
         matrix_lab._observe_batch(insts, VerifyOptions())
         batched = oracle_calls["svd"]
         lone = []
@@ -1084,10 +1110,11 @@ class TestLockstep:
             oracle_calls["svd"] = 0
             matrix_lab._observe(inst, VerifyOptions())
             lone.append(oracle_calls["svd"])
-        assert oracle_calls["eigvals"] == 1 + len(insts)
-        # one call for every ||A||_2, then one per round: the batch takes as
-        # many rounds as its slowest instance
-        assert len(set(lone)) > 1 and batched == max(lone)
+        assert (oracle_calls["eigvals"], oracle_calls["eigvalsh"]) == (len(insts), 2)
+        # one call for every ||A||_2, then one per round, at most three: the
+        # batch takes as many rounds as its slowest instance
+        assert len(set(lone)) > 1 and all(count <= 4 for count in lone)
+        assert batched == max(lone)
 
 
 def _hyperbola_rows(inst, s_grid, eigs):
