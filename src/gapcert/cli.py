@@ -126,11 +126,15 @@ def _json_text(doc: dict) -> str:
 
 
 def _write_csv(path: str, text: str):
+    """Write text to --csv's path, or to stdout for "-" (then None); an unwritable path is a ValueError naming --csv."""
     if path == "-":
         sys.stdout.write(text)
         return None
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --csv output: {exc}") from None
     return path
 
 

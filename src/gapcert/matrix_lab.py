@@ -15,10 +15,15 @@ entries with witnesses, not exceptions.  It runs in two steps: _observe
 does the linear algebra (eigenvalues along s, resolvent norms on the
 z-grids) and computes every grid's certified bounds once, _judge turns
 those arrays into the common checks and the kind's own under the
-module's tolerances and the options' widen.  Each resolvent grid holds
-its check, its points, their bounds, a mask of the points evaluated
-exactly, and at the other points a proven upper bracket of the norm: the
-oracle prunes a point by two Weyl bounds,
+module's tolerances and the options' widen.  A location check (strip
+and the block kinds' own) is one claim function returning the free
+intervals (lo, hi, scale) of Re z its spectrum avoids, and
+_check_location judges them all; the resolvent checks and
+refined-le-plain share one bound-ratio judge, _check_bounded.
+
+Each resolvent grid holds its check, its points, their bounds, a mask of
+the points evaluated exactly, and at the other points a proven upper
+bracket of the norm: the oracle prunes a point by two Weyl bounds,
 sigma_min(M - z) >= sigma_min(M - z0) - |z - z0| from each exact point z0
 and sigma_min(M - z) >= dist(z, sigma(T)) - ||A||_2 before any, each
 less a slack for rounding (see _Brackets), once it provably cannot be
@@ -27,26 +32,18 @@ An exactly Hermitian instance (A == A^H entry for entry: the symmetric
 and probe kinds) takes the Hermitian path: eigvalsh sweeps it, and the
 second bound becomes two-sided, sigma_min(M - z) = dist(z, sigma(M))
 within a slack, so about one point per check needs an SVD.
+
 verify_instance observes only when it is given no observation, on the
 calling thread.  run_suite drives a named suite, by default the
-standard mix of the acceptance gate, and hands verify_instance each
-observation: a call with its previous call's specs, s_points and grid
-constants judges that call's instances on its observations and generates
-nothing; any other runs
-batches of instances of one order and one sweep solver on lanes, one per
-usable CPU, started and joined within the call, each lane generating,
-sweeping (one eigvals or one eigvalsh call), observing and judging a
-whole batch.  A batch is observed in one pass (_observe_batch): one SVD
-call gives every ||A||_2 the brackets need, and each bracket round picks
-every instance's points, evaluates them all in one SVD call and updates
-every instance's brackets.  An instance takes at most three rounds, the
-third evaluating every point still live, so a batch makes at most four
-SVD calls; small late rounds would each be an SVD call that holds the
-GIL.  The short last batch of an order and solver joins that key's last
-full batch, and the plan puts the eigvals batches first, larger before
-smaller (_suite_batches).  On two vCPUs one lane's LAPACK slows the
-other lane's Python (see _GIL_FREE_SIZE), so the oracle saves LAPACK
-and Python work per batch alike.
+standard mix of the acceptance gate.  A call with its previous call's
+specs, s_points and grid constants judges that call's instances on its
+observations and generates nothing; any other runs batches of one order
+and one sweep solver on lanes, one per usable CPU, started and joined
+within the call, each lane generating, sweeping (one eigvals or one
+eigvalsh call), observing (_observe_batch: one SVD call for every
+||A||_2, then one per bracket round, at most _ROUNDS) and judging a
+whole batch.  Batches are sized so that their LAPACK calls run without
+the GIL (_GIL_FREE_SIZE, _suite_batches).
 
 Importing this module loads every certificate module, applications and
 gap_sequences among them although the oracle calls neither: code that
@@ -165,10 +162,6 @@ def measure_quad_bound(inst: MatrixInstance, b: float) -> float:
     if not 0.0 <= b < 1.0:
         raise ValueError("requires b in [0, 1)")
     return _amin(inst.a_mat, inst.t_diag, b)
-
-
-def _is_hermitian(a: np.ndarray) -> bool:
-    return float(np.abs(a - a.conj().T).max()) <= 1e-14 * max(1.0, float(np.abs(a).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -546,18 +539,23 @@ def _judged(check: str, worst: tuple[float, str], tol: float, note: str = "") ->
     return CheckResult(check, margin, passed, witness if not passed else "", note)
 
 
-def _strip_margin(
-    eigs: np.ndarray, lo: float, hi: float, scale: float, worst=(math.inf, "")
-) -> tuple[float, str]:
-    """(margin, witness) of the eigenvalue least outside lo < Re z < hi, unless `worst` is already lower."""
-    re = eigs.real.ravel()
-    return _first_worst(eigs.ravel(), np.maximum(lo - re, re - hi) / scale, worst)
+def _check_location(check: str, eigs: np.ndarray, free, note: str = "", absent: str = "") -> CheckResult:
+    """Eigenvalues along s against a claim's free intervals (lo, hi, scale) of Re z; none: a pass noted `absent`.
+
+    Each margin is max(lo - Re z, Re z - hi) / scale; the witness is the first least, intervals in order.
+    """
+    if not free:
+        return CheckResult(check, 0.0, True, note=absent)
+    flat = eigs.ravel()
+    re, worst = flat.real, (math.inf, "")
+    for lo, hi, scale in free:
+        worst = _first_worst(flat, np.maximum(lo - re, re - hi) / scale, worst)
+    return _judged(check, worst, _REL_MARGIN, note)
 
 
-def _floor_margin(values: np.ndarray, claimed: float, scale: float, eigs: np.ndarray) -> tuple[float, str]:
-    """Margin of the least of `values` (one per eigenvalue) above a claimed floor."""
-    k = int(np.argmin(values))
-    return (float(values[k]) - claimed) / scale, repr(complex(eigs.ravel()[k]))
+def _strip_free(gap: Gap, strip: StripResult, widen: float) -> tuple[float, float, float]:
+    """The free interval of a strip over `gap`: its _widened ends, scaled by the gap's largest |end| and at least 1."""
+    return (*_widened(strip, widen), max(1.0, abs(gap.alpha), abs(gap.beta)))
 
 
 def _check_eig_sanity(obs: _Observation) -> CheckResult:
@@ -581,34 +579,8 @@ def _check_hyperbola(inst, s_grid, eigs) -> CheckResult:
     return _judged("hyperbola", _first_worst(eigs.ravel(), margin.ravel()), _REL_MARGIN)
 
 
-def _check_strips(strips, eigs, widen) -> CheckResult:
-    """Eigenvalues along s against every open (gap, perturbed strip) pair."""
-    if not strips:
-        return CheckResult("strip", 0.0, True, note="no certified strip")
-    worst = (math.inf, "")
-    for gap, strip, *_ in strips:
-        lo, hi = _widened(strip, widen)
-        worst = _strip_margin(eigs, lo, hi, max(1.0, abs(gap.alpha), abs(gap.beta)), worst)
-    notes = " ".join(f"({gap.alpha:.3g},{gap.beta:.3g})" for gap, *_ in strips)
-    return _judged("strip", worst, _REL_MARGIN, notes)
-
-
-# numpy runs a gufunc loop without the GIL only when the loop covers more
-# than 500 elements (batch length x order n for a batched svd or eigvals):
-# beside 11 x 40 = 440 a Python thread stalls for the whole 10-17 ms call,
-# beside 13 x 40 = 520 for at most 0.5-3.9 ms.  Two such eigvals calls of
-# 128-512 matrices of order 4 or 10 on two threads used one CPU between
-# them, so run_suite splits no LAPACK call: it runs whole batches on lanes
-# (_run_lanes), each batch so large that its s-sweep holds more than
-# _GIL_FREE_SIZE // n matrices, a short last batch merged into a full one,
-# and one sweep solver's instances alone (_suite_batches); the bracket
-# oracle ends by its third SVD round (_ROUNDS), as its late rounds are
-# small enough to hold the GIL.  The two vCPUs this was measured on are
-# not two full cores: a Python loop beside a GIL-free 60 x 40 eigvals
-# thread took 0.150-0.296 s (median 0.261) against 0.144-0.172 s alone,
-# and two pure-Python processes side by side ran 1.55-2.04x as fast as
-# one.  So LAPACK on one lane slows another lane's Python, and the oracle
-# saves LAPACK work and Python work per batch alike.
+# numpy frees the GIL in a batched svd or eigvals only past this many elements
+# (matrices x order); a smaller call stalls every other lane, so none is split.
 _GIL_FREE_SIZE = 500
 
 
@@ -697,13 +669,8 @@ _EPS = float(np.finfo(float).eps)
 _TIE_ULPS = 16.0
 
 
-# An instance's bracket oracle takes at most _ROUNDS rounds: the last one
-# evaluates every point still live, so a batch makes at most _ROUNDS + 1 SVD
-# calls, its ||A||_2 call included.  Run to the end, most rounds after the
-# second were SVD calls of at most 500 elements, which hold the GIL; on the
-# standard ladder (orders 4 to 40, 20 instances a rung, two seeds) the cap
-# took the SVD calls from 262-270 to 155-159 and the SVD matrices from
-# 3,823-3,862 to 3,912-3,972.
+# An instance's bracket oracle takes at most _ROUNDS rounds, the last evaluating
+# every point still live: later rounds would be small SVD calls holding the GIL.
 _ROUNDS = 3
 
 
@@ -895,25 +862,17 @@ def _first_worst(zs, margins, worst=(math.inf, "")) -> tuple[float, str]:
     return worst
 
 
-def _check_resolvent(check: str, grids, absent: str | None = None) -> CheckResult | None:
-    """Worst relative margin of the check's bounds over the oracle norms on its grids; none: a pass noted `absent`."""
-    mine = [grid for grid in grids if grid.check == check]
-    if not mine:
+def _check_bounded(check: str, bounded, tol: float, pass_tol: float, absent: str | None = None) -> CheckResult | None:
+    """Values against bounds over the check's (zs, bounds, values) triples in `bounded`; none: a pass noted `absent`.
+
+    A point's margin is (bound (1 + tol) - value) / bound, the witness the first least; it passes at >= -pass_tol.
+    """
+    if not bounded.get(check):
         return None if absent is None else CheckResult(check, 0.0, True, note=absent)
     worst = (math.inf, "")
-    for g in mine:
-        worst = _first_worst(g.zs, (g.bounds * (1.0 + _RESOLVENT_TOL) - g.norms) / g.bounds, worst)
-    return _judged(check, worst, _REL_MARGIN)
-
-
-def _check_refined_le_plain(strips) -> CheckResult:
-    """The refined strip bound against the plain one on every strip grid."""
-    if not strips:
-        return CheckResult("refined-le-plain", 0.0, True, note="no certified strip")
-    worst = (math.inf, "")
-    for _, _, zs, plain, refined in strips:
-        worst = _first_worst(zs, (plain * (1.0 + _REFINED_TOL) - refined) / plain, worst)
-    return _judged("refined-le-plain", worst, 0.0)
+    for zs, bounds, values in bounded[check]:
+        worst = _first_worst(zs, (bounds * (1.0 + tol) - values) / bounds, worst)
+    return _judged(check, worst, pass_tol)
 
 
 def _check_balls(inst, s_grid, eigs) -> CheckResult:
@@ -943,8 +902,8 @@ def _check_eig_count(inst, eigs, widen) -> CheckResult:
 
 
 def _check_numrange_windows(inst, eigs, widen) -> CheckResult | None:
-    """Eigenvalues of T + A in each applicable almost-gap window; None unless A is Hermitian."""
-    if not _is_hermitian(inst.a_mat):
+    """Eigenvalues of T + A in each applicable almost-gap window; None unless A is _exactly_hermitian."""
+    if not _exactly_hermitian(inst.a_mat):
         return None
     eigs_full = eigs[-1]
     applicable = []
@@ -964,31 +923,31 @@ def _check_numrange_windows(inst, eigs, widen) -> CheckResult | None:
     return _judged("numrange-window", worst, _REL_MARGIN, "cases " + ",".join(applicable))
 
 
-def _offdiag_worst(eigs, off, gap, widen) -> tuple[float, str]:
-    lo, hi = _widened(offdiag_gap(off, gap).strip, widen)
-    return _strip_margin(eigs, lo, hi, max(1.0, abs(gap.alpha), abs(gap.beta)))
+def _offdiag_free(off, gap, widen):
+    """structured-offdiag's free interval: the perturbed strip over the generating gap."""
+    return [_strip_free(gap, offdiag_gap(off, gap).strip, widen)]
 
 
-def _even_worst(eigs, off, minima, widen) -> tuple[float, str]:
+def _even_free(off, minima, widen):
+    """structured-even's free interval: Re z below the floor f, widened toward the least block minimum."""
     bound = even_lowerbound(off, minima)
-    claimed = bound + widen * (min(minima.beta1, minima.beta2) - bound)
-    flat = eigs.ravel()
-    return _floor_margin(flat.real, claimed, max(1.0, abs(claimed)), flat)
+    f = bound + widen * (min(minima.beta1, minima.beta2) - bound)
+    return [(-math.inf, f, max(1.0, abs(f)))]
 
 
-def _odd_worst(eigs, diag, beta, widen) -> tuple[float, str]:
-    claimed = odd_symmetric_gap(diag, beta) * (1.0 + widen)
-    flat = eigs.ravel()
-    return _floor_margin(np.abs(flat.real), claimed, max(1.0, claimed), flat)
+def _odd_free(diag, beta, widen):
+    """structured-odd's free interval: |Re z| below the half-width c of the symmetric gap, widened by 1 + widen."""
+    c = odd_symmetric_gap(diag, beta) * (1.0 + widen)
+    return [(-c, c, max(1.0, c))]
 
 
-def _check_structured(check: str, worst_of, inst, eigs, widen) -> CheckResult:
-    """A block kind's own check; worst_of(eigs, *inst.cert, widen) is the worst (margin, witness) of its bound."""
+def _check_structured(check: str, claim, inst, eigs, widen) -> CheckResult:
+    """A block kind's own location check; claim(*inst.cert, widen) gives its free intervals."""
     try:
-        worst = worst_of(eigs, *inst.cert, widen)
+        free = claim(*inst.cert, widen)
     except ConditionNotApplicable:
         return CheckResult(check, 0.0, True, note="not applicable")
-    return _judged(check, worst, _REL_MARGIN)
+    return _check_location(check, eigs, free)
 
 
 # ---------------------------------------------------------------------------
@@ -1021,11 +980,11 @@ _KINDS = {
     # Hermitian A, almost-gap window data; (window, eigenvalues of T inside it, NumRangeBounds of A)
     "symmetric": _Kind(_gen_plain, check=_check_numrange_windows, takes=("gaps",), hermitian=True),
     # A off-diagonal over a gap straddling 0; (OffDiagBounds, generating gap)
-    "offdiag": _Kind(_gen_offdiag, _even_dim, partial(_check_structured, "structured-offdiag", _offdiag_worst)),
+    "offdiag": _Kind(_gen_offdiag, _even_dim, partial(_check_structured, "structured-offdiag", _offdiag_free)),
     # T = diag(D, -D), pair-coupled A (see _gen_odd); (DiagBounds, beta of the gap (-beta, beta))
-    "diag-blocks": _Kind(_gen_odd, _even_dim, partial(_check_structured, "structured-odd", _odd_worst)),
+    "diag-blocks": _Kind(_gen_odd, _even_dim, partial(_check_structured, "structured-odd", _odd_free)),
     # nonnegative T, A off-diagonal; (OffDiagBounds, BlockMinima)
-    "even": _Kind(_gen_even, _even_dim, partial(_check_structured, "structured-even", _even_worst)),
+    "even": _Kind(_gen_even, _even_dim, partial(_check_structured, "structured-even", _even_free)),
     # tight real diagonal A, extreme eigenvalues on the strip's ends; ()
     "probe": _Kind(_gen_plain, takes=("gaps",), hermitian=True),
     # dense A over its gaps, 2 or 3 and dim 8 at least in a suite; ()
@@ -1148,15 +1107,20 @@ def _judge(inst: MatrixInstance, obs: _Observation, options: VerifyOptions) -> V
     """
     s_grid, eigs, widen = obs.s_grid, obs.eigs, options.widen
     own = _KINDS[inst.kind].check
+    # the (zs, bounds, values) triples of every bound-ratio check, by check
+    bounded = {"refined-le-plain": [(zs, plain, refined) for _, _, zs, plain, refined in obs.strips]}
+    for g in obs.grids:
+        bounded.setdefault(g.check, []).append((g.zs, g.bounds, g.norms))
     checks = (
         _check_eig_sanity(obs),
         _check_hyperbola(inst, s_grid, eigs),
-        _check_strips(obs.strips, eigs, widen),
-        _check_resolvent("resolvent-offreal", obs.grids, "not applicable: b >= 1"),
-        _check_resolvent("resolvent-strip", obs.grids, "no certified strip"),
-        _check_refined_le_plain(obs.strips),
-        _check_resolvent("resolvent-symgap", obs.grids),
-        _check_balls(inst, s_grid, eigs) if inst.gaps and _is_hermitian(inst.a_mat) else None,
+        _check_location("strip", eigs, [_strip_free(gap, strip, widen) for gap, strip, *_ in obs.strips],
+                        " ".join(f"({gap.alpha:.3g},{gap.beta:.3g})" for gap, *_ in obs.strips), "no certified strip"),
+        _check_bounded("resolvent-offreal", bounded, _RESOLVENT_TOL, _REL_MARGIN, "not applicable: b >= 1"),
+        _check_bounded("resolvent-strip", bounded, _RESOLVENT_TOL, _REL_MARGIN, "no certified strip"),
+        _check_bounded("refined-le-plain", bounded, _REFINED_TOL, 0.0, "no certified strip"),
+        _check_bounded("resolvent-symgap", bounded, _RESOLVENT_TOL, _REL_MARGIN),
+        _check_balls(inst, s_grid, eigs) if inst.gaps and _exactly_hermitian(inst.a_mat) else None,
         own(inst, eigs, widen) if own else None,
     )
     checks = tuple(c for c in checks if c is not None)
@@ -1220,6 +1184,7 @@ def standard_suite_specs(
         raise ValueError(f"dim_hi must be at most 64, got {dim_hi!r}")
     if dim_lo > dim_hi:
         raise ValueError(f"dim_lo must not exceed dim_hi, got dim_lo={dim_lo!r}, dim_hi={dim_hi!r}")
+    seed = require_int("seed", seed, 0)
     kinds = [kind for kind, frac in mix for _ in range(int(round(frac * count)))][:count]
     kinds += [mix[0][0]] * (count - len(kinds))
     rng = np.random.default_rng(seed)

@@ -991,6 +991,7 @@ class TestVerifyCommand:
         (("--dim-lo", "10", "--dim-hi", "5"), "dim_lo must not exceed dim_hi"),
         (("--dim-lo", "1", "--dim-hi", "3"), "dim_lo"),
         (("--dim-hi", "65"), "dim_hi"),
+        (("--seed", "-1"), "seed must be an integer >= 0"),
     ])
     def test_bad_grid_or_count_exits_2(self, argv, name, capsys):
         code, out = run_cli("verify", "--instances", "3", *argv)
@@ -1112,6 +1113,18 @@ class TestExitCodes:
         code, out = run_cli("gk-cover", "--c", "0", "--p", "0", "--eps", "1.3407807929942597e+154")
         assert (code, out) == (2, "")
         assert "eps must lie in (0, pi/2)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--instances", "2", "--dim-hi", "6"),
+        ("dirac-envelope", "--p", "5", "--vnorm", "1", "--samples", "16"),
+        ("sample-region", "--kind", "strip", "--lo", "1", "--hi", "2"),
+    ], ids=["verify", "dirac-envelope", "sample-region"])
+    def test_unwritable_csv_exits_2_naming_the_flag(self, argv, tmp_path, capsys):
+        missing = tmp_path / "no-such-dir" / "x.csv"
+        code, out = run_cli(*argv, "--csv", str(missing))
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err.startswith("error: cannot write --csv output: ")
+        assert not missing.parent.exists()
 
     def test_numerical_failure_exits_3(self, monkeypatch):
         def boom(args, parser):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gapcert import Gap, QuadBound, matrix_lab
-from gapcert.blocks import NumRangeBounds
+from gapcert.blocks import NumRangeBounds, even_lowerbound, odd_symmetric_gap
 from gapcert.errors import NumericalFailure
 from gapcert.matrix_lab import (
     MatrixInstance,
@@ -61,7 +61,7 @@ def resolvent_norm(m: np.ndarray, z: complex) -> float:
 def numrange_extremes(inst: MatrixInstance) -> NumRangeBounds:
     """Extreme eigenvalues of a Hermitian perturbation."""
     a = inst.a_mat
-    if not matrix_lab._is_hermitian(a):
+    if not matrix_lab._exactly_hermitian(a):
         raise ValueError("numerical-range extremes need a Hermitian A")
     ev = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
     return NumRangeBounds(float(ev[0]), float(ev[-1]))
@@ -427,6 +427,17 @@ class TestSuite:
             standard_suite_specs(3, *dims)
         with pytest.raises(ValueError, match=name):
             run_suite(3, *dims)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, "0", math.nan, None])
+    def test_specs_reject_seed_by_name(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            standard_suite_specs(3, seed=seed)
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            run_suite(3, seed=seed)
+
+    def test_whole_seeds_keep_the_int_plan(self):
+        want = standard_suite_specs(20, seed=7)
+        assert standard_suite_specs(20, seed=np.int64(7)) == standard_suite_specs(20, seed=7.0) == want
 
     def test_specs_accept_the_ends_of_the_range(self):
         assert {spec[1] for spec in standard_suite_specs(30, 2, 2)} <= {2, 8}
@@ -860,11 +871,12 @@ def _full_grid(grid, m0):
 
 
 def _assert_pruning_changes_no_report(inst):
-    """The observation, plain and in rounds of one point per check, judges as the full grid does."""
+    """The observation, plain and in rounds of one point per check run to the end, judges as the full grid does."""
     m0 = inst.t_mat + inst.a_mat
     observed = [matrix_lab._observe(inst, VerifyOptions())]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(matrix_lab, "_round_size", lambda n, pending: 1)
+        patch.setattr(matrix_lab, "_ROUNDS", 10**6)
         observed.append(matrix_lab._observe(inst, VerifyOptions()))
     obs = observed[0]
     full = dataclasses.replace(obs, grids=tuple(_full_grid(grid, m0) for grid in obs.grids))
@@ -1169,3 +1181,122 @@ class TestRowReductions:
             got = matrix_lab._check_eig_count(inst, eigs, widen)
             assert got.margin == margin
             assert got.witness == ("" if got.passed else witness)
+
+
+def _least_above(values, floor: float, scale: float) -> float:
+    """Reference: a block check's floor margin before the location checks shared one judge.
+
+    The margin of the least of `values` (one per eigenvalue) above a claimed floor.
+    """
+    return (float(np.min(values)) - floor) / scale
+
+
+def _even_floor(eigs, f: float) -> float:
+    """Reference: structured-even, Re z above the floor f."""
+    return _least_above(np.ravel(eigs).real, f, max(1.0, abs(f)))
+
+
+def _odd_floor(eigs, c: float) -> float:
+    """Reference: structured-odd, |Re z| above the half-width c."""
+    return _least_above(np.abs(np.ravel(eigs).real), c, max(1.0, c))
+
+
+def _refined_points(bounded):
+    """Reference: refined-le-plain's margins, point by point, over (zs, plain, refined) triples."""
+    for zs, plain, refined in bounded:
+        for z, p, r in zip(zs.tolist(), plain.tolist(), refined.tolist()):
+            yield (p * (1.0 + matrix_lab._REFINED_TOL) - r) / p, z
+
+
+def _assert_keeps_bits(got, margin: float, margin_at) -> None:
+    """got's margin is margin, bit for bit (the sign of a zero too), and its witness, if any, attains it."""
+    assert got.margin.hex() == margin.hex()
+    if got.witness:
+        assert margin_at(complex(got.witness)).hex() == margin.hex()
+
+
+def _assert_floors_keep_bits(eigs, f: float) -> None:
+    """The location judge on (-inf, f) and on (-|f|, |f|) against the even and odd floor references."""
+    got = matrix_lab._check_location("structured-even", eigs, [(-math.inf, f, max(1.0, abs(f)))])
+    _assert_keeps_bits(got, _even_floor(eigs, f), lambda z: _even_floor([z], f))
+    c = abs(f)
+    if c > 0.0:  # a certified half-width is positive
+        got = matrix_lab._check_location("structured-odd", eigs, [(-c, c, max(1.0, c))])
+        _assert_keeps_bits(got, _odd_floor(eigs, c), lambda z: _odd_floor([z], c))
+
+
+def _ends(x: float):
+    """x and the floats one ulp either side of it."""
+    return (x, float(np.nextafter(x, -math.inf)), float(np.nextafter(x, math.inf)))
+
+
+def _finite(lo: float, hi: float):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+class TestJudgeReferences:
+    """The location judge keeps the floor formulas' bits, the bound-ratio judge refined-le-plain's."""
+
+    @pytest.mark.parametrize("widen", [0.0, 0.1, 0.5])
+    @pytest.mark.parametrize("kind", _PRUNE_KINDS)
+    def test_every_kind_keeps_the_reference_bits(self, kind, widen):
+        inst = _prune_instance(kind, 10, 7, 0.8)
+        obs = matrix_lab._observe(inst, VerifyOptions())
+        report = {c.check: c for c in matrix_lab._judge(inst, obs, VerifyOptions(widen=widen)).checks}
+        # the block kinds' own checks against their floors
+        if kind == "even":
+            off, minima = inst.cert
+            bound = even_lowerbound(off, minima)
+            f = bound + widen * (min(minima.beta1, minima.beta2) - bound)
+            _assert_keeps_bits(report["structured-even"], _even_floor(obs.eigs, f), lambda z: _even_floor([z], f))
+        if kind == "diag-blocks":
+            c = odd_symmetric_gap(*inst.cert) * (1.0 + widen)
+            _assert_keeps_bits(report["structured-odd"], _odd_floor(obs.eigs, c), lambda z: _odd_floor([z], c))
+        # every kind's eigenvalues against floors on their own real parts and one ulp off
+        for x in obs.eigs.real.ravel()[::7].tolist():
+            for f in _ends(x):
+                _assert_floors_keep_bits(obs.eigs, f)
+        bounded = [(zs, plain, refined) for _, _, zs, plain, refined in obs.strips]
+        if bounded:
+            margin = min(m for m, _ in _refined_points(bounded))
+            margins = {z: m for m, z in _refined_points(bounded)}
+            _assert_keeps_bits(report["refined-le-plain"], margin, margins.__getitem__)
+        else:
+            assert report["refined-le-plain"].note == "no certified strip"
+
+    @given(
+        re=st.lists(_finite(-50.0, 50.0), min_size=1, max_size=12),
+        im=st.lists(_finite(-5.0, 5.0), min_size=12, max_size=12),
+        at=st.integers(0, 11),
+        shape=st.sampled_from([(-1,), (1, -1), (-1, 1)]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_location_judge_keeps_floor_bits_at_interval_ends(self, re, im, at, shape):
+        eigs = (np.array(re) + 1j * np.array(im[:len(re)])).reshape(shape)
+        for f in _ends(re[at % len(re)]):
+            _assert_floors_keep_bits(eigs, f)
+            _assert_floors_keep_bits(eigs, -f)
+
+    @given(
+        plain=st.lists(_finite(1e-6, 1e6), min_size=1, max_size=10),
+        step=st.lists(st.sampled_from([-2, -1, 0, 1, 2]), min_size=10, max_size=10),
+        grids=st.integers(1, 3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bound_ratio_judge_keeps_refined_bits_at_tolerance_ends(self, plain, step, grids):
+        # refined on plain (1 + tol), where the margin is zero, and one or two ulps either side
+        plain = np.array(plain)
+        edge = plain * (1.0 + matrix_lab._REFINED_TOL)
+        refined = edge.copy()
+        for i, k in enumerate(step[:plain.size]):
+            for _ in range(abs(k)):
+                refined[i] = np.nextafter(refined[i], math.copysign(math.inf, k))
+        zs = np.arange(plain.size) + 1j * np.arange(plain.size)
+        bounded = [(part_zs, part_plain, part_refined) for part_zs, part_plain, part_refined in zip(
+            np.array_split(zs, grids), np.array_split(plain, grids), np.array_split(refined, grids)) if part_zs.size]
+        margin = min(m for m, _ in _refined_points(bounded))
+        got = matrix_lab._check_bounded(
+            "refined-le-plain", {"refined-le-plain": bounded}, matrix_lab._REFINED_TOL, 0.0)
+        assert got.passed == (margin >= 0.0)
+        margins = {z: m for m, z in _refined_points(bounded)}
+        _assert_keeps_bits(got, margin, margins.__getitem__)
