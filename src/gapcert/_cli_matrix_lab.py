@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .cli import _F, _I, _S, _write_csv
+from .cli import _F, _I, _S, _check_csv, _write_csv
 
 
 def _cmd_verify(args, parser):
@@ -11,6 +11,7 @@ def _cmd_verify(args, parser):
 
     if args.suite not in _SUITES:
         parser.error(f"unknown suite {args.suite!r}; valid suites: {', '.join(_SUITES)}")
+    _check_csv(args.csv)
     res = run_suite(
         count=args.instances,
         dim_lo=args.dim_lo,

@@ -247,11 +247,9 @@ def dirac3d_coulomb(spec: CoulombSpec) -> CoulombRegion:
     operator is bisectorial.
     """
     q = QuadBound(spec.c1, 2.0 * spec.c2)
-    if not q.shift(spec.m) < spec.m:
-        raise ConditionNotApplicable(
-            "spectrum separation not certified: sqrt(C1^2 + 4 C2^2 m^2) >= m"
-        )
-    gap = symmetric_gap_strip(q, spec.m)
+    # b >= 1 fails the condition too, and symmetric_gap_strip would refuse it
+    if q.b >= 1.0 or not (gap := symmetric_gap_strip(q, spec.m)).strip.open:
+        raise ConditionNotApplicable("spectrum separation not certified: sqrt(C1^2 + 4 C2^2 m^2) >= m")
     return CoulombRegion(gap.beta_pert, q, spec.m, gap, True)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from contextlib import nullcontext
@@ -125,17 +126,26 @@ def _json_text(doc: dict) -> str:
     return json.dumps(doc)
 
 
-def _write_csv(path: str, text: str):
+def _write_csv(path: str, text: str, mode: str = "w"):
     """Write text to --csv's path, or to stdout for "-" (then None); an unwritable path is a ValueError naming --csv."""
     if path == "-":
         sys.stdout.write(text)
         return None
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, mode, encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise ValueError(f"cannot write --csv output: {exc}") from None
     return path
+
+
+def _check_csv(path: str | None) -> None:
+    """Raise _write_csv's ValueError now if --csv's path cannot be opened to write; no file is created or changed."""
+    if path not in (None, "-"):
+        created = not os.path.exists(path)
+        _write_csv(path, "", mode="a")
+        if created:
+            os.remove(path)
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,11 @@ a threshold a verdict can differ from exact arithmetic on the same
 inputs; a constant b >= 1 is rejected as not applicable rather than
 clamped.  The two strict decisions that most certificates rest on have
 one float kernel each: _strip_ends decides the gap condition wherever it
-is used (strips, strip bounds, counting strips, the per-gap criterion),
-_excluded the hyperbola test.  Exact predicates and safe-direction
-rounding belong there.  The public functions read their arguments'
-fields once, call a kernel, and build a result object only where they
-return one.
+is used (strips, strip bounds, counting strips, the symmetric gap, the
+per-gap criterion), _excluded the hyperbola test.  Exact predicates and
+safe-direction rounding belong there.  The public functions read their
+arguments' fields once, call a kernel, and build a result object only
+where they return one.
 
 Value types, here and in the other certificate modules, are validated
 namedtuple records (errors.record): __new__ checks and converts the
@@ -172,11 +172,15 @@ def _strip_ends(a: float, b: float, alpha: float, beta: float) -> tuple[float, f
     """(lo, hi, open, shift(alpha), shift(beta)) of the strip of gap (alpha, beta) under (a, b).
 
     The one site that checks b < 1 and decides the gap condition shift(alpha) + shift(beta) < beta - alpha.
+    Where beta - alpha overflows, it compares the halves of both sides, which are exact there.
     """
     if b >= 1.0:
         _check_b_lt_1(b)
     sa, sb = math.hypot(a, b * alpha), math.hypot(a, b * beta)
-    return alpha + sa, beta - sb, sa + sb < beta - alpha, sa, sb
+    width = beta - alpha
+    if width == math.inf:
+        return alpha + sa, beta - sb, 0.5 * sa + 0.5 * sb < 0.5 * beta - 0.5 * alpha, sa, sb
+    return alpha + sa, beta - sb, sa + sb < width, sa, sb
 
 
 def gap_condition(q: QuadBound, gap: Gap) -> bool:
@@ -355,10 +359,8 @@ def symmetric_gap_strip(q: QuadBound, beta: float) -> SymmetricGapResult:
     half-width is beta_pert = beta - sqrt(a^2 + b^2 beta^2).
     """
     beta = require_positive("beta", beta)
-    _check_b_lt_1(q.b)
-    s = q.shift(beta)
-    beta_pert = beta - s
-    return SymmetricGapResult(StripResult(-beta_pert, beta_pert, s < beta), beta_pert, beta, s)
+    _, beta_pert, open_, _, s = _strip_ends(q.a, q.b, -beta, beta)
+    return SymmetricGapResult(StripResult(-beta_pert, beta_pert, open_), beta_pert, beta, s)
 
 
 def semibounded_lower_bound(bound: QuadBound, beta: float) -> float:

@@ -354,6 +354,15 @@ def _decide(value: float, threshold: float, exact: bool, want_greater: bool) -> 
     return 0
 
 
+def _verdict(worst: float, best: float, threshold: float, exact: bool, want_greater: bool) -> Verdict:
+    """Cofinitely many gaps when the tail's worst value passes _decide, else infinitely many when its best does."""
+    if _decide(worst, threshold, exact, want_greater) == 1:
+        return Verdict.COFINITELY_MANY
+    if _decide(best, threshold, exact, want_greater) == 1:
+        return Verdict.INFINITELY_MANY
+    return Verdict.INCONCLUSIVE
+
+
 class RatioResult(record("RatioResult", "verdict liminf limsup threshold exact")):
     __slots__ = ()
 
@@ -370,13 +379,7 @@ def ratio_criterion(data: Union[GapSequence, Tail], delta_a: float) -> RatioResu
         raise ConditionNotApplicable("T-bound delta_a >= 1 admits no gap conclusion")
     threshold = (1.0 + delta_a) / (1.0 - delta_a)
     liminf, limsup, exact = data.ratio_limits()
-    if _decide(liminf, threshold, exact, True) == 1:
-        verdict = Verdict.COFINITELY_MANY
-    elif _decide(limsup, threshold, exact, True) == 1:
-        verdict = Verdict.INFINITELY_MANY
-    else:
-        verdict = Verdict.INCONCLUSIVE
-    return RatioResult(verdict, liminf, limsup, threshold, exact)
+    return RatioResult(_verdict(liminf, limsup, threshold, exact, True), liminf, limsup, threshold, exact)
 
 
 class PerGapResult(record("PerGapResult", "verdict ratios strips liminf limsup")):
@@ -404,13 +407,7 @@ def per_gap_criterion(seq: GapSequence, consts: PerGapConstants) -> PerGapResult
         strips.append(StripResult(lo, hi, open_))
     tail = _tail(ratios)
     liminf, limsup = min(tail), max(tail)
-    if _decide(limsup, 1.0, False, False) == 1:
-        verdict = Verdict.COFINITELY_MANY
-    elif _decide(liminf, 1.0, False, False) == 1:
-        verdict = Verdict.INFINITELY_MANY
-    else:
-        verdict = Verdict.INCONCLUSIVE
-    return PerGapResult(verdict, tuple(ratios), tuple(strips), liminf, limsup)
+    return PerGapResult(_verdict(limsup, liminf, 1.0, False, False), tuple(ratios), tuple(strips), liminf, limsup)
 
 
 def _sum_limits(*parts: float) -> float:

@@ -8,6 +8,10 @@ ratio, which keeps the soundness checks honest and non-vacuous.  A kind
 of instance is one row of _KINDS (its generator, its dim rule in a suite,
 its own check), so a new kind is one generator, one check and one table
 row; a suite is one row of _SUITES (its mix of kinds, its dim range).
+A generator draws each T block with _pinned_block and scales its raw A
+by the one calibration loop, _calibrate (two-block kinds through
+_two_block); gen_instance and gen_isolated_instance check dim, seed and
+magnitude in one place, _instance_args.
 
 verify_instance samples the coupling s in [0, 1] and a z-grid per
 certified region and reports signed margins; failures become report
@@ -177,15 +181,10 @@ def _t_with_gaps(rng: np.random.Generator, dim: int, gaps: tuple[Gap, ...]) -> n
     """Diagonal attaining every gap endpoint, remaining entries off the gaps."""
     if 2 * len(gaps) > dim:
         raise ValueError("gaps not realizable: need two eigenvalues per gap")
-    edges: list[float] = []
-    for g in gaps:
-        edges.extend((g.alpha, g.beta))
-    lo = min(edges) - 4.0
-    hi = max(edges) + 4.0
-    bands = [(lo, gaps[0].alpha)]
-    for left, right in zip(gaps, gaps[1:]):
-        bands.append((left.beta, right.alpha))
-    bands.append((gaps[-1].beta, hi))
+    edges = [end for g in gaps for end in (g.alpha, g.beta)]
+    # the bands between the gaps, and 4 beyond the outer ends
+    ends = [min(edges) - 4.0, *edges, max(edges) + 4.0]
+    bands = list(zip(ends[::2], ends[1::2]))
     extra = []
     for _ in range(dim - len(edges)):
         a, b = bands[int(rng.integers(len(bands)))]
@@ -206,32 +205,47 @@ def _auto_gaps(rng: np.random.Generator, n_gaps: int) -> tuple[Gap, ...]:
     return tuple(gaps)
 
 
-def _calibrate(
-    rng: np.random.Generator,
-    raw: np.ndarray,
-    t_diag: np.ndarray,
-    ratio: "callable[[float, float], float]",
-    magnitude: float,
-) -> tuple[float, float, float]:
-    """Find (t, a_raw, b_raw) with ratio(t*a_raw, t*b_raw) = magnitude, t*b_raw < 0.9.
+def _calibrate(rng: np.random.Generator, b_hi: float, blocks, measure, target: float) -> tuple[float, list[QuadBound]]:
+    """The one calibration loop: (t, q) with t = target / measure(*q) and t * max(b) < 0.9.
 
-    a_raw is the measured a_min(b_raw) of the unscaled perturbation raw against T.
+    blocks holds each raw A block of a kind with the T diagonal it is
+    measured against; q[i] is QuadBound(a_min(b_i), b_i) of block i, each
+    b_i drawn from [0.05, b_hi) in block order, then every b halved until
+    t * max(b) < 0.9.  measure(*q) must be finite and positive.
     """
-    b_raw = float(rng.uniform(0.05, 0.6))
+    b = [float(rng.uniform(0.05, b_hi)) for _ in blocks]
     for _ in range(80):
-        a_raw = _amin(raw, t_diag, b_raw)
-        rho = ratio(a_raw, b_raw)
+        q = [QuadBound(_amin(raw, t_diag, b_i), b_i) for (raw, t_diag), b_i in zip(blocks, b)]
+        rho = measure(*q)
         if not (math.isfinite(rho) and rho > 0.0):
             raise NumericalFailure("degenerate certification ratio during calibration")
-        t = magnitude / rho
-        if t * b_raw < 0.9:
-            return t, a_raw, b_raw
-        b_raw *= 0.5
+        t = target / rho
+        if t * max(b) < 0.9:
+            return t, q
+        b = [0.5 * b_i for b_i in b]
     raise NumericalFailure("failed to calibrate instance magnitude")
+
+
+def _pinned_block(rng: np.random.Generator, n: int, edge: float, reach: float) -> np.ndarray:
+    """A T block: n eigenvalues drawn between edge and edge + reach, sorted, the one nearest edge set to edge."""
+    d = np.sort(rng.uniform(*sorted((edge, edge + reach)), size=n))
+    d[-1 if reach < 0.0 else 0] = edge
+    return d
 
 
 def _dense(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _instance_args(dim, seed, magnitude) -> tuple[int, int]:
+    """(dim, seed) as ints once dim lies in [2, 64], seed >= 0 and magnitude in (0, 1); both builders check here."""
+    dim = require_int("dim", dim, 2)
+    if dim > 64:
+        raise ValueError(f"dim must lie in [2, 64], got {dim!r}")
+    seed = require_int("seed", seed, 0)
+    if not 0.0 < magnitude < 1.0:
+        raise ValueError("magnitude must lie in (0, 1)")
+    return dim, seed
 
 
 def gen_instance(
@@ -248,12 +262,7 @@ def gen_instance(
     gaps and n_gaps must keep their defaults unless the kind's row takes
     them; the block kinds need an even dim.
     """
-    dim = require_int("dim", dim, 2)
-    if dim > 64:
-        raise ValueError(f"dim must lie in [2, 64], got {dim!r}")
-    seed = require_int("seed", seed, 0)
-    if not 0.0 < magnitude < 1.0:
-        raise ValueError("magnitude must lie in (0, 1)")
+    dim, seed = _instance_args(dim, seed, magnitude)
     if kind not in _KINDS:
         raise ValueError(f"unknown instance kind {kind!r}")
     generate, _, _, takes, _ = _KINDS[kind]
@@ -299,8 +308,7 @@ def _gen_plain(kind, rng, dim, seed, magnitude, name, gaps, n_gaps) -> MatrixIns
         w_raw = np.linalg.eigvalsh(raw)
         w_lo, w_hi = float(w_raw[0]), float(w_raw[-1])
 
-    def ratio(a_min: float, b: float) -> float:
-        q = QuadBound(a_min, b)
+    def ratio(q: QuadBound) -> float:
         if kind != "symmetric":
             return _gap_ratio(q, gap_t)
         sa, sb = q.shift(window.alpha), q.shift(window.beta)
@@ -309,38 +317,43 @@ def _gen_plain(kind, rng, dim, seed, magnitude, name, gaps, n_gaps) -> MatrixIns
         own = (sa + sb) / window.width if inside else _gap_ratio(q, gap_t)
         return max(own, (w_hi + sb) / window.width, (sa - w_lo) / window.width, (w_hi - w_lo) / window.width)
 
-    t, a_raw, b_raw = _calibrate(rng, raw, t_diag, ratio, magnitude)
+    t, (q_raw,) = _calibrate(rng, 0.6, [(raw, t_diag)], ratio, magnitude)
     cert = (window, inside, NumRangeBounds(t * w_lo, t * w_hi)) if kind == "symmetric" else ()
     return MatrixInstance(
         name=name, kind=kind, seed=seed, t_diag=t_diag, a_mat=t * raw,
-        quad=QuadBound(t * a_raw, t * b_raw), gaps=gap_t if not inside else (), cert=cert,
+        quad=QuadBound(t * q_raw.a, t * q_raw.b), gaps=gap_t if not inside else (), cert=cert,
     )
 
 
-def _calibrate_pair(rng, layout, blocks, scale, magnitude, t_diag):
-    """Scale t so that t sqrt(s1 s2) = magnitude * scale with t * max(b1, b2) < 0.9.
+def _two_block(rng, layout, blocks, edges, target, t_diag):
+    """A = t * block(layout), where _calibrate over the two blocks makes t sqrt(s1 s2) = target.
 
-    Block i is (raw, T block, edge) with shift s_i = hypot(a_i, b_i edge_i).
-    Returns A = t * block(layout), its QuadBound at b = 0.3, and the scaled
-    block constants (a1, b1, a2, b2).
+    s_i = hypot(a_i, b_i edges[i]) is the shift of blocks[i].  Returns A,
+    its QuadBound at b = 0.3, and the scaled block constants (a1, b1, a2, b2).
     """
-    b1 = float(rng.uniform(0.05, 0.45))
-    b2 = float(rng.uniform(0.05, 0.45))
-    (raw1, t1, edge1), (raw2, t2, edge2) = blocks
-    for _ in range(80):
-        a1 = _amin(raw1, t1, b1)
-        a2 = _amin(raw2, t2, b2)
-        s1 = math.hypot(a1, b1 * edge1)
-        s2 = math.hypot(a2, b2 * edge2)
-        t = magnitude * scale / math.sqrt(s1 * s2)
-        if t * max(b1, b2) < 0.9:
-            break
-        b1 *= 0.5
-        b2 *= 0.5
-    else:
-        raise NumericalFailure("failed to calibrate two-block instance")
+    t, (q1, q2) = _calibrate(rng, 0.45, blocks, lambda q1, q2: math.sqrt(q1.shift(edges[0]) * q2.shift(edges[1])), target)
     a_mat = t * np.block(layout)
-    return a_mat, QuadBound(_amin(a_mat, t_diag, 0.3), 0.3), (t * a1, t * b1, t * a2, t * b2)
+    return a_mat, QuadBound(_amin(a_mat, t_diag, 0.3), 0.3), (t * q1.a, t * q1.b, t * q2.a, t * q2.b)
+
+
+def _offdiag_pair(rng, n, block1, block2, scale, magnitude):
+    """offdiag's and even's T = diag(T11, T22), T_ii = _pinned_block(rng, n, *block_i), A = [[0, A12], [A21, 0]].
+
+    A12 maps block-2 coordinates and is measured against T22 at its edge,
+    A21 against T11 at its edge, both dense and calibrated by _two_block.
+    Returns (T's diagonal, A, its QuadBound, OffDiagBounds).
+    """
+    t11 = _pinned_block(rng, n, *block1)
+    t22 = _pinned_block(rng, n, *block2)
+    t_diag = np.concatenate([t11, t22])
+    raw12 = _dense(rng, n)
+    raw21 = _dense(rng, n)
+    zero = np.zeros_like(raw12)
+    a_mat, quad, consts = _two_block(
+        rng, [[zero, raw12], [raw21, zero]], [(raw12, t22), (raw21, t11)], (block2[0], block1[0]),
+        magnitude * scale, t_diag,
+    )
+    return t_diag, a_mat, quad, OffDiagBounds(*consts)
 
 
 def _half(kind: str, dim: int) -> int:
@@ -353,24 +366,12 @@ def _half(kind: str, dim: int) -> int:
 def _gen_offdiag(kind, rng, dim, seed, magnitude, name, *_) -> MatrixInstance:
     n1 = _half(kind, dim)
     gap = Gap(-float(rng.uniform(0.5, 2.5)), float(rng.uniform(0.5, 2.5)))
-    # block 1 sits below the gap, block 2 above; A12 maps block-2
-    # coordinates and is measured against T22, A21 against T11
-    t1 = np.sort(rng.uniform(gap.alpha - 4.0, gap.alpha, size=n1))
-    t1[-1] = gap.alpha
-    t2 = np.sort(rng.uniform(gap.beta, gap.beta + 4.0, size=n1))
-    t2[0] = gap.beta
-    t_diag = np.concatenate([t1, t2])
-    raw12 = _dense(rng, n1)
-    raw21 = _dense(rng, n1)
-    zero = np.zeros_like(raw12)
-    a_mat, quad, consts = _calibrate_pair(
-        rng, [[zero, raw12], [raw21, zero]], ((raw12, t2, gap.beta), (raw21, t1, gap.alpha)),
-        0.5 * gap.width, magnitude, t_diag,
-    )
+    # block 1 sits below the gap, block 2 above
+    t_diag, a_mat, quad, off = _offdiag_pair(rng, n1, (gap.alpha, -4.0), (gap.beta, 4.0), 0.5 * gap.width, magnitude)
     return MatrixInstance(
         name=name, kind=kind, seed=seed, t_diag=t_diag, a_mat=a_mat, quad=quad,
         gaps=(gap,) if gap_condition(quad, gap) else (),
-        cert=(OffDiagBounds(*consts), gap),
+        cert=(off, gap),
     )
 
 
@@ -378,21 +379,10 @@ def _gen_even(kind, rng, dim, seed, magnitude, name, *_) -> MatrixInstance:
     n1 = _half(kind, dim)
     beta1 = float(rng.uniform(0.2, 2.0))
     beta2 = float(rng.uniform(0.2, 2.0))
-    d1 = np.sort(rng.uniform(beta1, beta1 + 4.0, size=n1))
-    d1[0] = beta1
-    d2 = np.sort(rng.uniform(beta2, beta2 + 4.0, size=n1))
-    d2[0] = beta2
-    t_diag = np.concatenate([d1, d2])
-    raw12 = _dense(rng, n1)
-    raw21 = _dense(rng, n1)
-    zero = np.zeros_like(raw12)
-    a_mat, quad, consts = _calibrate_pair(
-        rng, [[zero, raw12], [raw21, zero]], ((raw12, d2, beta2), (raw21, d1, beta1)),
-        0.5 * (beta1 + beta2), magnitude, t_diag,
-    )
+    t_diag, a_mat, quad, off = _offdiag_pair(rng, n1, (beta1, 4.0), (beta2, 4.0), 0.5 * (beta1 + beta2), magnitude)
     return MatrixInstance(
         name=name, kind=kind, seed=seed, t_diag=t_diag, a_mat=a_mat, quad=quad,
-        cert=(OffDiagBounds(*consts), BlockMinima(beta1, beta2)),
+        cert=(off, BlockMinima(beta1, beta2)),
     )
 
 
@@ -405,14 +395,13 @@ def _gen_odd(kind, rng, dim, seed, magnitude, name, *_) -> MatrixInstance:
     """
     n1 = _half(kind, dim)
     beta = float(rng.uniform(0.5, 2.0))
-    d = np.sort(rng.uniform(beta, beta + 3.0, size=n1))
-    d[0] = beta
+    d = _pinned_block(rng, n1, beta, 3.0)
     t_diag = np.concatenate([d, -d])
     raw_p = _dense(rng, n1)
     raw_q = _dense(rng, n1)
-    a_mat, quad, consts = _calibrate_pair(
-        rng, [[raw_p, raw_q], [raw_q, raw_p]], ((raw_p + raw_q, d, beta), (raw_p - raw_q, d, beta)),
-        beta, magnitude, t_diag,
+    a_mat, quad, consts = _two_block(
+        rng, [[raw_p, raw_q], [raw_q, raw_p]], [(raw_p + raw_q, d), (raw_p - raw_q, d)], (beta, beta),
+        magnitude * beta, t_diag,
     )
     gap = Gap(-beta, beta)
     return MatrixInstance(
@@ -430,9 +419,8 @@ def gen_isolated_instance(
     Both neighbor conditions are calibrated to `magnitude`, so the
     counting strip is certified with room to spare.
     """
-    dim = require_int("dim", dim, 2)
+    dim, seed = _instance_args(dim, seed, magnitude)
     mult = require_int("mult", mult, 1)
-    seed = require_int("seed", seed, 0)
     if mult > dim - 2:
         raise ValueError("need mult + 2 eigenvalues to isolate one cluster")
     rng = np.random.default_rng(seed)
@@ -446,10 +434,10 @@ def gen_isolated_instance(
     t_diag = np.sort(np.concatenate([[alpha, beta], [lam] * mult, below, above]))
     raw = _dense(rng, dim)
     gaps = (Gap(alpha, lam), Gap(lam, beta))
-    t, a_raw, b_raw = _calibrate(rng, raw, t_diag, lambda a_min, b: _gap_ratio(QuadBound(a_min, b), gaps), magnitude)
+    t, (q_raw,) = _calibrate(rng, 0.6, [(raw, t_diag)], lambda q: _gap_ratio(q, gaps), magnitude)
     return MatrixInstance(
         name=name or f"isolated-{seed:08d}", kind="isolated", seed=seed,
-        t_diag=t_diag, a_mat=t * raw, quad=QuadBound(t * a_raw, t * b_raw),
+        t_diag=t_diag, a_mat=t * raw, quad=QuadBound(t * q_raw.a, t * q_raw.b),
         gaps=gaps, cert=(IsolatedEigSpec(lam, alpha, beta, mult),),
     )
 

@@ -189,6 +189,24 @@ class TestCoulomb:
         with pytest.raises(ConditionNotApplicable):
             dirac3d_coulomb(CoulombSpec(1.0, 0.0, 0.5))
 
+    @pytest.mark.parametrize("c1, c2, m", [(1.0, 0.0, 0.5), (0.0, 0.5, 1.0), (0.1, 0.7, 2.0), (0.0, 3.0, 1e300)])
+    def test_rejection_reason_is_the_separation_condition(self, c1, c2, m):
+        """2 C2 >= 1 gets the separation reason too, not symmetric_gap_strip's b < 1."""
+        with pytest.raises(ConditionNotApplicable) as exc:
+            dirac3d_coulomb(CoulombSpec(c1, c2, m))
+        assert str(exc.value) == "spectrum separation not certified: sqrt(C1^2 + 4 C2^2 m^2) >= m"
+
+    @given(c1=st.floats(0.0, 1e308), c2=st.floats(0.0, 0.6), m=st.floats(1e-300, 1.7976931348623157e308))
+    @settings(max_examples=300, deadline=None)
+    def test_certifies_exactly_where_the_shift_is_below_m(self, c1, c2, m):
+        q = QuadBound(c1, 2.0 * c2)
+        try:
+            region = dirac3d_coulomb(CoulombSpec(c1, c2, m))
+        except ConditionNotApplicable:
+            assert not q.shift(m) < m
+        else:
+            assert q.shift(m) < m and region.halfwidth == m - q.shift(m)
+
     def test_pure_bounded_part_matches_symmetric_gap(self):
         # C2 = 0 must reproduce the unstructured symmetric-gap result exactly
         for c1, m in [(0.3, 1.0), (0.0, 2.0), (1.4, 1.5)]:

@@ -998,6 +998,43 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert name in capsys.readouterr().err
 
+    @staticmethod
+    def _generation(monkeypatch, fail=False):
+        """The gen_instance calls of the next suite, rebound through the module name as run_suite looks it up."""
+        from gapcert import matrix_lab
+
+        calls, generate = [], matrix_lab.gen_instance
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            if fail:
+                raise NumericalFailure("generation failed")
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(matrix_lab, "gen_instance", counted)
+        # no stored suite to reuse: the next call must generate its instances
+        monkeypatch.setattr(matrix_lab, "_previous_suite", (None, ()))
+        return calls
+
+    def test_unwritable_csv_exits_2_before_generating(self, tmp_path, monkeypatch, capsys):
+        calls = self._generation(monkeypatch)
+        target = tmp_path / "missing" / "x.csv"
+        code, out = run_cli("verify", "--instances", "60", "--csv", str(target))
+        assert (code, out, calls) == (2, "", [])
+        assert capsys.readouterr().err.startswith("error: cannot write --csv output: ")
+        assert not target.parent.exists()
+
+    @pytest.mark.parametrize("existing", [None, "kept\n"])
+    @pytest.mark.parametrize("argv, code", [((), 3), (("--dim-hi", "80"), 2)])
+    def test_failed_run_leaves_no_file(self, tmp_path, monkeypatch, argv, code, existing):
+        """A run that fails after the --csv check creates no file and leaves an existing one as it was."""
+        self._generation(monkeypatch, fail=True)
+        target = tmp_path / "x.csv"
+        if existing is not None:
+            target.write_text(existing)
+        assert run_cli("verify", "--instances", "2", *argv, "--csv", str(target)) == (code, "")
+        assert (target.read_text() if target.exists() else None) == existing
+
     def test_unknown_suite_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("verify", "--suite", "exotic", "--instances", "2")

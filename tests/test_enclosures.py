@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gapcert import blocks, enclosures, gap_sequences
@@ -327,6 +327,36 @@ class TestSymmetricGap:
         assert not res.strip.open
         with pytest.raises(BoundNotValid):
             res.resolvent_bound(0j)
+
+    @given(a=st.floats(0.0, 1e308), b=st.floats(0.0, 0.999), beta=st.floats(1e-300, 1.7976931348623157e308))
+    @example(a=3.0, b=0.0, beta=3.0)  # s = beta: the strip is (-0.0, 0.0)
+    @example(a=0.0, b=0.75, beta=1.5 * 2.0**1023)
+    @settings(max_examples=300, deadline=None)
+    def test_keeps_the_shift_formula_bits(self, a, b, beta):
+        """Decided in _strip_ends over (-beta, beta), the result keeps the bits of s = shift(beta), beta - s and s < beta."""
+        q = QuadBound(a, b)
+        s = q.shift(beta)
+        res = symmetric_gap_strip(q, beta)
+        assert _bits(res.strip.lo, res.strip.hi, res.beta_pert, res.shift) == _bits(-(beta - s), beta - s, beta - s, s)
+        assert res.strip.open is (s < beta)
+
+    @pytest.mark.parametrize("a, b, beta, is_open", [
+        (0.0, 0.75, 1.5 * 2.0**1023, True),  # beta + beta overflows, and so would s + s
+        (0.0, 0.999, 1.7976931348623157e308, True),
+        (1.5 * 2.0**1023, 0.0, 1.5 * 2.0**1023, False),
+        (2.0**1023, 0.0, 1.5 * 2.0**1023, True),
+    ])
+    def test_open_past_2_to_1023_is_shift_below_beta(self, a, b, beta, is_open):
+        assert symmetric_gap_strip(QuadBound(a, b), beta).strip.open is is_open
+
+    def test_overflowing_width_compares_halves(self):
+        """A gap whose width overflows still decides the condition: the halves of both sides are exact there."""
+        g = Gap(-1.7e308, 1.7e308)
+        strip = perturbed_strip(QuadBound(0.0, 0.9), g)
+        assert strip.open and strip.lo == g.alpha + 0.9 * 1.7e308 and strip.hi == -strip.lo
+        widest = Gap(-1.7976931348623157e308, 1.7976931348623157e308)
+        assert gap_condition(QuadBound(0.0, 0.9999999999999999), widest)
+        assert not gap_condition(QuadBound(1.7e308, 0.0), g)
 
     def test_bound_against_diagonal_oracle(self):
         rng = np.random.default_rng(3)

@@ -193,10 +193,52 @@ class TestGenInstance:
                 assert np.any(inst.t_diag == gap.beta)
 
     def test_magnitude_is_binding(self):
-        inst = gen_instance(14, 21, kind="none", magnitude=0.8)
-        q = inst.quad
-        rho = max((q.shift(g.alpha) + q.shift(g.beta)) / g.width for g in inst.gaps)
-        assert rho == pytest.approx(0.8, rel=1e-12)
+        """Every kind meets its calibration target at the magnitude, formulas written out here.
+
+        The plain and isolated kinds hit their gap ratio, symmetric its own
+        ratio, probe 2a / width; the block kinds' cert constants give
+        sqrt(s1 s2) = magnitude * scale with every scaled block b below 0.9.
+        """
+        def gap_ratio(q, gaps):
+            return max((q.shift(g.alpha) + q.shift(g.beta)) / g.width for g in gaps)
+
+        for kind in matrix_lab._KINDS:
+            for dim, seed, magnitude in ((14, 21, 0.8), (6, 3, 0.35), (10, 8, 0.93), (8, 40, 0.6)):
+                inst = gen_instance(dim, seed, kind=kind, magnitude=magnitude, n_gaps=2 if kind == "multi" else 1)
+                q = inst.quad
+                if kind in ("none", "multi", "isolated"):
+                    rho = gap_ratio(q, inst.gaps)
+                elif kind == "symmetric":
+                    window, inside, nr = inst.cert
+                    sa, sb, w = q.shift(window.alpha), q.shift(window.beta), window.width
+                    own = (sa + sb) / w if inside else gap_ratio(q, inst.gaps)
+                    rho = max(own, (nr.sup_w + sb) / w, (sa - nr.inf_w) / w, (nr.sup_w - nr.inf_w) / w)
+                elif kind == "probe":
+                    rho = 2.0 * q.a / inst.gaps[0].width
+                else:
+                    (a1, b1, a2, b2), where = inst.cert
+                    # A12 (or A11) is measured at the edge of the other block (of T12)
+                    if kind == "offdiag":
+                        edges, scale = (where.beta, where.alpha), 0.5 * where.width
+                    elif kind == "even":
+                        edges, scale = (where.beta2, where.beta1), 0.5 * (where.beta1 + where.beta2)
+                    else:
+                        edges, scale = (where, where), where
+                    assert max(b1, b2) < 0.9
+                    rho = math.sqrt(math.hypot(a1, b1 * edges[0]) * math.hypot(a2, b2 * edges[1])) / scale
+                assert rho == pytest.approx(magnitude, rel=1e-12), (kind, dim, seed)
+
+    @pytest.mark.parametrize("dim, magnitude, name", [
+        (65, 0.6, "dim"), (80, 0.6, "dim"), (8, 0.0, "magnitude"), (8, 1.0, "magnitude"),
+        (8, 5.0, "magnitude"), (8, -1.0, "magnitude"), (8, math.nan, "magnitude"),
+    ])
+    def test_both_builders_refuse_dim_and_magnitude_alike(self, dim, magnitude, name):
+        # gen_isolated_instance once built dim 80 and magnitudes 0 and 1, and
+        # failed later and elsewhere on 5.0, -1.0 and NaN
+        with pytest.raises(ValueError, match=name):
+            gen_instance(dim, 0, magnitude=magnitude)
+        with pytest.raises(ValueError, match=name):
+            gen_isolated_instance(dim, 1, 0, magnitude)
 
     def test_rejections(self):
         with pytest.raises(ValueError):
