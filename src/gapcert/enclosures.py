@@ -483,7 +483,7 @@ def isolated_eigenvalue_strip(q: QuadBound, spec: IsolatedEigSpec) -> EigStrip:
         shift(alpha) + shift(lam) < lam - alpha,
         shift(lam) + shift(beta) < beta - lam;
     then (lam - shift(lam), lam + shift(lam)) + iR contains exactly mult
-    eigenvalues of T + A (counted with algebraic multiplicity).
+    eigenvalues of T + A (counted with algebraic multiplicity); refused where an end rounds to lam.
     """
     a, b, lam = q.a, q.b, spec.lam
     _, _, below, _, s_lam = _strip_ends(a, b, spec.alpha, lam)
@@ -491,4 +491,6 @@ def isolated_eigenvalue_strip(q: QuadBound, spec: IsolatedEigSpec) -> EigStrip:
         raise ConditionNotApplicable("separation from the lower neighbor fails")
     if not _strip_ends(a, b, lam, spec.beta)[2]:
         raise ConditionNotApplicable("separation from the upper neighbor fails")
+    if not lam - s_lam < lam < lam + s_lam:
+        raise ConditionNotApplicable("counting strip is empty: lam - shift(lam) or lam + shift(lam) rounds to lam")
     return EigStrip(lam - s_lam, lam + s_lam, spec.mult)

@@ -18,12 +18,12 @@ certified region and reports signed margins; failures become report
 entries with witnesses, not exceptions.  It runs in two steps: _observe
 does the linear algebra (eigenvalues along s, resolvent norms on the
 z-grids) and computes every grid's certified bounds once, _judge turns
-those arrays into the common checks and the kind's own under the
-module's tolerances and the options' widen.  A location check (strip
-and the block kinds' own) is one claim function returning the free
-intervals (lo, hi, scale) of Re z its spectrum avoids, and
-_check_location judges them all; the resolvent checks and
-refined-le-plain share one bound-ratio judge, _check_bounded.
+those arrays into the common checks and the kind's own.  A location or
+counting check (strip, the block kinds' own, eig-count) reads widen-free
+claims off its certificate: ("strip", lo, hi, scale), ("floor", f, m),
+("half", c), ("count", lo, hi, mult).  _widen alone applies the options'
+widen, and _check_location or _check_count judges; the resolvent checks
+and refined-le-plain share one bound-ratio judge, _check_bounded.
 
 Each resolvent grid holds its check, its points, their bounds, a mask of
 the points evaluated exactly, and at the other points a proven upper
@@ -66,7 +66,7 @@ import threading
 import time
 from collections import namedtuple
 from dataclasses import asdict, dataclass
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -265,7 +265,7 @@ def gen_instance(
     dim, seed = _instance_args(dim, seed, magnitude)
     if kind not in _KINDS:
         raise ValueError(f"unknown instance kind {kind!r}")
-    generate, _, _, takes, _ = _KINDS[kind]
+    generate, _, _, takes, *_ = _KINDS[kind]
     n_gaps = require_int("n_gaps", n_gaps, 1)
     if n_gaps != 1 and "n_gaps" not in takes:
         raise ValueError(f"{kind} instances take no gap count; n_gaps must be 1, got {n_gaps!r}")
@@ -472,9 +472,9 @@ class VerifyOptions:
     """Coupling samples and the mutation knob for one verify run.
 
     s_points >= 2 samples the coupling (s = 0 and s = 1 included); widen >= 0
-    widens every claimed strip and floor by that fraction, so that a sound
-    certificate should fail.  Grid shape and tolerances are the module
-    constants above.
+    widens every claim of a location or counting check by that fraction, in
+    _widen alone, so that a sound certificate should fail.  Grid shape and
+    tolerances are the module constants above.
     """
 
     s_points: int = 11
@@ -511,13 +511,24 @@ class VerificationReport:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _widened(strip: StripResult, widen: float) -> tuple[float, float]:
-    """The strip's ends, its width scaled by 1 + widen about its center; unwidened, the certificate's own."""
-    if not widen:
-        return strip.lo, strip.hi
-    center = 0.5 * (strip.lo + strip.hi)
-    half = 0.5 * (strip.hi - strip.lo) * (1.0 + widen)
-    return center - half, center + half
+def _widen(claim: tuple, widen: float) -> tuple[float, float, float]:
+    """The one place widen is applied: a claim's interval (lo, hi, x) of Re z, widened by that fraction.
+
+    ("strip" or "count", lo, hi, x): width times 1 + widen about the center, unwidened its own ends, x kept;
+    ("floor", f, m): (-inf, f'), f' = f + widen (m - f); ("half", c): (-c', c'), c' = c (1 + widen); x = max(1, |end|).
+    """
+    match claim:
+        case ("floor", bound, least):
+            f = bound + widen * (least - bound)
+            return -math.inf, f, max(1.0, abs(f))
+        case ("half", half_width):
+            c = half_width * (1.0 + widen)
+            return -c, c, max(1.0, c)
+        case (_, lo, hi, x) if widen:
+            center = 0.5 * (lo + hi)
+            half = 0.5 * (hi - lo) * (1.0 + widen)
+            return center - half, center + half, x
+    return claim[1:]
 
 
 def _judged(check: str, worst: tuple[float, str], tol: float, note: str = "") -> CheckResult:
@@ -541,23 +552,16 @@ def _check_location(check: str, eigs: np.ndarray, free, note: str = "", absent: 
     return _judged(check, worst, _REL_MARGIN, note)
 
 
-def _strip_free(gap: Gap, strip: StripResult, widen: float) -> tuple[float, float, float]:
-    """The free interval of a strip over `gap`: its _widened ends, scaled by the gap's largest |end| and at least 1."""
-    return (*_widened(strip, widen), max(1.0, abs(gap.alpha), abs(gap.beta)))
-
-
 def _check_eig_sanity(obs: _Observation) -> CheckResult:
-    top, (trace, sign, logabs) = obs.eigs[-1], obs.trace_slogdet
-    tol = 1e-9
-    err = abs(complex(np.sum(top)) - trace) / max(1.0, abs(trace))
-    lam = top.astype(complex)
+    lam, (trace, sign, logabs) = obs.eigs[-1], obs.trace_slogdet
+    err = abs(complex(np.sum(lam)) - trace) / max(1.0, abs(trace))
     if sign != 0 and float(np.abs(lam).min()) > 0.0:
         # compare log det = sum log lambda in the log domain; the phase
         # difference is only defined mod 2 pi
         diff = complex(np.sum(np.log(lam))) - complex(logabs, cmath.phase(complex(sign)))
         angle = (diff.imag + math.pi) % (2.0 * math.pi) - math.pi
         err = max(err, abs(complex(diff.real, angle)))
-    return _judged("eig-sanity", (tol - err, ""), 0.0, "trace and determinant identities")
+    return _judged("eig-sanity", (1e-9 - err, ""), 0.0, "trace and determinant identities")
 
 
 def _check_hyperbola(inst, s_grid, eigs) -> CheckResult:
@@ -878,22 +882,21 @@ def _check_balls(inst, s_grid, eigs) -> CheckResult:
     return _judged("balls", worst, _REL_MARGIN)
 
 
-def _check_eig_count(inst, eigs, widen) -> CheckResult:
-    (spec,) = inst.cert
-    strip = isolated_eigenvalue_strip(inst.quad, spec)
-    lo, hi = _widened(strip, widen)
+def _check_count(check: str, eigs: np.ndarray, free) -> CheckResult:
+    """Each row's eigenvalues with Re z in the one (lo, hi, count) of `free` against count; the first row farthest off."""
+    ((lo, hi, mult),) = free
     counts = np.sum((eigs.real > lo) & (eigs.real < hi), axis=1)
-    k = int(np.argmax(np.abs(counts - spec.mult)))  # the first row farthest off
-    off = abs(int(counts[k]) - spec.mult)
+    k = int(np.argmax(np.abs(counts - mult)))  # the first row farthest off
+    off = abs(int(counts[k]) - mult)
     worst = (float(-off), f"count={counts[k]}" if off else "")
-    return _judged("eig-count", worst, _REL_MARGIN, f"expect {spec.mult} in ({lo:.6g},{hi:.6g})")
+    return _judged(check, worst, _REL_MARGIN, f"expect {mult} in ({lo:.6g},{hi:.6g})")
 
 
-def _check_numrange_windows(inst, eigs, widen) -> CheckResult | None:
+def _check_numrange_windows(inst, eigs) -> CheckResult | None:
     """Eigenvalues of T + A in each applicable almost-gap window; None unless A is _exactly_hermitian."""
     if not _exactly_hermitian(inst.a_mat):
         return None
-    eigs_full = eigs[-1]
+    re = eigs[-1].real
     applicable = []
     worst = (0.0, "")
     for case in ("i", "ii", "iii", "iv"):
@@ -902,7 +905,7 @@ def _check_numrange_windows(inst, eigs, widen) -> CheckResult | None:
         except ConditionNotApplicable:
             continue
         applicable.append(case)
-        count = int(np.sum((eigs_full.real > out.lo) & (eigs_full.real < out.hi)))
+        count = int(np.sum((re > out.lo) & (re < out.hi)))
         excess = float(count - out.max_count)
         if -excess < worst[0]:
             worst = (-excess, f"case {case}: count={count}")
@@ -911,31 +914,26 @@ def _check_numrange_windows(inst, eigs, widen) -> CheckResult | None:
     return _judged("numrange-window", worst, _REL_MARGIN, "cases " + ",".join(applicable))
 
 
-def _offdiag_free(off, gap, widen):
-    """structured-offdiag's free interval: the perturbed strip over the generating gap."""
-    return [_strip_free(gap, offdiag_gap(off, gap).strip, widen)]
+# The claim functions: widen-free data read off a certificate, tagged as _widen reads them.
+def _strip_claim(gap: Gap, strip: StripResult) -> tuple:  # a strip over gap, scaled by max(1, |alpha|, |beta|)
+    return ("strip", strip.lo, strip.hi, max(1.0, abs(gap.alpha), abs(gap.beta)))
+def _offdiag_claims(inst):  # structured-offdiag: the perturbed strip over the generating gap
+    return [_strip_claim(inst.cert[1], offdiag_gap(*inst.cert).strip)]
+def _even_claims(inst):  # structured-even: Re z below the floor, which widens toward the least block minimum
+    return [("floor", even_lowerbound(*inst.cert), min(inst.cert[1]))]
+def _odd_claims(inst):  # structured-odd: |Re z| below the half-width of the symmetric gap
+    return [("half", odd_symmetric_gap(*inst.cert))]
+def _count_claims(inst):  # eig-count: the counting strip's ends and its count, the eigenvalue's multiplicity
+    return [("count", *isolated_eigenvalue_strip(inst.quad, *inst.cert))]
 
 
-def _even_free(off, minima, widen):
-    """structured-even's free interval: Re z below the floor f, widened toward the least block minimum."""
-    bound = even_lowerbound(off, minima)
-    f = bound + widen * (min(minima.beta1, minima.beta2) - bound)
-    return [(-math.inf, f, max(1.0, abs(f)))]
-
-
-def _odd_free(diag, beta, widen):
-    """structured-odd's free interval: |Re z| below the half-width c of the symmetric gap, widened by 1 + widen."""
-    c = odd_symmetric_gap(diag, beta) * (1.0 + widen)
-    return [(-c, c, max(1.0, c))]
-
-
-def _check_structured(check: str, claim, inst, eigs, widen) -> CheckResult:
-    """A block kind's own location check; claim(*inst.cert, widen) gives its free intervals."""
+def _check_own(check: str, claims, judge, inst, eigs, widen) -> CheckResult:
+    """judge(check, eigs, free) on the _widen of each of claims(inst); a refusal passes, noted "not applicable"."""
     try:
-        free = claim(*inst.cert, widen)
+        made = claims(inst)
     except ConditionNotApplicable:
         return CheckResult(check, 0.0, True, note="not applicable")
-    return _check_location(check, eigs, free)
+    return judge(check, eigs, [_widen(claim, widen) for claim in made])
 
 
 # ---------------------------------------------------------------------------
@@ -954,13 +952,13 @@ def _even_dim(rng, dim: int, dim_hi: int) -> tuple[int, int]:
 # arguments it uses, and gen_instance refuses the others off their defaults.
 # dim_rule(rng, dim, dim_hi) is the (dim, n_gaps) a suite builds it at from
 # the dim drawn off the suite's rng, which it draws from only for n_gaps.
-# check(inst, eigs, widen), if any, is its own check after the common ones,
-# None where it does not apply.  hermitian says that the kind's A is exactly
+# check(inst, eigs) (None where it does not apply), or claims = (check, claim
+# function, judge) for _check_own, the one that widen reaches, is its own
+# check after the common ones.  hermitian says that the kind's A is exactly
 # Hermitian (_exactly_hermitian), so that a suite batches it apart from the
 # others and sweeps its batches by eigvalsh alone (_suite_batches).
-_Kind = namedtuple(
-    "_Kind", "generate dim_rule check takes hermitian", defaults=(lambda rng, dim, hi: (dim, 1), None, (), False)
-)
+_Kind = namedtuple("_Kind", "generate dim_rule check takes hermitian claims",
+                   defaults=(lambda rng, dim, hi: (dim, 1), None, (), False, None))
 
 # kind -> its row, with what MatrixInstance.cert holds
 _KINDS = {
@@ -968,17 +966,17 @@ _KINDS = {
     # Hermitian A, almost-gap window data; (window, eigenvalues of T inside it, NumRangeBounds of A)
     "symmetric": _Kind(_gen_plain, check=_check_numrange_windows, takes=("gaps",), hermitian=True),
     # A off-diagonal over a gap straddling 0; (OffDiagBounds, generating gap)
-    "offdiag": _Kind(_gen_offdiag, _even_dim, partial(_check_structured, "structured-offdiag", _offdiag_free)),
+    "offdiag": _Kind(_gen_offdiag, _even_dim, claims=("structured-offdiag", _offdiag_claims, _check_location)),
     # T = diag(D, -D), pair-coupled A (see _gen_odd); (DiagBounds, beta of the gap (-beta, beta))
-    "diag-blocks": _Kind(_gen_odd, _even_dim, partial(_check_structured, "structured-odd", _odd_free)),
+    "diag-blocks": _Kind(_gen_odd, _even_dim, claims=("structured-odd", _odd_claims, _check_location)),
     # nonnegative T, A off-diagonal; (OffDiagBounds, BlockMinima)
-    "even": _Kind(_gen_even, _even_dim, partial(_check_structured, "structured-even", _even_free)),
+    "even": _Kind(_gen_even, _even_dim, claims=("structured-even", _even_claims, _check_location)),
     # tight real diagonal A, extreme eigenvalues on the strip's ends; ()
     "probe": _Kind(_gen_plain, takes=("gaps",), hermitian=True),
     # dense A over its gaps, 2 or 3 and dim 8 at least in a suite; ()
     "multi": _Kind(_gen_plain, lambda rng, dim, hi: (max(dim, 8), int(rng.integers(2, 4))), takes=("gaps", "n_gaps")),
     # an eigenvalue isolated by two gaps, dim 3 at least (see _gen_isolated); (IsolatedEigSpec,)
-    "isolated": _Kind(_gen_isolated, lambda rng, dim, hi: (max(dim, 3), 1), _check_eig_count),
+    "isolated": _Kind(_gen_isolated, lambda rng, dim, hi: (max(dim, 3), 1), claims=("eig-count", _count_claims, _check_count)),
 }
 
 
@@ -1094,7 +1092,7 @@ def _judge(inst: MatrixInstance, obs: _Observation, options: VerifyOptions) -> V
     where they apply, then its kind's own check (its _KINDS row's).
     """
     s_grid, eigs, widen = obs.s_grid, obs.eigs, options.widen
-    own = _KINDS[inst.kind].check
+    row = _KINDS[inst.kind]
     # the (zs, bounds, values) triples of every bound-ratio check, by check
     bounded = {"refined-le-plain": [(zs, plain, refined) for _, _, zs, plain, refined in obs.strips]}
     for g in obs.grids:
@@ -1102,14 +1100,14 @@ def _judge(inst: MatrixInstance, obs: _Observation, options: VerifyOptions) -> V
     checks = (
         _check_eig_sanity(obs),
         _check_hyperbola(inst, s_grid, eigs),
-        _check_location("strip", eigs, [_strip_free(gap, strip, widen) for gap, strip, *_ in obs.strips],
+        _check_location("strip", eigs, [_widen(_strip_claim(gap, strip), widen) for gap, strip, *_ in obs.strips],
                         " ".join(f"({gap.alpha:.3g},{gap.beta:.3g})" for gap, *_ in obs.strips), "no certified strip"),
         _check_bounded("resolvent-offreal", bounded, _RESOLVENT_TOL, _REL_MARGIN, "not applicable: b >= 1"),
         _check_bounded("resolvent-strip", bounded, _RESOLVENT_TOL, _REL_MARGIN, "no certified strip"),
         _check_bounded("refined-le-plain", bounded, _REFINED_TOL, 0.0, "no certified strip"),
         _check_bounded("resolvent-symgap", bounded, _RESOLVENT_TOL, _REL_MARGIN),
         _check_balls(inst, s_grid, eigs) if inst.gaps and _exactly_hermitian(inst.a_mat) else None,
-        own(inst, eigs, widen) if own else None,
+        row.check(inst, eigs) if row.check else _check_own(*row.claims, inst, eigs, widen) if row.claims else None,
     )
     checks = tuple(c for c in checks if c is not None)
     return VerificationReport(instance=inst.name, quad=inst.quad, s_points=options.s_points, checks=checks)

@@ -264,6 +264,17 @@ class TestEigStripCommand:
         want = isolated_eigenvalue_strip(QuadBound(0.2, 0.1), IsolatedEigSpec(1.0, -1.0, 3.0, 2))
         assert (doc["lo"], doc["hi"], doc["count"]) == (want.lo, want.hi, want.count)
 
+    def test_empty_strip_is_not_applicable(self):
+        # a = b = 0: the strip (0.5, 0.5) is empty, in exact arithmetic too
+        code, out = run_cli(
+            "eig-strip", "--a", "0", "--b", "0", "--lam", "0.5",
+            "--alpha", "-1", "--beta", "2", "--mult", "2",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["status"] == "not-applicable"
+        assert "counting strip is empty" in doc["reason"]
+
 
 class TestTwoChannelCommand:
     def test_matches_library(self):

@@ -520,11 +520,31 @@ class TestIsolatedEigenvalue:
         assert strip.count == 3
 
     def test_degenerate_axis_case(self):
-        # a = 0 at lam = 0 collapses the strip onto the imaginary axis
-        strip = isolated_eigenvalue_strip(
-            QuadBound(0.0, 0.5), IsolatedEigSpec(0.0, -2.0, 2.0, 1)
-        )
-        assert strip.lo == strip.hi == 0.0
+        # a = 0 at lam = 0 collapses the strip onto the imaginary axis: the
+        # open strip (0, 0) is empty and cannot hold the eigenvalue, so refused
+        with pytest.raises(ConditionNotApplicable, match="counting strip is empty"):
+            isolated_eigenvalue_strip(QuadBound(0.0, 0.5), IsolatedEigSpec(0.0, -2.0, 2.0, 1))
+
+    @pytest.mark.parametrize("a, refused", [(0.0, True), (1e-17, True), (1e-15, False)])
+    def test_refuses_a_strip_whose_ends_round_onto_lam(self, a, refused):
+        # shift(0.5) = a: at 1e-17, below half an ulp of 0.5, both ends round
+        # to 0.5; at 1e-15 the strip is a few ulps wide and holds lam
+        spec = IsolatedEigSpec(0.5, -1.0, 2.0, 2)
+        if refused:
+            with pytest.raises(ConditionNotApplicable, match="counting strip is empty"):
+                isolated_eigenvalue_strip(QuadBound(a, 0.0), spec)
+        else:
+            strip = isolated_eigenvalue_strip(QuadBound(a, 0.0), spec)
+            assert strip.lo < 0.5 < strip.hi
+            assert (strip.lo, strip.hi, strip.count) == (0.5 - a, 0.5 + a, 2)
+
+    def test_one_sided_rounding_is_refused(self):
+        # shift(1.0) = 0.3 ulp(1.0): 1 - s rounds down, but 1 + s rounds to 1,
+        # so the open strip (1 - 2^-53, 1) misses lam itself
+        s = 0.3 * 2.0**-52
+        assert 1.0 - s < 1.0 == 1.0 + s
+        with pytest.raises(ConditionNotApplicable, match="counting strip is empty"):
+            isolated_eigenvalue_strip(QuadBound(s, 0.0), IsolatedEigSpec(1.0, -1.0, 3.0, 1))
 
     def test_rejects_wide_constants(self):
         with pytest.raises(ConditionNotApplicable):

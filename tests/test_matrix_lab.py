@@ -12,11 +12,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gapcert import Gap, QuadBound, matrix_lab
-from gapcert.blocks import NumRangeBounds, even_lowerbound, odd_symmetric_gap
-from gapcert.errors import NumericalFailure
+from gapcert.blocks import NumRangeBounds, even_lowerbound, odd_symmetric_gap, offdiag_gap
+from gapcert.enclosures import isolated_eigenvalue_strip
+from gapcert.errors import ConditionNotApplicable, NumericalFailure
 from gapcert.matrix_lab import (
     MatrixInstance,
     SuiteResult,
@@ -398,6 +399,18 @@ class TestVerifyInstance:
         rep = verify_instance(gen_isolated_instance(14, 2, 99))
         count = next(c for c in rep.checks if c.check == "eig-count")
         assert count.passed and count.margin == 0.0
+
+    @pytest.mark.parametrize("widen", [0.0, 0.5])
+    def test_empty_counting_strip_is_not_applicable(self, widen):
+        # at magnitude 1e-20 shift(lam) is below half an ulp of lam, so the
+        # counting strip (lam, lam) is empty: refused, and eig-count passes
+        # noted "not applicable" instead of claiming a count in it
+        inst = gen_instance(8, 1, kind="isolated", magnitude=1e-20)
+        with pytest.raises(ConditionNotApplicable):
+            isolated_eigenvalue_strip(inst.quad, *inst.cert)
+        rep = verify_instance(inst, VerifyOptions(widen=widen))
+        count = next(c for c in rep.checks if c.check == "eig-count")
+        assert (count.margin, count.passed, count.witness, count.note) == (0.0, True, "", "not applicable")
 
     def test_report_json_round_trip(self):
         rep = verify_instance(gen_instance(8, 1, kind="none"))
@@ -1185,7 +1198,7 @@ def _hyperbola_rows(inst, s_grid, eigs):
 
 
 def _eig_count_rows(eigs, lo, hi, mult):
-    """Reference: the per-row loop that _check_eig_count's one reduction replaced."""
+    """Reference: the per-row loop that _check_count's one reduction replaced."""
     worst = (0.0, "")
     for row in eigs:
         count = int(np.sum((row.real > lo) & (row.real < hi)))
@@ -1218,9 +1231,10 @@ class TestRowReductions:
             inst = gen_isolated_instance(12, 2, seed)
             eigs = matrix_lab._observe(inst, VerifyOptions()).eigs
             (spec,) = inst.cert
-            lo, hi = matrix_lab._widened(matrix_lab.isolated_eigenvalue_strip(inst.quad, spec), widen)
-            margin, witness = _eig_count_rows(eigs, lo, hi, spec.mult)
-            got = matrix_lab._check_eig_count(inst, eigs, widen)
+            strip = matrix_lab.isolated_eigenvalue_strip(inst.quad, spec)
+            lo, hi, mult = matrix_lab._widen(("count", strip.lo, strip.hi, spec.mult), widen)
+            margin, witness = _eig_count_rows(eigs, lo, hi, mult)
+            got = matrix_lab._check_own("eig-count", matrix_lab._count_claims, matrix_lab._check_count, inst, eigs, widen)
             assert got.margin == margin
             assert got.witness == ("" if got.passed else witness)
 
@@ -1276,8 +1290,110 @@ def _finite(lo: float, hi: float):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
+def _centre_rule(lo: float, hi: float, widen: float) -> tuple[float, float]:
+    """Reference: a strip's ends, its width scaled by 1 + widen about its center; at widen 0 its own ends."""
+    if not widen:
+        return lo, hi
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo) * (1.0 + widen)
+    return center - half, center + half
+
+
+def _gap_scale(gap) -> float:
+    """Reference: the scale of a strip over `gap`, its largest |end| and at least 1."""
+    return max(1.0, abs(gap.alpha), abs(gap.beta))
+
+
+def _first_least(points, margins) -> tuple[float, str]:
+    """Reference: the first least of the margins, point by point, with its point as the witness."""
+    k = min(range(len(margins)), key=margins.__getitem__)
+    return margins[k], repr(complex(points[k]))
+
+
+def _strips_worst(eigs, strips) -> tuple[float, str]:
+    """Reference: max(lo - Re z, Re z - hi) / scale over the (lo, hi, scale) strips in order, point by point."""
+    flat = np.ravel(eigs).tolist()
+    margins = [max(lo - z.real, z.real - hi) / scale for lo, hi, scale in strips for z in flat]
+    return _first_least(flat * len(strips), margins)
+
+
+# each claim-based kind's own check
+_OWN = {"offdiag": "structured-offdiag", "even": "structured-even", "diag-blocks": "structured-odd",
+        "isolated": "eig-count"}
+
+
+def _widened_references(inst, obs, widen: float) -> dict:
+    """Reference: (margin, witness, note) of each widen-sensitive check, with the widening written out.
+
+    The strip and structured-offdiag ends follow the center rule, the even
+    floor bound + widen (least block minimum - bound) with scale max(1, |f|),
+    the odd half-width c (1 + widen) with scale max(1, c), and eig-count
+    counts in the center-ruled counting strip.  A refused certificate gives
+    the pass noted "not applicable".
+    """
+    eigs = obs.eigs
+    flat = np.ravel(eigs).tolist()
+    refs = {"strip": (0.0, "", "no certified strip")}
+    if obs.strips:
+        strips = [(*_centre_rule(strip.lo, strip.hi, widen), _gap_scale(gap)) for gap, strip, *_ in obs.strips]
+        note = " ".join(f"({gap.alpha:.3g},{gap.beta:.3g})" for gap, *_ in obs.strips)
+        refs["strip"] = (*_strips_worst(eigs, strips), note)
+    if inst.kind not in _OWN:
+        return refs
+    try:
+        if inst.kind == "offdiag":
+            off, gap = inst.cert
+            strip = offdiag_gap(off, gap).strip
+            own = (*_strips_worst(eigs, [(*_centre_rule(strip.lo, strip.hi, widen), _gap_scale(gap))]), "")
+        elif inst.kind == "even":
+            off, minima = inst.cert
+            bound = even_lowerbound(off, minima)
+            f = bound + widen * (min(minima.beta1, minima.beta2) - bound)
+            own = (*_first_least(flat, [(z.real - f) / max(1.0, abs(f)) for z in flat]), "")
+        elif inst.kind == "diag-blocks":
+            c = odd_symmetric_gap(*inst.cert) * (1.0 + widen)
+            own = (*_first_least(flat, [(abs(z.real) - c) / max(1.0, c) for z in flat]), "")
+        else:
+            (spec,) = inst.cert
+            strip = isolated_eigenvalue_strip(inst.quad, spec)
+            lo, hi = _centre_rule(strip.lo, strip.hi, widen)
+            own = (*_eig_count_rows(eigs, lo, hi, spec.mult), f"expect {spec.mult} in ({lo:.6g},{hi:.6g})")
+    except ConditionNotApplicable:
+        own = (0.0, "", "not applicable")
+    refs[_OWN[inst.kind]] = own
+    return refs
+
+
+def _assert_matches_references(inst, obs, widen: float) -> None:
+    """Every widen-sensitive check of the report at widen keeps its reference's margin bits, witness and note."""
+    report = {c.check: c for c in matrix_lab._judge(inst, obs, VerifyOptions(widen=widen)).checks}
+    for check, (margin, witness, note) in _widened_references(inst, obs, widen).items():
+        got = report[check]
+        assert got.margin.hex() == margin.hex(), (check, got.margin, margin)
+        assert got.passed == (margin >= -matrix_lab._REL_MARGIN), check
+        assert got.witness == ("" if got.passed else witness), check
+        assert got.note == note, check
+
+
+def _hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@functools.cache
+def _observed(kind: str, seed: int):
+    """One instance of a kind with its observation; "isolated-empty" has an empty counting strip."""
+    if kind == "isolated-empty":
+        inst = gen_instance(8, 1, kind="isolated", magnitude=1e-20)
+    else:
+        inst = _prune_instance(kind, 10, seed, (0.5, 0.8, 0.95)[seed])
+    return inst, matrix_lab._observe(inst, VerifyOptions())
+
+
 class TestJudgeReferences:
-    """The location judge keeps the floor formulas' bits, the bound-ratio judge refined-le-plain's."""
+    """The location judge keeps the floor formulas' bits, the bound-ratio judge refined-le-plain's.
+
+    Every widen-sensitive check keeps the bits of the widening expressions written out in _widened_references.
+    """
 
     @pytest.mark.parametrize("widen", [0.0, 0.1, 0.5])
     @pytest.mark.parametrize("kind", _PRUNE_KINDS)
@@ -1294,6 +1410,26 @@ class TestJudgeReferences:
         if kind == "diag-blocks":
             c = odd_symmetric_gap(*inst.cert) * (1.0 + widen)
             _assert_keeps_bits(report["structured-odd"], _odd_floor(obs.eigs, c), lambda z: _odd_floor([z], c))
+        # the widened ends of strip and structured-offdiag and the widened count of
+        # eig-count against the center rule, and every widen-sensitive check
+        for gap, strip, *_ in obs.strips:
+            want = (*_centre_rule(strip.lo, strip.hi, widen), _gap_scale(gap))
+            assert _hexes(matrix_lab._widen(matrix_lab._strip_claim(gap, strip), widen)) == _hexes(want)
+        if kind == "offdiag":
+            off, gap = inst.cert
+            strip = offdiag_gap(off, gap).strip
+            want = (*_centre_rule(strip.lo, strip.hi, widen), _gap_scale(gap))
+            (claim,) = matrix_lab._offdiag_claims(inst)
+            assert _hexes(matrix_lab._widen(claim, widen)) == _hexes(want)
+        if kind == "isolated":
+            (spec,) = inst.cert
+            strip = isolated_eigenvalue_strip(inst.quad, spec)
+            lo, hi = _centre_rule(strip.lo, strip.hi, widen)
+            (claim,) = matrix_lab._count_claims(inst)
+            assert _hexes(matrix_lab._widen(claim, widen)) == _hexes((lo, hi, spec.mult))
+            count = int(np.sum((obs.eigs[-1].real > lo) & (obs.eigs[-1].real < hi)))
+            assert count == spec.mult
+        _assert_matches_references(inst, obs, widen)
         # every kind's eigenvalues against floors on their own real parts and one ulp off
         for x in obs.eigs.real.ravel()[::7].tolist():
             for f in _ends(x):
@@ -1305,6 +1441,32 @@ class TestJudgeReferences:
             _assert_keeps_bits(report["refined-le-plain"], margin, margins.__getitem__)
         else:
             assert report["refined-le-plain"].note == "no certified strip"
+
+    @pytest.mark.parametrize("claim, widen, want", [
+        # unwidened, a strip keeps its own ends: the center rule would move
+        # 0.1 to 0.09999999999999998 and 0.3 to 0.30000000000000004
+        (("strip", 0.1, 0.7, 2.0), 0.0, (0.1, 0.7, 2.0)),
+        (("strip", -1.0, 3.0, 2.0), 0.5, (-2.0, 4.0, 2.0)),
+        (("count", 0.3, 0.7, 2), 0.0, (0.3, 0.7, 2)),
+        (("count", 0.25, 0.75, 3), 1.0, (0.0, 1.0, 3)),
+        (("floor", 1.0, 3.0), 0.0, (-math.inf, 1.0, 1.0)),
+        (("floor", 1.0, 3.0), 0.5, (-math.inf, 2.0, 2.0)),
+        (("floor", -0.5, 0.25), 0.5, (-math.inf, -0.125, 1.0)),
+        (("half", 0.5), 0.0, (-0.5, 0.5, 1.0)),
+        (("half", 2.0), 0.5, (-3.0, 3.0, 3.0)),
+    ])
+    def test_widen_applies_each_rule(self, claim, widen, want):
+        assert _hexes(matrix_lab._widen(claim, widen)) == _hexes(want)
+
+    @given(widen=st.floats(0.0, 10.0), seed=st.integers(0, 2))
+    @example(widen=0.0, seed=0)
+    @example(widen=0.1, seed=1)
+    @example(widen=0.5, seed=2)
+    @settings(max_examples=100, deadline=None)
+    def test_every_widen_keeps_the_reference_bits(self, widen, seed):
+        for kind in _PRUNE_KINDS:
+            _assert_matches_references(*_observed(kind, seed), widen)
+        _assert_matches_references(*_observed("isolated-empty", 0), widen)
 
     @given(
         re=st.lists(_finite(-50.0, 50.0), min_size=1, max_size=12),
