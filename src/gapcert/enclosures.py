@@ -219,21 +219,15 @@ def resolvent_bound_offreal(q: QuadBound, z: complex) -> float:
 def _offreal_bounds(q: QuadBound, zs) -> list[float]:
     """resolvent_bound_offreal at every z of a grid, bit for bit, refusing as it does at the first point it refuses.
 
-    One loop over Python complexes; the b < 1 check and the squares of a
-    and b are taken once per grid.
+    One loop over Python complexes; each point's hyperbola test is
+    _excluded's, which refuses b >= 1 at the first point as it does there.
     """
     a, b = q.a, q.b
-    zs = list(map(complex, zs))
-    if zs:
-        _check_b_lt_1(b)
-    aa, bb = a * a, b * b
-    den = 1.0 - bb
     bounds = []
-    for z in zs:
-        re, im = z.real, z.imag
-        if not im * im > (aa + bb * re * re) / den:
+    for z in map(complex, zs):
+        if not _excluded(a, b, z.real, z.imag):
             raise BoundNotValid(f"z={z!r} is not certified outside the enclosure")
-        bounds.append(1.0 / (abs(im) - math.hypot(a, b * abs(z))))
+        bounds.append(1.0 / (abs(z.imag) - math.hypot(a, b * abs(z))))
     return bounds
 
 

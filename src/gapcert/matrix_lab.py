@@ -25,9 +25,9 @@ claims off its certificate: ("strip", lo, hi, scale), ("floor", f, m),
 widen, and _check_location or _check_count judges; the resolvent checks
 and refined-le-plain share one bound-ratio judge, _check_bounded.
 
-Each resolvent grid holds its check, its points, their bounds, a mask of
-the points evaluated exactly, and at the other points a proven upper
-bracket of the norm: the oracle prunes a point by two Weyl bounds,
+Each bound-ratio check reads one _Bounded record (zs, bounds, values,
+exact); a resolvent check's values are norms, and proven upper brackets
+of the norm where not exact: the oracle prunes a point by two Weyl bounds,
 sigma_min(M - z) >= sigma_min(M - z0) - |z - z0| from each exact point z0
 and sigma_min(M - z) >= dist(z, sigma(T)) - ||A||_2 before any, each
 less a slack for rounding (see _Brackets), once it provably cannot be
@@ -125,7 +125,8 @@ class MatrixInstance:
     row of _KINDS, which built it and adds its own check; `cert` holds the
     arguments the kind's own certificate takes besides `quad`, as the
     row's comment says.  A new kind is one generator, one check and one
-    table row.
+    table row; the generator returns (t_diag, a_mat, quad, gaps, cert),
+    to which gen_instance (or gen_isolated_instance) adds name, kind, seed.
     """
 
     name: str
@@ -271,10 +272,11 @@ def gen_instance(
         raise ValueError(f"{kind} instances take no gap count; n_gaps must be 1, got {n_gaps!r}")
     if gaps is not None and "gaps" not in takes:
         raise ValueError(f"{kind} instances place their own gaps; gaps must be None")
-    return generate(kind, np.random.default_rng(seed), dim, seed, magnitude, name or f"{kind}-{seed:08d}", gaps, n_gaps)
+    parts = generate(kind, np.random.default_rng(seed), dim, seed, magnitude, gaps, n_gaps)
+    return MatrixInstance(name or f"{kind}-{seed:08d}", kind, seed, *parts)
 
 
-def _gen_plain(kind, rng, dim, seed, magnitude, name, gaps, n_gaps) -> MatrixInstance:
+def _gen_plain(kind, rng, dim, seed, magnitude, gaps, n_gaps) -> tuple:
     gap_t = _auto_gaps(rng, n_gaps) if gaps is None else tuple(Gap(float(a), float(b)) for a, b in gaps)
     if any(left.beta > right.alpha for left, right in zip(gap_t, gap_t[1:])):
         raise ValueError("prescribed gaps overlap")
@@ -296,11 +298,7 @@ def _gen_plain(kind, rng, dim, seed, magnitude, name, gaps, n_gaps) -> MatrixIns
         signs = np.where(t_diag >= gap.beta, 1.0, -1.0)
         signs[np.argmin(np.abs(t_diag - gap.alpha))] = 1.0
         signs[np.argmin(np.abs(t_diag - gap.beta))] = -1.0
-        return MatrixInstance(
-            name=name, kind=kind, seed=seed,
-            t_diag=t_diag, a_mat=np.diag(a * signs).astype(complex),
-            quad=QuadBound(a, 0.0), gaps=gap_t,
-        )
+        return t_diag, np.diag(a * signs).astype(complex), QuadBound(a, 0.0), gap_t, ()
 
     raw = _dense(rng, dim)
     if kind == "symmetric":
@@ -319,10 +317,7 @@ def _gen_plain(kind, rng, dim, seed, magnitude, name, gaps, n_gaps) -> MatrixIns
 
     t, (q_raw,) = _calibrate(rng, 0.6, [(raw, t_diag)], ratio, magnitude)
     cert = (window, inside, NumRangeBounds(t * w_lo, t * w_hi)) if kind == "symmetric" else ()
-    return MatrixInstance(
-        name=name, kind=kind, seed=seed, t_diag=t_diag, a_mat=t * raw,
-        quad=QuadBound(t * q_raw.a, t * q_raw.b), gaps=gap_t if not inside else (), cert=cert,
-    )
+    return t_diag, t * raw, QuadBound(t * q_raw.a, t * q_raw.b), gap_t if not inside else (), cert
 
 
 def _two_block(rng, layout, blocks, edges, target, t_diag):
@@ -363,30 +358,23 @@ def _half(kind: str, dim: int) -> int:
     return dim // 2
 
 
-def _gen_offdiag(kind, rng, dim, seed, magnitude, name, *_) -> MatrixInstance:
+def _gen_offdiag(kind, rng, dim, seed, magnitude, *_) -> tuple:
     n1 = _half(kind, dim)
     gap = Gap(-float(rng.uniform(0.5, 2.5)), float(rng.uniform(0.5, 2.5)))
     # block 1 sits below the gap, block 2 above
     t_diag, a_mat, quad, off = _offdiag_pair(rng, n1, (gap.alpha, -4.0), (gap.beta, 4.0), 0.5 * gap.width, magnitude)
-    return MatrixInstance(
-        name=name, kind=kind, seed=seed, t_diag=t_diag, a_mat=a_mat, quad=quad,
-        gaps=(gap,) if gap_condition(quad, gap) else (),
-        cert=(off, gap),
-    )
+    return t_diag, a_mat, quad, (gap,) if gap_condition(quad, gap) else (), (off, gap)
 
 
-def _gen_even(kind, rng, dim, seed, magnitude, name, *_) -> MatrixInstance:
+def _gen_even(kind, rng, dim, seed, magnitude, *_) -> tuple:
     n1 = _half(kind, dim)
     beta1 = float(rng.uniform(0.2, 2.0))
     beta2 = float(rng.uniform(0.2, 2.0))
     t_diag, a_mat, quad, off = _offdiag_pair(rng, n1, (beta1, 4.0), (beta2, 4.0), 0.5 * (beta1 + beta2), magnitude)
-    return MatrixInstance(
-        name=name, kind=kind, seed=seed, t_diag=t_diag, a_mat=a_mat, quad=quad,
-        cert=(off, BlockMinima(beta1, beta2)),
-    )
+    return t_diag, a_mat, quad, (), (off, BlockMinima(beta1, beta2))
 
 
-def _gen_odd(kind, rng, dim, seed, magnitude, name, *_) -> MatrixInstance:
+def _gen_odd(kind, rng, dim, seed, magnitude, *_) -> tuple:
     """T = diag(D, -D) with pair-coupled A = [[P, Q], [Q, P]].
 
     The swap involution commutes with A and anticommutes with T; in its
@@ -404,11 +392,7 @@ def _gen_odd(kind, rng, dim, seed, magnitude, name, *_) -> MatrixInstance:
         magnitude * beta, t_diag,
     )
     gap = Gap(-beta, beta)
-    return MatrixInstance(
-        name=name, kind=kind, seed=seed, t_diag=t_diag, a_mat=a_mat, quad=quad,
-        gaps=(gap,) if gap_condition(quad, gap) else (),
-        cert=(DiagBounds(*consts), beta),
-    )
+    return t_diag, a_mat, quad, (gap,) if gap_condition(quad, gap) else (), (DiagBounds(*consts), beta)
 
 
 def gen_isolated_instance(
@@ -420,10 +404,20 @@ def gen_isolated_instance(
     counting strip is certified with room to spare.
     """
     dim, seed = _instance_args(dim, seed, magnitude)
+    parts = _isolated_parts(np.random.default_rng(seed), dim, mult, magnitude)
+    return MatrixInstance(name or f"isolated-{seed:08d}", "isolated", seed, *parts)
+
+
+def _gen_isolated(kind, rng, dim, seed, magnitude, *_) -> tuple:
+    """The isolated row: _isolated_parts at mult = 1 + seed % 3, at most dim - 2, as gen_isolated_instance builds it."""
+    return _isolated_parts(rng, dim, min(1 + seed % 3, dim - 2), magnitude)
+
+
+def _isolated_parts(rng, dim: int, mult, magnitude: float) -> tuple:
+    """The generated fields of an isolated instance, its cluster of multiplicity mult at a uniform lam in [-1, 1]."""
     mult = require_int("mult", mult, 1)
     if mult > dim - 2:
         raise ValueError("need mult + 2 eigenvalues to isolate one cluster")
-    rng = np.random.default_rng(seed)
     lam = float(rng.uniform(-1.0, 1.0))
     alpha = lam - float(rng.uniform(1.5, 3.0))
     beta = lam + float(rng.uniform(1.5, 3.0))
@@ -435,16 +429,7 @@ def gen_isolated_instance(
     raw = _dense(rng, dim)
     gaps = (Gap(alpha, lam), Gap(lam, beta))
     t, (q_raw,) = _calibrate(rng, 0.6, [(raw, t_diag)], lambda q: _gap_ratio(q, gaps), magnitude)
-    return MatrixInstance(
-        name=name or f"isolated-{seed:08d}", kind="isolated", seed=seed,
-        t_diag=t_diag, a_mat=t * raw, quad=QuadBound(t * q_raw.a, t * q_raw.b),
-        gaps=gaps, cert=(IsolatedEigSpec(lam, alpha, beta, mult),),
-    )
-
-
-def _gen_isolated(kind, rng, dim, seed, magnitude, name, *_) -> MatrixInstance:
-    """gen_isolated_instance at mult = 1 + seed % 3, at most dim - 2; it seeds its own rng alike."""
-    return gen_isolated_instance(dim, min(1 + seed % 3, dim - 2), seed, magnitude, name)
+    return t_diag, t * raw, QuadBound(t * q_raw.a, t * q_raw.b), gaps, (IsolatedEigSpec(lam, alpha, beta, mult),)
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +661,7 @@ def _round_size(n: int, pending: int) -> int:
 
 
 class _Brackets:
-    """The oracle rounds of one instance M = T + A over its z-grids, each a (check, zs, bounds).
+    """The oracle rounds of one instance M = T + A over its z-grids, each a (check, zs, bounds), one per check.
 
     Two proven lower brackets of sigma_min(M - z) prune points.  Weyl's
     bound that sigma_min(M - z) is 1-Lipschitz in z makes each exact
@@ -707,23 +692,21 @@ class _Brackets:
     1/((dist(z, eigs) + slack_h) bound) at every point; a general M has
     no other.  The best lower bracket only rises and the upper brackets
     only tighten, so the judge finds the full grid's first worst point
-    with the same margin whatever the round schedule.
+    with the same margin whatever the round schedule.  records() gives
+    each check's _Bounded record, the norms and upper brackets its values.
     """
 
     def __init__(self, m0: np.ndarray, t_diag: np.ndarray, a_norm: float | None, eigs: np.ndarray, grids) -> None:
         self.grids_in = grids
-        checks = [check for check, _, _ in grids]
         sizes = [zs.size for _, zs, _ in grids]
         self.cuts = np.cumsum(sizes)[:-1]
-        # the grids of one check are adjacent: owner numbers the checks in order
-        firsts = [i == 0 or check != checks[i - 1] for i, check in enumerate(checks)]
-        self.owner = np.repeat(np.cumsum(firsts) - 1, sizes)
+        self.owner = np.repeat(np.arange(len(grids)), sizes)  # each point's grid, so its check
         self.m0, n = m0, m0.shape[0]
         zs = self.zs = np.concatenate([zs for _, zs, _ in grids])
         bounds = self.bounds = np.concatenate([bounds for _, _, bounds in grids])
         self.slack = 8.0 * n * _EPS * (float(np.linalg.norm(m0)) + float(np.abs(zs).max()))
         dist = np.abs(zs[:, None] - eigs[None, :]).min(axis=1)
-        self.best = np.zeros(sum(firsts))  # per check, its best lower bracket of norm/bound
+        self.best = np.zeros(len(grids))  # per check, its best lower bracket of norm/bound
         with np.errstate(divide="ignore"):
             self.hint = 1.0 / (dist * bounds)
             if a_norm is None:
@@ -770,10 +753,10 @@ class _Brackets:
             reach = (1.0 / norms)[None, :] - np.abs(self.zs[rest, None] - self.zs[None, new])
             self.floor[rest] = np.maximum(self.floor[rest], reach.max(axis=1) - self.slack)
 
-    def grids(self) -> tuple[_Grid, ...]:
-        """Every grid's _Grid, once pick() found no point left."""
+    def records(self) -> tuple[_Bounded, ...]:
+        """Every grid's _Bounded record, once pick() found no point left."""
         splits = zip(self.grids_in, np.split(self.norms, self.cuts), np.split(self.exact, self.cuts))
-        return tuple(_Grid(check, *_read_only(zs, bounds, nrm, ex)) for (check, zs, bounds), nrm, ex in splits)
+        return tuple(_Bounded(check, *_read_only(zs, bounds, nrm, ex)) for (check, zs, bounds), nrm, ex in splits)
 
 
 def _stacked_norms(asks) -> list[np.ndarray]:
@@ -855,16 +838,15 @@ def _first_worst(zs, margins, worst=(math.inf, "")) -> tuple[float, str]:
 
 
 def _check_bounded(check: str, bounded, tol: float, pass_tol: float, absent: str | None = None) -> CheckResult | None:
-    """Values against bounds over the check's (zs, bounds, values) triples in `bounded`; none: a pass noted `absent`.
+    """Values against bounds over the check's _Bounded record in `bounded`; none: a pass noted `absent`.
 
     A point's margin is (bound (1 + tol) - value) / bound, the witness the first least; it passes at >= -pass_tol.
     """
-    if not bounded.get(check):
+    record = next((r for r in bounded if r.check == check), None)
+    if record is None:
         return None if absent is None else CheckResult(check, 0.0, True, note=absent)
-    worst = (math.inf, "")
-    for zs, bounds, values in bounded[check]:
-        worst = _first_worst(zs, (bounds * (1.0 + tol) - values) / bounds, worst)
-    return _judged(check, worst, pass_tol)
+    margins = (record.bounds * (1.0 + tol) - record.values) / record.bounds
+    return _judged(check, _first_worst(record.zs, margins), pass_tol)
 
 
 def _check_balls(inst, s_grid, eigs) -> CheckResult:
@@ -947,8 +929,9 @@ def _even_dim(rng, dim: int, dim_hi: int) -> tuple[int, int]:
     return dim, 1
 
 
-# One row per instance kind.  generate(kind, rng, dim, seed, magnitude, name,
-# gaps, n_gaps) builds it from rng = default_rng(seed); takes names the gap
+# One row per instance kind.  generate(kind, rng, dim, seed, magnitude, gaps,
+# n_gaps) returns its (t_diag, a_mat, quad, gaps, cert), drawn from
+# rng = default_rng(seed), which gen_instance names; takes names the gap
 # arguments it uses, and gen_instance refuses the others off their defaults.
 # dim_rule(rng, dim, dim_hi) is the (dim, n_gaps) a suite builds it at from
 # the dim drawn off the suite's rng, which it draws from only for n_gaps.
@@ -980,22 +963,9 @@ _KINDS = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class _Grid:
-    """One resolvent z-grid of M = T + A for `check`; every array is read-only.
-
-    bounds[i] is the check's certified bound at zs[i].  Where exact[i],
-    norms[i] is the oracle's ||(M - zs[i])^-1||; elsewhere the oracle
-    pruned zs[i] and norms[i] is the upper bracket, from the better of the
-    two Weyl bounds of _Brackets, that proved zs[i] cannot be the check's
-    worst point, never below the norm itself.
-    """
-
-    check: str
-    zs: np.ndarray
-    bounds: np.ndarray
-    norms: np.ndarray
-    exact: np.ndarray
+# One bound-ratio check's data (see _Observation): its name, points, their
+# bounds, the values judged against them and a mask of the exact values.
+_Bounded = namedtuple("_Bounded", "check zs bounds values exact")
 
 
 @dataclass(frozen=True, eq=False)
@@ -1003,17 +973,23 @@ class _Observation:
     """What the linear algebra of one verification saw; every array is read-only.
 
     eigs[i] holds the eigenvalues of T + s_grid[i] A.  `strips` has one
-    (gap, perturbed strip, zs, plain bounds, refined bounds) per open strip;
-    `grids` holds every resolvent _Grid in check order: resolvent-offreal
-    unless b >= 1, one resolvent-strip per open strip (same zs, bounds the
-    lesser of plain and refined), resolvent-symgap for an open symmetric gap.
+    (gap, perturbed strip) per open strip, in gap order.  `bounded` has one
+    _Bounded record per bound-ratio check that applies: resolvent-offreal
+    unless b >= 1, resolvent-strip on the open strips' z-grids joined in
+    gap order (bounds the lesser of plain and refined), resolvent-symgap
+    for an open symmetric gap, each valued by ||(M - z)^-1||, M = T + A;
+    then refined-le-plain on resolvent-strip's zs, its values the refined
+    bounds, its bounds the plain ones, every point exact.  A resolvent
+    value where not exact is the upper bracket, from the better of the two
+    Weyl bounds of _Brackets, that proved its point cannot be the check's
+    worst, never below the norm itself.
     """
 
     s_grid: np.ndarray
     eigs: np.ndarray
     trace_slogdet: tuple[complex, complex, float]
     strips: tuple
-    grids: tuple[_Grid, ...]
+    bounded: tuple[_Bounded, ...]
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -1044,45 +1020,46 @@ def _observe_batch(insts, options: VerifyOptions) -> list[_Observation]:
     hermitian = [_exactly_hermitian(inst.a_mat) for inst in insts]
     general = [inst.a_mat for inst, h in zip(insts, hermitian) if not h]
     a_norms = iter(np.linalg.svd(np.stack(general), compute_uv=False)[:, 0].tolist() if general else ())
-    parts, brackets = [], []
+    parts = []
     for inst, eigs, h in zip(insts, _sweep(insts, s_grid), hermitian):
         a_norm = None if h else next(a_norms)
         m0 = inst.t_mat + inst.a_mat
         sign, logabs = np.linalg.slogdet(m0)
-        strips, grids = _resolvent_grids(inst)
+        strips, grids, records = _resolvent_grids(inst)
         b = _Brackets(m0, inst.t_diag, a_norm, eigs[-1], grids) if grids else None
-        parts.append((eigs, (complex(np.trace(m0)), complex(sign), float(logabs)), strips, b))
-        if b is not None:
-            brackets.append(b)
-    _bracket_rounds(brackets)
+        parts.append((eigs, (complex(np.trace(m0)), complex(sign), float(logabs)), strips, records, b))
+    _bracket_rounds([b for *_, b in parts if b is not None])
     return [
-        _Observation(*_read_only(s_grid, eigs), trace_slogdet, strips, b.grids() if b is not None else ())
-        for eigs, trace_slogdet, strips, b in parts
+        _Observation(*_read_only(s_grid, eigs), trace_slogdet, strips, (b.records() if b is not None else ()) + records)
+        for eigs, trace_slogdet, strips, records, b in parts
     ]
 
 
-def _resolvent_grids(inst: MatrixInstance) -> tuple[tuple, list]:
-    """(strips, grids) of an _Observation of inst, each grid still a (check, zs, bounds), in check order.
+def _resolvent_grids(inst: MatrixInstance) -> tuple[tuple, list, tuple]:
+    """(strips, grids, records) of an _Observation of inst; each grid, a (check, zs, bounds), goes to _Brackets.
 
-    The open strips share one check.
+    One grid per check, in check order, the open strips' z-grids joined in
+    gap order; records is () or the refined-le-plain _Bounded record.
     """
     q = inst.quad
     grids = []
     if q.b < 1.0:
         zs = _offreal_zgrid(inst)
         grids.append(("resolvent-offreal", zs, np.array(_offreal_bounds(q, zs.tolist()))))
-    strips = []
-    for g in inst.gaps:
-        if (strip := perturbed_strip(q, g)).open:
-            zs = _strip_zgrid(g, strip)
-            plain, refined = (np.array(col) for col in zip(*_strip_bound_pairs(q, g, zs.tolist())))
-            strips.append((g, strip, zs, *_read_only(plain, refined)))
-            grids.append(("resolvent-strip", zs, np.minimum(plain, refined)))
+    strips = tuple((g, strip) for g in inst.gaps if (strip := perturbed_strip(q, g)).open)
+    records = ()
+    if strips:
+        per_gap = [(g, _strip_zgrid(g, strip)) for g, strip in strips]
+        zs = np.concatenate([grid for _, grid in per_gap])
+        pairs = [pair for g, grid in per_gap for pair in _strip_bound_pairs(q, g, grid.tolist())]
+        plain, refined = (np.array(col) for col in zip(*pairs))
+        grids.append(("resolvent-strip", zs, np.minimum(plain, refined)))
+        records = (_Bounded("refined-le-plain", *_read_only(zs, plain, refined, np.ones(zs.size, dtype=bool))),)
     gap = next((g for g in inst.gaps if g.alpha == -g.beta), None)
     if gap is not None and (result := symmetric_gap_strip(q, gap.beta)).strip.open:
         zs = _symgap_zgrid(result, gap)
         grids.append(("resolvent-symgap", zs, np.array([result.resolvent_bound(z) for z in zs.tolist()])))
-    return tuple(strips), grids
+    return strips, grids, records
 
 
 def _judge(inst: MatrixInstance, obs: _Observation, options: VerifyOptions) -> VerificationReport:
@@ -1092,16 +1069,12 @@ def _judge(inst: MatrixInstance, obs: _Observation, options: VerifyOptions) -> V
     where they apply, then its kind's own check (its _KINDS row's).
     """
     s_grid, eigs, widen = obs.s_grid, obs.eigs, options.widen
-    row = _KINDS[inst.kind]
-    # the (zs, bounds, values) triples of every bound-ratio check, by check
-    bounded = {"refined-le-plain": [(zs, plain, refined) for _, _, zs, plain, refined in obs.strips]}
-    for g in obs.grids:
-        bounded.setdefault(g.check, []).append((g.zs, g.bounds, g.norms))
+    row, bounded = _KINDS[inst.kind], obs.bounded
     checks = (
         _check_eig_sanity(obs),
         _check_hyperbola(inst, s_grid, eigs),
-        _check_location("strip", eigs, [_widen(_strip_claim(gap, strip), widen) for gap, strip, *_ in obs.strips],
-                        " ".join(f"({gap.alpha:.3g},{gap.beta:.3g})" for gap, *_ in obs.strips), "no certified strip"),
+        _check_location("strip", eigs, [_widen(_strip_claim(gap, strip), widen) for gap, strip in obs.strips],
+                        " ".join(f"({gap.alpha:.3g},{gap.beta:.3g})" for gap, _ in obs.strips), "no certified strip"),
         _check_bounded("resolvent-offreal", bounded, _RESOLVENT_TOL, _REL_MARGIN, "not applicable: b >= 1"),
         _check_bounded("resolvent-strip", bounded, _RESOLVENT_TOL, _REL_MARGIN, "no certified strip"),
         _check_bounded("refined-le-plain", bounded, _REFINED_TOL, 0.0, "no certified strip"),
@@ -1161,6 +1134,7 @@ def standard_suite_specs(
     each kind's dim rule then gives its n_gaps and the dim it is built at,
     which can lie outside that range (see the _KINDS rows).
     """
+    count = require_int("count", count, 1)
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; valid suites: {', '.join(_SUITES)}")
     mix, (suite_lo, suite_hi) = _SUITES[suite]
@@ -1258,7 +1232,6 @@ def run_suite(
     instance raises keeps the previous call's.
     """
     global _previous_suite
-    require_int("count", count, 1)
     t0 = time.perf_counter()
     specs = standard_suite_specs(count, dim_lo, dim_hi, seed, suite)
     plan = (tuple(specs), options.s_points, _Z_RE, _Z_IM, _INSET)

@@ -16,7 +16,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from gapcert import Gap, QuadBound, matrix_lab
 from gapcert.blocks import NumRangeBounds, even_lowerbound, odd_symmetric_gap, offdiag_gap
-from gapcert.enclosures import isolated_eigenvalue_strip
+from gapcert.enclosures import (
+    isolated_eigenvalue_strip,
+    perturbed_strip,
+    resolvent_bound_strip,
+    resolvent_bound_strip_refined,
+)
 from gapcert.errors import ConditionNotApplicable, NumericalFailure
 from gapcert.matrix_lab import (
     MatrixInstance,
@@ -490,6 +495,11 @@ class TestSuite:
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             run_suite(3, seed=seed)
 
+    @pytest.mark.parametrize("count", [0, -3, 2.5, "4"])
+    def test_specs_reject_count_by_name(self, count):
+        with pytest.raises(ValueError, match="count must be an integer >= 1"):
+            standard_suite_specs(count)
+
     def test_whole_seeds_keep_the_int_plan(self):
         want = standard_suite_specs(20, seed=7)
         assert standard_suite_specs(20, seed=np.int64(7)) == standard_suite_specs(20, seed=7.0) == want
@@ -767,11 +777,14 @@ def oracle_calls(monkeypatch):
 
 def _stored_arrays(obs):
     arrays = [obs.s_grid, obs.eigs]
-    for grid in obs.grids:
-        arrays.extend((grid.zs, grid.bounds, grid.norms, grid.exact))
-    for _, _, zs, plain, refined in obs.strips:
-        arrays.extend((zs, plain, refined))
+    for record in obs.bounded:
+        arrays.extend((record.zs, record.bounds, record.values, record.exact))
     return arrays
+
+
+def _resolvent_records(obs):
+    """The observation's resolvent records, whose values are norms: every one but refined-le-plain's."""
+    return [record for record in obs.bounded if record.check != "refined-le-plain"]
 
 
 @pytest.mark.usefixtures("empty_store")
@@ -869,11 +882,19 @@ class TestObservationReuse:
         stored = list(matrix_lab._previous_suite[1])
         assert len(stored) == _SMALL[0]
         assert any(obs.strips for _, obs in stored)
-        assert any(g.check == "resolvent-symgap" for _, obs in stored for g in obs.grids)
+        assert any(r.check == "resolvent-symgap" for _, obs in stored for r in obs.bounded)
         for inst, obs in stored:
             for array in [inst.t_diag, inst.a_mat, *_stored_arrays(obs)]:
                 with pytest.raises(ValueError, match="read-only"):
                     array.flat[0] = 0
+            # the records' container and each record refuse assignment too
+            assert isinstance(obs.bounded, tuple) and obs.bounded
+            with pytest.raises(TypeError):
+                obs.bounded[0] = obs.bounded[-1]
+            with pytest.raises(AttributeError):
+                obs.bounded[0].values = obs.bounded[-1].values
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                obs.bounded = ()
 
     def test_concurrent_suites_match_serial(self):
         plans = [((8, 6, 12, 11), None), ((8, 6, 12, 11), _WIDENED),
@@ -919,10 +940,12 @@ def _prune_instance(kind, dim, seed, magnitude):
     return gen_instance(dim, seed, kind=kind, magnitude=magnitude, n_gaps=n_gaps)
 
 
-def _full_grid(grid, m0):
-    """The grid with every norm evaluated by one batch over all of its points."""
-    (full,) = matrix_lab._stacked_norms([(m0, grid.zs)])
-    return dataclasses.replace(grid, norms=full, exact=np.ones(full.size, dtype=bool))
+def _full_grid(record, m0):
+    """The record with every norm evaluated by one batch over all of its points; refined-le-plain's, whose values are bounds, as it is."""
+    if record.check == "refined-le-plain":
+        return record
+    (full,) = matrix_lab._stacked_norms([(m0, record.zs)])
+    return record._replace(values=full, exact=np.ones(full.size, dtype=bool))
 
 
 def _assert_pruning_changes_no_report(inst):
@@ -934,14 +957,14 @@ def _assert_pruning_changes_no_report(inst):
         patch.setattr(matrix_lab, "_ROUNDS", 10**6)
         observed.append(matrix_lab._observe(inst, VerifyOptions()))
     obs = observed[0]
-    full = dataclasses.replace(obs, grids=tuple(_full_grid(grid, m0) for grid in obs.grids))
+    full = dataclasses.replace(obs, bounded=tuple(_full_grid(record, m0) for record in obs.bounded))
     want = [matrix_lab._judge(inst, full, o).to_json() for o in (VerifyOptions(), _WIDENED)]
     for obs in observed:
-        assert obs.grids
-        for grid, reference in zip(obs.grids, full.grids):
-            exact, norms = grid.exact, reference.norms
-            assert grid.norms[exact].tolist() == norms[exact].tolist()
-            assert np.all(grid.norms[~exact] >= norms[~exact])
+        assert obs.bounded
+        for record, reference in zip(obs.bounded, full.bounded):
+            exact, norms = record.exact, reference.values
+            assert record.values[exact].tolist() == norms[exact].tolist()
+            assert np.all(record.values[~exact] >= norms[~exact])
         got = [matrix_lab._judge(inst, obs, o).to_json() for o in (VerifyOptions(), _WIDENED)]
         assert got == want
 
@@ -982,7 +1005,7 @@ class TestPrunedOracle:
         # 8 n eps (max|eig| + max|z|), and the brackets take exactly that slack
         inst = _hermitian_instance(kind, dim, seed, magnitude)
         m0 = inst.t_mat + inst.a_mat
-        _, grids = matrix_lab._resolvent_grids(inst)
+        _, grids, _ = matrix_lab._resolvent_grids(inst)
         assume(grids)
         eigs = matrix_lab._sweep([inst], matrix_lab._s_grid(VerifyOptions()))[0, -1]
         brackets = matrix_lab._Brackets(m0, inst.t_diag, None, eigs, grids)
@@ -1002,9 +1025,9 @@ class TestPrunedOracle:
         # axis, ties that only an SVD at each point can order
         for seed in range(8):
             inst = gen_instance(dim, seed, kind="symmetric", magnitude=0.3 + 0.08 * seed)
-            exact = {}
-            for grid in matrix_lab._observe(inst, VerifyOptions()).grids:
-                exact[grid.check] = exact.get(grid.check, 0) + int(grid.exact.sum())
+            records = _resolvent_records(matrix_lab._observe(inst, VerifyOptions()))
+            exact = {record.check: int(record.exact.sum()) for record in records}
+            assert len(exact) == len(records)
             assert exact and all(1 <= count <= 2 for count in exact.values())
 
     @pytest.mark.parametrize("dim, magnitude", [(4, 0.9), (10, 0.5), (22, 0.9), (40, 0.5)])
@@ -1014,25 +1037,25 @@ class TestPrunedOracle:
         # of every grid, and the points it prunes keep a norm above the full grid's
         inst = _prune_instance(kind, dim, dim, magnitude)
         m0 = inst.t_mat + inst.a_mat
-        _, grids = matrix_lab._resolvent_grids(inst)
+        _, grids, _ = matrix_lab._resolvent_grids(inst)
         a_norm = float(np.linalg.svd(inst.a_mat, compute_uv=False)[0])
         brackets = matrix_lab._Brackets(m0, inst.t_diag, a_norm, np.linalg.eigvals(m0), grids)
         (full,) = matrix_lab._stacked_norms([(m0, brackets.zs)])
         proven = brackets.fixed > 0.0
         assert proven.any()
         assert np.all(1.0 / brackets.fixed[proven] >= full[proven])
-        grids = matrix_lab._observe(inst, VerifyOptions()).grids
-        pruned = ~np.concatenate([g.exact for g in grids])
-        assert np.all(np.concatenate([g.norms for g in grids])[pruned] >= full[pruned])
+        records = _resolvent_records(matrix_lab._observe(inst, VerifyOptions()))
+        pruned = ~np.concatenate([r.exact for r in records])
+        assert np.all(np.concatenate([r.values for r in records])[pruned] >= full[pruned])
 
     @pytest.mark.parametrize("dim", [22, 40])
     def test_most_points_are_pruned(self, dim):
         exact = total = 0
         for kind in _PRUNE_KINDS:
             obs = matrix_lab._observe(_prune_instance(kind, dim, 3, 0.7), VerifyOptions())
-            for grid in obs.grids:
-                exact += int(grid.exact.sum())
-                total += grid.exact.size
+            for record in _resolvent_records(obs):
+                exact += int(record.exact.sum())
+                total += record.exact.size
         assert exact < total / 2
 
 
@@ -1134,7 +1157,8 @@ def _same_observation(got, want) -> bool:
     pairs = list(zip(_stored_arrays(got), _stored_arrays(want)))
     return (
         len(_stored_arrays(got)) == len(_stored_arrays(want))
-        and [g.check for g in got.grids] == [g.check for g in want.grids]
+        and [r.check for r in got.bounded] == [r.check for r in want.bounded]
+        and got.strips == want.strips
         and all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in pairs)
         and got.trace_slogdet == want.trace_slogdet
     )
@@ -1151,7 +1175,7 @@ class TestLockstep:
         insts = [_prune_instance(kind, dim, seed, 0.7) for seed, kind in enumerate(kinds)]
         assert {inst.kind for inst in insts} == set(matrix_lab._KINDS)
         lone = [matrix_lab._observe(inst, options) for inst in insts]
-        masks = [[g.exact.tolist() for g in obs.grids] for obs in lone]
+        masks = [[r.exact.tolist() for r in obs.bounded] for obs in lone]
         # the batch twice on the lanes: at the real CPU count, at 1 (both
         # copies on the calling thread) and at 64 (one copy on a started lane)
         for cpus in (matrix_lab._usable_cpus(), 1, 64):
@@ -1163,7 +1187,7 @@ class TestLockstep:
             assert len(observed) == 2
             for batch in observed:
                 assert all(_same_observation(got, want) for got, want in zip(batch, lone))
-                assert [[g.exact.tolist() for g in obs.grids] for obs in batch] == masks
+                assert [[r.exact.tolist() for r in obs.bounded] for obs in batch] == masks
 
     def test_one_svd_call_per_round(self, oracle_calls):
         # a symmetric instance beside general ones: it needs no ||A||_2 and fewer rounds
@@ -1335,8 +1359,8 @@ def _widened_references(inst, obs, widen: float) -> dict:
     flat = np.ravel(eigs).tolist()
     refs = {"strip": (0.0, "", "no certified strip")}
     if obs.strips:
-        strips = [(*_centre_rule(strip.lo, strip.hi, widen), _gap_scale(gap)) for gap, strip, *_ in obs.strips]
-        note = " ".join(f"({gap.alpha:.3g},{gap.beta:.3g})" for gap, *_ in obs.strips)
+        strips = [(*_centre_rule(strip.lo, strip.hi, widen), _gap_scale(gap)) for gap, strip in obs.strips]
+        note = " ".join(f"({gap.alpha:.3g},{gap.beta:.3g})" for gap, _ in obs.strips)
         refs["strip"] = (*_strips_worst(eigs, strips), note)
     if inst.kind not in _OWN:
         return refs
@@ -1412,7 +1436,7 @@ class TestJudgeReferences:
             _assert_keeps_bits(report["structured-odd"], _odd_floor(obs.eigs, c), lambda z: _odd_floor([z], c))
         # the widened ends of strip and structured-offdiag and the widened count of
         # eig-count against the center rule, and every widen-sensitive check
-        for gap, strip, *_ in obs.strips:
+        for gap, strip in obs.strips:
             want = (*_centre_rule(strip.lo, strip.hi, widen), _gap_scale(gap))
             assert _hexes(matrix_lab._widen(matrix_lab._strip_claim(gap, strip), widen)) == _hexes(want)
         if kind == "offdiag":
@@ -1434,7 +1458,7 @@ class TestJudgeReferences:
         for x in obs.eigs.real.ravel()[::7].tolist():
             for f in _ends(x):
                 _assert_floors_keep_bits(obs.eigs, f)
-        bounded = [(zs, plain, refined) for _, _, zs, plain, refined in obs.strips]
+        bounded = [(r.zs, r.bounds, r.values) for r in obs.bounded if r.check == "refined-le-plain"]
         if bounded:
             margin = min(m for m, _ in _refined_points(bounded))
             margins = {z: m for m, z in _refined_points(bounded)}
@@ -1499,8 +1523,60 @@ class TestJudgeReferences:
         bounded = [(part_zs, part_plain, part_refined) for part_zs, part_plain, part_refined in zip(
             np.array_split(zs, grids), np.array_split(plain, grids), np.array_split(refined, grids)) if part_zs.size]
         margin = min(m for m, _ in _refined_points(bounded))
-        got = matrix_lab._check_bounded(
-            "refined-le-plain", {"refined-le-plain": bounded}, matrix_lab._REFINED_TOL, 0.0)
+        # the judge sees the parts joined in one record, as the observation joins the strips' grids
+        record = matrix_lab._Bounded("refined-le-plain", zs, plain, refined, np.ones(plain.size, dtype=bool))
+        got = matrix_lab._check_bounded("refined-le-plain", (record,), matrix_lab._REFINED_TOL, 0.0)
         assert got.passed == (margin >= 0.0)
         margins = {z: m for m, z in _refined_points(bounded)}
         _assert_keeps_bits(got, margin, margins.__getitem__)
+
+    def test_bound_ratio_judge_takes_the_first_of_tied_grids(self):
+        # two grids joined in one record, each failing with the same least margin at
+        # another point: the first grid's point is the witness, as in a per-grid loop
+        tol, pass_tol = matrix_lab._RESOLVENT_TOL, matrix_lab._REL_MARGIN
+        grids = [
+            (np.array([1 + 1j, 2 + 1j, 3 + 1j]), np.array([2.0, 1.0, 4.0]), np.array([1.0, 3.0, 4.0])),
+            (np.array([4 + 2j, 5 + 2j]), np.array([1.0, 0.5]), np.array([3.0, 0.25])),
+        ]
+        worst = (math.inf, "")
+        for zs, bounds, values in grids:
+            margins = [(b * (1.0 + tol) - v) / b for b, v in zip(bounds.tolist(), values.tolist())]
+            k = min(range(len(margins)), key=margins.__getitem__)
+            if margins[k] < worst[0]:
+                worst = (margins[k], repr(complex(zs[k])))
+        assert worst[1] == repr(2 + 1j)
+        joined = [np.concatenate(part) for part in zip(*grids)]
+        record = matrix_lab._Bounded("resolvent-strip", *joined, np.ones(5, dtype=bool))
+        got = matrix_lab._check_bounded("resolvent-strip", (record,), tol, pass_tol)
+        assert not got.passed
+        assert (got.margin.hex(), got.witness) == (worst[0].hex(), worst[1])
+        assert matrix_lab._check_bounded("resolvent-symgap", (record,), tol, pass_tol) is None
+
+    @pytest.mark.parametrize("n_gaps", [2, 3])
+    def test_strip_records_join_the_per_gap_grids(self, n_gaps):
+        # a multi instance's resolvent-strip and refined-le-plain records hold the
+        # per-gap z-grids and bounds, each written out by the scalar bounds, in gap order
+        inst = gen_instance(12, 3, kind="multi", magnitude=0.7, n_gaps=n_gaps)
+        obs = matrix_lab._observe(inst, VerifyOptions())
+        assert [gap for gap, _ in obs.strips] == list(inst.gaps)
+        assert all(strip == perturbed_strip(inst.quad, gap) for gap, strip in obs.strips)
+        zs, plain, refined = [], [], []
+        for gap, strip in obs.strips:
+            grid = matrix_lab._strip_zgrid(gap, strip)
+            zs.append(grid)
+            plain.append([resolvent_bound_strip(inst.quad, gap, z) for z in grid.tolist()])
+            refined.append([resolvent_bound_strip_refined(inst.quad, gap, z) for z in grid.tolist()])
+        zs, plain, refined = np.concatenate(zs), np.concatenate(plain), np.concatenate(refined)
+        (strip_record,) = [r for r in obs.bounded if r.check == "resolvent-strip"]
+        (refined_record,) = [r for r in obs.bounded if r.check == "refined-le-plain"]
+        for record in (strip_record, refined_record):
+            assert record.zs.tobytes() == zs.tobytes()
+        assert strip_record.bounds.tobytes() == np.minimum(plain, refined).tobytes()
+        assert refined_record.bounds.tobytes() == plain.tobytes()
+        assert refined_record.values.tobytes() == refined.tobytes()
+        assert refined_record.exact.all()
+        # the strip record's exact norms are the joined grid's own
+        (norms,) = matrix_lab._stacked_norms([(inst.t_mat + inst.a_mat, zs)])
+        exact = strip_record.exact
+        assert exact.any() and strip_record.values[exact].tobytes() == norms[exact].tobytes()
+        assert np.all(strip_record.values[~exact] >= norms[~exact])
